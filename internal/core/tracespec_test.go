@@ -126,27 +126,66 @@ func TestSolveBatchWithMixedSpecs(t *testing.T) {
 }
 
 // TestSolveWithZeroSpecAllocNeutral pins the acceptance criterion that a
-// zero SolveSpec adds nothing to the solve hot path: allocations per op
-// match plain Solve exactly.
+// zero SolveSpec adds nothing to the solve hot path. Structurally: the
+// zero spec runs on the configured backend itself, not a copy. By count:
+// one call's allocations vary upward from a floor — a recycled solveState
+// may have to grow a map, or the buffer pool may have lost its entries to
+// GC — so equal averages over a few calls are a coin toss. Instead single
+// calls of Solve and SolveWith are sampled alternately and each path's
+// floor (its minimum) is compared, within a tolerance equal to how far the
+// plain path's floor moves between the two halves of its own samples.
 func TestSolveWithZeroSpecAllocNeutral(t *testing.T) {
 	s, b := traceTestSolver(t)
+	back, err := s.specBackend(SolveSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back != s.cfg.Backend {
+		t.Fatalf("zero spec runs on %#v, want the configured backend %#v", back, s.cfg.Backend)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under the race detector (see raceEnabled)")
+	}
+
 	// Warm the buffer pool and metric children so steady state is measured.
 	if _, _, err := s.Solve(b); err != nil {
 		t.Fatal(err)
 	}
-	plain := testing.AllocsPerRun(10, func() {
+	solve := func() {
 		if _, _, err := s.Solve(b); err != nil {
 			t.Fatal(err)
 		}
-	})
-	spec := testing.AllocsPerRun(10, func() {
+	}
+	solveWith := func() {
 		if _, _, err := s.SolveWith(b, SolveSpec{}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if math.Abs(spec-plain) > 0.5 {
-		t.Fatalf("zero-spec SolveWith allocates %.1f/op vs Solve's %.1f/op", spec, plain)
 	}
+	const n = 30
+	plain := make([]float64, n)
+	spec := make([]float64, n)
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			plain[i] = testing.AllocsPerRun(1, solve)
+			spec[i] = testing.AllocsPerRun(1, solveWith)
+		} else {
+			spec[i] = testing.AllocsPerRun(1, solveWith)
+			plain[i] = testing.AllocsPerRun(1, solve)
+		}
+	}
+	tol := math.Abs(minOf(plain[:n/2]) - minOf(plain[n/2:]))
+	if d := minOf(spec) - minOf(plain); math.Abs(d) > tol {
+		t.Fatalf("zero-spec SolveWith allocates %.0f/op at its floor vs Solve's %.0f/op (tolerance %.0f)\nSolve:     %v\nSolveWith: %v",
+			minOf(spec), minOf(plain), tol, plain, spec)
+	}
+}
+
+func minOf(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		m = math.Min(m, x)
+	}
+	return m
 }
 
 // BenchmarkSolveSpecOff is the allocs/op pin in benchmark form: run with

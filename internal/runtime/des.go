@@ -478,3 +478,5 @@ func (e *Engine) mark(rank int, key string) {
 }
 
 func (e *Engine) isVirtual() bool { return true }
+
+func (e *Engine) traced() bool { return e.tr != nil }

@@ -271,21 +271,38 @@ func TestPoolJitterStillCorrect(t *testing.T) {
 }
 
 func TestPoolStraggler(t *testing.T) {
-	p := &Pool{
-		Timeout: 30 * time.Second,
-		Opts:    Options{Faults: &fault.Plan{Straggler: map[int]float64{0: 3}}},
-	}
-	res, err := p.Run(1, func(int) Handler {
-		return &initOnly{fn: func(ctx *Ctx) {
+	// The straggler sleeps off (factor−1) × each activation's busy time, so
+	// work counts whether it runs inside a Compute closure or, as in the
+	// real algorithms, before a nil-closure Compute that only labels it.
+	cases := map[string]func(*Ctx){
+		"work in closure": func(ctx *Ctx) {
 			ctx.Compute(0, func() { time.Sleep(30 * time.Millisecond) })
-		}}
-	})
-	if err != nil {
-		t.Fatal(err)
+		},
+		"work before nil closure": func(ctx *Ctx) {
+			time.Sleep(30 * time.Millisecond)
+			ctx.Compute(0, nil)
+		},
 	}
-	// 30ms of real work at factor 3 adds ~60ms of injected stall.
-	if f := res.Timers[0].ByCat[CatFault]; f < 0.03 {
-		t.Fatalf("injected straggler time %g, want ≥0.03", f)
+	for name, fn := range cases {
+		t.Run(name, func(t *testing.T) {
+			p := &Pool{
+				Timeout: 30 * time.Second,
+				Opts:    Options{Faults: &fault.Plan{Straggler: map[int]float64{0: 3}}},
+			}
+			res, err := p.Run(1, func(int) Handler { return &initOnly{fn: fn} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 30ms of real work at factor 3 adds ~60ms of injected stall.
+			f, fp := res.Timers[0].ByCat[CatFault], res.Timers[0].ByCat[CatFP]
+			if f < 0.03 {
+				t.Fatalf("injected straggler time %g, want ≥0.03", f)
+			}
+			// The stall is not compute: FP is the work alone, about half the stall.
+			if fp < 0.025 || fp >= f {
+				t.Fatalf("FP time %g with %g of stall, want ~0.03 and below the stall", fp, f)
+			}
+		})
 	}
 }
 

@@ -22,6 +22,18 @@ import (
 // event that wakes it, so the per-category breakdowns of the two backends
 // are directly comparable: ByCat[c] answers "how long did ranks sit waiting
 // for category-c traffic", not "what was the rank doing before it blocked".
+//
+// Compute-time attribution rule: ByCat[CatFP] is derived once per rank, when
+// the rank exits (on every exit path, failed runs included), as the rank's
+// clock minus its WaitSeconds minus its ByCat[CatFault]: everything the rank
+// did that was neither blocking on its inbox nor an injected fault. Compute
+// calls are not timed one by one — the algorithms run their kernels before
+// calling Compute with a nil closure, so a per-call bracket measures nothing
+// and costs two clock reads per task. Only a traced run brackets each
+// Compute, to record its EvCompute span; the derivation is the same either
+// way. Untraced and fault-free, a rank reads the clock at start, at exit and
+// around each blocking receive, never per task.
+//
 // A Pool value holds only configuration; every Run builds its own state, so
 // concurrent Run calls on one Pool are independent.
 type Pool struct {
@@ -283,6 +295,16 @@ func (p *poolCtx) send(src int, m Msg) {
 			Bytes: m.Bytes, MsgID: m.id, Start: m.at,
 		})
 	}
+	if p.s.inj.Active() && p.inject(src, m) {
+		return
+	}
+	p.s.inboxes[m.Dst].put(m)
+}
+
+// inject applies the fault plan to one outgoing message: it reports true
+// when the message was dropped or handed to a delay timer, false when it
+// should be delivered now.
+func (p *poolCtx) inject(src int, m Msg) bool {
 	now := time.Since(p.s.start).Seconds()
 	if p.s.inj.Drop(src, m.Dst, m.Tag, now) {
 		p.s.ftDrops.Add(1)
@@ -292,7 +314,7 @@ func (p *poolCtx) send(src int, m Msg) {
 				MsgID: m.id, Start: now, Key: "drop",
 			})
 		}
-		return
+		return true
 	}
 	if d := p.s.inj.Delay() + p.s.inj.NetDelay(src); d > 0 {
 		p.s.ftDelays.Add(1)
@@ -306,9 +328,9 @@ func (p *poolCtx) send(src int, m Msg) {
 		}
 		dst := p.s.inboxes[m.Dst]
 		time.AfterFunc(time.Duration(d*float64(time.Second)), func() { dst.put(m) })
-		return
+		return true
 	}
-	p.s.inboxes[m.Dst].put(m)
+	return false
 }
 
 // after implements elastic deadline ticks on the wall clock: the delay is
@@ -336,32 +358,58 @@ func (p *poolCtx) sendAfter(int, float64, Msg) {
 		Msg: "Ctx.SendAfter requires the simulation backend (Engine)"})
 }
 
+// compute runs f. It charges no time (see the compute-time attribution rule
+// on Pool) and reads the clock only to record the EvCompute span of a
+// traced run.
 func (p *poolCtx) compute(rank, tag int, _ float64, f func()) {
+	if p.s.tr == nil {
+		if f != nil {
+			f()
+		}
+		return
+	}
 	t0 := time.Now()
 	if f != nil {
 		f()
 	}
-	dur := time.Since(t0).Seconds()
-	p.s.timers[rank].ByCat[CatFP] += dur
-	if p.s.tr != nil {
-		p.s.tr.add(rank, Event{
-			Kind: EvCompute, Cat: CatFP, Tag: tag, Peer: -1,
-			Start: t0.Sub(p.s.start).Seconds(), Dur: dur,
+	p.s.tr.add(rank, Event{
+		Kind: EvCompute, Cat: CatFP, Tag: tag, Peer: -1,
+		Start: t0.Sub(p.s.start).Seconds(), Dur: time.Since(t0).Seconds(),
+	})
+}
+
+// straggle sleeps off a straggler rank's slowdown after one activation (an
+// Init or OnMessage call) that began at a0: (fac−1) × the activation's busy
+// time, charged to CatFault. The sleep is real, so downstream ranks observe
+// the late arrivals on the wall clock. A healthy rank (fac ≤ 1) returns
+// without reading the clock.
+func (s *poolShared) straggle(rank int, fac float64, a0 time.Time) {
+	if fac <= 1 {
+		return
+	}
+	busy := time.Since(a0).Seconds()
+	if busy <= 0 {
+		return
+	}
+	extra := busy * (fac - 1)
+	s.ftStraggles.Add(1)
+	if s.tr != nil {
+		s.tr.add(rank, Event{
+			Kind: EvFault, Cat: CatFault, Peer: -1,
+			Start: time.Since(s.start).Seconds(), Dur: extra, Key: "straggle",
 		})
 	}
-	// A straggler rank really sleeps off its slowdown, so downstream ranks
-	// observe the late arrivals on the wall clock.
-	if fac := p.s.inj.StragglerFactor(rank); fac > 1 && dur > 0 {
-		extra := dur * (fac - 1)
-		p.s.ftStraggles.Add(1)
-		if p.s.tr != nil {
-			p.s.tr.add(rank, Event{
-				Kind: EvFault, Cat: CatFault, Peer: -1,
-				Start: time.Since(p.s.start).Seconds(), Dur: extra, Key: "straggle",
-			})
-		}
-		p.s.timers[rank].ByCat[CatFault] += extra
-		time.Sleep(time.Duration(extra * float64(time.Second)))
+	s.timers[rank].ByCat[CatFault] += extra
+	time.Sleep(time.Duration(extra * float64(time.Second)))
+}
+
+// settleFP derives the rank's compute time once, at exit: the part of its
+// clock up to end (seconds since the run started) that was neither a
+// blocking wait nor an injected fault. end < 0 marks a rank that never ran.
+func (s *poolShared) settleFP(rank int, end float64) {
+	t := &s.timers[rank]
+	if fp := end - t.WaitSeconds - t.ByCat[CatFault]; fp > 0 {
+		t.ByCat[CatFP] += fp
 	}
 }
 
@@ -391,6 +439,8 @@ func (p *poolCtx) mark(rank int, key string) {
 }
 
 func (p *poolCtx) isVirtual() bool { return false }
+
+func (p *poolCtx) traced() bool { return p.s.tr != nil }
 
 // Run executes one handler per rank until every handler reports Done. It
 // returns typed fault errors for failures the robustness layer diagnoses —
@@ -430,10 +480,17 @@ func (p *Pool) Run(n int, newHandler func(rank int) Handler) (*Result, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			// end is when the rank stopped working, in seconds since the
+			// run started: its exit, or the start of the receive it
+			// stalled or crashed in. It stays negative if the rank never
+			// ran.
+			end := -1.0
 			defer func() {
 				if rec := recover(); rec != nil {
+					end = time.Since(s.start).Seconds()
 					s.fail(fault.FromPanic(rank, rec, debug.Stack()))
 				}
+				s.settleFP(rank, end)
 			}()
 			crashT, hasCrash := s.inj.CrashTime(rank)
 			if hasCrash && crashT <= 0 {
@@ -442,13 +499,17 @@ func (p *Pool) Run(n int, newHandler func(rank int) Handler) (*Result, error) {
 			}
 			h := newHandler(rank)
 			ctx := &Ctx{rank: rank, b: &poolCtx{s: s, rank: rank}}
+			fac := s.inj.StragglerFactor(rank)
+			a0 := time.Now() // start of the current Init or OnMessage
 			h.Init(ctx)
+			s.straggle(rank, fac, a0)
 			for !h.Done() {
 				t0 := time.Now()
 				s.blockedSince[rank].Store(t0.UnixNano())
 				m, ok := s.inboxes[rank].get()
 				s.blockedSince[rank].Store(0)
 				if !ok {
+					end = t0.Sub(s.start).Seconds()
 					if s.aborted.Load() {
 						done, total := progressOf(h)
 						s.noteStall(stallReport{
@@ -461,11 +522,13 @@ func (p *Pool) Run(n int, newHandler func(rank int) Handler) (*Result, error) {
 					}
 					return
 				}
-				if hasCrash && time.Since(s.start).Seconds() >= crashT {
+				a0 = time.Now()
+				if hasCrash && a0.Sub(s.start).Seconds() >= crashT {
+					end = t0.Sub(s.start).Seconds()
 					s.noteCrash(rank, crashT)
 					return
 				}
-				wait := time.Since(t0).Seconds()
+				wait := a0.Sub(t0).Seconds()
 				s.timers[rank].ByCat[m.Cat] += wait
 				s.timers[rank].Waits++
 				s.timers[rank].WaitSeconds += wait
@@ -485,9 +548,11 @@ func (p *Pool) Run(n int, newHandler func(rank int) Handler) (*Result, error) {
 					})
 				}
 				h.OnMessage(ctx, m)
+				s.straggle(rank, fac, a0)
 			}
 			s.rankDone[rank].Store(true)
-			s.clocks[rank] = time.Since(s.start).Seconds()
+			end = time.Since(s.start).Seconds()
+			s.clocks[rank] = end
 		}(r)
 	}
 	if deadline := p.Opts.StallTimeout; deadline > 0 {

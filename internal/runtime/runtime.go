@@ -151,6 +151,7 @@ type backend interface {
 	now(rank int) float64
 	mark(rank int, key string)
 	isVirtual() bool
+	traced() bool
 }
 
 // Rank returns the rank this context belongs to.
@@ -221,6 +222,11 @@ func (c *Ctx) Mark(key string) { c.b.mark(c.rank, key) }
 // Virtual reports whether time is simulated; handlers that only make sense
 // under the Engine (the GPU models) check it.
 func (c *Ctx) Virtual() bool { return c.b.isVirtual() }
+
+// Traced reports whether this run records an event trace (Options.Trace).
+// Handlers check it to skip clock reads that only feed trace annotations
+// such as Span, which are no-ops when it is false.
+func (c *Ctx) Traced() bool { return c.b.traced() }
 
 // Timers accumulates a rank's attributed time and traffic.
 type Timers struct {

@@ -1,10 +1,14 @@
 package runtime
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sptrsv/internal/fault"
 )
 
 // constNet charges fixed overhead o and latency per byte.
@@ -166,10 +170,17 @@ func TestEngineWaitAttribution(t *testing.T) {
 	}
 }
 
-// recvN waits for n messages.
-type recvN struct{ n, got int }
+// recvN runs init (when set), then expects n messages.
+type recvN struct {
+	n, got int
+	init   func(*Ctx)
+}
 
-func (h *recvN) Init(*Ctx)           {}
+func (h *recvN) Init(ctx *Ctx) {
+	if h.init != nil {
+		h.init(ctx)
+	}
+}
 func (h *recvN) OnMessage(*Ctx, Msg) { h.got++ }
 func (h *recvN) Done() bool          { return h.got >= h.n }
 
@@ -366,5 +377,76 @@ func TestPoolWaitAttribution(t *testing.T) {
 	}
 	if fp := res.Timers[0].ByCat[CatFP]; fp > 0.01 {
 		t.Fatalf("rank 0 FP time %g, want ~0", fp)
+	}
+}
+
+func TestPoolComputeTimeDerivedAtExit(t *testing.T) {
+	// Pins the compute-time attribution rule documented on Pool: FP time is
+	// the rank's clock minus its waits, whether or not the work sat inside
+	// a Compute closure, traced or not.
+	for _, traced := range []bool{false, true} {
+		p := &Pool{Timeout: 10 * time.Second, Opts: Options{Trace: traced}}
+		res, err := p.Run(2, func(r int) Handler {
+			if r == 1 {
+				return &initOnly{fn: func(ctx *Ctx) {
+					time.Sleep(40 * time.Millisecond) // work the Compute call only labels
+					ctx.ComputeT(3, 0, nil)
+					ctx.Send(Msg{Dst: 0, Tag: 9, Cat: CatZ})
+				}}
+			}
+			return &recvN{n: 1}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp := res.Timers[1].ByCat[CatFP]; fp < 0.035 {
+			t.Fatalf("traced=%v: rank 1 FP time %g, want ≥0.035", traced, fp)
+		}
+		for r := range res.Timers {
+			if tot := res.Timers[r].Total(); math.Abs(tot-res.Clocks[r]) > 1e-9 {
+				t.Fatalf("traced=%v: rank %d categories sum to %g, clock %g", traced, r, tot, res.Clocks[r])
+			}
+		}
+		if traced != (res.Trace != nil) {
+			t.Fatalf("traced=%v but trace present=%v", traced, res.Trace != nil)
+		}
+	}
+}
+
+func TestPoolComputeTimeOnStall(t *testing.T) {
+	// A failed run derives FP time too: the salvaged timers of a rank that
+	// worked and then stalled show the work, not the stalled wait.
+	const deadline = 100 * time.Millisecond
+	p := &Pool{Timeout: 30 * time.Second, Opts: Options{Trace: true, StallTimeout: deadline}}
+	res, err := p.Run(1, func(int) Handler {
+		return &recvN{n: 1, init: func(*Ctx) { time.Sleep(40 * time.Millisecond) }}
+	})
+	var se *fault.StallError
+	if !errors.As(err, &se) {
+		t.Fatalf("expected StallError, got %v", err)
+	}
+	if res == nil {
+		t.Fatal("traced stalled run returned no partial result")
+	}
+	if fp := res.Timers[0].ByCat[CatFP]; fp < 0.035 || fp >= deadline.Seconds() {
+		t.Fatalf("stalled rank FP time %g, want ~0.04 (the work, not the stalled wait)", fp)
+	}
+}
+
+// BenchmarkPoolComputeOff is the runtime layer's cost per task on the
+// untraced, fault-free pool: one rank issuing b.N nil-closure ComputeT
+// calls, the pattern the algorithms use after running a kernel.
+func BenchmarkPoolComputeOff(b *testing.B) {
+	p := &Pool{Timeout: time.Minute}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := p.Run(1, func(int) Handler {
+		return &initOnly{fn: func(ctx *Ctx) {
+			for i := 0; i < b.N; i++ {
+				ctx.ComputeT(1, 0, nil)
+			}
+		}}
+	}); err != nil {
+		b.Fatal(err)
 	}
 }

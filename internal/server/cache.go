@@ -44,7 +44,7 @@ type solverSlot struct {
 	once    sync.Once
 	config  core.Config
 	solver  *core.Solver
-	coal    *coalescer
+	coal    *coalescer // written once, under the owning Handle's mu
 	err     error
 	lastUse time.Time // guarded by the owning Handle's mu
 }

@@ -89,10 +89,20 @@ func newCoalescer(s *Server, solver *core.Solver) *coalescer {
 }
 
 // add enqueues one admitted request, arming the max-wait timer on the
-// first request of a batch and flushing immediately at max-batch.
+// first request of a batch and flushing immediately at max-batch. Once
+// Shutdown has begun it flushes immediately too: admission precedes the
+// solver build and this call, so the request may have missed Shutdown's
+// drain pass and no timer would flush it before MaxWait.
 func (c *coalescer) add(r *request) {
 	c.mu.Lock()
 	c.pending = append(c.pending, r)
+	if c.s.admit.isDraining() {
+		batch := c.takeLocked()
+		c.mu.Unlock()
+		c.s.metrics.flushes.With("drain").Inc()
+		go c.run(batch)
+		return
+	}
 	if len(c.pending) == 1 {
 		gen := c.gen
 		c.timer = c.s.clock.AfterFunc(c.s.opts.MaxWait, func() { c.timerFlush(gen) })

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -211,6 +212,37 @@ func TestCoalesceDrainFlushesPending(t *testing.T) {
 	}
 	if res.width != 1 {
 		t.Fatalf("drained request width = %d, want 1", res.width)
+	}
+	if s.metrics.flushes.With("drain").Value() != 1 {
+		t.Fatal("expected one drain flush")
+	}
+}
+
+// TestCoalesceAddAfterDrainFlushes forces the shutdown interleaving the
+// HTTP path can hit: a request is admitted, Shutdown's drain pass runs
+// before the request reaches its coalescer, and only then is it added. It
+// must flush at once, not park until MaxWait.
+func TestCoalesceAddAfterDrainFlushes(t *testing.T) {
+	s, _, h, slot := newTestServer(t, func(o *Options) { o.MaxWait = time.Hour })
+	if v, _ := s.admit.admit("test"); v != admitOK {
+		t.Fatalf("admit = %v, want admitOK", v)
+	}
+	s.admit.startDrain()
+	h.drainAll()
+	r := &request{b: rhs(h.N, 0), enq: s.clock.Now(), done: make(chan result, 1)}
+	slot.coal.add(r)
+	select {
+	case res := <-r.done:
+		if res.err != nil {
+			t.Fatalf("request added after the drain pass: %v", res.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("request added after the drain pass never flushed")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 	if s.metrics.flushes.With("drain").Value() != 1 {
 		t.Fatal("expected one drain flush")

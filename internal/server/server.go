@@ -281,18 +281,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.admit.awaitIdle(ctx)
 }
 
-// drainAll flushes every built coalescer of the handle.
+// drainAll flushes every built coalescer of the handle. A slot still being
+// built has no coalescer yet; its request flushes itself on arrival (see
+// coalescer.add).
 func (h *Handle) drainAll() {
 	h.mu.Lock()
-	slots := make([]*solverSlot, 0, len(h.slots))
+	coals := make([]*coalescer, 0, len(h.slots))
 	for _, sl := range h.slots {
-		slots = append(slots, sl)
+		if sl.coal != nil {
+			coals = append(coals, sl.coal)
+		}
 	}
 	h.mu.Unlock()
-	for _, sl := range slots {
-		if sl.coal != nil {
-			sl.coal.drain()
-		}
+	for _, c := range coals {
+		c.drain()
 	}
 }
 
@@ -840,7 +842,10 @@ func (s *Server) solverFor(h *Handle, cfg core.Config) (*solverSlot, string, err
 		slot.config = cfg
 		slot.solver, slot.err = core.NewSolver(h.sys, cfg)
 		if slot.err == nil {
-			slot.coal = newCoalescer(s, slot.solver)
+			coal := newCoalescer(s, slot.solver)
+			h.mu.Lock() // drainAll may read coal concurrently
+			slot.coal = coal
+			h.mu.Unlock()
 		}
 	})
 	if built {

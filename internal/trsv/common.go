@@ -747,9 +747,10 @@ func (c *rankCore) drainDeferred(ctx *runtime.Ctx, ops rankOps) {
 // handler path's one-at-a-time pops — a wave is a relabeling of that
 // order, not a reordering — which is what keeps send order, DES clocks,
 // and floating-point accumulation bit-identical. Each wave is recorded as
-// one trace span (Ctx.Span, no time charge), and on the pool backend a
-// wide wave's independent diagonal solves are precomputed on worker
-// goroutines before the serial send pass.
+// one trace span (Ctx.Span, no time charge; untraced runs skip the clock
+// reads that would feed it), and on the pool backend a wide wave's
+// independent diagonal solves are precomputed on worker goroutines before
+// the serial send pass.
 func (c *rankCore) drainReadyY(ctx *runtime.Ctx, s diagSolver) {
 	st := c.st
 	if !st.sched {
@@ -760,9 +761,13 @@ func (c *rankCore) drainReadyY(ctx *runtime.Ctx, s diagSolver) {
 		}
 		return
 	}
+	traced := ctx.Traced()
 	for len(st.readyY) > 0 {
 		n := len(st.readyY)
-		start := ctx.Now()
+		var start float64
+		if traced {
+			start = ctx.Now()
+		}
 		c.precomputeWave(ctx, s, st.readyY[:n], false)
 		for i := 0; i < n; i++ {
 			s.solveY(ctx, st.readyY[i])
@@ -770,7 +775,9 @@ func (c *rankCore) drainReadyY(ctx *runtime.Ctx, s diagSolver) {
 		st.readyY = st.readyY[n:]
 		st.counts.sweeps++
 		st.counts.sweepTasks += n
-		ctx.Span(runtime.LevelSweepTag(n), start, ctx.Now()-start)
+		if traced {
+			ctx.Span(runtime.LevelSweepTag(n), start, ctx.Now()-start)
+		}
 	}
 }
 
@@ -785,9 +792,13 @@ func (c *rankCore) drainReadyX(ctx *runtime.Ctx, s diagSolver) {
 		}
 		return
 	}
+	traced := ctx.Traced()
 	for len(st.readyX) > 0 {
 		n := len(st.readyX)
-		start := ctx.Now()
+		var start float64
+		if traced {
+			start = ctx.Now()
+		}
 		c.precomputeWave(ctx, s, st.readyX[:n], true)
 		for i := 0; i < n; i++ {
 			s.solveX(ctx, st.readyX[i])
@@ -795,7 +806,9 @@ func (c *rankCore) drainReadyX(ctx *runtime.Ctx, s diagSolver) {
 		st.readyX = st.readyX[n:]
 		st.counts.sweeps++
 		st.counts.sweepTasks += n
-		ctx.Span(runtime.LevelSweepTag(n), start, ctx.Now()-start)
+		if traced {
+			ctx.Span(runtime.LevelSweepTag(n), start, ctx.Now()-start)
+		}
 	}
 }
 

@@ -30,8 +30,12 @@ go test -race -count=2 -run 'Trace|Parity|CriticalPath|ConcurrentTraced' \
     ./internal/runtime ./internal/trsv ./internal/core
 
 echo "== go test -race -count=2 (chaos / fault-injection stress) =="
-go test -race -count=2 -run 'Chaos|Fault|Stall|Watchdog|Crash|Robust|NonFinite' \
+go test -race -count=2 -run 'Chaos|Fault|Stall|Straggl|Watchdog|Crash|Robust|NonFinite|PoolMeanFP|PoolComputeTime' \
     ./internal/fault ./internal/runtime ./internal/core ./internal/sparse
+
+echo "== go test -count (former flakes: alloc neutrality, shutdown drain) =="
+go test -count=50 -run TestSolveWithZeroSpecAllocNeutral ./internal/core
+go test -count=20 -run TestQueueFullShedsAndShutdownDrains ./internal/server
 
 echo "== go test -race -count=2 (elastic-chaos stress: staleness x straggler severity) =="
 go test -race -count=2 -run 'Elastic' \
