@@ -52,8 +52,7 @@ func main() {
 	treeName := flag.String("trees", "binary", "communication trees: flat, binary, auto")
 	machineName := flag.String("machine", "cori-haswell", "machine model (see internal/machine)")
 	backendName := flag.String("backend", "sim", "backend: sim (virtual time) or pool (goroutines, wall clock)")
-	execName := flag.String("exec", "auto", "execution engine: auto, sched (level-scheduled sweeps), handler (per-message oracle)")
-	levelChunk := flag.Int("level-chunk", 0, "scheduled-execution cache-blocking chunk size (0 = default)")
+	levelChunk := flag.Int("level-chunk", 0, "level-sweep cache-blocking chunk size (0 = default)")
 	modeName := flag.String("mode", "auto", "solve mode: auto, strict, elastic (bounded staleness + iterative refinement)")
 	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
 	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
@@ -75,10 +74,6 @@ func main() {
 		fail(err)
 	}
 	trees, err := cliutil.ParseTrees(*treeName)
-	if err != nil {
-		fail(err)
-	}
-	exec, err := cliutil.ParseExec(*execName)
 	if err != nil {
 		fail(err)
 	}
@@ -123,8 +118,8 @@ func main() {
 		b.Data[i] = 1 + float64(i%7)/7
 	}
 
-	fmt.Printf("plan: straggler=%v net-delay=%v jitter=%g drops=%v crash=%v, %d seed(s), %s backend, %s exec, %s mode\n",
-		straggler, netDelay, *jitter, drops, crash, *seeds, *backendName, exec.Resolve(), mode.Resolve())
+	fmt.Printf("plan: straggler=%v net-delay=%v jitter=%g drops=%v crash=%v, %d seed(s), %s backend, %s mode\n",
+		straggler, netDelay, *jitter, drops, crash, *seeds, *backendName, mode.Resolve())
 	bad := 0
 	for seed := int64(1); seed <= int64(*seeds); seed++ {
 		plan := &fault.Plan{
@@ -135,7 +130,6 @@ func main() {
 			Algorithm:  algo,
 			Trees:      trees,
 			Machine:    machine.ByName(*machineName),
-			Exec:       exec,
 			LevelChunk: *levelChunk,
 			Mode:       mode,
 			Staleness:  *staleness,

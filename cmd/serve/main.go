@@ -76,7 +76,7 @@ func main() {
 	slowFactor := flag.Float64("slow-factor", 0, "capture a flight when a solve exceeds this multiple of the rolling median latency (0 = default 8, negative disables)")
 
 	// Shared flags (loop mode uses all of them; serve mode uses machine,
-	// backend, and exec for its default configuration).
+	// backend, and the solve-mode flags for its default configuration).
 	matrix := flag.String("matrix", "s2d9pt", "loop mode: matrix analog: s2d9pt, nlpkkt, ldoor, dielfilter, gaas, s1mat")
 	mtxPath := flag.String("mtx", "", "loop mode: solve a Matrix Market file instead of a generated analog")
 	scale := flag.String("scale", "small", "loop mode: matrix scale: small, medium, large")
@@ -87,12 +87,11 @@ func main() {
 	treeName := flag.String("trees", "auto", "loop mode: communication trees: flat, binary, auto")
 	machineName := flag.String("machine", "cori-haswell", "machine model (see internal/machine)")
 	backendName := flag.String("backend", "sim", "backend: sim (modeled time) or pool (wall clock)")
-	execName := flag.String("exec", "auto", "execution engine: auto, sched, handler")
 	solveModeName := flag.String("solve-mode", "auto", "default solve mode: auto, strict, elastic (per-request override via config.mode; -mode is taken by serve/loop)")
 	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
 	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
 	refineMax := flag.Int("refine-max", 0, "cap on elastic iterative-refinement passes (0 = default 48)")
-	levelChunk := flag.Int("level-chunk", 0, "loop mode: scheduled-execution cache-blocking chunk size (0 = default)")
+	levelChunk := flag.Int("level-chunk", 0, "loop mode: level-sweep cache-blocking chunk size (0 = default)")
 	nrhs := flag.Int("nrhs", 1, "loop mode: number of right-hand sides per solve")
 	interval := flag.Duration("interval", 100*time.Millisecond, "loop mode: pause between solves (0 = back to back)")
 	count := flag.Int("n", 0, "loop mode: stop after this many solves (0 = run until interrupted)")
@@ -102,10 +101,6 @@ func main() {
 	fail := func(err error) { cliutil.Fail("serve", err) }
 
 	model, err := cliutil.ParseMachine(*machineName)
-	if err != nil {
-		fail(err)
-	}
-	exec, err := cliutil.ParseExec(*execName)
 	if err != nil {
 		fail(err)
 	}
@@ -128,7 +123,6 @@ func main() {
 			Machine:      model,
 			Ranks:        *ranks,
 			Backend:      backend,
-			Exec:         exec,
 			Mode:         solveMode,
 			Staleness:    *staleness,
 			RefineTol:    *refineTol,
@@ -155,7 +149,7 @@ func main() {
 			matrix: *matrix, mtxPath: *mtxPath, scale: *scale,
 			px: *px, py: *py, pz: *pz,
 			algoName: *algoName, treeName: *treeName,
-			model: model, backend: backend, exec: exec,
+			model: model, backend: backend,
 			solveMode: solveMode, staleness: *staleness,
 			refineTol: *refineTol, refineMax: *refineMax,
 			levelChunk: *levelChunk, nrhs: *nrhs,
@@ -238,7 +232,6 @@ type loopConfig struct {
 	algoName, treeName     string
 	model                  *machine.Model
 	backend                trsv.Backend
-	exec                   trsv.ExecMode
 	solveMode              trsv.SolveMode
 	staleness, refineMax   int
 	refineTol              float64
@@ -279,7 +272,6 @@ func runLoop(lc loopConfig, fail func(error)) {
 		Trees:      trees,
 		Machine:    lc.model,
 		Backend:    lc.backend,
-		Exec:       lc.exec,
 		LevelChunk: lc.levelChunk,
 		Mode:       lc.solveMode,
 		Staleness:  lc.staleness,
@@ -311,8 +303,8 @@ func runLoop(lc loopConfig, fail func(error)) {
 		}
 	}()
 	fmt.Printf("serving http://%s/metrics and http://%s/debug/pprof/\n", ln.Addr(), ln.Addr())
-	fmt.Printf("solving %s %dx%dx%d on %s (%s exec) every %v — ctrl-c to stop\n",
-		lc.algoName, lc.px, lc.py, lc.pz, lc.model.Name, lc.exec.Resolve(), lc.interval)
+	fmt.Printf("solving %s %dx%dx%d on %s every %v — ctrl-c to stop\n",
+		lc.algoName, lc.px, lc.py, lc.pz, lc.model.Name, lc.interval)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

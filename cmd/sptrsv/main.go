@@ -39,9 +39,8 @@ func main() {
 	treeName := flag.String("trees", "auto", "communication trees: flat, binary, auto")
 	machineName := flag.String("machine", "cori-haswell", "machine model (see internal/machine)")
 	backendName := flag.String("backend", "sim", "backend: sim (modeled time) or pool (wall clock)")
-	execName := flag.String("exec", "auto", "execution engine: auto, sched (level-scheduled sweeps), handler (per-message oracle)")
 	commName := flag.String("comm", "auto", "wire format: auto, packed (sparse index+value), dense (full panels), aggregated (packed + per-destination coalescing)")
-	levelChunk := flag.Int("level-chunk", 0, "scheduled-execution cache-blocking chunk size (0 = default)")
+	levelChunk := flag.Int("level-chunk", 0, "level-sweep cache-blocking chunk size (0 = default)")
 	modeName := flag.String("mode", "auto", "solve mode: auto, strict (block on every dependency), elastic (bounded staleness + iterative refinement)")
 	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
 	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
@@ -77,10 +76,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	exec, err := cliutil.ParseExec(*execName)
-	if err != nil {
-		fail(err)
-	}
 	comm, err := cliutil.ParseComm(*commName)
 	if err != nil {
 		fail(err)
@@ -102,7 +97,6 @@ func main() {
 		Trees:      trees,
 		Machine:    machine.ByName(*machineName),
 		Backend:    backend,
-		Exec:       exec,
 		LevelChunk: *levelChunk,
 		Comm:       comm,
 		Mode:       mode,
@@ -130,8 +124,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("layout %dx%dx%d, %s, %s trees, %s model, %s exec, %s comm, nrhs=%d\n",
-		*px, *py, *pz, *algoName, *treeName, *machineName, exec.Resolve(), comm.Resolve(), *nrhs)
+	fmt.Printf("layout %dx%dx%d, %s, %s trees, %s model, %s comm, nrhs=%d\n",
+		*px, *py, *pz, *algoName, *treeName, *machineName, comm.Resolve(), *nrhs)
 	fmt.Printf("solve time: %.6g s (%s)\n", rep.Time, *backendName)
 	fmt.Printf("breakdown (mean/rank): FP %.3g s, XY-comm %.3g s, Z-comm %.3g s\n",
 		rep.MeanFP, rep.MeanXY, rep.MeanZ)

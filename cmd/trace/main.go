@@ -40,8 +40,7 @@ func main() {
 	algoName := flag.String("algo", "proposed", "algorithm: proposed, baseline, gpu-single, gpu-multi")
 	treeName := flag.String("trees", "auto", "communication trees: flat, binary, auto")
 	machineName := flag.String("machine", "cori-haswell", "machine model (see internal/machine)")
-	execName := flag.String("exec", "auto", "execution engine: auto, sched (level-scheduled sweeps), handler (per-message oracle)")
-	levelChunk := flag.Int("level-chunk", 0, "scheduled-execution cache-blocking chunk size (0 = default)")
+	levelChunk := flag.Int("level-chunk", 0, "level-sweep cache-blocking chunk size (0 = default)")
 	modeName := flag.String("mode", "auto", "solve mode: auto, strict, elastic (bounded staleness + iterative refinement)")
 	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
 	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
@@ -76,10 +75,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	exec, err := cliutil.ParseExec(*execName)
-	if err != nil {
-		fail(err)
-	}
 	mode, err := cliutil.ElasticFlags(*modeName, *staleness, *refineTol, *refineMax)
 	if err != nil {
 		fail(err)
@@ -92,7 +87,6 @@ func main() {
 		Machine:    machine.ByName(*machineName),
 		Trace:      true,
 		TraceCap:   *traceCap,
-		Exec:       exec,
 		LevelChunk: *levelChunk,
 		Mode:       mode,
 		Staleness:  *staleness,
@@ -152,8 +146,8 @@ func main() {
 	fmt.Printf("  wait-Z   %.4g\n", bd.Seconds[runtime.EvWait][runtime.CatZ])
 
 	if ss, err := rep.Raw.LevelSweeps(); err == nil && ss.Sweeps > 0 {
-		fmt.Printf("\nlevel sweeps (%s exec): %d sweeps covering %d tasks, mean %.1f tasks/sweep, widest %d\n",
-			exec.Resolve(), ss.Sweeps, ss.Tasks, ss.MeanTasks(), ss.MaxTasks)
+		fmt.Printf("\nlevel sweeps: %d sweeps covering %d tasks, mean %.1f tasks/sweep, widest %d\n",
+			ss.Sweeps, ss.Tasks, ss.MeanTasks(), ss.MaxTasks)
 	}
 
 	if !rep.Raw.Trace.Complete() {

@@ -87,21 +87,21 @@ func main() {
 		fmt.Printf("solve mode: elastic (S=%d, refine-tol %g, refine-max %d) stamped on both configs\n",
 			*staleness, *refineTol, *refineMax)
 	}
-	fmt.Printf("chosen:  %-12s %dx%dx%d trees=%-6s exec=%-7s  predicted makespan %.6g s\n",
+	fmt.Printf("chosen:  %-12s %dx%dx%d trees=%-6s  predicted makespan %.6g s\n",
 		res.Config.Algorithm, res.Config.Layout.Px, res.Config.Layout.Py, res.Config.Layout.Pz,
-		res.Config.Trees, res.Config.Exec.Resolve(), res.Makespan)
-	fmt.Printf("default: %-12s %dx%dx%d trees=%-6s exec=%-7s  predicted makespan %.6g s",
+		res.Config.Trees, res.Makespan)
+	fmt.Printf("default: %-12s %dx%dx%d trees=%-6s  predicted makespan %.6g s",
 		res.Default.Algorithm, res.Default.Layout.Px, res.Default.Layout.Py, res.Default.Layout.Pz,
-		res.Default.Trees, res.Default.Exec.Resolve(), res.DefaultMakespan)
+		res.Default.Trees, res.DefaultMakespan)
 	if res.Makespan > 0 {
 		fmt.Printf("  (tuned is %.2fx faster)", res.DefaultMakespan/res.Makespan)
 	}
 	fmt.Println()
 	if *verbose {
 		for _, s := range res.Probed {
-			fmt.Printf("  probed %-12s %dx%dx%d trees=%-6s exec=%-7s  pre-score %.3g s  makespan %.6g s\n",
+			fmt.Printf("  probed %-12s %dx%dx%d trees=%-6s  pre-score %.3g s  makespan %.6g s\n",
 				s.Config.Algorithm, s.Config.Layout.Px, s.Config.Layout.Py, s.Config.Layout.Pz,
-				s.Config.Trees, s.Config.Exec.Resolve(), s.PreScore, s.Makespan)
+				s.Config.Trees, s.PreScore, s.Makespan)
 		}
 	}
 }

@@ -115,9 +115,6 @@ type runCfg struct {
 	model   *machine.Model
 	nrhs    int
 	backend trsv.Backend
-	// exec selects the execution engine; the zero value (auto) resolves to
-	// the scheduled engine, matching core.Config.
-	exec trsv.ExecMode
 	// comm selects the wire format; the zero value (auto) resolves to the
 	// packed sparse format, matching core.Config.
 	comm trsv.CommMode
@@ -143,7 +140,7 @@ func (l *lab) run(name string, rc runCfg) *core.Report {
 	}
 	// The backend is part of the key: a traced and an untraced solver for
 	// the same configuration must not share a cache slot.
-	key := fmt.Sprintf("%s/%+v/%v/%v/%s/%d/%+v/%v/%v/%v-%d-%g-%d", name, rc.layout, rc.algo, rc.trees, rc.model.Name, rc.nrhs, rc.backend, rc.exec, rc.comm,
+	key := fmt.Sprintf("%s/%+v/%v/%v/%s/%d/%+v/%v/%v-%d-%g-%d", name, rc.layout, rc.algo, rc.trees, rc.model.Name, rc.nrhs, rc.backend, rc.comm,
 		rc.mode, rc.staleness, rc.refineTol, rc.refineMax)
 	solver := l.solvers[key]
 	if solver == nil {
@@ -154,7 +151,6 @@ func (l *lab) run(name string, rc runCfg) *core.Report {
 			Trees:     rc.trees,
 			Machine:   rc.model,
 			Backend:   rc.backend,
-			Exec:      rc.exec,
 			Comm:      rc.comm,
 			Mode:      rc.mode,
 			Staleness: rc.staleness,

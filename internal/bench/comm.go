@@ -37,9 +37,6 @@ func CommComparison(cfg Config) []CommPoint {
 	l := newLab(cfg)
 	var pts []CommPoint
 	for _, pt := range summaryPoints() {
-		if pt.rc.exec.Resolve() == trsv.ExecHandler {
-			continue // wire format is engine-independent; skip the oracle twins
-		}
 		cfg.logf("comm %s %s %s", pt.figure, pt.matrix, pt.rc.algo)
 		measure := func(comm trsv.CommMode) (msgs, bytes int) {
 			rc := pt.rc

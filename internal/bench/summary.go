@@ -44,11 +44,6 @@ type SummaryRecord struct {
 	Trees     string `json:"trees"`
 	Machine   string `json:"machine"`
 	NRHS      int    `json:"nrhs"`
-	// Exec is the execution engine the record ran under ("sched" or
-	// "handler"; empty in summaries written before the engine existed,
-	// which ran the handler path). Handler records carry an "/exec=handler"
-	// ID suffix so the scheduled default keeps the historical IDs.
-	Exec string `json:"exec,omitempty"`
 	// Seconds is the median modeled makespan over summaryRepeats solves.
 	Seconds float64 `json:"seconds"`
 	// Messages and Bytes are totals over all ranks and categories for one
@@ -81,12 +76,6 @@ type summaryPoint struct {
 // point from each of Figs. 9/10, and the naive-allreduce ablation. Small
 // enough to run in CI, broad enough that a regression in any algorithm's
 // kernel or communication path moves at least one record.
-//
-// Every point runs the default scheduled engine under its historical ID.
-// A subset is duplicated under the handler oracle (ID suffix
-// "/exec=handler") so the summary pins both engines: the oracle records
-// keep the handler path honest, and the sched-vs-oracle allocs/op gap is
-// the scheduled engine's measured win (see SchedComparison).
 func summaryPoints() []summaryPoint {
 	cori := machine.CoriHaswell()
 	var pts []summaryPoint
@@ -104,16 +93,6 @@ func summaryPoints() []summaryPoint {
 		summaryPoint{"fig9", "s1mat", runCfg{layout: gpuLayout, algo: trsv.GPUSingle, trees: ctree.Auto, model: machine.CrusherGPU(), nrhs: 1}},
 		summaryPoint{"fig10", "s2d9pt", runCfg{layout: gpuLayout, algo: trsv.GPUSingle, trees: ctree.Auto, model: machine.PerlmutterGPU(), nrhs: 1}},
 		summaryPoint{"ablation", "s2d9pt", runCfg{layout: grid.Layout{Px: 4, Py: 4, Pz: 4}, algo: trsv.Proposed3DNaiveAR, trees: ctree.Binary, model: cori, nrhs: 1}})
-	// Handler-oracle twins: the s2d9pt fig4 points plus both GPU points.
-	n := len(pts)
-	for i := 0; i < n; i++ {
-		pt := pts[i]
-		if pt.matrix != "s2d9pt" && pt.figure != "fig9" {
-			continue
-		}
-		pt.rc.exec = trsv.ExecHandler
-		pts = append(pts, pt)
-	}
 	return pts
 }
 
@@ -149,9 +128,6 @@ func BuildSummary(cfg Config) *Summary {
 		id := fmt.Sprintf("%s/%s/%s/%dx%dx%d/%s/%s/nrhs=%d",
 			pt.figure, pt.matrix, rc.algo, rc.layout.Px, rc.layout.Py, rc.layout.Pz,
 			rc.trees, rc.model.Name, rc.nrhs)
-		if rc.exec.Resolve() == trsv.ExecHandler {
-			id += "/exec=handler"
-		}
 		sum.Records = append(sum.Records, SummaryRecord{
 			ID:          id,
 			Figure:      pt.figure,
@@ -161,7 +137,6 @@ func BuildSummary(cfg Config) *Summary {
 			Trees:       rc.trees.String(),
 			Machine:     rc.model.Name,
 			NRHS:        rc.nrhs,
-			Exec:        rc.exec.Resolve().String(),
 			Seconds:     median(secs),
 			Messages:    msgs,
 			Bytes:       bytes,

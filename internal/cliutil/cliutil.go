@@ -81,19 +81,6 @@ func ParseAlgorithm(name string) (trsv.Algorithm, error) {
 	return 0, fmt.Errorf("unknown algorithm %q (want proposed, baseline, gpu-single, gpu-multi, naive-allreduce)", name)
 }
 
-// ParseExec maps the shared -exec flag vocabulary to an execution mode.
-func ParseExec(name string) (trsv.ExecMode, error) {
-	switch name {
-	case "auto":
-		return trsv.ExecAuto, nil
-	case "sched":
-		return trsv.ExecSched, nil
-	case "handler":
-		return trsv.ExecHandler, nil
-	}
-	return 0, fmt.Errorf("unknown execution mode %q (want auto, sched, handler)", name)
-}
-
 // ParseComm maps the shared -comm flag vocabulary to a communication mode.
 func ParseComm(name string) (trsv.CommMode, error) {
 	switch name {

@@ -23,25 +23,6 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
-func TestParseExec(t *testing.T) {
-	for name, want := range map[string]string{
-		"auto":    "auto",
-		"sched":   "sched",
-		"handler": "handler",
-	} {
-		m, err := ParseExec(name)
-		if err != nil {
-			t.Fatalf("ParseExec(%q): %v", name, err)
-		}
-		if m.String() != want {
-			t.Fatalf("ParseExec(%q) = %v, want %s", name, m, want)
-		}
-	}
-	if _, err := ParseExec("turbo"); err == nil {
-		t.Fatal("unknown execution mode accepted")
-	}
-}
-
 func TestParseTrees(t *testing.T) {
 	for _, name := range []string{"flat", "binary", "auto"} {
 		if _, err := ParseTrees(name); err != nil {

@@ -98,13 +98,8 @@ type Config struct {
 	// backend. Like Trace, it is ignored when Backend is non-nil: set the
 	// backend's own Options instead.
 	Faults *fault.Plan
-	// Exec selects the execution engine: trsv.ExecSched (the default,
-	// level-scheduled sweeps over the precomputed plan schedule) or
-	// trsv.ExecHandler (the original per-message handler path, kept as the
-	// bit-exact oracle).
-	Exec trsv.ExecMode
-	// LevelChunk overrides the scheduled executor's cache-blocking chunk
-	// size; 0 means the built-in default. Ignored under ExecHandler.
+	// LevelChunk overrides the level-sweep executor's cache-blocking chunk
+	// size; 0 means the built-in default.
 	LevelChunk int
 	// Comm selects the wire format of inter-rank subvector traffic:
 	// trsv.CommPacked (the default, index+value sparse packing),
@@ -221,9 +216,6 @@ func ValidateConfig(sys *System, cfg Config) error {
 	default:
 		return fmt.Errorf("core: unknown algorithm %v", cfg.Algorithm)
 	}
-	if !cfg.Exec.Valid() {
-		return fmt.Errorf("core: unknown execution mode %v", cfg.Exec)
-	}
 	if !cfg.Comm.Valid() {
 		return fmt.Errorf("core: unknown communication mode %v", cfg.Comm)
 	}
@@ -276,15 +268,11 @@ func NewSolver(sys *System, cfg Config) (*Solver, error) {
 			return nil, err
 		}
 	}
-	if cfg.Exec.Resolve() == trsv.ExecSched || cfg.elastic() {
-		// Build (and cache on the plan) the level schedule now, so a
-		// schedule-construction failure surfaces at solver construction
-		// rather than on the first solve. Elastic mode needs it under
-		// either executor: the staleness deadlines are derived from the
-		// schedule's dependency depths.
-		if _, err := sched.Of(plan); err != nil {
-			return nil, err
-		}
+	// Build (and cache on the plan) the level schedule now, so a
+	// schedule-construction failure surfaces at solver construction rather
+	// than on the first solve.
+	if _, err := sched.Of(plan); err != nil {
+		return nil, err
 	}
 	s := &Solver{sys: sys, cfg: cfg, plan: plan, inv: sparse.InversePerm(sys.Perm)}
 	s.bufs.New = func() any { return &solveBuffers{fresh: true} }
@@ -450,7 +438,7 @@ func (s *Solver) solveOn(b *sparse.Panel, back trsv.Backend) (*sparse.Panel, *Re
 	}
 	b.PermuteRowsInto(s.sys.Perm, sb.bp)
 	opts := trsv.SolveOpts{
-		Exec: s.cfg.Exec, LevelChunk: s.cfg.LevelChunk, Comm: s.cfg.Comm,
+		LevelChunk: s.cfg.LevelChunk, Comm: s.cfg.Comm,
 		Mode: s.cfg.Mode, Staleness: s.cfg.Staleness,
 	}
 	var stats trsv.ElasticStats

@@ -46,7 +46,7 @@ type chaosConfig struct {
 }
 
 func chaosConfigs() []chaosConfig {
-	base := []chaosConfig{
+	return []chaosConfig{
 		{"proposed-3d", core.Config{
 			Layout: grid.Layout{Px: 2, Py: 2, Pz: 2}, Algorithm: trsv.Proposed3D,
 			Trees: ctree.Binary, Machine: machine.CoriHaswell(),
@@ -64,18 +64,6 @@ func chaosConfigs() []chaosConfig {
 			Machine: machine.PerlmutterGPU(),
 		}, false},
 	}
-	// Sweep both execution engines: the zero value resolves to the
-	// scheduled engine, and the handler oracle must stay equally robust
-	// under the same fault plans.
-	out := make([]chaosConfig, 0, 2*len(base))
-	for _, cc := range base {
-		out = append(out, cc)
-		h := cc
-		h.name += "/handler"
-		h.cfg.Exec = trsv.ExecHandler
-		out = append(out, h)
-	}
-	return out
 }
 
 // chaosPlans returns the fault plans of the sweep, parameterized by seed.

@@ -2,7 +2,7 @@
 // for every rank, the dependency DAG over its supernode tasks (diag_y,
 // diag_x, l_block, u_block) for both the L and the U sweep, topologically
 // layered into levels, together with the dense per-rank structures the
-// scheduled execution path in internal/trsv runs on — slot numbering,
+// executor in internal/trsv runs on — slot numbering,
 // dependency-counter templates, precomputed broadcast fan-outs and
 // reduction parents, and the arena capacity that makes the per-task hot
 // path allocation-free.
@@ -22,8 +22,9 @@
 // (and the mirror for the U sweep). Cross-rank dependencies — broadcast
 // arrivals and reduction messages — enter as level-0 sources; the
 // executor's dynamic wavefront refines this static layering at run time
-// without ever reordering tasks, which is what keeps the scheduled path
-// bit-identical to the handler path.
+// without ever reordering tasks, so send order, clock charges and
+// floating-point accumulation are fixed by message arrival order alone.
+// internal/trsv runs every solve on this schedule.
 package sched
 
 import (
@@ -107,9 +108,8 @@ func (s *StaleSet) Reset() {
 // Rank is one rank's precomputed schedule.
 type Rank struct {
 	// PendingL and PendingU are the dense dependency-counter templates
-	// per slot (the map-backed handler path clones RankData.PendingL /
-	// PendingU instead). Zero entries for slots this rank never reduces,
-	// matching the zero a map lookup of an absent key yields.
+	// per slot (the slot form of RankData.PendingL / PendingU). Zero
+	// entries for slots this rank never reduces.
 	PendingL, PendingU []int32
 	// MemberL and MemberU report per slot whether this rank participates
 	// in the L / U reduction of the slot — the supernodes whose partial

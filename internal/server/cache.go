@@ -300,17 +300,16 @@ func (c *handleCache) len() int {
 }
 
 // configKey names one solver configuration the way the cache is keyed:
-// matrix fingerprint is the handle; this adds machine × grid × algorithm
-// (plus the execution knobs that change the built plan's schedule). The
-// solve-mode segment keeps strict and elastic requests on separate slots —
-// and therefore separate coalescers, so an elastic opt-in can never be
-// batched into (or force staleness onto) a strict tenant's panel.
+// matrix fingerprint is the handle; this adds machine × grid × algorithm.
+// The solve-mode segment keeps strict and elastic requests on separate
+// slots — and therefore separate coalescers, so an elastic opt-in can never
+// be batched into (or force staleness onto) a strict tenant's panel.
 func configKey(cfg core.Config) string {
 	mode := cfg.Mode.Resolve().String()
 	if cfg.Mode.Resolve() == trsv.ModeElastic {
 		mode = fmt.Sprintf("elastic:S=%d:tol=%g:max=%d", cfg.Staleness, cfg.RefineTol, cfg.RefineMax)
 	}
-	return fmt.Sprintf("%s|%dx%dx%d|%s|%s|%s|%s",
+	return fmt.Sprintf("%s|%dx%dx%d|%s|%s|%s",
 		cfg.Algorithm, cfg.Layout.Px, cfg.Layout.Py, cfg.Layout.Pz,
-		cfg.Trees, cfg.Machine.Name, cfg.Exec.Resolve(), mode)
+		cfg.Trees, cfg.Machine.Name, mode)
 }

@@ -67,8 +67,6 @@ type Options struct {
 	// Backend runs the solves: nil means the deterministic DES simulator;
 	// set trsv.PoolBackend for wall-clock goroutine execution.
 	Backend trsv.Backend
-	// Exec selects the execution engine for default configs.
-	Exec trsv.ExecMode
 	// Mode selects the default solve mode (strict when zero); requests can
 	// override it per solve via config.mode. Elastic mode serves
 	// degraded-but-refined answers under stragglers instead of stalling.
@@ -332,7 +330,6 @@ type wireConfig struct {
 	Py        int    `json:"py"`
 	Pz        int    `json:"pz"`
 	Trees     string `json:"trees"`
-	Exec      string `json:"exec"`
 	Machine   string `json:"machine"`
 	// Per-request elastic opt-in. Pointers distinguish "absent — use the
 	// server default" from an explicit zero.
@@ -725,8 +722,7 @@ func (s *Server) resolveConfig(h *Handle, wc *wireConfig) (core.Config, error) {
 		return s.defaultConfig(h)
 	}
 	cfg := core.Config{
-		Machine: s.opts.Machine, Exec: s.opts.Exec,
-		Mode: s.opts.Mode, Staleness: s.opts.Staleness,
+		Machine: s.opts.Machine, Mode: s.opts.Mode, Staleness: s.opts.Staleness,
 		RefineTol: s.opts.RefineTol, RefineMax: s.opts.RefineMax,
 	}
 	var err error
@@ -737,11 +733,6 @@ func (s *Server) resolveConfig(h *Handle, wc *wireConfig) (core.Config, error) {
 	}
 	if wc.Trees != "" {
 		if cfg.Trees, err = cliutil.ParseTrees(wc.Trees); err != nil {
-			return core.Config{}, err
-		}
-	}
-	if wc.Exec != "" {
-		if cfg.Exec, err = cliutil.ParseExec(wc.Exec); err != nil {
 			return core.Config{}, err
 		}
 	}
@@ -800,7 +791,6 @@ func (s *Server) defaultConfig(h *Handle) (core.Config, error) {
 				tune.Options{Cache: s.tuneCache})
 			if err == nil {
 				slot.cfg = res.Config
-				slot.cfg.Exec = s.opts.Exec
 				slot.cfg.Mode = s.opts.Mode
 				slot.cfg.Staleness = s.opts.Staleness
 				slot.cfg.RefineTol = s.opts.RefineTol
@@ -815,7 +805,6 @@ func (s *Server) defaultConfig(h *Handle) (core.Config, error) {
 			Layout:    grid.Layout{Px: px, Py: py, Pz: 1},
 			Algorithm: trsv.Proposed3D,
 			Machine:   s.opts.Machine,
-			Exec:      s.opts.Exec,
 			Mode:      s.opts.Mode,
 			Staleness: s.opts.Staleness,
 			RefineTol: s.opts.RefineTol,

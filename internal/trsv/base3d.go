@@ -36,7 +36,7 @@ type groupMsg struct {
 }
 
 // NewBaseline3D returns the handler factory for the baseline algorithm
-// under the default execution mode. dist.Plan.BuildBaseline must have run
+// under default solve options. dist.Plan.BuildBaseline must have run
 // (Solve does it).
 func NewBaseline3D(p *dist.Plan, model *machine.Model, b, x *sparse.Panel) func(rank int) runtime.Handler {
 	return newBaseline3D(p, model, b, x, SolveOpts{})
@@ -65,14 +65,14 @@ func (h *base3dRank) Init(ctx *runtime.Ctx) {
 	h.s = bb.S
 	rd := bb.Ranks[h.r2d]
 	st := h.st
-	copyCounts(st.pendingL, rd.PendingL)
-	copyCounts(st.pendingU, rd.PendingU)
+	st.dpendL = slotCounts(st.dpendL, h.gp.Sns, rd.PendingL)
+	st.dpendU = slotCounts(st.dpendU, h.gp.Sns, rd.PendingU)
 	st.lRemaining = append(st.lRemaining[:0], rd.LRemaining...)
 	st.uRemaining = append(st.uRemaining[:0], rd.URemaining...)
 
 	// Kick off the leaf node.
 	for _, k := range h.myDiagSns {
-		if h.gp.NodeOf[k] == 0 && st.pendingL[k] == 0 {
+		if h.gp.NodeOf[k] == 0 && h.pendingLOf(k) == 0 {
 			st.enqueueY(k)
 		}
 	}
@@ -153,7 +153,7 @@ func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 		st.lStage++
 		h.sendGathers(ctx)
 		for _, k := range h.myDiagSns {
-			if h.gp.NodeOf[k] == st.lStage && st.pendingL[k] == 0 {
+			if h.gp.NodeOf[k] == st.lStage && h.pendingLOf(k) == 0 {
 				st.enqueueY(k)
 			}
 		}
@@ -208,10 +208,9 @@ func (h *base3dRank) applyYGroup(ctx *runtime.Ctx, k, g int, yk *sparse.Panel) {
 // keepB implements diagSolver: the baseline always keeps b(K) — its grids
 // partition the path nodes, never replicate them.
 //
-// The baseline stays on map dependency counters even when scheduled (its
-// counter templates are per-node-group and live on the baseline plan, not
-// the level schedule) and on the plan's per-group broadcast trees; it
-// still gains the arena panels and level-sweep drains.
+// The baseline's counter templates are per-node-group and live on the
+// baseline plan, not the level schedule (Init copies them into slots), and
+// its broadcasts walk the plan's per-group trees.
 func (h *base3dRank) keepB(int) bool { return true }
 
 // solveY performs one L-phase diagonal solve plus the baseline's
@@ -319,7 +318,7 @@ func (h *base3dRank) startU(ctx *runtime.Ctx) {
 		ctx.Mark(MarkZDone)
 	}
 	for _, k := range h.myDiagSns {
-		if h.gp.NodeOf[k] <= h.s && st.pendingU[k] == 0 {
+		if h.gp.NodeOf[k] <= h.s && h.pendingUOf(k) == 0 {
 			st.enqueueX(k)
 		}
 	}
@@ -471,7 +470,7 @@ func (h *base3dRank) forceL(ctx *runtime.Ctx) {
 			}
 			h.sendGathers(ctx)
 			for _, k := range h.myDiagSns {
-				if h.gp.NodeOf[k] == st.lStage && st.pendingL[k] == 0 {
+				if h.gp.NodeOf[k] == st.lStage && h.pendingLOf(k) == 0 {
 					st.enqueueY(k)
 				}
 			}
@@ -482,7 +481,7 @@ func (h *base3dRank) forceL(ctx *runtime.Ctx) {
 		for _, k := range h.myDiagSns {
 			if h.gp.NodeOf[k] == st.lStage && st.y[k] == nil {
 				h.markStaleL(k)
-				st.pendingL[k] = 0
+				h.zeroPendingL(k)
 				st.enqueueY(k)
 			}
 		}
@@ -501,7 +500,7 @@ func (h *base3dRank) forceU(ctx *runtime.Ctx) {
 	for _, k := range h.myDiagSns {
 		if h.gp.NodeOf[k] <= h.s && st.xl[k] == nil {
 			h.markStaleU(k)
-			st.pendingU[k] = 0
+			h.zeroPendingU(k)
 			st.enqueueX(k)
 		}
 	}

@@ -19,8 +19,12 @@
 // immutable once a solver is built, so any number of solves may run against
 // it concurrently. The execution layer is the per-solve mutable state —
 // dependency counters, partial-sum panels, ready queues, deferred
-// messages — grouped in solveState and recycled through a sync.Pool so that
-// repeated solves reach a steady state with minimal allocation.
+// messages — grouped in solveState and recycled through the rank's
+// schedule pool so that repeated solves reach a steady state with minimal
+// allocation. Every solve runs on the plan's level/DAG schedule
+// (internal/sched): dependency counters are slot-indexed copies of its
+// templates, working panels come from an arena it sizes, and ready queues
+// drain as level sweeps.
 package trsv
 
 import (
@@ -229,10 +233,11 @@ func (c *rankCore) packSend(p *sparse.Panel) (wirePanel, int) {
 
 // solveState is the per-solve mutable state of one rank handler: everything
 // a solve writes to, for every algorithm family. States are recycled
-// through statePool — maps keep their bucket storage and slices their
-// backing arrays between solves, which is what makes repeated solves on one
-// Solver nearly allocation-free in steady state. A state is owned by
-// exactly one handler for the duration of one solve; release returns it.
+// through the rank's schedule pool — maps keep their bucket storage and
+// slices their backing arrays between solves, which is what makes repeated
+// solves on one Solver nearly allocation-free in steady state. A state is
+// owned by exactly one handler for the duration of one solve; release
+// returns it.
 type solveState struct {
 	// b is the global RHS panel (read-only during the solve); x the global
 	// output panel (each supernode written by exactly one rank).
@@ -247,9 +252,12 @@ type solveState struct {
 	y    map[int]*sparse.Panel // subvectors at their diagonal rank
 	xl   map[int]*sparse.Panel // solved x at the diagonal rank
 
-	// Dependency tracking: working copies of the plan's read-only counter
-	// templates, plus the ready queues of solvable diagonal rows.
-	pendingL, pendingU   map[int]int
+	// Dependency tracking: slot-indexed working copies of the read-only
+	// counter templates (the L/U contribution counts of the CPU algorithms,
+	// the GPU model's fmod/bmod), receive budgets, and the ready queues of
+	// solvable diagonal rows.
+	dpendL, dpendU       []int32
+	dfmod, dbmod         []int32
 	lRecvLeft, uRecvLeft int
 	readyY, readyX       []int
 	xQueued              map[int]bool // enqueueX dedup guard
@@ -272,27 +280,16 @@ type solveState struct {
 	uRemaining     []int
 
 	// GPU task state.
-	fmod, bmod        map[int]int
 	readyTasks        []gpuTask
 	smFree, tasksLeft int
 
-	// Scheduled-execution state. sched marks a state bound to a plan
-	// schedule: working panels come from the arena and the ready-queue
-	// drains run as level sweeps. dense additionally switches the
-	// dependency counters to the flat slot-indexed copies of the schedule
-	// templates below (algorithms whose counter templates live on the
-	// schedule); counter keys without a slot fall back to the maps, whose
-	// absent-key-reads-zero semantics the dense slices replicate exactly.
-	sched, dense   bool
-	arena          arena
-	dpendL, dpendU []int32
-	dfmod, dbmod   []int32
+	// arena backs the solve's working panels.
+	arena arena
 	// preY and preX hold diagonal solutions precomputed in parallel by a
 	// level sweep on the pool backend, consumed by the serial send pass.
 	preY, preX map[int]*sparse.Panel
-	// owner is the pool this state returns to on release: the global
-	// statePool for handler-path states, the per-rank schedule pool for
-	// scheduled states (their arena capacity is plan-specific).
+	// owner is the per-rank schedule pool this state returns to on release
+	// (the arena capacity is plan-specific).
 	owner *sync.Pool
 
 	// Elastic-mode per-solve state (zero / nil on strict solves).
@@ -318,29 +315,14 @@ type solveState struct {
 
 func newSolveState() *solveState {
 	return &solveState{
-		lsum:     map[int]*sparse.Panel{},
-		usum:     map[int]*sparse.Panel{},
-		y:        map[int]*sparse.Panel{},
-		xl:       map[int]*sparse.Panel{},
-		pendingL: map[int]int{},
-		pendingU: map[int]int{},
-		xQueued:  map[int]bool{},
-		fmod:     map[int]int{},
-		bmod:     map[int]int{},
-		preY:     map[int]*sparse.Panel{},
-		preX:     map[int]*sparse.Panel{},
+		lsum:    map[int]*sparse.Panel{},
+		usum:    map[int]*sparse.Panel{},
+		y:       map[int]*sparse.Panel{},
+		xl:      map[int]*sparse.Panel{},
+		xQueued: map[int]bool{},
+		preY:    map[int]*sparse.Panel{},
+		preX:    map[int]*sparse.Panel{},
 	}
-}
-
-var statePool = sync.Pool{New: func() any { return newSolveState() }}
-
-// acquireState takes a recycled (already reset) state from the pool and
-// binds it to one solve's global panels.
-func acquireState(b, x *sparse.Panel) *solveState {
-	st := statePool.Get().(*solveState)
-	st.owner = &statePool
-	st.b, st.x, st.nrhs = b, x, b.Cols
-	return st
 }
 
 // release drops every reference the solve accumulated — panels travel
@@ -351,11 +333,7 @@ func (st *solveState) release() {
 	clear(st.usum)
 	clear(st.y)
 	clear(st.xl)
-	clear(st.pendingL)
-	clear(st.pendingU)
 	clear(st.xQueued)
-	clear(st.fmod)
-	clear(st.bmod)
 	// Clear the full capacity, not just the length: drainDeferred's
 	// compaction and the GPU ready-queue pops reslice these, so stale
 	// elements (holding Data panels) can sit in the backing array beyond
@@ -376,7 +354,6 @@ func (st *solveState) release() {
 	clear(st.preX)
 	st.dpendL, st.dpendU = st.dpendL[:0], st.dpendU[:0]
 	st.dfmod, st.dbmod = st.dfmod[:0], st.dbmod[:0]
-	st.sched, st.dense = false, false
 	st.b, st.x = nil, nil
 	st.nrhs, st.phase = 0, 0
 	st.lRecvLeft, st.uRecvLeft = 0, 0
@@ -423,16 +400,17 @@ func (st *solveState) scratchPanel(rows, cols int) *sparse.Panel {
 	return &st.scratch
 }
 
-// copyCounts refills dst from the plan's read-only counter template,
-// reusing dst's bucket storage.
-func copyCounts(dst, src map[int]int) {
-	clear(dst)
-	for k, v := range src {
-		dst[k] = v
+// slotCounts refills dst with one counter per schedule slot, read from a
+// supernode-keyed template (absent keys count zero).
+func slotCounts(dst []int32, sns []int, tmpl map[int]int) []int32 {
+	dst = dst[:0]
+	for _, k := range sns {
+		dst = append(dst, int32(tmpl[k]))
 	}
+	return dst
 }
 
-// arena is the bump allocator behind the scheduled path's working panels
+// arena is the bump allocator behind the solve's working panels
 // (y/x subvectors, partial-sum accumulators, allreduce clones). One
 // reservation per solve — sized by the schedule's per-rank bound — turns
 // the O(supernodes) panel allocations of a solve into two slice reuses.
@@ -516,9 +494,8 @@ type rankCore struct {
 	localU    map[int]int              // #my blocks in row K (U)
 	myDiagSns []int                    // supernodes whose diagonal rank is me
 
-	// Scheduled execution (nil / zero on the handler path): this rank's
-	// slice of the plan's level/DAG schedule and the work-stealing chunk
-	// size for pool-backend level sweeps.
+	// This rank's slice of the plan's level/DAG schedule and the
+	// work-stealing chunk size for pool-backend level sweeps.
 	sg    *sched.Grid
 	sr    *sched.Rank
 	chunk int
@@ -528,9 +505,8 @@ type rankCore struct {
 	comm CommMode
 
 	// el is the elastic-mode configuration (nil on strict solves): the
-	// staleness bound, the grid schedule the forcing deadlines and stale
-	// bookkeeping are derived from, and the lazily computed per-phase
-	// deadlines. See elastic.go.
+	// staleness bound and the lazily computed per-phase deadlines. See
+	// elastic.go.
 	el *elastic
 
 	// st is this solve's mutable state, acquired in init and handed back to
@@ -567,55 +543,39 @@ func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *spar
 	c.myDiagSns = rd.MyDiagSns
 	c.comm = opts.Comm.Resolve()
 
-	if opts.Exec.Resolve() == ExecSched {
-		s, err := sched.Of(p)
-		if err != nil {
-			// Unreachable from SolveIntoOpts, which derives the schedule
-			// (with an error return) before constructing the factories.
-			panic(&fault.ProtocolError{Rank: rank, Phase: "plan",
-				Msg: fmt.Sprintf("schedule build failed: %v", err)})
-		}
-		c.sg = s.Grids[c.z]
-		c.sr = c.sg.Ranks[c.r2d]
-		c.chunk = opts.LevelChunk
-		if c.chunk <= 0 {
-			c.chunk = defaultLevelChunk
-		}
+	s, err := sched.Of(p)
+	if err != nil {
+		// Unreachable from SolveIntoOpts, which derives the schedule (with
+		// an error return) before constructing the factories.
+		panic(&fault.ProtocolError{Rank: rank, Phase: "plan",
+			Msg: fmt.Sprintf("schedule build failed: %v", err)})
 	}
-
+	c.sg = s.Grids[c.z]
+	c.sr = c.sg.Ranks[c.r2d]
+	c.chunk = opts.LevelChunk
+	if c.chunk <= 0 {
+		c.chunk = defaultLevelChunk
+	}
 	if opts.Mode.Resolve() == ModeElastic && opts.Staleness > 0 {
-		s, err := sched.Of(p)
-		if err != nil {
-			// Unreachable from SolveIntoOpts, which derives the schedule
-			// before constructing the factories in elastic mode.
-			panic(&fault.ProtocolError{Rank: rank, Phase: "plan",
-				Msg: fmt.Sprintf("schedule build failed: %v", err)})
-		}
-		c.el = &elastic{staleness: opts.Staleness, sg: s.Grids[c.z]}
+		c.el = &elastic{staleness: opts.Staleness}
 	}
 
-	if c.sr != nil {
-		// Scheduled states live in the schedule's per-rank pool: their
-		// arena reservation is plan-specific, so tying their lifetime to
-		// the plan keeps the reservation exact across solves.
-		var st *solveState
-		if v := c.sr.Pool.Get(); v != nil {
-			st = v.(*solveState)
-		} else {
-			st = newSolveState()
-		}
-		st.owner = &c.sr.Pool
-		st.b, st.x, st.nrhs = b, x, b.Cols
-		st.sched = true
-		st.arena.reserve(c.sr.ArenaPerRHS*st.nrhs, c.sr.Panels)
-		c.st = st
-		return
+	// States live in the schedule's per-rank pool: their arena reservation
+	// is plan-specific, so tying their lifetime to the plan keeps the
+	// reservation exact across solves.
+	var st *solveState
+	if v := c.sr.Pool.Get(); v != nil {
+		st = v.(*solveState)
+	} else {
+		st = newSolveState()
 	}
-	c.st = acquireState(b, x)
+	st.owner = &c.sr.Pool
+	st.b, st.x, st.nrhs = b, x, b.Cols
+	st.arena.reserve(c.sr.ArenaPerRHS*st.nrhs, c.sr.Panels)
+	c.st = st
 }
 
-// slot maps a supernode to its schedule slot (scheduled path only); -1
-// off-path.
+// slot maps a supernode to its schedule slot; -1 off-path.
 func (c *rankCore) slot(k int) int32 { return c.sg.SlotOf[k] }
 
 // releaseState returns the per-solve state to the pool. Solve calls it
@@ -740,70 +700,43 @@ func (c *rankCore) drainDeferred(ctx *runtime.Ctx, ops rankOps) {
 // drainReadyY solves queued L-phase diagonal rows; solving one row can
 // locally unlock further rows, so it loops until the queue is quiet.
 //
-// On the scheduled path the queue is consumed in level sweeps: everything
-// ready now is one wave (a level of the dynamic wavefront — the static
-// schedule's levels refined by actual message arrivals), tasks a wave
-// unlocks form the next. Tasks still run in exactly the FIFO order of the
-// handler path's one-at-a-time pops — a wave is a relabeling of that
-// order, not a reordering — which is what keeps send order, DES clocks,
-// and floating-point accumulation bit-identical. Each wave is recorded as
-// one trace span (Ctx.Span, no time charge; untraced runs skip the clock
-// reads that would feed it), and on the pool backend a wide wave's
-// independent diagonal solves are precomputed on worker goroutines before
-// the serial send pass.
+// The queue is consumed in level sweeps: everything ready now is one wave
+// (a level of the dynamic wavefront — the static schedule's levels refined
+// by actual message arrivals), tasks a wave unlocks form the next. Tasks
+// run in FIFO queue order — a wave is a grouping of that order, not a
+// reordering — which is what keeps send order, DES clocks, and floating-
+// point accumulation deterministic. Each wave is recorded as one trace
+// span (Ctx.Span, no time charge; untraced runs skip the clock reads that
+// would feed it), and on the pool backend a wide wave's independent
+// diagonal solves are precomputed on worker goroutines before the serial
+// send pass.
 func (c *rankCore) drainReadyY(ctx *runtime.Ctx, s diagSolver) {
-	st := c.st
-	if !st.sched {
-		for len(st.readyY) > 0 {
-			k := st.readyY[0]
-			st.readyY = st.readyY[1:]
-			s.solveY(ctx, k)
-		}
-		return
-	}
-	traced := ctx.Traced()
-	for len(st.readyY) > 0 {
-		n := len(st.readyY)
-		var start float64
-		if traced {
-			start = ctx.Now()
-		}
-		c.precomputeWave(ctx, s, st.readyY[:n], false)
-		for i := 0; i < n; i++ {
-			s.solveY(ctx, st.readyY[i])
-		}
-		st.readyY = st.readyY[n:]
-		st.counts.sweeps++
-		st.counts.sweepTasks += n
-		if traced {
-			ctx.Span(runtime.LevelSweepTag(n), start, ctx.Now()-start)
-		}
-	}
+	c.drainReady(ctx, s, &c.st.readyY, false)
 }
 
 // drainReadyX mirrors drainReadyY for the U phase.
 func (c *rankCore) drainReadyX(ctx *runtime.Ctx, s diagSolver) {
+	c.drainReady(ctx, s, &c.st.readyX, true)
+}
+
+func (c *rankCore) drainReady(ctx *runtime.Ctx, s diagSolver, q *[]int, uPhase bool) {
 	st := c.st
-	if !st.sched {
-		for len(st.readyX) > 0 {
-			k := st.readyX[0]
-			st.readyX = st.readyX[1:]
-			s.solveX(ctx, k)
-		}
-		return
-	}
 	traced := ctx.Traced()
-	for len(st.readyX) > 0 {
-		n := len(st.readyX)
+	for len(*q) > 0 {
+		n := len(*q)
 		var start float64
 		if traced {
 			start = ctx.Now()
 		}
-		c.precomputeWave(ctx, s, st.readyX[:n], true)
+		c.precomputeWave(ctx, s, (*q)[:n], uPhase)
 		for i := 0; i < n; i++ {
-			s.solveX(ctx, st.readyX[i])
+			if uPhase {
+				s.solveX(ctx, (*q)[i])
+			} else {
+				s.solveY(ctx, (*q)[i])
+			}
 		}
-		st.readyX = st.readyX[n:]
+		*q = (*q)[n:]
 		st.counts.sweeps++
 		st.counts.sweepTasks += n
 		if traced {
@@ -956,102 +889,57 @@ func (c *rankCore) solveXPanel(k int) (*sparse.Panel, float64) {
 
 // ---- dependency-counter accessors ----
 //
-// The scheduled path keeps its counters in flat slot-indexed slices copied
-// from the schedule templates (dense == true); the handler path, and
-// scheduled algorithms whose counter templates do not live on the schedule
-// (baseline, multi-GPU), stay on the maps. Keys without a schedule slot
-// always fall back to the maps, and a dense decrement of an untouched slot
-// reaching −1 matches the map's absent-key-decrement semantics exactly.
+// Counters are flat slot-indexed copies of the templates (filled in each
+// algorithm's Init); every counter key is an on-path supernode, so every
+// key has a slot. Slots a rank never contributes to read zero.
 
 // decPendingL decrements row K's outstanding L-contribution count and
 // returns the new value.
 func (c *rankCore) decPendingL(k int) int {
-	if c.st.dense {
-		if s := c.sg.SlotOf[k]; s >= 0 {
-			c.st.dpendL[s]--
-			return int(c.st.dpendL[s])
-		}
-	}
-	c.st.pendingL[k]--
-	return c.st.pendingL[k]
+	s := c.slot(k)
+	c.st.dpendL[s]--
+	return int(c.st.dpendL[s])
 }
 
 // decPendingU mirrors decPendingL for the U phase.
 func (c *rankCore) decPendingU(k int) int {
-	if c.st.dense {
-		if s := c.sg.SlotOf[k]; s >= 0 {
-			c.st.dpendU[s]--
-			return int(c.st.dpendU[s])
-		}
-	}
-	c.st.pendingU[k]--
-	return c.st.pendingU[k]
+	s := c.slot(k)
+	c.st.dpendU[s]--
+	return int(c.st.dpendU[s])
 }
 
 // pendingLOf reads row K's outstanding L-contribution count.
-func (c *rankCore) pendingLOf(k int) int {
-	if c.st.dense {
-		if s := c.sg.SlotOf[k]; s >= 0 {
-			return int(c.st.dpendL[s])
-		}
-	}
-	return c.st.pendingL[k]
-}
+func (c *rankCore) pendingLOf(k int) int { return int(c.st.dpendL[c.slot(k)]) }
 
 // pendingUOf mirrors pendingLOf for the U phase.
-func (c *rankCore) pendingUOf(k int) int {
-	if c.st.dense {
-		if s := c.sg.SlotOf[k]; s >= 0 {
-			return int(c.st.dpendU[s])
-		}
-	}
-	return c.st.pendingU[k]
-}
+func (c *rankCore) pendingUOf(k int) int { return int(c.st.dpendU[c.slot(k)]) }
+
+// zeroPendingL clears row K's outstanding L-contribution counter.
+func (c *rankCore) zeroPendingL(k int) { c.st.dpendL[c.slot(k)] = 0 }
+
+// zeroPendingU mirrors zeroPendingL for the U phase.
+func (c *rankCore) zeroPendingU(k int) { c.st.dpendU[c.slot(k)] = 0 }
 
 // decFmod decrements the GPU model's forward-dependency counter for row K
 // and returns the new value.
 func (c *rankCore) decFmod(k int) int {
-	if c.st.dense {
-		if s := c.sg.SlotOf[k]; s >= 0 {
-			c.st.dfmod[s]--
-			return int(c.st.dfmod[s])
-		}
-	}
-	c.st.fmod[k]--
-	return c.st.fmod[k]
+	s := c.slot(k)
+	c.st.dfmod[s]--
+	return int(c.st.dfmod[s])
 }
 
 // decBmod mirrors decFmod for the backward (U) counters.
 func (c *rankCore) decBmod(k int) int {
-	if c.st.dense {
-		if s := c.sg.SlotOf[k]; s >= 0 {
-			c.st.dbmod[s]--
-			return int(c.st.dbmod[s])
-		}
-	}
-	c.st.bmod[k]--
-	return c.st.bmod[k]
+	s := c.slot(k)
+	c.st.dbmod[s]--
+	return int(c.st.dbmod[s])
 }
 
 // fmodOf reads row K's forward-dependency counter.
-func (c *rankCore) fmodOf(k int) int {
-	if c.st.dense {
-		if s := c.sg.SlotOf[k]; s >= 0 {
-			return int(c.st.dfmod[s])
-		}
-	}
-	return c.st.fmod[k]
-}
+func (c *rankCore) fmodOf(k int) int { return int(c.st.dfmod[c.slot(k)]) }
 
 // bmodOf mirrors fmodOf for the backward counters.
-func (c *rankCore) bmodOf(k int) int {
-	if c.st.dense {
-		if s := c.sg.SlotOf[k]; s >= 0 {
-			return int(c.st.dbmod[s])
-		}
-	}
-	return c.st.bmod[k]
-}
+func (c *rankCore) bmodOf(k int) int { return int(c.st.dbmod[c.slot(k)]) }
 
 // lContribution records one lsum contribution for row K (a local GEMV or a
 // reduction-tree child message) under the given reduction tree and fires
@@ -1109,25 +997,18 @@ func (c *rankCore) uContribution(ctx *runtime.Ctx, k int, tree *ctree.Tree) {
 // snWidth returns the width of supernode k.
 func (c *rankCore) snWidth(k int) int { return c.p.M.SnWidth(k) }
 
-// newPanel returns a zeroed rows×nrhs working panel: from the solve's
-// arena reservation on the scheduled path, from the heap on the handler
-// path. Either way the panel outlives the handler step (it may be stored
+// newPanel returns a zeroed rows×nrhs working panel from the solve's
+// arena reservation. The panel outlives the handler step (it may be stored
 // in a per-supernode map or sent to a peer) and stays valid until the
 // owning state is released.
 func (c *rankCore) newPanel(rows int) *sparse.Panel {
-	if c.st.sched {
-		return c.st.arena.alloc(rows, c.st.nrhs)
-	}
-	return sparse.NewPanel(rows, c.st.nrhs)
+	return c.st.arena.alloc(rows, c.st.nrhs)
 }
 
-// clonePanel copies a panel into solve-local storage (arena-backed on the
-// scheduled path) — the allreduce helpers use it where they must detach a
-// subvector from a panel other ranks may still read.
+// clonePanel copies a panel into arena storage — the allreduce helpers use
+// it where they must detach a subvector from a panel other ranks may still
+// read.
 func (c *rankCore) clonePanel(p *sparse.Panel) *sparse.Panel {
-	if !c.st.sched {
-		return p.Clone()
-	}
 	out := c.st.arena.alloc(p.Rows, p.Cols)
 	copy(out.Data, p.Data)
 	return out

@@ -1,6 +1,7 @@
 package trsv
 
 import (
+	"sync"
 	"testing"
 
 	"sptrsv/internal/runtime"
@@ -89,7 +90,7 @@ func TestDrainDeferredZeroesVacatedTail(t *testing.T) {
 // leaving panel-holding elements beyond len.
 func TestReleaseClearsBackingArrays(t *testing.T) {
 	st := newSolveState()
-	st.owner = &statePool
+	st.owner = &sync.Pool{}
 	panel := sparse.NewPanel(4, 1)
 	for i := 0; i < 4; i++ {
 		st.deferred = append(st.deferred, runtime.Msg{Tag: 1, Data: &yMsg{K: i, W: packPanel(panel, CommDense)}})

@@ -46,10 +46,10 @@ const poolTickQuantum = 2e-3
 // elastic is a rank's read-only elastic-mode configuration plus its lazily
 // computed phase deadlines. One per rank handler, built in rankCore.init
 // only when the solve requested elastic mode with a positive staleness
-// bound.
+// bound. The deadlines derive from the grid schedule's dependency depths
+// (rankCore.sg).
 type elastic struct {
 	staleness int
-	sg        *sched.Grid // this grid's schedule: depths + slot mapping
 
 	// deadlines are the absolute per-phase forcing times (seconds since
 	// run start, virtual or wall): index 0 closes the L phase, 1 the
@@ -76,17 +76,18 @@ type elasticForcer interface {
 // plus the staleness bound, in quanta, on top of the previous phase's
 // deadline.
 func (el *elastic) prepare(ctx *runtime.Ctx, c *rankCore) {
+	sg := c.sg
 	var q float64
 	if ctx.Virtual() {
-		w, n := 1, len(el.sg.Sns)
+		w, n := 1, len(sg.Sns)
 		if n > 0 {
 			total := 0
-			for _, k := range el.sg.Sns {
+			for _, k := range sg.Sns {
 				total += c.snWidth(k)
 			}
 			w = max(1, total/n)
 		}
-		depth := max(1, el.sg.LDepth)
+		depth := max(1, sg.LDepth)
 		ranks2d := max(1, c.p.Layout.Px*c.p.Layout.Py)
 		perRank := float64(n) / float64(depth) / float64(ranks2d)
 		if perRank < 1 {
@@ -105,9 +106,9 @@ func (el *elastic) prepare(ctx *runtime.Ctx, c *rankCore) {
 		// Reduce plus broadcast rounds of the inter-grid exchange.
 		arLevels = float64(2*c.p.Map.L + 1)
 	}
-	dL := (float64(el.sg.LDepth) + s) * q
+	dL := (float64(sg.LDepth) + s) * q
 	dAR := dL + (arLevels+s)*q
-	dU := dAR + (float64(el.sg.UDepth)+s)*q
+	dU := dAR + (float64(sg.UDepth)+s)*q
 	el.deadlines = [3]float64{dL, dAR, dU}
 	el.ready = true
 }
@@ -170,7 +171,7 @@ func (c *rankCore) markStaleL(k int) {
 	if st.staleL == nil {
 		st.staleL = sched.NewStaleSet(len(c.gp.Sns))
 	}
-	if s := c.el.sg.SlotOf[k]; s >= 0 && st.staleL.Set(int(s)) {
+	if s := c.slot(k); s >= 0 && st.staleL.Set(int(s)) {
 		st.counts.staleRows++
 	}
 }
@@ -184,7 +185,7 @@ func (c *rankCore) markStaleU(k int) {
 	if st.staleU == nil {
 		st.staleU = sched.NewStaleSet(len(c.gp.Sns))
 	}
-	if s := c.el.sg.SlotOf[k]; s >= 0 && st.staleU.Set(int(s)) {
+	if s := c.slot(k); s >= 0 && st.staleU.Set(int(s)) {
 		st.counts.staleRows++
 	}
 }
@@ -198,29 +199,4 @@ func (c *rankCore) markStaleAR() {
 			c.markStaleL(k)
 		}
 	}
-}
-
-// zeroPendingL clears row k's outstanding L-contribution counter (dense
-// slot or map) so a forced enqueue cannot be re-triggered by the normal
-// counter machinery; late decrements never reach the counters because
-// post-closure messages stay deferred.
-func (c *rankCore) zeroPendingL(k int) {
-	if c.st.dense {
-		if s := c.sg.SlotOf[k]; s >= 0 {
-			c.st.dpendL[s] = 0
-			return
-		}
-	}
-	c.st.pendingL[k] = 0
-}
-
-// zeroPendingU mirrors zeroPendingL for the U phase.
-func (c *rankCore) zeroPendingU(k int) {
-	if c.st.dense {
-		if s := c.sg.SlotOf[k]; s >= 0 {
-			c.st.dpendU[s] = 0
-			return
-		}
-	}
-	c.st.pendingU[k] = 0
 }

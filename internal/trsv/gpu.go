@@ -76,7 +76,7 @@ type gpuSingleRank struct {
 }
 
 // NewGPUSingle returns the handler factory for the single-GPU-per-grid
-// variant of the proposed 3D algorithm under the default execution mode.
+// variant of the proposed 3D algorithm under default solve options.
 func NewGPUSingle(p *dist.Plan, model *machine.Model, b, x *sparse.Panel) func(rank int) runtime.Handler {
 	return newGPUSingle(p, model, b, x, SolveOpts{})
 }
@@ -100,18 +100,10 @@ func (h *gpuSingleRank) Init(ctx *runtime.Ctx) {
 	st := h.st
 	st.smFree = h.gpu.SMs
 	st.tasksLeft = len(h.gp.Sns)
-	if h.sr != nil {
-		// The schedule's Fmod/Bmod templates are exactly these per-column
-		// dependency counts; refill by copy.
-		st.dense = true
-		st.dfmod = append(st.dfmod[:0], h.sg.Fmod...)
-		st.dbmod = append(st.dbmod[:0], h.sg.Bmod...)
-	} else {
-		for _, k := range h.gp.Sns {
-			st.fmod[k] = len(h.gp.RowSns[k])
-			st.bmod[k] = len(h.gp.URowSns[k])
-		}
-	}
+	// The schedule's Fmod/Bmod templates are exactly the per-column
+	// dependency counts; refill by copy.
+	st.dfmod = append(st.dfmod[:0], h.sg.Fmod...)
+	st.dbmod = append(st.dbmod[:0], h.sg.Bmod...)
 	for _, k := range h.gp.Sns {
 		if h.fmodOf(k) == 0 {
 			st.readyTasks = append(st.readyTasks, gpuTask{k: k, diag: true})
@@ -187,9 +179,9 @@ func (h *gpuSingleRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 
 // startTasks launches ready tasks onto free SM slots: the real numeric
 // work runs now (dependencies are satisfied), the completion event fires
-// after the modeled duration. On the scheduled path each launch batch is
-// one level sweep — the tasks launched together are mutually independent
-// (all had their counters at zero) — annotated as a single trace span.
+// after the modeled duration. Each launch batch is one level sweep — the
+// tasks launched together are mutually independent (all had their
+// counters at zero) — annotated as a single trace span.
 func (h *gpuSingleRank) startTasks(ctx *runtime.Ctx) {
 	st := h.st
 	launched, start := 0, ctx.Now()
@@ -227,7 +219,7 @@ func (h *gpuSingleRank) startTasks(ctx *runtime.Ctx) {
 		}
 		ctx.After(dur, tagGPUEvent, t)
 	}
-	if st.sched && launched > 0 {
+	if launched > 0 {
 		st.counts.sweeps++
 		st.counts.sweepTasks += launched
 		ctx.Span(runtime.LevelSweepTag(launched), start, ctx.Now()-start)
@@ -297,8 +289,8 @@ type gpuMultiRank struct {
 }
 
 // NewGPUMulti returns the handler factory for the NVSHMEM-based multi-GPU
-// variant (Py=1 layouts, as in the paper's Fig. 11) under the default
-// execution mode.
+// variant (Py=1 layouts, as in the paper's Fig. 11) under default solve
+// options.
 func NewGPUMulti(p *dist.Plan, model *machine.Model, b, x *sparse.Panel) func(rank int) runtime.Handler {
 	return newGPUMulti(p, model, b, x, SolveOpts{})
 }
@@ -351,15 +343,12 @@ func (h *gpuMultiRank) Init(ctx *runtime.Ctx) {
 	st.tasksLeft = h.taskCountL()
 	// With Py=1 every block of row K lives on rank K mod Px, so the fmod
 	// counters are purely local (no reduction phase — the reason the paper
-	// prefers Py=1 on GPUs).
-	for _, k := range h.gp.Sns {
-		if k%h.p.Layout.Px == h.row {
-			st.fmod[k] = h.localL[k]
-			st.bmod[k] = h.localU[k]
-		}
-	}
+	// prefers Py=1 on GPUs): this rank's block counts per row, zero for
+	// rows of other process rows.
+	st.dfmod = slotCounts(st.dfmod, h.gp.Sns, h.localL)
+	st.dbmod = slotCounts(st.dbmod, h.gp.Sns, h.localU)
 	for _, k := range h.myDiagSns {
-		if st.fmod[k] == 0 {
+		if h.fmodOf(k) == 0 {
 			st.readyTasks = append(st.readyTasks, gpuTask{k: k, diag: true})
 		}
 	}
@@ -526,10 +515,8 @@ func (h *gpuMultiRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 
 // forwardPuts sends v to this rank's children in the tree, with one-sided
 // put latency (NVLink inside a node, fabric across nodes), after an
-// initial in-task delay. On the scheduled path the children come from the
-// schedule's precomputed per-slot lists (same ranks, same order). The
-// multi-GPU variant keeps its map dependency counters — its fmod/bmod
-// templates are local-block counts, not the schedule's row counts.
+// initial in-task delay. The children come from the schedule's
+// precomputed per-slot lists (the ranks in tree-walk order).
 func (h *gpuMultiRank) forwardPuts(ctx *runtime.Ctx, k int, v *sparse.Panel, isU bool, delay float64) {
 	w, bytes := h.packSend(v)
 	put := func(child int) {
@@ -540,22 +527,12 @@ func (h *gpuMultiRank) forwardPuts(ctx *runtime.Ctx, k int, v *sparse.Panel, isU
 			Data: &gpuPut{K: k, W: w, isU: isU}, Bytes: bytes,
 		})
 	}
-	if h.sr != nil {
-		kids := h.sr.LBcastKids
-		if isU {
-			kids = h.sr.UBcastKids
-		}
-		for _, child := range kids[h.slot(k)] {
-			put(int(child))
-		}
-		return
-	}
-	tree := h.gp.LBcast[k]
+	kids := h.sr.LBcastKids
 	if isU {
-		tree = h.gp.UBcast[k]
+		kids = h.sr.UBcastKids
 	}
-	for _, child := range tree.Children(h.r2d) {
-		put(child)
+	for _, child := range kids[h.slot(k)] {
+		put(int(child))
 	}
 }
 
@@ -617,7 +594,7 @@ func (h *gpuMultiRank) startTasks(ctx *runtime.Ctx) {
 		}
 		ctx.After(dur, tagGPUEvent, t)
 	}
-	if st.sched && launched > 0 {
+	if launched > 0 {
 		st.counts.sweeps++
 		st.counts.sweepTasks += launched
 		ctx.Span(runtime.LevelSweepTag(launched), start, ctx.Now()-start)
@@ -630,15 +607,13 @@ func (h *gpuMultiRank) onTaskDone(ctx *runtime.Ctx, t gpuTask) {
 	st.tasksLeft--
 	if !t.isU {
 		for _, blk := range h.colL[t.k] {
-			st.fmod[blk.I]--
-			if st.fmod[blk.I] == 0 && h.p.DiagRank2D(blk.I) == h.r2d {
+			if h.decFmod(blk.I) == 0 && h.p.DiagRank2D(blk.I) == h.r2d {
 				st.readyTasks = append(st.readyTasks, gpuTask{k: blk.I, diag: true})
 			}
 		}
 	} else {
 		for _, ref := range h.colU[t.k] {
-			st.bmod[ref.I]--
-			if st.bmod[ref.I] == 0 && h.p.DiagRank2D(ref.I) == h.r2d {
+			if h.decBmod(ref.I) == 0 && h.p.DiagRank2D(ref.I) == h.r2d {
 				st.readyTasks = append(st.readyTasks, gpuTask{k: ref.I, diag: true, isU: true})
 			}
 		}
@@ -672,7 +647,7 @@ func (h *gpuMultiRank) finishAR(ctx *runtime.Ctx) {
 	st.phase = 2
 	st.tasksLeft = h.taskCountU()
 	for _, k := range h.myDiagSns {
-		if st.bmod[k] == 0 {
+		if h.bmodOf(k) == 0 {
 			st.readyTasks = append(st.readyTasks, gpuTask{k: k, diag: true, isU: true})
 		}
 	}

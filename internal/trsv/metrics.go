@@ -16,7 +16,7 @@ var (
 		"Inter-grid exchange rounds summed over ranks: sparse-allreduce reduce/bcast bundles, or the naive per-node butterfly exchanges.",
 		"algorithm", "kind")
 	mSweeps = metrics.Default().Counter("sptrsv_trsv_level_sweeps",
-		"Scheduled-execution level sweeps summed over ranks (kind=sweeps) and the tasks they covered (kind=tasks); zero on the handler path.",
+		"Level sweeps summed over ranks (kind=sweeps) and the tasks they covered (kind=tasks).",
 		"algorithm", "kind")
 	mStale = metrics.Default().Counter("sptrsv_trsv_stale_supernodes",
 		"Elastic-mode supernode solves that consumed stale or missing inputs after a staleness-deadline forced their phase closed, summed over ranks; zero on strict solves.",
@@ -35,7 +35,7 @@ type solveCounts struct {
 	arReduce         int // sparse-allreduce reduce bundles merged
 	arBcast          int // sparse-allreduce broadcast bundles installed
 	naiveRounds      int // strawman butterfly exchanges merged
-	sweeps           int // scheduled-execution level sweeps run
+	sweeps           int // level sweeps run
 	sweepTasks       int // tasks covered by those sweeps
 	staleRows        int // elastic: supernode solves that consumed stale inputs
 	forcedTicks      int // elastic: deadline ticks that forced an open phase

@@ -31,7 +31,7 @@ type new3dRank struct {
 }
 
 // NewProposed3D returns the handler factory for the proposed algorithm
-// under the default execution mode.
+// under default solve options.
 func NewProposed3D(p *dist.Plan, model *machine.Model, b, x *sparse.Panel) func(rank int) runtime.Handler {
 	return newProposed3D(p, model, b, x, SolveOpts{}, false)
 }
@@ -56,17 +56,10 @@ func (h *new3dRank) Done() bool { return h.st.phase == 3 }
 func (h *new3dRank) Init(ctx *runtime.Ctx) {
 	rd := h.gp.Ranks[h.r2d]
 	st := h.st
-	if h.sr != nil {
-		// The schedule carries this rank's counter templates as flat
-		// slot-indexed slices; refill by copy instead of rebuilding the
-		// working maps entry by entry.
-		st.dense = true
-		st.dpendL = append(st.dpendL[:0], h.sr.PendingL...)
-		st.dpendU = append(st.dpendU[:0], h.sr.PendingU...)
-	} else {
-		copyCounts(st.pendingL, rd.PendingL)
-		copyCounts(st.pendingU, rd.PendingU)
-	}
+	// The schedule carries this rank's counter templates as flat
+	// slot-indexed slices; refill by copy.
+	st.dpendL = append(st.dpendL[:0], h.sr.PendingL...)
+	st.dpendU = append(st.dpendU[:0], h.sr.PendingU...)
 	st.lRecvLeft = rd.LRecv
 	st.uRecvLeft = rd.URecv
 	h.ar = newARHelper(&h.rankCore)
@@ -75,12 +68,10 @@ func (h *new3dRank) Init(ctx *runtime.Ctx) {
 		if len(st.aggBufs) < len(h.gp.Ranks) {
 			st.aggBufs = make([]aggBuf, len(h.gp.Ranks))
 		}
-		if h.sr != nil {
-			// The schedule's destination sets bound how many buffers one
-			// phase can open; size the flush order once instead of growing.
-			if n := max(len(h.sr.LSendDsts), len(h.sr.USendDsts)); cap(st.aggOrder) < n {
-				st.aggOrder = make([]int32, 0, n)
-			}
+		// The schedule's destination sets bound how many buffers one phase
+		// can open; size the flush order once instead of growing.
+		if n := max(len(h.sr.LSendDsts), len(h.sr.USendDsts)); cap(st.aggOrder) < n {
+			st.aggOrder = make([]int32, 0, n)
 		}
 	}
 
@@ -237,10 +228,7 @@ func (h *new3dRank) onAgg(ctx *runtime.Ctx, d *aggMsg) {
 // ---- L phase ----
 
 // onY handles a received (or locally computed) y(K): forward along the
-// broadcast tree and apply my column-K blocks. On the scheduled path the
-// broadcast children come precomputed from the schedule (the same ranks
-// in the same order the tree walk yields, without materializing a slice
-// per call).
+// broadcast tree and apply my column-K blocks.
 func (h *new3dRank) onY(ctx *runtime.Ctx, k int, yk *sparse.Panel) {
 	h.bcast(ctx, k, yk, tagYBcast)
 	for _, blk := range h.colL[k] {
@@ -251,10 +239,10 @@ func (h *new3dRank) onY(ctx *runtime.Ctx, k int, yk *sparse.Panel) {
 }
 
 // bcast forwards a solved subvector down the supernode's broadcast tree,
-// packing it once and reusing the wire form for every child. On the
-// scheduled path the children come precomputed from the schedule (the same
-// ranks in the same order the tree walk yields); under CommAggregated the
-// hops are buffered per destination instead of sent individually.
+// packing it once and reusing the wire form for every child. The children
+// come precomputed from the schedule (the ranks in tree-walk order, without
+// materializing a slice per call); under CommAggregated the hops are
+// buffered per destination instead of sent individually.
 func (h *new3dRank) bcast(ctx *runtime.Ctx, k int, v *sparse.Panel, tag int) {
 	var w wirePanel
 	var bytes int
@@ -273,22 +261,12 @@ func (h *new3dRank) bcast(ctx *runtime.Ctx, k int, v *sparse.Panel, tag int) {
 			Data: &yMsg{K: k, W: w}, Bytes: bytes,
 		})
 	}
-	if h.sr != nil {
-		kids := h.sr.LBcastKids
-		if tag == tagXBcast {
-			kids = h.sr.UBcastKids
-		}
-		for _, child := range kids[h.slot(k)] {
-			send(int(child))
-		}
-	} else {
-		tree := h.gp.LBcast[k]
-		if tag == tagXBcast {
-			tree = h.gp.UBcast[k]
-		}
-		for _, child := range tree.Children(h.r2d) {
-			send(child)
-		}
+	kids := h.sr.LBcastKids
+	if tag == tagXBcast {
+		kids = h.sr.UBcastKids
+	}
+	for _, child := range kids[h.slot(k)] {
+		send(int(child))
 	}
 }
 

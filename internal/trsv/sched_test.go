@@ -15,13 +15,12 @@ import (
 	"sptrsv/internal/sparse"
 )
 
-// The scheduled execution path's correctness bar (ISSUE: level/DAG
-// scheduling): bit-exact agreement with the serial reference and with the
-// per-message handler path — same solution bits, same DES clocks, same
-// message counts — on every algorithm and backend. The handler path stays
-// selectable as the oracle; these tests are the comparison.
+// Level-scheduled execution: the engine's determinism under parallel
+// sweeps, its trace annotations, concurrent use of one schedule, and the
+// schedule itself. The bit-exact bar against frozen results lives in
+// golden_test.go.
 
-// schedCase is one (matrix, layout, algorithm) point of the property test.
+// schedCase is one (matrix, layout, algorithm) point of the property tests.
 type schedCase struct {
 	name  string
 	algo  Algorithm
@@ -53,64 +52,28 @@ func schedCases() []schedCase {
 	}
 }
 
-// solveMode runs one solve in the given mode and returns the solution and
-// run result.
+// solveMode runs one solve with the given options and returns the solution
+// and run result.
 func solveMode(t *testing.T, pl *pipeline, tc schedCase, b *sparse.Panel, back Backend, opts SolveOpts) (*sparse.Panel, *runtime.Result) {
 	t.Helper()
 	p := pl.plan(t, tc.l, tc.kind)
 	x := sparse.NewPanel(b.Rows, b.Cols)
 	res, err := SolveIntoOpts(p, tc.model, tc.algo, back, b, x, opts)
 	if err != nil {
-		t.Fatalf("%s %v: %v", tc.name, opts.Exec, err)
+		t.Fatalf("%s %+v: %v", tc.name, opts, err)
 	}
 	return x, res
 }
 
-// TestSchedMatchesHandlerBitExact is the central property: on the DES
-// backend the scheduled path must reproduce the handler path bit for bit —
-// solutions (==, not within tolerance), per-rank clocks, and total message
-// counts — across all four algorithm families and several matrices.
-func TestSchedMatchesHandlerBitExact(t *testing.T) {
-	mats := schedMatrices(t)
-	for mname, pl := range mats {
-		for _, tc := range schedCases() {
-			rng := rand.New(rand.NewSource(300))
-			b := randPanel(rng, pl.m.N, tc.nrhs)
-			want := pl.m.Solve(b)
-			xh, rh := solveMode(t, pl, tc, b, SimBackend{}, SolveOpts{Exec: ExecHandler})
-			xs, rs := solveMode(t, pl, tc, b, SimBackend{}, SolveOpts{Exec: ExecSched})
-			for i, v := range xh.Data {
-				if xs.Data[i] != v {
-					t.Fatalf("%s/%s: scheduled solution differs from handler at %d: %g vs %g",
-						mname, tc.name, i, xs.Data[i], v)
-				}
-			}
-			if d := xs.MaxAbsDiff(want); d > 1e-8 {
-				t.Fatalf("%s/%s: scheduled path off serial reference by %g", mname, tc.name, d)
-			}
-			for i := range rh.Clocks {
-				if rs.Clocks[i] != rh.Clocks[i] {
-					t.Fatalf("%s/%s: DES clock differs at rank %d: %g vs %g",
-						mname, tc.name, i, rs.Clocks[i], rh.Clocks[i])
-				}
-			}
-			if rs.TotalMsgs() != rh.TotalMsgs() {
-				t.Fatalf("%s/%s: message count differs: sched %d, handler %d",
-					mname, tc.name, rs.TotalMsgs(), rh.TotalMsgs())
-			}
-		}
-	}
-}
-
-// TestSchedPoolBitExact repeats the bit-exactness bar on the real-goroutine
-// backend with LevelChunk=1 so any wave of two or more tasks exercises the
-// parallel precompute: worker interleaving must not change a single bit of
-// the solution. Bitwise comparison against the handler path is only
-// well-defined where message delivery order is fixed — on the pool that
-// order is wall-clock-dependent and already makes two handler runs differ
-// in the last bits — so the bitwise leg runs on a single-rank layout
-// (pure local cascade, the widest waves and heaviest precompute use) and
-// the multi-rank legs hold both modes to the serial-reference tolerance.
+// TestSchedPoolBitExact checks on the real-goroutine backend that the
+// parallel precompute of level sweeps changes no bit: LevelChunk=1 (every
+// wave of two or more tasks is precomputed on workers) must match a chunk
+// wide enough that no wave is. Bitwise comparison is only well-defined
+// where message delivery order is fixed — on the pool that order is
+// wall-clock-dependent and already makes two multi-rank runs differ in the
+// last bits — so the bitwise leg runs on a single-rank layout (pure local
+// cascade, the widest waves and heaviest precompute use) and the
+// multi-rank legs are held to the serial-reference tolerance.
 func TestSchedPoolBitExact(t *testing.T) {
 	pl := buildPipeline(t, gen.S2D9pt(18, 18, 33), 2, 8)
 	back := PoolBackend{Pool: runtime.Pool{Timeout: 30 * time.Second}}
@@ -118,12 +81,12 @@ func TestSchedPoolBitExact(t *testing.T) {
 	b := randPanel(rng, pl.m.N, 2)
 
 	serial := schedCase{"serial", Proposed3D, grid.Layout{Px: 1, Py: 1, Pz: 1}, ctree.Binary, machine.CoriHaswell(), 2}
-	xh, _ := solveMode(t, pl, serial, b, back, SolveOpts{Exec: ExecHandler})
+	xw, _ := solveMode(t, pl, serial, b, back, SolveOpts{LevelChunk: pl.m.SnCount})
 	for trial := 0; trial < 3; trial++ {
-		xs, _ := solveMode(t, pl, serial, b, back, SolveOpts{Exec: ExecSched, LevelChunk: 1})
-		for i, v := range xh.Data {
+		xs, _ := solveMode(t, pl, serial, b, back, SolveOpts{LevelChunk: 1})
+		for i, v := range xw.Data {
 			if xs.Data[i] != v {
-				t.Fatalf("trial %d: pool scheduled solution differs from handler at %d", trial, i)
+				t.Fatalf("trial %d: parallel-precompute solution differs from serial sweeps at %d", trial, i)
 			}
 		}
 	}
@@ -134,27 +97,23 @@ func TestSchedPoolBitExact(t *testing.T) {
 		}
 		bb := randPanel(rng, pl.m.N, tc.nrhs)
 		ww := pl.m.Solve(bb)
-		for _, opts := range []SolveOpts{{Exec: ExecHandler}, {Exec: ExecSched, LevelChunk: 1}} {
-			x, _ := solveMode(t, pl, tc, bb, back, opts)
-			if d := x.MaxAbsDiff(ww); d > 1e-8 {
-				t.Fatalf("%s %v: pool diff %g", tc.name, opts.Exec, d)
-			}
+		x, _ := solveMode(t, pl, tc, bb, back, SolveOpts{LevelChunk: 1})
+		if d := x.MaxAbsDiff(ww); d > 1e-8 {
+			t.Fatalf("%s: pool diff %g", tc.name, d)
 		}
 	}
 }
 
-// TestSchedSweepSpansTraced checks the analyzer contract: a traced
-// scheduled run carries level-sweep annotations (one span per sweep, task
-// count in the tag), a handler run carries none, and the sweep totals
-// cover every diagonal solve the run performed.
+// TestSchedSweepSpansTraced checks the analyzer contract: a traced run
+// carries level-sweep annotations (one span per sweep, task count in the
+// tag) and its critical path stays consistent with them.
 func TestSchedSweepSpansTraced(t *testing.T) {
 	pl := buildPipeline(t, gen.S2D9pt(20, 20, 34), 3, 8)
 	tc := schedCase{"proposed", Proposed3D, grid.Layout{Px: 2, Py: 2, Pz: 4}, ctree.Binary, machine.CoriHaswell(), 1}
 	rng := rand.New(rand.NewSource(302))
 	b := randPanel(rng, pl.m.N, tc.nrhs)
 	back := SimBackend{Opts: runtime.Options{Trace: true}}
-	_, rs := solveMode(t, pl, tc, b, back, SolveOpts{Exec: ExecSched})
-	_, rh := solveMode(t, pl, tc, b, back, SolveOpts{Exec: ExecHandler})
+	_, rs := solveMode(t, pl, tc, b, back, SolveOpts{})
 	ss, err := rs.LevelSweeps()
 	if err != nil {
 		t.Fatal(err)
@@ -165,15 +124,6 @@ func TestSchedSweepSpansTraced(t *testing.T) {
 	if ss.MaxTasks < 1 || ss.MeanTasks() <= 0 {
 		t.Fatalf("degenerate sweep stats: %+v", ss)
 	}
-	sh, err := rh.LevelSweeps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.Sweeps != 0 {
-		t.Fatalf("handler run recorded %d level sweeps, want 0", sh.Sweeps)
-	}
-	// Sweeps cover exactly the ready-queue diagonal solves (every solveY
-	// and solveX runs inside some sweep on the scheduled path).
 	cp, err := rs.CriticalPath()
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +154,7 @@ func TestSchedConcurrentSolves(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			back := Backend(SimBackend{})
-			opts := SolveOpts{Exec: ExecSched}
+			var opts SolveOpts
 			if i%2 == 1 {
 				back = PoolBackend{Pool: runtime.Pool{Timeout: 30 * time.Second}}
 				opts.LevelChunk = 1
@@ -268,7 +218,9 @@ func TestSchedRejectsBadOpts(t *testing.T) {
 	p := pl.plan(t, grid.Layout{Px: 1, Py: 1, Pz: 1}, ctree.Binary)
 	b := sparse.NewPanel(pl.m.N, 1)
 	x := sparse.NewPanel(pl.m.N, 1)
-	if _, err := SolveIntoOpts(p, machine.CoriHaswell(), Proposed3D, SimBackend{}, b, x, SolveOpts{Exec: ExecMode(99)}); err == nil {
-		t.Fatal("unknown exec mode accepted")
+	for _, opts := range []SolveOpts{{Comm: CommMode(99)}, {Mode: SolveMode(99)}} {
+		if _, err := SolveIntoOpts(p, machine.CoriHaswell(), Proposed3D, SimBackend{}, b, x, opts); err == nil {
+			t.Fatalf("bad options %+v accepted", opts)
+		}
 	}
 }

@@ -51,51 +51,6 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// ExecMode selects how the rank handlers execute a solve: against the
-// plan's precomputed level/DAG schedule, or on the original per-message
-// handler bookkeeping. Both modes exchange the same messages in the same
-// order and produce bit-identical solutions and simulated clocks — the
-// handler path stays selectable as the correctness oracle — but the
-// scheduled path runs its ready queues as flat level sweeps over the
-// schedule (one trace span per sweep, near-zero per-task allocation, and
-// work-stealing parallelism across a level on the pool backend).
-type ExecMode int
-
-const (
-	// ExecAuto picks the default mode (currently the scheduled path).
-	ExecAuto ExecMode = iota
-	// ExecSched runs on the precomputed level/DAG schedule.
-	ExecSched
-	// ExecHandler runs the original per-message handler path — the oracle
-	// the scheduled path is validated against.
-	ExecHandler
-)
-
-func (e ExecMode) String() string {
-	switch e {
-	case ExecAuto:
-		return "auto"
-	case ExecSched:
-		return "sched"
-	case ExecHandler:
-		return "handler"
-	}
-	return fmt.Sprintf("ExecMode(%d)", int(e))
-}
-
-// Resolve maps ExecAuto to the concrete default mode.
-func (e ExecMode) Resolve() ExecMode {
-	if e == ExecAuto {
-		return ExecSched
-	}
-	return e
-}
-
-// Valid reports whether e is a known mode.
-func (e ExecMode) Valid() bool {
-	return e == ExecAuto || e == ExecSched || e == ExecHandler
-}
-
 // SolveMode selects the blocking discipline of cross-rank dependencies.
 // Strict mode is the historical contract: every rank blocks until each
 // dependency arrives, so a single straggler stretches the whole critical
@@ -159,9 +114,6 @@ type ElasticStats struct {
 
 // SolveOpts tunes solve execution without touching the plan.
 type SolveOpts struct {
-	// Exec selects the execution mode; the zero value resolves to the
-	// scheduled path.
-	Exec ExecMode
 	// LevelChunk is the work-stealing chunk size of pool-backend level
 	// sweeps (tasks claimed per steal); 0 means the built-in default.
 	// Sweeps narrower than two chunks run serially.
@@ -218,8 +170,8 @@ func Solve(p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b *
 
 // SolveInto is Solve writing the solution into a caller-provided panel
 // (which it zeroes first), letting repeated solves reuse output storage.
-// Each rank handler draws its per-solve execution state from a shared pool
-// and returns it when the run completes, so steady-state repeated solves
+// Each rank handler draws its per-solve execution state from its schedule
+// pool and returns it when the run completes, so steady-state repeated solves
 // allocate little beyond the solution subvectors themselves.
 func SolveInto(p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b, x *sparse.Panel) (*runtime.Result, error) {
 	return SolveIntoOpts(p, model, algo, back, b, x, SolveOpts{})
@@ -233,27 +185,18 @@ func SolveIntoOpts(p *dist.Plan, model *machine.Model, algo Algorithm, back Back
 	if x.Rows != b.Rows || x.Cols != b.Cols {
 		return nil, fmt.Errorf("trsv: output panel is %dx%d, rhs is %dx%d", x.Rows, x.Cols, b.Rows, b.Cols)
 	}
-	if !opts.Exec.Valid() {
-		return nil, fmt.Errorf("trsv: unknown execution mode %v", opts.Exec)
-	}
 	if !opts.Comm.Valid() {
 		return nil, fmt.Errorf("trsv: unknown communication mode %v", opts.Comm)
 	}
 	if !opts.Mode.Valid() {
 		return nil, fmt.Errorf("trsv: unknown solve mode %v", opts.Mode)
 	}
-	elastic := opts.Mode.Resolve() == ModeElastic && opts.Staleness > 0
-	if opts.Exec.Resolve() == ExecSched || elastic {
-		// Derive (or fetch the cached) level/DAG schedule up front so a
-		// build failure surfaces as an error, not a handler panic. Elastic
-		// mode needs the schedule even on the handler path: its forcing
-		// deadlines come from the grid dependency depths and its stale
-		// bookkeeping from the slot mapping.
-		if _, err := sched.Of(p); err != nil {
-			return nil, err
-		}
+	// Derive (or fetch the cached) level/DAG schedule up front so a build
+	// failure surfaces as an error, not a handler panic.
+	if _, err := sched.Of(p); err != nil {
+		return nil, err
 	}
-	if elastic {
+	if opts.Mode.Resolve() == ModeElastic && opts.Staleness > 0 {
 		eb, ok := back.(elasticBackend)
 		if !ok {
 			return nil, fmt.Errorf("trsv: elastic mode requires a built-in backend (SimBackend or PoolBackend), got %T", back)

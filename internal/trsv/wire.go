@@ -143,8 +143,8 @@ func rowNonZero(p *sparse.Panel, r, eff int) bool {
 // unpackPanel reconstructs the full Rows×Cols panel from wire form. The
 // full-density dense case aliases Vals (zero copy — the receiver gets read
 // access to the sender's panel, exactly the pre-packing semantics); every
-// other representation scatters into a fresh zeroed panel (arena-backed on
-// the scheduled path). Reconstruction is bit-exact: suppressed entries
+// other representation scatters into a fresh zeroed arena panel.
+// Reconstruction is bit-exact: suppressed entries
 // were +0.0 by bit pattern, and a zeroed panel holds +0.0.
 func (c *rankCore) unpackPanel(w *wirePanel) *sparse.Panel {
 	if w.RowIdx == nil && w.EffCols == w.Cols {
@@ -201,10 +201,7 @@ func addWire(dst *sparse.Panel, w *wirePanel) {
 // run before st.nrhs panels of the solve's width exist; the shapes always
 // agree in practice, but the wire header is authoritative).
 func (c *rankCore) newPanelCols(rows, cols int) *sparse.Panel {
-	if c.st.sched {
-		return c.st.arena.alloc(rows, cols)
-	}
-	return sparse.NewPanel(rows, cols)
+	return c.st.arena.alloc(rows, cols)
 }
 
 // ---- communication modes ----

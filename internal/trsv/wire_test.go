@@ -282,21 +282,8 @@ func TestAggregatedCoalescesMessages(t *testing.T) {
 	if am >= pm {
 		t.Fatalf("aggregated sent %d XY messages, packed %d — aggregation must coalesce", am, pm)
 	}
-	// Both engines run the same aggregation; the handler oracle must agree.
-	p := pl.plan(t, l, ctree.Binary)
-	xh := sparse.NewPanel(b.Rows, b.Cols)
-	resH, err := SolveIntoOpts(p, model, Proposed3D, SimBackend{}, b, xh, SolveOpts{Comm: CommAggregated, Exec: ExecHandler})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xa.Data {
-		if math.Float64bits(xa.Data[i]) != math.Float64bits(xh.Data[i]) {
-			t.Fatalf("sched and handler aggregated solutions differ at %d", i)
-		}
-	}
-	if hm := resH.CatMsgs(runtime.CatXY); hm != am {
-		t.Fatalf("handler aggregated sent %d XY messages, sched %d", hm, am)
-	}
+	// The aggregated solution's exact bits are pinned by the
+	// "aggregated/proposed" engine golden (TestEngineMatchesGoldens).
 }
 
 // TestZeroRunSuppressionGPU: on the fig9 configuration (GPU single,

@@ -18,7 +18,10 @@ import (
 // the key changes; files written by an older schema are ignored wholesale
 // (a cache miss, not an error) and overwritten by the next Put.
 //
-// Version 2 added the execution-engine fields (exec, level_chunk).
+// Version 2 added the level_chunk field. Version-2 files may also carry an
+// "exec" engine name; it is ignored, because every engine it could name
+// produced bit-identical results, so the entry denotes the same
+// configuration either way.
 const CacheSchemaVersion = 2
 
 // cacheFileName is the single JSON file a Cache keeps under its directory.
@@ -33,7 +36,6 @@ type Entry struct {
 	Pz         int     `json:"pz"`
 	Algorithm  string  `json:"algorithm"`
 	Trees      string  `json:"trees"`
-	Exec       string  `json:"exec"`                  // execution engine ("sched" or "handler"; empty = auto)
 	LevelChunk int     `json:"level_chunk,omitempty"` // scheduled-sweep chunk override (0 = default)
 	Makespan   float64 `json:"makespan"`              // DES makespan of the tuned config at tuning time
 	Default    float64 `json:"default_makespan"`      // DES makespan of the naive default at tuning time
@@ -51,16 +53,11 @@ func (e Entry) Config(m *machine.Model) (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	exec, err := parseExec(e.Exec)
-	if err != nil {
-		return core.Config{}, err
-	}
 	return core.Config{
 		Layout:     grid.Layout{Px: e.Px, Py: e.Py, Pz: e.Pz},
 		Algorithm:  algo,
 		Trees:      kind,
 		Machine:    m,
-		Exec:       exec,
 		LevelChunk: e.LevelChunk,
 	}, nil
 }
@@ -72,18 +69,6 @@ func parseAlgorithm(s string) (trsv.Algorithm, error) {
 		}
 	}
 	return 0, fmt.Errorf("tune: unknown algorithm %q", s)
-}
-
-func parseExec(s string) (trsv.ExecMode, error) {
-	switch s {
-	case "", trsv.ExecAuto.String():
-		return trsv.ExecAuto, nil
-	case trsv.ExecSched.String():
-		return trsv.ExecSched, nil
-	case trsv.ExecHandler.String():
-		return trsv.ExecHandler, nil
-	}
-	return 0, fmt.Errorf("tune: unknown execution mode %q", s)
 }
 
 func parseTrees(s string) (ctree.Kind, error) {

@@ -4,10 +4,15 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"sptrsv/internal/core"
+	"sptrsv/internal/ctree"
+	"sptrsv/internal/grid"
 	"sptrsv/internal/machine"
+	"sptrsv/internal/trsv"
 )
 
 func testEntry() Entry {
@@ -144,5 +149,45 @@ func TestEntryConfigRejectsUnknownNames(t *testing.T) {
 func TestNRHSClassAndKey(t *testing.T) {
 	if NRHSClass(1) != "single" || NRHSClass(0) != "single" || NRHSClass(50) != "multi" {
 		t.Fatal("nrhs classes wrong")
+	}
+}
+
+// TestCacheLoadsEngineFieldEntries: schema-2 files written while the tuner
+// still had an engine axis carry an "exec" field. It is ignored — both
+// engines it could name produced bit-identical results — so such entries
+// keep loading, to the same configuration.
+func TestCacheLoadsEngineFieldEntries(t *testing.T) {
+	const file = `{
+  "version": 2,
+  "entries": {
+    "h": {"px": 4, "py": 4, "pz": 2, "algorithm": "proposed-3d", "trees": "binary", "exec": "handler", "level_chunk": 16, "makespan": 0.00015, "default_makespan": 0.0002},
+    "s": {"px": 4, "py": 4, "pz": 2, "algorithm": "proposed-3d", "trees": "binary", "exec": "sched", "level_chunk": 16, "makespan": 0.00015, "default_makespan": 0.0002}
+  }
+}`
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, cacheFileName), []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.CoriHaswell()
+	want := core.Config{
+		Layout: grid.Layout{Px: 4, Py: 4, Pz: 2}, Algorithm: trsv.Proposed3D,
+		Trees: ctree.Binary, Machine: m, LevelChunk: 16,
+	}
+	for _, key := range []string{"h", "s"} {
+		e, ok := c.Get(key)
+		if !ok {
+			t.Fatalf("entry %q not loaded", key)
+		}
+		cfg, err := e.Config(m)
+		if err != nil {
+			t.Fatalf("entry %q: %v", key, err)
+		}
+		if !reflect.DeepEqual(cfg, want) {
+			t.Fatalf("entry %q decoded to %+v, want %+v", key, cfg, want)
+		}
 	}
 }

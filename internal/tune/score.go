@@ -46,11 +46,6 @@ func newSnStats(sys *core.System) *snStats {
 	return st
 }
 
-// handlerDispatch is the modeled per-event cost (seconds) of the
-// per-message handler engine relative to the scheduled one; see the
-// comment at its use in preScore.
-const handlerDispatch = 150e-9
-
 // hops returns the serialized hop count of a broadcast/reduction tree of
 // the given kind over n participants: a flat root sends n−1 messages back
 // to back; a binary tree pays its depth. Mirrors ctree's Auto threshold.
@@ -89,7 +84,6 @@ func preScore(sys *core.System, st *snStats, cfg core.Config, nrhs int) float64 
 	fNRHS := float64(nrhs)
 
 	gpu := cfg.Algorithm == trsv.GPUSingle || cfg.Algorithm == trsv.GPUMulti
-	handler := cfg.Exec.Resolve() == trsv.ExecHandler
 	worst := 0.0
 	for z := 0; z < l.Pz; z++ {
 		var total float64
@@ -100,15 +94,6 @@ func preScore(sys *core.System, st *snStats, cfg core.Config, nrhs int) float64 
 			lo := sn.ColToSn[nd.Begin]
 			hi := sn.ColToSn[nd.End-1] + 1
 			for k := lo; k < hi; k++ {
-				if handler {
-					// Per-event engine overhead: map-keyed counters,
-					// deferred-queue churn, and per-task panel allocation
-					// that the scheduled engine's dense templates and
-					// arena eliminate. This term only separates the two
-					// engines in stage-one ranking — the DES charges both
-					// identically.
-					total += handlerDispatch * float64(st.nL[k]+st.nU[k]+2)
-				}
 				w := float64(st.width[k])
 				bytes := 8 * w * fNRHS
 				flops := st.flops[k] * fNRHS

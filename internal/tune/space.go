@@ -21,11 +21,7 @@ import (
 //     tree optimization (per-node-group flat trees), so it gets one entry;
 //   - GPU candidates exist only when m has GPU parameters: GPUMulti with
 //     Py=1 (the Alg. 5 restriction) over every tree kind, and GPUSingle
-//     when the layout collapses to 1×1×p (Alg. 4);
-//   - every shape is emitted under both execution engines (ExecSched,
-//     ExecHandler). The two are bit-exact — identical modeled makespan —
-//     so the engine axis is decided by the pre-score's handler dispatch
-//     term and the probe stage's sched-first tie-break, not by the DES.
+//     when the layout collapses to 1×1×p (Alg. 4).
 //
 // Every emitted candidate passes core.ValidateConfig — the same validator
 // core.NewSolver runs — so probing a candidate cannot fail on
@@ -33,11 +29,9 @@ import (
 func Space(sys *core.System, m *machine.Model, p int) []core.Config {
 	var out []core.Config
 	add := func(l grid.Layout, algo trsv.Algorithm, kind ctree.Kind) {
-		for _, exec := range []trsv.ExecMode{trsv.ExecSched, trsv.ExecHandler} {
-			cfg := core.Config{Layout: l, Algorithm: algo, Trees: kind, Machine: m, Exec: exec}
-			if core.ValidateConfig(sys, cfg) == nil {
-				out = append(out, cfg)
-			}
+		cfg := core.Config{Layout: l, Algorithm: algo, Trees: kind, Machine: m}
+		if core.ValidateConfig(sys, cfg) == nil {
+			out = append(out, cfg)
 		}
 	}
 	cpuKinds := []ctree.Kind{ctree.Flat, ctree.Binary, ctree.Auto}
@@ -77,21 +71,8 @@ func DefaultConfig(m *machine.Model, p int) core.Config {
 }
 
 // candKey is the deterministic identity of a candidate, used for sorting
-// tie-breaks and duplicate suppression. The exec component is resolved, so
-// a zero-valued (auto) config and an explicit sched config collide — they
-// run the same engine.
+// tie-breaks and duplicate suppression.
 func candKey(cfg core.Config) string {
-	return fmt.Sprintf("%s/%dx%dx%d/%s/%s",
-		cfg.Algorithm, cfg.Layout.Px, cfg.Layout.Py, cfg.Layout.Pz, cfg.Trees, cfg.Exec.Resolve())
-}
-
-// execRank orders execution engines for makespan tie-breaks: the scheduled
-// engine first. Sched and handler produce bit-identical modeled makespans,
-// so without this preference the lexicographic key ("handler" < "sched")
-// would hand every tie to the slower-in-real-time engine.
-func execRank(cfg core.Config) int {
-	if cfg.Exec.Resolve() == trsv.ExecHandler {
-		return 1
-	}
-	return 0
+	return fmt.Sprintf("%s/%dx%dx%d/%s",
+		cfg.Algorithm, cfg.Layout.Px, cfg.Layout.Py, cfg.Layout.Pz, cfg.Trees)
 }

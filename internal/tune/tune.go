@@ -193,14 +193,10 @@ func Run(sys *core.System, m *machine.Model, p int, opt Options) (*Result, error
 		}
 	}
 
-	// Makespan ties break toward the scheduled engine (identical modeled
-	// cost, cheaper real execution), then lexicographically.
+	// Makespan ties break lexicographically.
 	better := func(a, b Scored) bool {
 		if a.Makespan != b.Makespan {
 			return a.Makespan < b.Makespan
-		}
-		if ra, rb := execRank(a.Config), execRank(b.Config); ra != rb {
-			return ra < rb
 		}
 		return candKey(a.Config) < candKey(b.Config)
 	}
@@ -226,8 +222,7 @@ func Run(sys *core.System, m *machine.Model, p int, opt Options) (*Result, error
 		e := Entry{
 			Px: res.Config.Layout.Px, Py: res.Config.Layout.Py, Pz: res.Config.Layout.Pz,
 			Algorithm: res.Config.Algorithm.String(), Trees: res.Config.Trees.String(),
-			Exec: res.Config.Exec.Resolve().String(), LevelChunk: res.Config.LevelChunk,
-			Makespan: res.Makespan, Default: res.DefaultMakespan,
+			LevelChunk: res.Config.LevelChunk, Makespan: res.Makespan, Default: res.DefaultMakespan,
 		}
 		if err := opt.Cache.Put(key, e); err != nil {
 			return nil, err

@@ -25,8 +25,8 @@ func smallSystem(t *testing.T, name string) *core.System {
 
 // TestSpaceCandidatesValid is the property test of the space generator:
 // for random System shapes, machine models, and rank budgets, every
-// candidate Space emits passes core.NewSolver validation (the full
-// constructor, not just the validator).
+// candidate Space emits is distinct and passes core.NewSolver validation
+// (the full constructor, not just the validator).
 func TestSpaceCandidatesValid(t *testing.T) {
 	prop := func(seed uint16) bool {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -47,7 +47,13 @@ func TestSpaceCandidatesValid(t *testing.T) {
 			t.Logf("empty space for n=%d p=%d", n, p)
 			return false
 		}
+		seen := map[string]bool{}
 		for _, cfg := range space {
+			if seen[candKey(cfg)] {
+				t.Logf("candidate %s emitted twice", candKey(cfg))
+				return false
+			}
+			seen[candKey(cfg)] = true
 			if cfg.Layout.Size() != p {
 				t.Logf("candidate %s uses %d ranks, budget %d", candKey(cfg), cfg.Layout.Size(), p)
 				return false

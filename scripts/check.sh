@@ -45,8 +45,8 @@ echo "== go test -race -count=2 (concurrent solves scraping /metrics) =="
 go test -race -count=2 -run 'Metrics|OpenMetrics|Histogram' \
     ./internal/metrics ./internal/core
 
-echo "== go test -race -count=3 (scheduled-execution work-stealing stress) =="
-go test -race -count=3 -run 'TestSchedConcurrentSolves|TestSchedPoolBitExact|TestSchedMatchesHandlerBitExact' \
+echo "== go test -race -count=3 (level-sweep work-stealing stress) =="
+go test -race -count=3 -run 'TestSchedConcurrentSolves|TestSchedPoolBitExact|TestEngineMatchesGoldens' \
     ./internal/trsv ./internal/sched
 
 echo "== go test -race -count=2 (packed wire format + deferred-queue stress) =="
@@ -75,8 +75,8 @@ go run ./cmd/serve -mode loop -matrix s2d9pt -scale small -n 5 -interval 0 -chec
 echo "== benchmark regression gate =="
 scripts/bench_regress
 
-echo "== scheduled vs handler engine comparison =="
-go run ./cmd/figures -only sched -scale small
+echo "== level-sweep and critical-path profile smoke =="
+go run ./cmd/trace -matrix s2d9pt -px 4 -py 4 -pz 4 -trees binary
 
 echo "== elasticity sweep smoke (strict vs elastic under stragglers) =="
 go run ./cmd/figures -only elastic -scale small -quick

@@ -18,9 +18,11 @@
 // Two execution backends run the same algorithms: a deterministic
 // discrete-event simulator with machine models of Cori Haswell, Perlmutter
 // and Crusher (regenerates the paper's figures), and a real
-// goroutine-per-rank pool (wall-clock benchmarks on the host). Every
-// simulated run performs the real numeric solve, so results are always
-// verifiable against the serial reference.
+// goroutine-per-rank pool (wall-clock benchmarks on the host). On both, a
+// solve executes as level sweeps over the plan's precomputed dependency
+// schedule (see DESIGN.md §11). Every simulated run performs the real
+// numeric solve, so results are always verifiable against the serial
+// reference.
 //
 // Quickstart — let the autotuner pick the algorithm, grid shape, and tree
 // kind for a rank budget:
@@ -201,19 +203,6 @@ const (
 	FlatTrees   = ctree.Flat
 	BinaryTrees = ctree.Binary
 	AutoTrees   = ctree.Auto
-)
-
-// ExecMode selects the execution engine via Config.Exec.
-type ExecMode = trsv.ExecMode
-
-// Execution engines. ExecSched (the ExecAuto default) runs level-scheduled
-// sweeps over the plan's precomputed dependency schedule; ExecHandler is
-// the original per-message handler path, kept selectable as the bit-exact
-// oracle (see DESIGN.md §11).
-const (
-	ExecAuto    = trsv.ExecAuto
-	ExecSched   = trsv.ExecSched
-	ExecHandler = trsv.ExecHandler
 )
 
 // CommMode selects the wire format of inter-rank subvector traffic via
