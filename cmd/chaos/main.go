@@ -52,7 +52,6 @@ func main() {
 	treeName := flag.String("trees", "binary", "communication trees: flat, binary, auto")
 	machineName := flag.String("machine", "cori-haswell", "machine model (see internal/machine)")
 	backendName := flag.String("backend", "sim", "backend: sim (virtual time) or pool (goroutines, wall clock)")
-	levelChunk := flag.Int("level-chunk", 0, "level-sweep cache-blocking chunk size (0 = default)")
 	modeName := flag.String("mode", "auto", "solve mode: auto, strict, elastic (bounded staleness + iterative refinement)")
 	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
 	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
@@ -126,15 +125,14 @@ func main() {
 			Seed: seed, Straggler: straggler, NetDelay: netDelay, Jitter: *jitter, Drops: drops, Crash: crash,
 		}
 		cfg := core.Config{
-			Layout:     grid.Layout{Px: *px, Py: *py, Pz: *pz},
-			Algorithm:  algo,
-			Trees:      trees,
-			Machine:    machine.ByName(*machineName),
-			LevelChunk: *levelChunk,
-			Mode:       mode,
-			Staleness:  *staleness,
-			RefineTol:  *refineTol,
-			RefineMax:  *refineMax,
+			Layout:    grid.Layout{Px: *px, Py: *py, Pz: *pz},
+			Algorithm: algo,
+			Trees:     trees,
+			Machine:   machine.ByName(*machineName),
+			Mode:      mode,
+			Staleness: *staleness,
+			RefineTol: *refineTol,
+			RefineMax: *refineMax,
 		}
 		switch *backendName {
 		case "sim":

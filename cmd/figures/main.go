@@ -38,7 +38,7 @@ import (
 
 func main() {
 	scale := flag.String("scale", "medium", "matrix scale: small, medium, large")
-	only := flag.String("only", "all", "comma-separated experiments: table1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,ablation,comm,autotune,breakdown,faults,elastic,slo,bench,regress")
+	only := flag.String("only", "all", "comma-separated experiments: table1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,ablation,autotune,breakdown,faults,elastic,slo,bench,regress")
 	quick := flag.Bool("quick", false, "shrink sweeps to smoke-test size")
 	outdir := flag.String("outdir", "", "also write one text file per experiment into this directory")
 	baseline := flag.String("baseline", "BENCH_SPTRSV.json", "benchmark summary file: written by -only bench, compared by -only regress")
@@ -66,7 +66,6 @@ func main() {
 		want["autotune"] = true
 		want["faults"] = true
 		want["elastic"] = true
-		want["comm"] = true
 	}
 
 	run := func(name string, f func(cfg bench.Config)) {
@@ -115,7 +114,6 @@ func main() {
 	run("fig10", func(cfg bench.Config) { bench.GPUScaling(cfg, "perlmutter") })
 	run("fig11", func(cfg bench.Config) { bench.Fig11(cfg) })
 	run("ablation", func(cfg bench.Config) { bench.Ablation(cfg) })
-	run("comm", func(cfg bench.Config) { bench.CommComparison(cfg) })
 	run("autotune", func(cfg bench.Config) { bench.Autotune(cfg) })
 	run("breakdown", func(cfg bench.Config) { bench.BreakdownDetail(cfg) })
 	run("faults", func(cfg bench.Config) { bench.FaultSweep(cfg) })

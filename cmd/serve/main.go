@@ -91,7 +91,6 @@ func main() {
 	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
 	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
 	refineMax := flag.Int("refine-max", 0, "cap on elastic iterative-refinement passes (0 = default 48)")
-	levelChunk := flag.Int("level-chunk", 0, "loop mode: level-sweep cache-blocking chunk size (0 = default)")
 	nrhs := flag.Int("nrhs", 1, "loop mode: number of right-hand sides per solve")
 	interval := flag.Duration("interval", 100*time.Millisecond, "loop mode: pause between solves (0 = back to back)")
 	count := flag.Int("n", 0, "loop mode: stop after this many solves (0 = run until interrupted)")
@@ -152,7 +151,7 @@ func main() {
 			model: model, backend: backend,
 			solveMode: solveMode, staleness: *staleness,
 			refineTol: *refineTol, refineMax: *refineMax,
-			levelChunk: *levelChunk, nrhs: *nrhs,
+			nrhs: *nrhs,
 			addr: *addr, interval: *interval, count: *count, check: *check,
 		}, fail)
 	default:
@@ -235,7 +234,7 @@ type loopConfig struct {
 	solveMode              trsv.SolveMode
 	staleness, refineMax   int
 	refineTol              float64
-	levelChunk, nrhs       int
+	nrhs                   int
 	addr                   string
 	interval               time.Duration
 	count, check           int
@@ -267,16 +266,15 @@ func runLoop(lc loopConfig, fail func(error)) {
 		fail(err)
 	}
 	solver, err := core.NewSolver(sys, core.Config{
-		Layout:     grid.Layout{Px: lc.px, Py: lc.py, Pz: lc.pz},
-		Algorithm:  algo,
-		Trees:      trees,
-		Machine:    lc.model,
-		Backend:    lc.backend,
-		LevelChunk: lc.levelChunk,
-		Mode:       lc.solveMode,
-		Staleness:  lc.staleness,
-		RefineTol:  lc.refineTol,
-		RefineMax:  lc.refineMax,
+		Layout:    grid.Layout{Px: lc.px, Py: lc.py, Pz: lc.pz},
+		Algorithm: algo,
+		Trees:     trees,
+		Machine:   lc.model,
+		Backend:   lc.backend,
+		Mode:      lc.solveMode,
+		Staleness: lc.staleness,
+		RefineTol: lc.refineTol,
+		RefineMax: lc.refineMax,
 	})
 	if err != nil {
 		fail(err)

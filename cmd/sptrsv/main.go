@@ -39,8 +39,6 @@ func main() {
 	treeName := flag.String("trees", "auto", "communication trees: flat, binary, auto")
 	machineName := flag.String("machine", "cori-haswell", "machine model (see internal/machine)")
 	backendName := flag.String("backend", "sim", "backend: sim (modeled time) or pool (wall clock)")
-	commName := flag.String("comm", "auto", "wire format: auto, packed (sparse index+value), dense (full panels), aggregated (packed + per-destination coalescing)")
-	levelChunk := flag.Int("level-chunk", 0, "level-sweep cache-blocking chunk size (0 = default)")
 	modeName := flag.String("mode", "auto", "solve mode: auto, strict (block on every dependency), elastic (bounded staleness + iterative refinement)")
 	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
 	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
@@ -76,10 +74,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	comm, err := cliutil.ParseComm(*commName)
-	if err != nil {
-		fail(err)
-	}
 	mode, err := cliutil.ElasticFlags(*modeName, *staleness, *refineTol, *refineMax)
 	if err != nil {
 		fail(err)
@@ -92,17 +86,15 @@ func main() {
 	}
 
 	cfg := core.Config{
-		Layout:     grid.Layout{Px: *px, Py: *py, Pz: *pz},
-		Algorithm:  algo,
-		Trees:      trees,
-		Machine:    machine.ByName(*machineName),
-		Backend:    backend,
-		LevelChunk: *levelChunk,
-		Comm:       comm,
-		Mode:       mode,
-		Staleness:  *staleness,
-		RefineTol:  *refineTol,
-		RefineMax:  *refineMax,
+		Layout:    grid.Layout{Px: *px, Py: *py, Pz: *pz},
+		Algorithm: algo,
+		Trees:     trees,
+		Machine:   machine.ByName(*machineName),
+		Backend:   backend,
+		Mode:      mode,
+		Staleness: *staleness,
+		RefineTol: *refineTol,
+		RefineMax: *refineMax,
 	}
 	if err := core.ValidateConfig(sys, cfg); err != nil {
 		fail(fmt.Errorf("configuration %dx%dx%d %s on %s is not runnable: %w\n"+
@@ -124,8 +116,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("layout %dx%dx%d, %s, %s trees, %s model, %s comm, nrhs=%d\n",
-		*px, *py, *pz, *algoName, *treeName, *machineName, comm.Resolve(), *nrhs)
+	fmt.Printf("layout %dx%dx%d, %s, %s trees, %s model, nrhs=%d\n",
+		*px, *py, *pz, *algoName, *treeName, *machineName, *nrhs)
 	fmt.Printf("solve time: %.6g s (%s)\n", rep.Time, *backendName)
 	fmt.Printf("breakdown (mean/rank): FP %.3g s, XY-comm %.3g s, Z-comm %.3g s\n",
 		rep.MeanFP, rep.MeanXY, rep.MeanZ)

@@ -40,7 +40,6 @@ func main() {
 	algoName := flag.String("algo", "proposed", "algorithm: proposed, baseline, gpu-single, gpu-multi")
 	treeName := flag.String("trees", "auto", "communication trees: flat, binary, auto")
 	machineName := flag.String("machine", "cori-haswell", "machine model (see internal/machine)")
-	levelChunk := flag.Int("level-chunk", 0, "level-sweep cache-blocking chunk size (0 = default)")
 	modeName := flag.String("mode", "auto", "solve mode: auto, strict, elastic (bounded staleness + iterative refinement)")
 	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
 	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
@@ -81,17 +80,16 @@ func main() {
 	}
 
 	solver, err := core.NewSolver(sys, core.Config{
-		Layout:     grid.Layout{Px: *px, Py: *py, Pz: *pz},
-		Algorithm:  algo,
-		Trees:      trees,
-		Machine:    machine.ByName(*machineName),
-		Trace:      true,
-		TraceCap:   *traceCap,
-		LevelChunk: *levelChunk,
-		Mode:       mode,
-		Staleness:  *staleness,
-		RefineTol:  *refineTol,
-		RefineMax:  *refineMax,
+		Layout:    grid.Layout{Px: *px, Py: *py, Pz: *pz},
+		Algorithm: algo,
+		Trees:     trees,
+		Machine:   machine.ByName(*machineName),
+		Trace:     true,
+		TraceCap:  *traceCap,
+		Mode:      mode,
+		Staleness: *staleness,
+		RefineTol: *refineTol,
+		RefineMax: *refineMax,
 	})
 	if err != nil {
 		fail(err)

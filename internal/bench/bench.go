@@ -115,9 +115,6 @@ type runCfg struct {
 	model   *machine.Model
 	nrhs    int
 	backend trsv.Backend
-	// comm selects the wire format; the zero value (auto) resolves to the
-	// packed sparse format, matching core.Config.
-	comm trsv.CommMode
 	// mode (with staleness/refineTol/refineMax) selects strict or elastic
 	// execution; auto inherits the lab Config's mode group.
 	mode                 trsv.SolveMode
@@ -140,7 +137,7 @@ func (l *lab) run(name string, rc runCfg) *core.Report {
 	}
 	// The backend is part of the key: a traced and an untraced solver for
 	// the same configuration must not share a cache slot.
-	key := fmt.Sprintf("%s/%+v/%v/%v/%s/%d/%+v/%v/%v-%d-%g-%d", name, rc.layout, rc.algo, rc.trees, rc.model.Name, rc.nrhs, rc.backend, rc.comm,
+	key := fmt.Sprintf("%s/%+v/%v/%v/%s/%d/%+v/%v-%d-%g-%d", name, rc.layout, rc.algo, rc.trees, rc.model.Name, rc.nrhs, rc.backend,
 		rc.mode, rc.staleness, rc.refineTol, rc.refineMax)
 	solver := l.solvers[key]
 	if solver == nil {
@@ -151,7 +148,6 @@ func (l *lab) run(name string, rc runCfg) *core.Report {
 			Trees:     rc.trees,
 			Machine:   rc.model,
 			Backend:   rc.backend,
-			Comm:      rc.comm,
 			Mode:      rc.mode,
 			Staleness: rc.staleness,
 			RefineTol: rc.refineTol,

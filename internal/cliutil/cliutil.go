@@ -81,21 +81,6 @@ func ParseAlgorithm(name string) (trsv.Algorithm, error) {
 	return 0, fmt.Errorf("unknown algorithm %q (want proposed, baseline, gpu-single, gpu-multi, naive-allreduce)", name)
 }
 
-// ParseComm maps the shared -comm flag vocabulary to a communication mode.
-func ParseComm(name string) (trsv.CommMode, error) {
-	switch name {
-	case "auto":
-		return trsv.CommAuto, nil
-	case "packed":
-		return trsv.CommPacked, nil
-	case "dense":
-		return trsv.CommDense, nil
-	case "aggregated":
-		return trsv.CommAggregated, nil
-	}
-	return 0, fmt.Errorf("unknown communication mode %q (want auto, packed, dense, aggregated)", name)
-}
-
 // ParseSolveMode maps the shared -mode flag vocabulary to a solve mode.
 func ParseSolveMode(name string) (trsv.SolveMode, error) {
 	switch name {

@@ -98,15 +98,6 @@ type Config struct {
 	// backend. Like Trace, it is ignored when Backend is non-nil: set the
 	// backend's own Options instead.
 	Faults *fault.Plan
-	// LevelChunk overrides the level-sweep executor's cache-blocking chunk
-	// size; 0 means the built-in default.
-	LevelChunk int
-	// Comm selects the wire format of inter-rank subvector traffic:
-	// trsv.CommPacked (the default, index+value sparse packing),
-	// trsv.CommDense (the full-dense reference model), or
-	// trsv.CommAggregated (packed plus per-destination coalescing in the
-	// proposed algorithm's 2D phases).
-	Comm trsv.CommMode
 	// Mode selects the blocking discipline: trsv.ModeStrict (the default
 	// — every cross-rank dependency blocks until it arrives) or
 	// trsv.ModeElastic (dependency waits are bounded by Staleness; ranks
@@ -215,12 +206,6 @@ func ValidateConfig(sys *System, cfg Config) error {
 		}
 	default:
 		return fmt.Errorf("core: unknown algorithm %v", cfg.Algorithm)
-	}
-	if !cfg.Comm.Valid() {
-		return fmt.Errorf("core: unknown communication mode %v", cfg.Comm)
-	}
-	if cfg.LevelChunk < 0 {
-		return fmt.Errorf("core: Config.LevelChunk must be non-negative, got %d", cfg.LevelChunk)
 	}
 	if cfg.TraceCap < 0 {
 		return fmt.Errorf("core: Config.TraceCap must be non-negative, got %d", cfg.TraceCap)
@@ -437,10 +422,7 @@ func (s *Solver) solveOn(b *sparse.Panel, back trsv.Backend) (*sparse.Panel, *Re
 		sb.xp = sparse.NewPanel(b.Rows, b.Cols)
 	}
 	b.PermuteRowsInto(s.sys.Perm, sb.bp)
-	opts := trsv.SolveOpts{
-		LevelChunk: s.cfg.LevelChunk, Comm: s.cfg.Comm,
-		Mode: s.cfg.Mode, Staleness: s.cfg.Staleness,
-	}
+	opts := trsv.SolveOpts{Mode: s.cfg.Mode, Staleness: s.cfg.Staleness}
 	var stats trsv.ElasticStats
 	if s.cfg.elastic() {
 		opts.Elastic = &stats

@@ -124,18 +124,6 @@ type Rank struct {
 	// allocates on every call; the schedule pays that once per plan).
 	// Empty for slots whose tree this rank is not part of.
 	LBcastKids, UBcastKids [][]int32
-	// LRedParent and URedParent are this rank's parents in the reduction
-	// trees, -1 at the root or for non-members; LRedRoot / URedRoot mark
-	// the root case.
-	LRedParent, URedParent []int32
-	LRedRoot, URedRoot     []bool
-	// LSendDsts and USendDsts are the 2D-local ranks this rank ever sends
-	// to during the L / U phase — the union over slots of broadcast
-	// children and the reduction parent, ascending and deduplicated. They
-	// bound the per-destination aggregation buffers (CommAggregated): a
-	// rank coalescing its phase traffic needs at most one open buffer per
-	// listed destination.
-	LSendDsts, USendDsts []int32
 
 	// LLevelOf and ULevelOf layer the diagonal tasks: the topological
 	// level of diag_y(slot) / diag_x(slot) on this rank, -1 for slots
@@ -256,15 +244,10 @@ func buildRank(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) *Rank {
 		MemberU:    make([]bool, n),
 		LBcastKids: make([][]int32, n),
 		UBcastKids: make([][]int32, n),
-		LRedParent: make([]int32, n),
-		URedParent: make([]int32, n),
-		LRedRoot:   make([]bool, n),
-		URedRoot:   make([]bool, n),
 		LLevelOf:   make([]int32, n),
 		ULevelOf:   make([]int32, n),
 	}
-	for s := range r.LRedParent {
-		r.LRedParent[s], r.URedParent[s] = -1, -1
+	for s := range r.LLevelOf {
 		r.LLevelOf[s], r.ULevelOf[s] = -1, -1
 	}
 	for _, k := range rd.MyDiagSns {
@@ -291,24 +274,7 @@ func buildRank(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) *Rank {
 		r.MemberU[s] = gp.UReduce[k].Contains(r2d)
 		r.LBcastKids[s] = kids(gp.LBcast[k])
 		r.UBcastKids[s] = kids(gp.UBcast[k])
-		if r.MemberL[s] {
-			if gp.LReduce[k].Root() == r2d {
-				r.LRedRoot[s] = true
-			} else {
-				r.LRedParent[s] = int32(gp.LReduce[k].Parent(r2d))
-			}
-		}
-		if r.MemberU[s] {
-			if gp.UReduce[k].Root() == r2d {
-				r.URedRoot[s] = true
-			} else {
-				r.URedParent[s] = int32(gp.UReduce[k].Parent(r2d))
-			}
-		}
 	}
-
-	r.LSendDsts = sendDsts(len(gp.Ranks), r.LBcastKids, r.LRedParent)
-	r.USendDsts = sendDsts(len(gp.Ranks), r.UBcastKids, r.URedParent)
 
 	levelSweep(p, gp, g, r2d, r, false)
 	levelSweep(p, gp, g, r2d, r, true)
@@ -353,30 +319,6 @@ func gridDepths(gp *dist.GridPlan, g *Grid) (lDepth, uDepth int) {
 		}
 	}
 	return int(maxL) + 1, int(maxU) + 1
-}
-
-// sendDsts collects the ascending, deduplicated union of every broadcast
-// child and reduction parent across slots — one phase's complete
-// destination set for a rank.
-func sendDsts(nRanks int, bcastKids [][]int32, redParent []int32) []int32 {
-	seen := make([]bool, nRanks)
-	for _, kids := range bcastKids {
-		for _, c := range kids {
-			seen[c] = true
-		}
-	}
-	for _, p := range redParent {
-		if p >= 0 {
-			seen[p] = true
-		}
-	}
-	var out []int32
-	for d, s := range seen {
-		if s {
-			out = append(out, int32(d))
-		}
-	}
-	return out
 }
 
 // levelSweep layers one sweep's intra-rank task DAG into levels by a

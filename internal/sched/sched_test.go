@@ -94,14 +94,6 @@ func TestScheduleMatchesPlan(t *testing.T) {
 					if r.MemberL[slot] != gp.LReduce[k].Contains(r2d) {
 						t.Fatalf("grid %d rank %d sn %d: L membership mismatch", z, r2d, k)
 					}
-					if r.MemberL[slot] {
-						if root := gp.LReduce[k].Root() == r2d; root != r.LRedRoot[slot] {
-							t.Fatalf("grid %d rank %d sn %d: L root mismatch", z, r2d, k)
-						}
-						if !r.LRedRoot[slot] && int(r.LRedParent[slot]) != gp.LReduce[k].Parent(r2d) {
-							t.Fatalf("grid %d rank %d sn %d: L parent mismatch", z, r2d, k)
-						}
-					}
 				}
 				// Every diagonal slot must be layered into some level.
 				for _, ds := range r.DiagSlot {
@@ -149,66 +141,6 @@ func TestLevelMonotonicity(t *testing.T) {
 							z, r2d, k, r.LLevelOf[ks], blk.I, r.LLevelOf[ts])
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestSendDstsMatchTrees checks each rank's per-phase destination sets
-// against the plan's trees directly: every broadcast child and reduction
-// parent across supernodes appears exactly once, ascending, and nothing
-// else does.
-func TestSendDstsMatchTrees(t *testing.T) {
-	for _, tc := range []struct {
-		l    grid.Layout
-		kind ctree.Kind
-	}{
-		{grid.Layout{Px: 2, Py: 2, Pz: 4}, ctree.Binary},
-		{grid.Layout{Px: 3, Py: 2, Pz: 1}, ctree.Flat},
-	} {
-		p := buildPlan(t, tc.l, tc.kind)
-		s, err := Of(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for z, g := range s.Grids {
-			gp := p.Grids[z]
-			for r2d, r := range g.Ranks {
-				wantL := map[int32]bool{}
-				wantU := map[int32]bool{}
-				for _, k := range gp.Sns {
-					if lb := gp.LBcast[k]; lb.Contains(r2d) {
-						for _, c := range lb.Children(r2d) {
-							wantL[int32(c)] = true
-						}
-					}
-					if ub := gp.UBcast[k]; ub.Contains(r2d) {
-						for _, c := range ub.Children(r2d) {
-							wantU[int32(c)] = true
-						}
-					}
-					if lr := gp.LReduce[k]; lr.Contains(r2d) && lr.Root() != r2d {
-						wantL[int32(lr.Parent(r2d))] = true
-					}
-					if ur := gp.UReduce[k]; ur.Contains(r2d) && ur.Root() != r2d {
-						wantU[int32(ur.Parent(r2d))] = true
-					}
-				}
-				check := func(phase string, got []int32, want map[int32]bool) {
-					if len(got) != len(want) {
-						t.Fatalf("%+v grid %d rank %d %s: %d destinations, want %d", tc.l, z, r2d, phase, len(got), len(want))
-					}
-					for i, d := range got {
-						if !want[d] {
-							t.Fatalf("%+v grid %d rank %d %s: destination %d not in the trees", tc.l, z, r2d, phase, d)
-						}
-						if i > 0 && got[i-1] >= d {
-							t.Fatalf("%+v grid %d rank %d %s: destinations not strictly ascending: %v", tc.l, z, r2d, phase, got)
-						}
-					}
-				}
-				check("L", r.LSendDsts, wantL)
-				check("U", r.USendDsts, wantU)
 			}
 		}
 	}

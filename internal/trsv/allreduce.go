@@ -140,7 +140,7 @@ func (a *arHelper) bundle(step, maxLevel int, clone bool) *vecBundle {
 				v = r.clonePanel(v)
 			}
 			b.Ks = append(b.Ks, k)
-			b.Ws = append(b.Ws, packPanel(v, r.comm))
+			b.Ws = append(b.Ws, packPanel(v))
 		}
 	}
 	return b
@@ -243,7 +243,7 @@ func (a *naiveAR) bundle() *vecBundle {
 	for _, k := range r.myDiagSns {
 		if r.gp.NodeOf[k] == a.node {
 			b.Ks = append(b.Ks, k)
-			b.Ws = append(b.Ws, packPanel(r.clonePanel(r.st.y[k]), r.comm))
+			b.Ws = append(b.Ws, packPanel(r.clonePanel(r.st.y[k])))
 		}
 	}
 	return b

@@ -294,7 +294,7 @@ func (h *base3dRank) finishL(ctx *runtime.Ctx) {
 		b := &vecBundle{Step: h.s}
 		for _, k := range sortedKeys(st.lsum) {
 			b.Ks = append(b.Ks, k)
-			b.Ws = append(b.Ws, packPanel(st.lsum[k], h.comm))
+			b.Ws = append(b.Ws, packPanel(st.lsum[k]))
 		}
 		clear(st.lsum) // ownership of the panels moved into the bundle
 		ctx.Send(runtime.Msg{
@@ -394,7 +394,7 @@ func (h *base3dRank) advanceU(ctx *runtime.Ctx) {
 			for _, k := range sortedKeys(st.xl) {
 				if h.gp.NodeOf[k] >= st.uStage {
 					b.Ks = append(b.Ks, k)
-					b.Ws = append(b.Ws, packPanel(st.xl[k], h.comm))
+					b.Ws = append(b.Ws, packPanel(st.xl[k]))
 				}
 			}
 			ctx.Send(runtime.Msg{

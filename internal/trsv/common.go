@@ -57,7 +57,7 @@ const (
 	tagGPUPut                 // GPU model: one-sided put delivery
 	tagNaiveARUp              // naive allreduce ablation: partial y to the owner grid
 	tagNaiveARDown            // naive allreduce ablation: complete y back to a replica
-	tagAgg                    // CommAggregated: coalesced per-destination 2D traffic
+	_                         // unused: keeps tagElastic's value (fault drop rules match tags by number)
 	tagElastic                // elastic mode: self-addressed staleness-deadline tick
 )
 
@@ -106,8 +106,6 @@ func TagName(tag int) string {
 		return "naive-ar-up"
 	case tagNaiveARDown:
 		return "naive-ar-down"
-	case tagAgg:
-		return "agg"
 	case tagElastic:
 		return "elastic-tick"
 	case TagDiagSolveL:
@@ -225,7 +223,7 @@ const (
 // packSend packs a panel for a singleton message and returns the wire form
 // with its modeled message size (wire.go's one-entry-message model).
 func (c *rankCore) packSend(p *sparse.Panel) (wirePanel, int) {
-	w := packPanel(p, c.comm)
+	w := packPanel(p)
 	return w, singleBytes(&w)
 }
 
@@ -264,14 +262,6 @@ type solveState struct {
 
 	// Messages that arrived ahead of the phase that can process them.
 	deferred []runtime.Msg
-
-	// Per-destination aggregation state (CommAggregated on the proposed
-	// algorithm): aggOn enables buffering, aggBufs is indexed by 2D-local
-	// destination rank, aggOrder lists destinations with pending entries in
-	// first-touch order — the deterministic flush order.
-	aggOn    bool
-	aggBufs  []aggBuf
-	aggOrder []int32
 
 	// Baseline-3D stage state.
 	lStage, uStage int
@@ -343,11 +333,6 @@ func (st *solveState) release() {
 	st.deferred = st.deferred[:0]
 	clear(st.readyTasks[:cap(st.readyTasks)]) // gpuTask.put holds panels
 	st.readyTasks = st.readyTasks[:0]
-	for i := range st.aggBufs {
-		st.aggBufs[i] = aggBuf{}
-	}
-	st.aggOrder = st.aggOrder[:0]
-	st.aggOn = false
 	st.readyY, st.readyX = st.readyY[:0], st.readyX[:0]
 	st.lRemaining, st.uRemaining = st.lRemaining[:0], st.uRemaining[:0]
 	clear(st.preY)
@@ -500,10 +485,6 @@ type rankCore struct {
 	sr    *sched.Rank
 	chunk int
 
-	// comm is the resolved wire-format mode of this solve (packPanel's
-	// policy input); read-only after init.
-	comm CommMode
-
 	// el is the elastic-mode configuration (nil on strict solves): the
 	// staleness bound and the lazily computed per-phase deadlines. See
 	// elastic.go.
@@ -514,10 +495,9 @@ type rankCore struct {
 	st *solveState
 }
 
-// defaultLevelChunk is the work-stealing chunk size of pool-backend level
-// sweeps when SolveOpts.LevelChunk is zero: sweeps narrower than two
-// chunks run serially.
-const defaultLevelChunk = 8
+// defaultSweepChunk is the work-stealing chunk size of pool-backend level
+// sweeps: sweeps narrower than two chunks run serially.
+const defaultSweepChunk = 8
 
 // maxSweepWorkers caps the goroutines one rank's level sweep spawns — the
 // pool already runs one goroutine per rank, so per-rank parallelism only
@@ -541,7 +521,6 @@ func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *spar
 	c.localL = rd.LocalL
 	c.localU = rd.LocalU
 	c.myDiagSns = rd.MyDiagSns
-	c.comm = opts.Comm.Resolve()
 
 	s, err := sched.Of(p)
 	if err != nil {
@@ -552,9 +531,9 @@ func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *spar
 	}
 	c.sg = s.Grids[c.z]
 	c.sr = c.sg.Ranks[c.r2d]
-	c.chunk = opts.LevelChunk
+	c.chunk = opts.levelChunk
 	if c.chunk <= 0 {
-		c.chunk = defaultLevelChunk
+		c.chunk = defaultSweepChunk
 	}
 	if opts.Mode.Resolve() == ModeElastic && opts.Staleness > 0 {
 		c.el = &elastic{staleness: opts.Staleness}
@@ -956,15 +935,10 @@ func (c *rankCore) lContribution(ctx *runtime.Ctx, k int, tree *ctree.Tree) {
 	}
 	s := c.getLsum(k)
 	w, bytes := c.packSend(s)
-	parent := tree.Parent(c.r2d)
-	if st.aggOn {
-		c.aggAdd(parent, aggKindReduce, k, w)
-	} else {
-		ctx.Send(runtime.Msg{
-			Dst: c.p.GlobalRank(c.z, parent), Tag: tagLReduce, Cat: runtime.CatXY,
-			Data: &sumMsg{K: k, W: w}, Bytes: bytes,
-		})
-	}
+	ctx.Send(runtime.Msg{
+		Dst: c.p.GlobalRank(c.z, tree.Parent(c.r2d)), Tag: tagLReduce, Cat: runtime.CatXY,
+		Data: &sumMsg{K: k, W: w}, Bytes: bytes,
+	})
 	delete(st.lsum, k) // ownership transferred
 }
 
@@ -980,15 +954,10 @@ func (c *rankCore) uContribution(ctx *runtime.Ctx, k int, tree *ctree.Tree) {
 	}
 	s := c.getUsum(k)
 	w, bytes := c.packSend(s)
-	parent := tree.Parent(c.r2d)
-	if st.aggOn {
-		c.aggAdd(parent, aggKindReduce, k, w)
-	} else {
-		ctx.Send(runtime.Msg{
-			Dst: c.p.GlobalRank(c.z, parent), Tag: tagUReduce, Cat: runtime.CatXY,
-			Data: &sumMsg{K: k, W: w}, Bytes: bytes,
-		})
-	}
+	ctx.Send(runtime.Msg{
+		Dst: c.p.GlobalRank(c.z, tree.Parent(c.r2d)), Tag: tagUReduce, Cat: runtime.CatXY,
+		Data: &sumMsg{K: k, W: w}, Bytes: bytes,
+	})
 	delete(st.usum, k)
 }
 

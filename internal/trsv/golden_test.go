@@ -11,10 +11,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"sptrsv/internal/ctree"
-	"sptrsv/internal/gen"
-	"sptrsv/internal/grid"
-	"sptrsv/internal/machine"
 	"sptrsv/internal/runtime"
 	"sptrsv/internal/sparse"
 )
@@ -22,9 +18,9 @@ import (
 // The engine's bit-exact bar. testdata/engine_goldens.json freezes the
 // results of the per-message handler engine that preceded the level-
 // scheduled one — solution bits, per-rank DES clocks, total messages and
-// bytes — on three matrices × six algorithm/layout cases plus the
-// aggregated wire format. The scheduled engine reproduced that engine bit
-// for bit; these goldens keep it doing so. The independent numerical
+// bytes — on three matrices × six algorithm/layout cases. The scheduled
+// engine reproduced that engine bit for bit; these goldens keep it doing
+// so. The independent numerical
 // reference is the serial snode.Solve, checked alongside.
 
 const goldenFile = "engine_goldens.json"
@@ -41,14 +37,13 @@ type engineGolden struct {
 	Bytes    int      `json:"bytes"`
 }
 
-// goldenCase is one pinned solve: a plan, an algorithm, a right-hand side
-// and the solve options.
+// goldenCase is one pinned solve: a plan, an algorithm and a right-hand
+// side.
 type goldenCase struct {
 	name string
 	pl   *pipeline
 	tc   schedCase
 	b    *sparse.Panel
-	opts SolveOpts
 }
 
 func goldenCases(t *testing.T) []goldenCase {
@@ -59,15 +54,9 @@ func goldenCases(t *testing.T) []goldenCase {
 		pl := mats[mname]
 		for _, tc := range schedCases() {
 			rng := rand.New(rand.NewSource(300))
-			out = append(out, goldenCase{mname + "/" + tc.name, pl, tc, randPanel(rng, pl.m.N, tc.nrhs), SolveOpts{}})
+			out = append(out, goldenCase{mname + "/" + tc.name, pl, tc, randPanel(rng, pl.m.N, tc.nrhs)})
 		}
 	}
-	// The aggregated point of TestAggregatedCoalescesMessages.
-	pl := buildPipeline(t, gen.S2D9pt(20, 20, 33), 3, 8)
-	rng := rand.New(rand.NewSource(75))
-	out = append(out, goldenCase{"aggregated/proposed",
-		pl, schedCase{"aggregated", Proposed3D, grid.Layout{Px: 3, Py: 3, Pz: 2}, ctree.Binary, machine.CoriHaswell(), 2},
-		randPanel(rng, pl.m.N, 2), SolveOpts{Comm: CommAggregated}})
 	return out
 }
 
@@ -102,7 +91,7 @@ func TestEngineMatchesGoldens(t *testing.T) {
 		t.Fatalf("%d goldens for %d cases", len(want), len(cases))
 	}
 	for i, gc := range cases {
-		x, res := solveMode(t, gc.pl, gc.tc, gc.b, SimBackend{}, gc.opts)
+		x, res := solveMode(t, gc.pl, gc.tc, gc.b, SimBackend{}, SolveOpts{})
 		got, w := goldenOf(gc.name, x, res), want[i]
 		if got.Name != w.Name {
 			t.Fatalf("case %d is %s, golden is %s", i, got.Name, w.Name)

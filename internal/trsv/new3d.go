@@ -63,17 +63,6 @@ func (h *new3dRank) Init(ctx *runtime.Ctx) {
 	st.lRecvLeft = rd.LRecv
 	st.uRecvLeft = rd.URecv
 	h.ar = newARHelper(&h.rankCore)
-	if h.comm == CommAggregated {
-		st.aggOn = true
-		if len(st.aggBufs) < len(h.gp.Ranks) {
-			st.aggBufs = make([]aggBuf, len(h.gp.Ranks))
-		}
-		// The schedule's destination sets bound how many buffers one phase
-		// can open; size the flush order once instead of growing.
-		if n := max(len(h.sr.LSendDsts), len(h.sr.USendDsts)); cap(st.aggOrder) < n {
-			st.aggOrder = make([]int32, 0, n)
-		}
-	}
 
 	// Kick off: diagonal supernodes with no pending contributions.
 	for _, k := range h.myDiagSns {
@@ -83,20 +72,11 @@ func (h *new3dRank) Init(ctx *runtime.Ctx) {
 	}
 	h.drainReadyY(ctx, h)
 	h.maybeFinishL(ctx)
-	if h.st.aggOn {
-		h.flushAgg(ctx)
-	}
 	h.armElastic(ctx)
 }
 
 func (h *new3dRank) OnMessage(ctx *runtime.Ctx, m runtime.Msg) {
 	h.dispatch(ctx, m, h)
-	// One packed message per destination per activation: everything this
-	// activation buffered goes out now, so the handler never returns with
-	// unsent traffic.
-	if h.st.aggOn {
-		h.flushAgg(ctx)
-	}
 	h.armElastic(ctx)
 }
 
@@ -114,8 +94,6 @@ func (h *new3dRank) accepts(m runtime.Msg) bool {
 		return h.st.phase == 1 && h.nar != nil && h.nar.accepts(m)
 	case tagXBcast, tagUReduce:
 		return h.st.phase == 2
-	case tagAgg:
-		return h.st.phase == m.Data.(*aggMsg).Phase
 	}
 	panic(&fault.ProtocolError{Rank: h.rank, Tag: m.Tag, Phase: proposedPhase(h.st.phase),
 		Msg: fmt.Sprintf("received unexpected tag %d from rank %d", m.Tag, m.Src)})
@@ -139,8 +117,6 @@ func (h *new3dRank) DeadOnArrival(m runtime.Msg) bool {
 		return st.phase > 1 || (st.phase == 1 && h.ar.deadBcast())
 	case tagXBcast, tagUReduce:
 		return st.phase > 2
-	case tagAgg:
-		return st.phase > m.Data.(*aggMsg).Phase
 	}
 	return false
 }
@@ -160,8 +136,6 @@ func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 		h.lContribution(ctx, d.K, h.gp.LReduce[d.K])
 		h.drainReadyY(ctx, h)
 		h.maybeFinishL(ctx)
-	case tagAgg:
-		h.onAgg(ctx, m.Data.(*aggMsg))
 	case tagARReduce:
 		if h.ar.onReduce(ctx, m.Data.(*vecBundle)) {
 			h.finishAR(ctx)
@@ -190,41 +164,6 @@ func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	}
 }
 
-// onAgg processes a coalesced message: each entry is exactly one singleton
-// receive (broadcast hop or reduction contribution) of the message's
-// phase, applied in the sender's emission order; the ready-queue drain and
-// the phase check run once after the batch.
-func (h *new3dRank) onAgg(ctx *runtime.Ctx, d *aggMsg) {
-	uPhase := d.Phase == 2
-	for i, k := range d.Ks {
-		w := &d.Ws[i]
-		if !uPhase {
-			h.st.lRecvLeft--
-			if d.Kinds[i] == aggKindBcast {
-				h.onY(ctx, k, h.unpackPanel(w))
-			} else {
-				addWire(h.getLsum(k), w)
-				h.lContribution(ctx, k, h.gp.LReduce[k])
-			}
-		} else {
-			h.st.uRecvLeft--
-			if d.Kinds[i] == aggKindBcast {
-				h.onX(ctx, k, h.unpackPanel(w))
-			} else {
-				addWire(h.getUsum(k), w)
-				h.uContribution(ctx, k, h.gp.UReduce[k])
-			}
-		}
-	}
-	if !uPhase {
-		h.drainReadyY(ctx, h)
-		h.maybeFinishL(ctx)
-	} else {
-		h.drainReadyX(ctx, h)
-		h.maybeFinishU(ctx)
-	}
-}
-
 // ---- L phase ----
 
 // onY handles a received (or locally computed) y(K): forward along the
@@ -241,32 +180,22 @@ func (h *new3dRank) onY(ctx *runtime.Ctx, k int, yk *sparse.Panel) {
 // bcast forwards a solved subvector down the supernode's broadcast tree,
 // packing it once and reusing the wire form for every child. The children
 // come precomputed from the schedule (the ranks in tree-walk order, without
-// materializing a slice per call); under CommAggregated the hops are
-// buffered per destination instead of sent individually.
+// materializing a slice per call).
 func (h *new3dRank) bcast(ctx *runtime.Ctx, k int, v *sparse.Panel, tag int) {
-	var w wirePanel
-	var bytes int
-	packed := false
-	send := func(child int) {
-		if !packed {
-			w, bytes = h.packSend(v)
-			packed = true
-		}
-		if h.st.aggOn {
-			h.aggAdd(child, aggKindBcast, k, w)
-			return
-		}
-		ctx.Send(runtime.Msg{
-			Dst: h.p.GlobalRank(h.z, child), Tag: tag, Cat: runtime.CatXY,
-			Data: &yMsg{K: k, W: w}, Bytes: bytes,
-		})
-	}
 	kids := h.sr.LBcastKids
 	if tag == tagXBcast {
 		kids = h.sr.UBcastKids
 	}
-	for _, child := range kids[h.slot(k)] {
-		send(int(child))
+	children := kids[h.slot(k)]
+	if len(children) == 0 {
+		return
+	}
+	w, bytes := h.packSend(v)
+	for _, child := range children {
+		ctx.Send(runtime.Msg{
+			Dst: h.p.GlobalRank(h.z, int(child)), Tag: tag, Cat: runtime.CatXY,
+			Data: &yMsg{K: k, W: w}, Bytes: bytes,
+		})
 	}
 }
 
@@ -373,9 +302,6 @@ func (h *new3dRank) forceStale(ctx *runtime.Ctx, phase int) {
 	}
 	if phase >= 2 && h.st.phase == 2 {
 		h.forceU(ctx)
-	}
-	if h.st.aggOn {
-		h.flushAgg(ctx)
 	}
 }
 

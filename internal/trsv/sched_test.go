@@ -66,7 +66,7 @@ func solveMode(t *testing.T, pl *pipeline, tc schedCase, b *sparse.Panel, back B
 }
 
 // TestSchedPoolBitExact checks on the real-goroutine backend that the
-// parallel precompute of level sweeps changes no bit: LevelChunk=1 (every
+// parallel precompute of level sweeps changes no bit: levelChunk=1 (every
 // wave of two or more tasks is precomputed on workers) must match a chunk
 // wide enough that no wave is. Bitwise comparison is only well-defined
 // where message delivery order is fixed — on the pool that order is
@@ -81,9 +81,9 @@ func TestSchedPoolBitExact(t *testing.T) {
 	b := randPanel(rng, pl.m.N, 2)
 
 	serial := schedCase{"serial", Proposed3D, grid.Layout{Px: 1, Py: 1, Pz: 1}, ctree.Binary, machine.CoriHaswell(), 2}
-	xw, _ := solveMode(t, pl, serial, b, back, SolveOpts{LevelChunk: pl.m.SnCount})
+	xw, _ := solveMode(t, pl, serial, b, back, SolveOpts{levelChunk: pl.m.SnCount})
 	for trial := 0; trial < 3; trial++ {
-		xs, _ := solveMode(t, pl, serial, b, back, SolveOpts{LevelChunk: 1})
+		xs, _ := solveMode(t, pl, serial, b, back, SolveOpts{levelChunk: 1})
 		for i, v := range xw.Data {
 			if xs.Data[i] != v {
 				t.Fatalf("trial %d: parallel-precompute solution differs from serial sweeps at %d", trial, i)
@@ -97,7 +97,7 @@ func TestSchedPoolBitExact(t *testing.T) {
 		}
 		bb := randPanel(rng, pl.m.N, tc.nrhs)
 		ww := pl.m.Solve(bb)
-		x, _ := solveMode(t, pl, tc, bb, back, SolveOpts{LevelChunk: 1})
+		x, _ := solveMode(t, pl, tc, bb, back, SolveOpts{levelChunk: 1})
 		if d := x.MaxAbsDiff(ww); d > 1e-8 {
 			t.Fatalf("%s: pool diff %g", tc.name, d)
 		}
@@ -157,7 +157,7 @@ func TestSchedConcurrentSolves(t *testing.T) {
 			var opts SolveOpts
 			if i%2 == 1 {
 				back = PoolBackend{Pool: runtime.Pool{Timeout: 30 * time.Second}}
-				opts.LevelChunk = 1
+				opts.levelChunk = 1
 			}
 			x := sparse.NewPanel(b.Rows, b.Cols)
 			_, err := SolveIntoOpts(p, model, Proposed3D, back, b, x, opts)
@@ -218,7 +218,7 @@ func TestSchedRejectsBadOpts(t *testing.T) {
 	p := pl.plan(t, grid.Layout{Px: 1, Py: 1, Pz: 1}, ctree.Binary)
 	b := sparse.NewPanel(pl.m.N, 1)
 	x := sparse.NewPanel(pl.m.N, 1)
-	for _, opts := range []SolveOpts{{Comm: CommMode(99)}, {Mode: SolveMode(99)}} {
+	for _, opts := range []SolveOpts{{Mode: SolveMode(99)}} {
 		if _, err := SolveIntoOpts(p, machine.CoriHaswell(), Proposed3D, SimBackend{}, b, x, opts); err == nil {
 			t.Fatalf("bad options %+v accepted", opts)
 		}

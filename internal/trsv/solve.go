@@ -114,13 +114,6 @@ type ElasticStats struct {
 
 // SolveOpts tunes solve execution without touching the plan.
 type SolveOpts struct {
-	// LevelChunk is the work-stealing chunk size of pool-backend level
-	// sweeps (tasks claimed per steal); 0 means the built-in default.
-	// Sweeps narrower than two chunks run serially.
-	LevelChunk int
-	// Comm selects the wire format of inter-rank subvector traffic; the
-	// zero value resolves to the packed sparse format.
-	Comm CommMode
 	// Mode selects strict or elastic execution; the zero value resolves
 	// to strict.
 	Mode SolveMode
@@ -131,6 +124,11 @@ type SolveOpts struct {
 	Staleness int
 	// Elastic, when non-nil, receives the run's stale-consumption stats.
 	Elastic *ElasticStats
+
+	// levelChunk overrides the work-stealing chunk size of pool-backend
+	// level sweeps (tasks claimed per steal); 0 means defaultSweepChunk.
+	// Only in-package tests set it.
+	levelChunk int
 }
 
 // elasticBackend is implemented by the built-in backends: withElastic
@@ -184,9 +182,6 @@ func SolveIntoOpts(p *dist.Plan, model *machine.Model, algo Algorithm, back Back
 	}
 	if x.Rows != b.Rows || x.Cols != b.Cols {
 		return nil, fmt.Errorf("trsv: output panel is %dx%d, rhs is %dx%d", x.Rows, x.Cols, b.Rows, b.Cols)
-	}
-	if !opts.Comm.Valid() {
-		return nil, fmt.Errorf("trsv: unknown communication mode %v", opts.Comm)
 	}
 	if !opts.Mode.Valid() {
 		return nil, fmt.Errorf("trsv: unknown solve mode %v", opts.Mode)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"sptrsv/internal/runtime"
 	"sptrsv/internal/sparse"
 )
 
@@ -21,10 +20,9 @@ import (
 //	                      + 4·len(RowIdx)        (packed row indices)
 //	                      + 8·len(Vals)          (float64 payload)
 //
-// A bundle of N panels therefore never models fewer bytes than N singleton
-// messages minus the real aggregation savings ((N−1) envelopes): the
-// per-entry header is charged per panel, not per message — the accounting
-// bug this layer replaced charged one flat header per bundle.
+// A bundle of N panels (vecBundle) therefore models exactly N singleton
+// messages minus (N−1) envelopes: the per-entry header is charged per
+// panel, not per message.
 
 const (
 	// wireEnvBytes is the fixed per-message envelope (source, tag, entry
@@ -70,15 +68,11 @@ func (w *wirePanel) wireBytes() int {
 // scale).
 func singleBytes(w *wirePanel) int { return wireEnvBytes + w.wireBytes() }
 
-// packPanel converts a panel to wire form. Dense mode reproduces the
-// pre-packing wire model (full dense shipment); packed mode suppresses
-// trailing all-zero columns, then chooses between the dense and the
-// indexed representation by modeled size. The input panel must not be
-// written while the wire form is in flight (Vals may alias it).
-func packPanel(p *sparse.Panel, mode CommMode) wirePanel {
-	if mode.Resolve() == CommDense {
-		return wirePanel{Rows: p.Rows, Cols: p.Cols, EffCols: p.Cols, Vals: p.Data}
-	}
+// packPanel converts a panel to wire form: it suppresses trailing
+// all-zero columns, then chooses between the dense and the indexed
+// representation by modeled size. The input panel must not be written
+// while the wire form is in flight (Vals may alias it).
+func packPanel(p *sparse.Panel) wirePanel {
 	eff := p.Cols
 	for eff > 0 && allZero(p.Col(eff-1)) {
 		eff--
@@ -202,129 +196,4 @@ func addWire(dst *sparse.Panel, w *wirePanel) {
 // agree in practice, but the wire header is authoritative).
 func (c *rankCore) newPanelCols(rows, cols int) *sparse.Panel {
 	return c.st.arena.alloc(rows, cols)
-}
-
-// ---- communication modes ----
-
-// CommMode selects the wire format and message shaping of a solve's
-// inter-rank traffic.
-type CommMode int
-
-const (
-	// CommAuto picks the default mode (currently CommPacked).
-	CommAuto CommMode = iota
-	// CommPacked ships index+value packed panels with trailing-zero-column
-	// suppression: bit-exact reconstruction, fewer modeled bytes, identical
-	// message counts.
-	CommPacked
-	// CommDense ships every panel fully dense — the pre-packing wire model,
-	// kept selectable as the byte-accounting reference.
-	CommDense
-	// CommAggregated is CommPacked plus per-destination coalescing in the
-	// proposed algorithm's 2D phases: all broadcast fan-outs and reduction
-	// contributions one rank emits to the same destination within one
-	// handler activation ride a single packed message. Fewer, larger
-	// messages; solutions agree with CommPacked up to floating-point
-	// summation order. Algorithms without the proposed 2D phases (baseline,
-	// GPU) run it as CommPacked.
-	CommAggregated
-)
-
-func (m CommMode) String() string {
-	switch m {
-	case CommAuto:
-		return "auto"
-	case CommPacked:
-		return "packed"
-	case CommDense:
-		return "dense"
-	case CommAggregated:
-		return "aggregated"
-	}
-	return fmt.Sprintf("CommMode(%d)", int(m))
-}
-
-// Resolve maps CommAuto to the concrete default mode.
-func (m CommMode) Resolve() CommMode {
-	if m == CommAuto {
-		return CommPacked
-	}
-	return m
-}
-
-// Valid reports whether m is a known mode.
-func (m CommMode) Valid() bool {
-	switch m {
-	case CommAuto, CommPacked, CommDense, CommAggregated:
-		return true
-	}
-	return false
-}
-
-// ---- per-destination aggregation ----
-
-// Entry kinds of an aggregated message, in the vocabulary of the proposed
-// algorithm's 2D phases.
-const (
-	aggKindBcast  = byte(0) // a y/x broadcast hop (the yMsg analog)
-	aggKindReduce = byte(1) // a partial-sum reduction hop (the sumMsg analog)
-)
-
-// aggMsg coalesces one sender's same-phase traffic to one destination:
-// broadcast hops and reduction contributions interleaved in send order.
-// Phase gates admission exactly like the singleton tags it replaces.
-type aggMsg struct {
-	Phase int
-	Ks    []int
-	Kinds []byte
-	Ws    []wirePanel
-}
-
-func (b *aggMsg) bytes() int {
-	n := wireEnvBytes
-	for i := range b.Ws {
-		n += b.Ws[i].wireBytes()
-	}
-	return n
-}
-
-// aggBuf accumulates one destination's pending entries between flushes.
-type aggBuf struct {
-	phase int
-	ks    []int
-	kinds []byte
-	ws    []wirePanel
-}
-
-// aggAdd buffers one entry for 2D-local destination dst2d, stamping the
-// buffer with the phase of its first entry (a flush can run after the
-// phase advanced).
-func (c *rankCore) aggAdd(dst2d int, kind byte, k int, w wirePanel) {
-	st := c.st
-	b := &st.aggBufs[dst2d]
-	if len(b.ks) == 0 {
-		b.phase = st.phase
-		st.aggOrder = append(st.aggOrder, int32(dst2d))
-	}
-	b.ks = append(b.ks, k)
-	b.kinds = append(b.kinds, kind)
-	b.ws = append(b.ws, w)
-}
-
-// flushAgg emits every pending aggregation buffer, one packed message per
-// destination in first-touch order, and resets the buffers for the next
-// activation. The buffered slices are handed to the message; the buffer
-// starts fresh so in-flight messages are never mutated.
-func (c *rankCore) flushAgg(ctx *runtime.Ctx) {
-	st := c.st
-	for _, dst2d := range st.aggOrder {
-		b := &st.aggBufs[dst2d]
-		m := &aggMsg{Phase: b.phase, Ks: b.ks, Kinds: b.kinds, Ws: b.ws}
-		b.ks, b.kinds, b.ws = nil, nil, nil
-		ctx.Send(runtime.Msg{
-			Dst: c.p.GlobalRank(c.z, int(dst2d)), Tag: tagAgg, Cat: runtime.CatXY,
-			Data: m, Bytes: m.bytes(),
-		})
-	}
-	st.aggOrder = st.aggOrder[:0]
 }

@@ -42,35 +42,107 @@ func sparsePanel(rng *rand.Rand, rows, cols int) *sparse.Panel {
 	return p
 }
 
-// TestPackPanelRoundTrip: packing any panel and unpacking it reproduces
-// the original bit-for-bit, and the packed representation never models
-// more bytes than the dense one.
+// checkWire is the wire-format property check shared by
+// TestPackPanelRoundTrip and FuzzPackRoundTrip: packing src and unpacking
+// it reproduces src bit for bit; the entry never models more bytes than
+// src's full Rows×Cols dense form; and accumulating the entry into acc
+// equals a dense add bit for bit, except where src holds a +0.0 that the
+// packing suppressed: there addWire leaves the accumulator untouched,
+// which differs from acc + 0.0 only for a −0.0 accumulator (DESIGN.md
+// §13). A NaN sum matches any NaN: Go leaves the payload of a
+// NaN-producing add unspecified. acc is not modified.
+func checkWire(t testing.TB, src, acc *sparse.Panel) {
+	t.Helper()
+	c := &rankCore{st: &solveState{}}
+	w := packPanel(src)
+	got := c.unpackPanel(&w)
+	if got.Rows != src.Rows || got.Cols != src.Cols {
+		t.Fatalf("unpacked shape %dx%d, want %dx%d", got.Rows, got.Cols, src.Rows, src.Cols)
+	}
+	for i := range src.Data {
+		if g, s := math.Float64bits(got.Data[i]), math.Float64bits(src.Data[i]); g != s {
+			t.Fatalf("%dx%d: unpacked element %d = %#x, want %#x", src.Rows, src.Cols, i, g, s)
+		}
+	}
+	if dense := wireHdrBytes + 8*src.Rows*src.Cols; w.wireBytes() > dense {
+		t.Fatalf("%dx%d: packed entry %d B above dense %d B", src.Rows, src.Cols, w.wireBytes(), dense)
+	}
+	sum := acc.Clone()
+	addWire(sum, &w)
+	want := acc.Clone()
+	want.AddFrom(src)
+	for i := range want.Data {
+		g, wb := math.Float64bits(sum.Data[i]), math.Float64bits(want.Data[i])
+		skipped := math.Float64bits(src.Data[i]) == 0 && g == math.Float64bits(acc.Data[i])
+		bothNaN := math.IsNaN(sum.Data[i]) && math.IsNaN(want.Data[i])
+		if g != wb && !skipped && !bothNaN {
+			t.Fatalf("%dx%d: addWire element %d = %#x, dense add %#x", src.Rows, src.Cols, i, g, wb)
+		}
+	}
+}
+
+// TestPackPanelRoundTrip runs checkWire over rng-driven panels.
 func TestPackPanelRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	c := &rankCore{st: &solveState{}}
 	for trial := 0; trial < 300; trial++ {
 		rows := 1 + rng.Intn(40)
 		cols := []int{1, 4, 16}[rng.Intn(3)]
-		p := sparsePanel(rng, rows, cols)
-		for _, mode := range []CommMode{CommPacked, CommDense, CommAggregated} {
-			w := packPanel(p, mode)
-			got := c.unpackPanel(&w)
-			if got.Rows != p.Rows || got.Cols != p.Cols {
-				t.Fatalf("mode %v: shape %dx%d, want %dx%d", mode, got.Rows, got.Cols, p.Rows, p.Cols)
-			}
-			for i := range p.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(p.Data[i]) {
-					t.Fatalf("mode %v trial %d: element %d = %x, want %x",
-						mode, trial, i, math.Float64bits(got.Data[i]), math.Float64bits(p.Data[i]))
-				}
-			}
-		}
-		dense := packPanel(p, CommDense)
-		packed := packPanel(p, CommPacked)
-		if singleBytes(&packed) > singleBytes(&dense) {
-			t.Fatalf("trial %d: packed %d B above dense %d B", trial, singleBytes(&packed), singleBytes(&dense))
-		}
+		checkWire(t, sparsePanel(rng, rows, cols), sparsePanel(rng, rows, cols))
 	}
+}
+
+// FuzzPackRoundTrip runs checkWire over panels decoded from the fuzz
+// input (see fuzzPanels). Seeds live in testdata/fuzz/FuzzPackRoundTrip.
+func FuzzPackRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src, acc := fuzzPanels(data)
+		checkWire(t, src, acc)
+	})
+}
+
+// fuzzPanels decodes fuzz bytes into a source panel and an accumulator of
+// the same shape. Bytes 0–2 give rows (1–64), cols (1–16) and how many
+// trailing source columns stay all-zero; every later element takes one
+// selector byte (and some a payload byte) choosing +0.0, −0.0, a
+// subnormal, a NaN bit pattern of either sign, or a normal value.
+// Elements past the end of the input are +0.0.
+func fuzzPanels(data []byte) (src, acc *sparse.Panel) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	rows, cols := 1+int(next())%64, 1+int(next())%16
+	zeroTail := int(next()) % (cols + 1)
+	value := func() float64 {
+		sel := next()
+		var sign uint64
+		if sel&0x80 != 0 {
+			sign = 1 << 63
+		}
+		switch sel % 8 {
+		case 0, 1, 2:
+			return 0
+		case 3:
+			return math.Copysign(0, -1)
+		case 4:
+			return math.Float64frombits(sign | (uint64(next()) + 1)) // subnormal
+		case 5:
+			return math.Float64frombits(sign | 0x7ff0000000000001 | uint64(next())<<8) // NaN
+		}
+		return float64(int8(next())) / 8
+	}
+	src, acc = sparse.NewPanel(rows, cols), sparse.NewPanel(rows, cols)
+	for i := range src.Data[:rows*(cols-zeroTail)] {
+		src.Data[i] = value()
+	}
+	for i := range acc.Data {
+		acc.Data[i] = value()
+	}
+	return src, acc
 }
 
 // TestAddWireMatchesDenseAdd: accumulating a packed panel equals the dense
@@ -85,7 +157,7 @@ func TestAddWireMatchesDenseAdd(t *testing.T) {
 		acc := sparsePanel(rng, rows, cols)
 		want := acc.Clone()
 		want.AddFrom(src)
-		w := packPanel(src, CommPacked)
+		w := packPanel(src)
 		addWire(acc, &w)
 		for i := range acc.Data {
 			if acc.Data[i] != want.Data[i] {
@@ -117,14 +189,39 @@ func recountMsg(m runtime.Msg) (int, bool) {
 			n += entry(&d.Ws[i])
 		}
 		return n, true
-	case *aggMsg:
-		n := wireEnvBytes
-		for i := range d.Ws {
-			n += entry(&d.Ws[i])
-		}
-		return n, true
 	}
 	return 0, false
+}
+
+// tapBackend wraps a backend so every delivered message passes through tap
+// before the rank's handler sees it; tap returns the message to deliver.
+// The test wire backends below are built on it.
+type tapBackend struct {
+	inner Backend
+	tap   func(runtime.Msg) runtime.Msg
+}
+
+func (tb tapBackend) Run(n int, net runtime.Network, f func(int) runtime.Handler) (*runtime.Result, error) {
+	return tb.inner.Run(n, net, func(rank int) runtime.Handler {
+		return &tapHandler{inner: f(rank), tap: tb.tap}
+	})
+}
+
+type tapHandler struct {
+	inner runtime.Handler
+	tap   func(runtime.Msg) runtime.Msg
+}
+
+func (h *tapHandler) Init(ctx *runtime.Ctx)                     { h.inner.Init(ctx) }
+func (h *tapHandler) Done() bool                                { return h.inner.Done() }
+func (h *tapHandler) OnMessage(ctx *runtime.Ctx, m runtime.Msg) { h.inner.OnMessage(ctx, h.tap(m)) }
+
+// releaseState forwards the pooled-state release through the wrapper so
+// wrapped solves still return their states.
+func (h *tapHandler) releaseState() {
+	if r, ok := h.inner.(stateReleaser); ok {
+		r.releaseState()
+	}
 }
 
 // recountBackend wraps a backend so every delivered message's Bytes field
@@ -136,34 +233,81 @@ type recountBackend struct {
 }
 
 func (rb *recountBackend) Run(n int, net runtime.Network, f func(int) runtime.Handler) (*runtime.Result, error) {
-	return rb.inner.Run(n, net, func(rank int) runtime.Handler {
-		return &recountHandler{inner: f(rank), rb: rb}
-	})
+	return tapBackend{inner: rb.inner, tap: func(m runtime.Msg) runtime.Msg {
+		if want, ok := recountMsg(m); ok && want != m.Bytes {
+			rb.mu.Lock()
+			rb.bad = append(rb.bad, fmt.Sprintf("tag %s: Bytes %d, payload recount %d", TagName(m.Tag), m.Bytes, want))
+			rb.mu.Unlock()
+		}
+		return m
+	}}.Run(n, net, f)
 }
 
-type recountHandler struct {
-	inner runtime.Handler
-	rb    *recountBackend
+// denseWireBackend is the dense-wire oracle: it wraps a backend so every
+// delivered message reaches its handler with each wire entry replaced by
+// the entry's full Rows×Cols dense form — the model of a solver that
+// ships every panel uncompressed. The swap happens in a copy of the
+// message and its payload; the sent message and the panel storage its
+// entries alias are never written. It tallies the delivered wire messages
+// and their modeled bytes in both forms.
+type denseWireBackend struct {
+	inner Backend
+	mu    sync.Mutex
+	msgs  int
+	// packedBytes sums the delivered Bytes; denseBytes the same messages
+	// recounted with every entry dense.
+	packedBytes, denseBytes int
 }
 
-func (h *recountHandler) Init(ctx *runtime.Ctx) { h.inner.Init(ctx) }
-func (h *recountHandler) Done() bool            { return h.inner.Done() }
+func (db *denseWireBackend) Run(n int, net runtime.Network, f func(int) runtime.Handler) (*runtime.Result, error) {
+	return tapBackend{inner: db.inner, tap: db.densify}.Run(n, net, f)
+}
 
-func (h *recountHandler) OnMessage(ctx *runtime.Ctx, m runtime.Msg) {
-	if want, ok := recountMsg(m); ok && want != m.Bytes {
-		h.rb.mu.Lock()
-		h.rb.bad = append(h.rb.bad, fmt.Sprintf("tag %s: Bytes %d, payload recount %d", TagName(m.Tag), m.Bytes, want))
-		h.rb.mu.Unlock()
+func (db *denseWireBackend) densify(m runtime.Msg) runtime.Msg {
+	out := m
+	switch d := m.Data.(type) {
+	case *yMsg:
+		c := *d
+		c.W = denseWire(&d.W)
+		out.Data = &c
+	case *sumMsg:
+		c := *d
+		c.W = denseWire(&d.W)
+		out.Data = &c
+	case *groupMsg:
+		c := *d
+		c.W = denseWire(&d.W)
+		out.Data = &c
+	case *gpuPut:
+		c := *d
+		c.W = denseWire(&d.W)
+		out.Data = &c
+	case *vecBundle:
+		c := *d
+		c.Ws = make([]wirePanel, len(d.Ws))
+		for i := range d.Ws {
+			c.Ws[i] = denseWire(&d.Ws[i])
+		}
+		out.Data = &c
 	}
-	h.inner.OnMessage(ctx, m)
+	dense, ok := recountMsg(out)
+	if !ok {
+		return m // a self-event: no wire payload
+	}
+	out.Bytes = dense
+	db.mu.Lock()
+	db.msgs++
+	db.packedBytes += m.Bytes
+	db.denseBytes += dense
+	db.mu.Unlock()
+	return out
 }
 
-// releaseState forwards the pooled-state release through the wrapper so
-// wrapped solves still return their states.
-func (h *recountHandler) releaseState() {
-	if r, ok := h.inner.(stateReleaser); ok {
-		r.releaseState()
-	}
+// denseWire returns w's full Rows×Cols dense form in fresh storage.
+func denseWire(w *wirePanel) wirePanel {
+	p := sparse.NewPanel(w.Rows, w.Cols)
+	scatterWire(p, w)
+	return wirePanel{Rows: w.Rows, Cols: w.Cols, EffCols: w.Cols, Vals: p.Data}
 }
 
 // TestByteAccountingInvariant: across all four algorithms and both
@@ -188,29 +332,51 @@ func TestByteAccountingInvariant(t *testing.T) {
 	b := randPanel(rng, pl.m.N, 2)
 	for _, tc := range cases {
 		for _, back := range tc.backs {
-			for _, comm := range []CommMode{CommPacked, CommDense, CommAggregated} {
-				rb := &recountBackend{inner: back}
-				p := pl.plan(t, tc.layout, ctree.Binary)
-				x := sparse.NewPanel(b.Rows, b.Cols)
-				if _, err := SolveIntoOpts(p, model, tc.algo, rb, b, x, SolveOpts{Comm: comm}); err != nil {
-					t.Fatalf("%v %v %T: %v", tc.algo, comm, back, err)
+			rb := &recountBackend{inner: back}
+			p := pl.plan(t, tc.layout, ctree.Binary)
+			x := sparse.NewPanel(b.Rows, b.Cols)
+			if _, err := SolveIntoOpts(p, model, tc.algo, rb, b, x, SolveOpts{}); err != nil {
+				t.Fatalf("%v %T: %v", tc.algo, back, err)
+			}
+			for i, msg := range rb.bad {
+				if i == 5 {
+					t.Errorf("%v %T: ... %d more", tc.algo, back, len(rb.bad)-i)
+					break
 				}
-				for i, msg := range rb.bad {
-					if i == 5 {
-						t.Errorf("%v %v %T: ... %d more", tc.algo, comm, back, len(rb.bad)-i)
-						break
-					}
-					t.Errorf("%v %v %T: %s", tc.algo, comm, back, msg)
-				}
+				t.Errorf("%v %T: %s", tc.algo, back, msg)
 			}
 		}
 	}
 }
 
+// solveDenseOracle solves once over backend back and once over the same
+// backend wrapped in denseWireBackend, and checks the oracle's
+// invariants: value-identical solutions, and the same message count on
+// both runs and in the oracle's delivery tally. It returns the oracle so
+// the caller can compare byte totals.
+func solveDenseOracle(t *testing.T, back Backend, solve func(Backend) (*sparse.Panel, *runtime.Result)) *denseWireBackend {
+	t.Helper()
+	xp, rp := solve(back)
+	db := &denseWireBackend{inner: back}
+	xd, rd := solve(db)
+	for i := range xd.Data {
+		if xd.Data[i] != xp.Data[i] {
+			t.Fatalf("solution element %d differs: dense %g, packed %g", i, xd.Data[i], xp.Data[i])
+		}
+	}
+	if dm, pm := rd.TotalMsgs(), rp.TotalMsgs(); dm != pm || db.msgs != pm {
+		t.Fatalf("dense oracle sent %d and delivered %d messages, packed sent %d — counts must match", dm, db.msgs, pm)
+	}
+	if db.packedBytes != rp.TotalBytes() {
+		t.Fatalf("oracle tallied %d packed B, the packed run sent %d B", db.packedBytes, rp.TotalBytes())
+	}
+	return db
+}
+
 // TestPackedMatchesDenseOracle: the packed wire format is an encoding
-// change only — against the dense reference every algorithm must keep the
+// change only — against the dense oracle every algorithm must keep the
 // message count exactly, move no more bytes, and produce value-identical
-// solutions.
+// solutions that match the serial reference.
 func TestPackedMatchesDenseOracle(t *testing.T) {
 	pl := buildPipeline(t, gen.S2D9pt(20, 20, 32), 3, 8)
 	model := machine.CrusherGPU()
@@ -226,64 +392,26 @@ func TestPackedMatchesDenseOracle(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(74))
 	b := randPanel(rng, pl.m.N, 3)
-	for _, tc := range cases {
-		solveWith := func(comm CommMode) (*sparse.Panel, *runtime.Result) {
-			p := pl.plan(t, tc.layout, ctree.Binary)
-			x := sparse.NewPanel(b.Rows, b.Cols)
-			res, err := SolveIntoOpts(p, model, tc.algo, SimBackend{}, b, x, SolveOpts{Comm: comm})
-			if err != nil {
-				t.Fatalf("%v %v: %v", tc.algo, comm, err)
-			}
-			return x, res
-		}
-		xd, rd := solveWith(CommDense)
-		xp, rp := solveWith(CommPacked)
-		for i := range xd.Data {
-			if xd.Data[i] != xp.Data[i] {
-				t.Fatalf("%v: solution element %d differs: dense %g, packed %g", tc.algo, i, xd.Data[i], xp.Data[i])
-			}
-		}
-		if dm, pm := rd.TotalMsgs(), rp.TotalMsgs(); dm != pm {
-			t.Errorf("%v: packed sent %d messages, dense %d — counts must match", tc.algo, pm, dm)
-		}
-		if db, pb := rd.TotalBytes(), rp.TotalBytes(); pb > db {
-			t.Errorf("%v: packed moved %d B, above dense %d B", tc.algo, pb, db)
-		}
-	}
-}
-
-// TestAggregatedCoalescesMessages: per-destination aggregation in the
-// proposed algorithm must send strictly fewer XY messages than the packed
-// per-message path on a layout with real 2D fan-out, at an unchanged
-// correct solution (aggregation reorders floating-point accumulation, so
-// the comparison is against the serial reference, not bit-for-bit).
-func TestAggregatedCoalescesMessages(t *testing.T) {
-	pl := buildPipeline(t, gen.S2D9pt(20, 20, 33), 3, 8)
-	model := machine.CoriHaswell()
-	l := grid.Layout{Px: 3, Py: 3, Pz: 2}
-	rng := rand.New(rand.NewSource(75))
-	b := randPanel(rng, pl.m.N, 2)
 	want := pl.m.Solve(b)
-	solveWith := func(comm CommMode) (*sparse.Panel, *runtime.Result) {
-		p := pl.plan(t, l, ctree.Binary)
-		x := sparse.NewPanel(b.Rows, b.Cols)
-		res, err := SolveIntoOpts(p, model, Proposed3D, SimBackend{}, b, x, SolveOpts{Comm: comm})
-		if err != nil {
-			t.Fatalf("%v: %v", comm, err)
-		}
-		return x, res
+	for _, tc := range cases {
+		t.Run(tc.algo.String(), func(t *testing.T) {
+			db := solveDenseOracle(t, SimBackend{}, func(back Backend) (*sparse.Panel, *runtime.Result) {
+				p := pl.plan(t, tc.layout, ctree.Binary)
+				x := sparse.NewPanel(b.Rows, b.Cols)
+				res, err := SolveIntoOpts(p, model, tc.algo, back, b, x, SolveOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := x.MaxAbsDiff(want); d > 1e-8 {
+					t.Fatalf("solution off by %g", d)
+				}
+				return x, res
+			})
+			if db.packedBytes > db.denseBytes {
+				t.Errorf("packed moved %d B, above dense %d B", db.packedBytes, db.denseBytes)
+			}
+		})
 	}
-	xa, ra := solveWith(CommAggregated)
-	_, rp := solveWith(CommPacked)
-	if d := xa.MaxAbsDiff(want); d > 1e-8 {
-		t.Fatalf("aggregated solution off by %g", d)
-	}
-	am, pm := ra.CatMsgs(runtime.CatXY), rp.CatMsgs(runtime.CatXY)
-	if am >= pm {
-		t.Fatalf("aggregated sent %d XY messages, packed %d — aggregation must coalesce", am, pm)
-	}
-	// The aggregated solution's exact bits are pinned by the
-	// "aggregated/proposed" engine golden (TestEngineMatchesGoldens).
 }
 
 // TestZeroRunSuppressionGPU: on the fig9 configuration (GPU single,
@@ -306,35 +434,19 @@ func TestZeroRunSuppressionGPU(t *testing.T) {
 		}
 	}
 	want := pl.m.Solve(b)
-	solveWith := func(comm CommMode) (*sparse.Panel, *runtime.Result) {
+	db := solveDenseOracle(t, SimBackend{}, func(back Backend) (*sparse.Panel, *runtime.Result) {
 		p := pl.plan(t, l, ctree.Auto)
 		x := sparse.NewPanel(b.Rows, b.Cols)
-		res, err := SolveIntoOpts(p, model, GPUSingle, SimBackend{}, b, x, SolveOpts{Comm: comm})
+		res, err := SolveIntoOpts(p, model, GPUSingle, back, b, x, SolveOpts{})
 		if err != nil {
-			t.Fatalf("%v: %v", comm, err)
+			t.Fatal(err)
 		}
 		if d := x.MaxAbsDiff(want); d > 1e-8 {
-			t.Fatalf("%v: solution off by %g", comm, d)
+			t.Fatalf("solution off by %g", d)
 		}
 		return x, res
-	}
-	_, rd := solveWith(CommDense)
-	_, rp := solveWith(CommPacked)
-	if dm, pm := rd.TotalMsgs(), rp.TotalMsgs(); dm != pm {
-		t.Fatalf("packed sent %d messages, dense %d", pm, dm)
-	}
-	if db, pb := rd.TotalBytes(), rp.TotalBytes(); pb >= db {
-		t.Fatalf("packed moved %d B, dense %d B — zero columns must be suppressed", pb, db)
-	}
-}
-
-// TestCommModeValidation: unknown modes are rejected before any solve.
-func TestCommModeValidation(t *testing.T) {
-	pl := buildPipeline(t, gen.S2D9pt(8, 8, 34), 2, 8)
-	p := pl.plan(t, grid.Layout{Px: 1, Py: 1, Pz: 1}, ctree.Flat)
-	b := sparse.NewPanel(pl.m.N, 1)
-	x := sparse.NewPanel(pl.m.N, 1)
-	if _, err := SolveIntoOpts(p, machine.CoriHaswell(), Proposed3D, SimBackend{}, b, x, SolveOpts{Comm: CommMode(99)}); err == nil {
-		t.Fatal("CommMode(99) accepted")
+	})
+	if db.packedBytes >= db.denseBytes {
+		t.Fatalf("packed moved %d B, dense %d B — zero columns must be suppressed", db.packedBytes, db.denseBytes)
 	}
 }

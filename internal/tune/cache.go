@@ -18,9 +18,9 @@ import (
 // the key changes; files written by an older schema are ignored wholesale
 // (a cache miss, not an error) and overwritten by the next Put.
 //
-// Version 2 added the level_chunk field. Version-2 files may also carry an
-// "exec" engine name; it is ignored, because every engine it could name
-// produced bit-identical results, so the entry denotes the same
+// Version-2 files may carry a "level_chunk" sweep chunk or an "exec"
+// engine name. Both are ignored, because every value either could hold
+// produces bit-identical results, so the entry denotes the same
 // configuration either way.
 const CacheSchemaVersion = 2
 
@@ -31,14 +31,13 @@ const cacheFileName = "sptrsv-tune.json"
 // and tree kinds are stored as their String() names so the file stays
 // meaningful (and diffable) if the internal enum values move.
 type Entry struct {
-	Px         int     `json:"px"`
-	Py         int     `json:"py"`
-	Pz         int     `json:"pz"`
-	Algorithm  string  `json:"algorithm"`
-	Trees      string  `json:"trees"`
-	LevelChunk int     `json:"level_chunk,omitempty"` // scheduled-sweep chunk override (0 = default)
-	Makespan   float64 `json:"makespan"`              // DES makespan of the tuned config at tuning time
-	Default    float64 `json:"default_makespan"`      // DES makespan of the naive default at tuning time
+	Px        int     `json:"px"`
+	Py        int     `json:"py"`
+	Pz        int     `json:"pz"`
+	Algorithm string  `json:"algorithm"`
+	Trees     string  `json:"trees"`
+	Makespan  float64 `json:"makespan"`         // DES makespan of the tuned config at tuning time
+	Default   float64 `json:"default_makespan"` // DES makespan of the naive default at tuning time
 }
 
 // Config reconstructs the core configuration the entry denotes on machine
@@ -54,11 +53,10 @@ func (e Entry) Config(m *machine.Model) (core.Config, error) {
 		return core.Config{}, err
 	}
 	return core.Config{
-		Layout:     grid.Layout{Px: e.Px, Py: e.Py, Pz: e.Pz},
-		Algorithm:  algo,
-		Trees:      kind,
-		Machine:    m,
-		LevelChunk: e.LevelChunk,
+		Layout:    grid.Layout{Px: e.Px, Py: e.Py, Pz: e.Pz},
+		Algorithm: algo,
+		Trees:     kind,
+		Machine:   m,
 	}, nil
 }
 

@@ -152,16 +152,19 @@ func TestNRHSClassAndKey(t *testing.T) {
 	}
 }
 
-// TestCacheLoadsEngineFieldEntries: schema-2 files written while the tuner
-// still had an engine axis carry an "exec" field. It is ignored — both
-// engines it could name produced bit-identical results — so such entries
-// keep loading, to the same configuration.
+// TestCacheLoadsEngineFieldEntries: schema-2 files written while the
+// solver still had an engine axis and a sweep-chunk knob carry "exec" and
+// "level_chunk" fields. Both are ignored — every value they could hold
+// produced bit-identical results — so such entries keep loading, to the
+// same configuration as an entry without them.
 func TestCacheLoadsEngineFieldEntries(t *testing.T) {
 	const file = `{
   "version": 2,
   "entries": {
     "h": {"px": 4, "py": 4, "pz": 2, "algorithm": "proposed-3d", "trees": "binary", "exec": "handler", "level_chunk": 16, "makespan": 0.00015, "default_makespan": 0.0002},
-    "s": {"px": 4, "py": 4, "pz": 2, "algorithm": "proposed-3d", "trees": "binary", "exec": "sched", "level_chunk": 16, "makespan": 0.00015, "default_makespan": 0.0002}
+    "s": {"px": 4, "py": 4, "pz": 2, "algorithm": "proposed-3d", "trees": "binary", "exec": "sched", "level_chunk": 16, "makespan": 0.00015, "default_makespan": 0.0002},
+    "c": {"px": 4, "py": 4, "pz": 2, "algorithm": "proposed-3d", "trees": "binary", "level_chunk": 1, "makespan": 0.00015, "default_makespan": 0.0002},
+    "n": {"px": 4, "py": 4, "pz": 2, "algorithm": "proposed-3d", "trees": "binary", "makespan": 0.00015, "default_makespan": 0.0002}
   }
 }`
 	dir := t.TempDir()
@@ -175,9 +178,9 @@ func TestCacheLoadsEngineFieldEntries(t *testing.T) {
 	m := machine.CoriHaswell()
 	want := core.Config{
 		Layout: grid.Layout{Px: 4, Py: 4, Pz: 2}, Algorithm: trsv.Proposed3D,
-		Trees: ctree.Binary, Machine: m, LevelChunk: 16,
+		Trees: ctree.Binary, Machine: m,
 	}
-	for _, key := range []string{"h", "s"} {
+	for _, key := range []string{"h", "s", "c", "n"} {
 		e, ok := c.Get(key)
 		if !ok {
 			t.Fatalf("entry %q not loaded", key)

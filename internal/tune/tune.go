@@ -222,7 +222,7 @@ func Run(sys *core.System, m *machine.Model, p int, opt Options) (*Result, error
 		e := Entry{
 			Px: res.Config.Layout.Px, Py: res.Config.Layout.Py, Pz: res.Config.Layout.Pz,
 			Algorithm: res.Config.Algorithm.String(), Trees: res.Config.Trees.String(),
-			LevelChunk: res.Config.LevelChunk, Makespan: res.Makespan, Default: res.DefaultMakespan,
+			Makespan: res.Makespan, Default: res.DefaultMakespan,
 		}
 		if err := opt.Cache.Put(key, e); err != nil {
 			return nil, err

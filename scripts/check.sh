@@ -50,8 +50,12 @@ go test -race -count=3 -run 'TestSchedConcurrentSolves|TestSchedPoolBitExact|Tes
     ./internal/trsv ./internal/sched
 
 echo "== go test -race -count=2 (packed wire format + deferred-queue stress) =="
-go test -race -count=2 -run 'Wire|Pack|Comm|ByteAccount|Aggregated|Deferred|SendDsts' \
-    ./internal/trsv ./internal/sched
+go test -race -count=2 \
+    -run '^(TestPackPanelRoundTrip|TestAddWireMatchesDenseAdd|TestByteAccountingInvariant|TestPackedMatchesDenseOracle|TestZeroRunSuppressionGPU|TestDrainDeferredChains|TestDrainDeferredZeroesVacatedTail|FuzzPackRoundTrip)$' \
+    ./internal/trsv
+
+echo "== wire-format fuzz (bounded) =="
+go test -run '^$' -fuzz '^FuzzPackRoundTrip$' -fuzztime 10s ./internal/trsv
 
 echo "== go test -race -count=2 (solve service stress: clients x scrapes x cache churn) =="
 go test -race -count=2 -run 'TestServerStressRace|TestCoalesce|TestQueueFull' \

@@ -20,7 +20,9 @@
 // and Crusher (regenerates the paper's figures), and a real
 // goroutine-per-rank pool (wall-clock benchmarks on the host). On both, a
 // solve executes as level sweeps over the plan's precomputed dependency
-// schedule (see DESIGN.md §11). Every simulated run performs the real
+// schedule (see DESIGN.md §11), and every inter-rank message carries
+// packed supernode segments, the one wire format (§13). Neither the sweep
+// nor the format has an option. Every simulated run performs the real
 // numeric solve, so results are always verifiable against the serial
 // reference.
 //
@@ -203,23 +205,6 @@ const (
 	FlatTrees   = ctree.Flat
 	BinaryTrees = ctree.Binary
 	AutoTrees   = ctree.Auto
-)
-
-// CommMode selects the wire format of inter-rank subvector traffic via
-// Config.Comm.
-type CommMode = trsv.CommMode
-
-// Communication modes. CommPacked (the CommAuto default) ships index+value
-// packed supernode segments with trailing-zero-column suppression — fewer
-// modeled bytes, identical message counts, bit-exact solutions. CommDense
-// is the full-dense reference wire model; CommAggregated adds
-// per-destination coalescing of same-phase messages in the proposed
-// algorithm's 2D phases (see DESIGN.md §13).
-const (
-	CommAuto       = trsv.CommAuto
-	CommPacked     = trsv.CommPacked
-	CommDense      = trsv.CommDense
-	CommAggregated = trsv.CommAggregated
 )
 
 // SolveMode selects strict or elastic stale-synchronous execution via
