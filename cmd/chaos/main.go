@@ -17,99 +17,53 @@
 //	                                         count 0 = every match)
 //	-crash rank:seconds[,...]                kill ranks at a time
 //
-// Every run must end in one of two ways: a residual-verified solution, or a
-// typed fault error (fault.IsFault). Anything else — an untyped error, a
-// bad residual — is a robustness bug and makes chaos exit nonzero.
+// The solver flags are internal/cliutil's, without -nrhs and -trace-cap;
+// -seeds, -deadline and -timeout are chaos's own. Every run must end in a
+// residual-verified solution or a typed fault error (fault.IsFault);
+// anything else is a robustness bug and makes chaos exit nonzero.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"sptrsv/internal/cliutil"
 	"sptrsv/internal/core"
 	"sptrsv/internal/fault"
-	"sptrsv/internal/gen"
-	"sptrsv/internal/grid"
-	"sptrsv/internal/machine"
 	"sptrsv/internal/runtime"
 	"sptrsv/internal/sparse"
 	"sptrsv/internal/trsv"
 )
 
+var (
+	fs       = flag.NewFlagSet("chaos", flag.ContinueOnError)
+	cf       = cliutil.NewConfigFlags().Bind(fs, cliutil.Matrix|cliutil.Layout|cliutil.Machine|cliutil.Backend|cliutil.Elastic)
+	seeds    = fs.Int("seeds", 3, "number of seeds to sweep (1..n)")
+	deadline = fs.Duration("deadline", 500*time.Millisecond, "pool backend stall-watchdog deadline")
+	timeout  = fs.Duration("timeout", 30*time.Second, "pool backend coarse run timeout")
+	// faults is the plan every seed runs; the fault flags fill it in.
+	faults fault.Plan
+)
+
 func main() {
-	matrix := flag.String("matrix", "s2d9pt", "matrix analog: s2d9pt, nlpkkt, ldoor, dielfilter, gaas, s1mat")
-	mtxPath := flag.String("mtx", "", "stress a Matrix Market file instead of a generated analog")
-	scale := flag.String("scale", "small", "matrix scale: small, medium, large")
-	px := flag.Int("px", 2, "process rows per 2D grid")
-	py := flag.Int("py", 2, "process columns per 2D grid")
-	pz := flag.Int("pz", 2, "number of replicated 2D grids (power of two)")
-	algoName := flag.String("algo", "proposed", "algorithm: proposed, baseline, gpu-single, gpu-multi")
-	treeName := flag.String("trees", "binary", "communication trees: flat, binary, auto")
-	machineName := flag.String("machine", "cori-haswell", "machine model (see internal/machine)")
-	backendName := flag.String("backend", "sim", "backend: sim (virtual time) or pool (goroutines, wall clock)")
-	modeName := flag.String("mode", "auto", "solve mode: auto, strict, elastic (bounded staleness + iterative refinement)")
-	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
-	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
-	refineMax := flag.Int("refine-max", 0, "cap on elastic iterative-refinement passes (0 = default 48)")
-	seeds := flag.Int("seeds", 3, "number of seeds to sweep (1..n)")
-	stragglerSpec := flag.String("straggler", "", "rank:factor[,...] — slow ranks down")
-	netDelaySpec := flag.String("net-delay", "", "rank:seconds[,...] — delay every message a rank sends (network straggler)")
-	jitter := flag.Float64("jitter", 0, "uniform extra message latency in [0, jitter) seconds")
-	dropSpec := flag.String("drop", "", "src:dst:tag:count[,...] — message drop rules (-1 wildcards)")
-	crashSpec := flag.String("crash", "", "rank:seconds[,...] — kill ranks at a time")
-	deadline := flag.Duration("deadline", 500*time.Millisecond, "pool backend stall-watchdog deadline")
-	timeout := flag.Duration("timeout", 30*time.Second, "pool backend coarse run timeout")
-	flag.Parse()
+	fs.Func("straggler", "rank:factor[,...] — slow ranks down", pairsInto(&faults.Straggler))
+	fs.Func("net-delay", "rank:seconds[,...] — delay every message a rank sends (network straggler)", pairsInto(&faults.NetDelay))
+	fs.Float64Var(&faults.Jitter, "jitter", 0, "uniform extra message latency in [0, jitter) seconds")
+	fs.Func("drop", "src:dst:tag:count[,...] — message drop rules (-1 wildcards)", parseDrops)
+	fs.Func("crash", "rank:seconds[,...] — kill ranks at a time", pairsInto(&faults.Crash))
+	cliutil.Main(fs, run)
+}
 
-	fail := func(err error) { cliutil.Fail("chaos", err) }
-
-	algo, err := cliutil.ParseAlgorithm(*algoName)
+func run() error {
+	cfg, a, err := cf.Load()
 	if err != nil {
-		fail(err)
-	}
-	trees, err := cliutil.ParseTrees(*treeName)
-	if err != nil {
-		fail(err)
-	}
-	mode, err := cliutil.ElasticFlags(*modeName, *staleness, *refineTol, *refineMax)
-	if err != nil {
-		fail(err)
-	}
-
-	var a *sparse.CSR
-	if *mtxPath != "" {
-		a = cliutil.LoadMTX("chaos", *mtxPath)
-		fmt.Printf("matrix %s: n=%d, nnz=%d\n", *mtxPath, a.N, a.NNZ())
-	} else {
-		m := gen.Named(*matrix, gen.ParseScale(*scale))
-		a = m.A
-		fmt.Printf("matrix %s: n=%d, nnz=%d\n", m.Name, a.N, a.NNZ())
+		return err
 	}
 	sys, err := core.Factorize(a, core.FactorOptions{})
 	if err != nil {
-		fail(err)
-	}
-
-	straggler, err := parsePairs(*stragglerSpec)
-	if err != nil {
-		fail(fmt.Errorf("-straggler: %w", err))
-	}
-	netDelay, err := parsePairs(*netDelaySpec)
-	if err != nil {
-		fail(fmt.Errorf("-net-delay: %w", err))
-	}
-	crash, err := parsePairs(*crashSpec)
-	if err != nil {
-		fail(fmt.Errorf("-crash: %w", err))
-	}
-	drops, err := parseDrops(*dropSpec)
-	if err != nil {
-		fail(fmt.Errorf("-drop: %w", err))
+		return err
 	}
 
 	b := sparse.NewPanel(a.N, 1)
@@ -117,37 +71,24 @@ func main() {
 		b.Data[i] = 1 + float64(i%7)/7
 	}
 
+	elastic := cfg.Mode.Resolve() == trsv.ModeElastic
 	fmt.Printf("plan: straggler=%v net-delay=%v jitter=%g drops=%v crash=%v, %d seed(s), %s backend, %s mode\n",
-		straggler, netDelay, *jitter, drops, crash, *seeds, *backendName, mode.Resolve())
+		faults.Straggler, faults.NetDelay, faults.Jitter, faults.Drops, faults.Crash, *seeds, cf.Backend, cfg.Mode.Resolve())
 	bad := 0
 	for seed := int64(1); seed <= int64(*seeds); seed++ {
-		plan := &fault.Plan{
-			Seed: seed, Straggler: straggler, NetDelay: netDelay, Jitter: *jitter, Drops: drops, Crash: crash,
-		}
-		cfg := core.Config{
-			Layout:    grid.Layout{Px: *px, Py: *py, Pz: *pz},
-			Algorithm: algo,
-			Trees:     trees,
-			Machine:   machine.ByName(*machineName),
-			Mode:      mode,
-			Staleness: *staleness,
-			RefineTol: *refineTol,
-			RefineMax: *refineMax,
-		}
-		switch *backendName {
-		case "sim":
-			cfg.Faults = plan
-		case "pool":
+		plan := faults
+		plan.Seed = seed
+		if cfg.Backend == nil {
+			cfg.Faults = &plan
+		} else {
 			cfg.Backend = trsv.PoolBackend{Pool: runtime.Pool{
 				Timeout: *timeout,
-				Opts:    runtime.Options{Faults: plan, StallTimeout: *deadline},
+				Opts:    runtime.Options{Faults: &plan, StallTimeout: *deadline},
 			}}
-		default:
-			fail(fmt.Errorf("unknown backend %q", *backendName))
 		}
 		solver, err := core.NewSolver(sys, cfg)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		start := time.Now()
 		x, rep, err := solver.Solve(b)
@@ -161,7 +102,7 @@ func main() {
 				bad++
 			}
 			extra := ""
-			if mode.Resolve() == trsv.ModeElastic {
+			if elastic {
 				extra = fmt.Sprintf(" stale=%d refine=%d", rep.StaleSupernodes, rep.RefinePasses)
 			}
 			fmt.Printf("seed %d: %s  solve=%.4gms residual=%.3g%s  (%v)\n",
@@ -174,55 +115,43 @@ func main() {
 		}
 	}
 	if bad > 0 {
-		fmt.Printf("%d run(s) violated the robustness contract\n", bad)
-		os.Exit(1)
+		return fmt.Errorf("%d run(s) violated the robustness contract", bad)
 	}
+	return nil
 }
 
-// parsePairs parses "k:v[,k:v...]" into a map (nil when spec is empty).
-func parsePairs(spec string) (map[int]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := map[int]float64{}
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.Split(part, ":")
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("entry %q is not rank:value", part)
-		}
-		k, err := strconv.Atoi(strings.TrimSpace(kv[0]))
-		if err != nil {
-			return nil, err
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
-	}
-	return out, nil
-}
-
-// parseDrops parses "src:dst:tag:count[,...]" into drop rules.
-func parseDrops(spec string) ([]fault.DropRule, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []fault.DropRule
-	for _, part := range strings.Split(spec, ",") {
-		fields := strings.Split(part, ":")
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("rule %q is not src:dst:tag:count", part)
-		}
-		vals := make([]int, 4)
-		for i, f := range fields {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return nil, err
+// pairsInto returns a flag setter that parses "rank:value[,...]" into *dst.
+func pairsInto(dst *map[int]float64) func(string) error {
+	return func(spec string) error {
+		*dst = map[int]float64{}
+		for _, part := range strings.Split(spec, ",") {
+			var k int
+			var v float64
+			if !scan(part, "%d:%g", &k, &v) {
+				return fmt.Errorf("entry %q is not rank:value", part)
 			}
-			vals[i] = v
+			(*dst)[k] = v
 		}
-		out = append(out, fault.DropRule{Src: vals[0], Dst: vals[1], Tag: vals[2], Count: vals[3]})
+		return nil
 	}
-	return out, nil
+}
+
+// parseDrops parses "src:dst:tag:count[,...]" into the plan's drop rules.
+func parseDrops(spec string) error {
+	faults.Drops = nil
+	for _, part := range strings.Split(spec, ",") {
+		var r fault.DropRule
+		if !scan(part, "%d:%d:%d:%d", &r.Src, &r.Dst, &r.Tag, &r.Count) {
+			return fmt.Errorf("rule %q is not src:dst:tag:count", part)
+		}
+		faults.Drops = append(faults.Drops, r)
+	}
+	return nil
+}
+
+// scan reports whether format matches all of s.
+func scan(s, format string, args ...any) bool {
+	var rest string
+	n, _ := fmt.Sscanf(s, format+"%s", append(args, &rest)...)
+	return n == len(args)
 }

@@ -19,15 +19,18 @@
 // regress exits 1 on a fatal regression (latency beyond -latency-tol, any
 // message-count increase, bytes beyond -bytes-tol, a vanished record) and 2
 // when the -baseline file is missing or unreadable. scripts/bench_regress
-// wraps the second form.
+// wraps the second form. -scale (default medium here) and the elastic
+// group, applied to every point, are internal/cliutil's.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,113 +39,128 @@ import (
 	"sptrsv/internal/gen"
 )
 
+// experiment is one -only name and the harness that prints it.
+type experiment struct {
+	name string
+	run  func(cfg bench.Config)
+}
+
+// experiments run in this order; "all" runs every one of them.
+var experiments = []experiment{
+	{"table1", func(cfg bench.Config) { bench.Table1(cfg) }},
+	{"fig4", func(cfg bench.Config) { bench.Fig4(cfg) }},
+	{"fig5", func(cfg bench.Config) { bench.Breakdown(cfg, "s2d9pt") }},
+	{"fig6", func(cfg bench.Config) { bench.Breakdown(cfg, "nlpkkt") }},
+	{"fig7", func(cfg bench.Config) { bench.LoadBalance(cfg, "s2d9pt") }},
+	{"fig8", func(cfg bench.Config) { bench.LoadBalance(cfg, "nlpkkt") }},
+	{"fig9", func(cfg bench.Config) { bench.GPUScaling(cfg, "crusher") }},
+	{"fig10", func(cfg bench.Config) { bench.GPUScaling(cfg, "perlmutter") }},
+	{"fig11", func(cfg bench.Config) { bench.Fig11(cfg) }},
+	{"ablation", func(cfg bench.Config) { bench.Ablation(cfg) }},
+	{"autotune", func(cfg bench.Config) { bench.Autotune(cfg) }},
+	{"breakdown", func(cfg bench.Config) { bench.BreakdownDetail(cfg) }},
+	{"faults", func(cfg bench.Config) { bench.FaultSweep(cfg) }},
+	{"elastic", func(cfg bench.Config) { bench.ElasticSweep(cfg) }},
+}
+
+// explicitOnly never run as part of "all": slo measures wall-clock serving
+// latency, so its numbers are machine-dependent and do not belong in the
+// deterministic output set, and "all" must neither overwrite the committed
+// baseline (bench) nor fail on a checkout that does not carry one (regress).
+var explicitOnly = []string{"slo", "bench", "regress"}
+
+var (
+	fs         = flag.NewFlagSet("figures", flag.ContinueOnError)
+	cf         = cliutil.NewConfigFlags()
+	only       = fs.String("only", "all", "comma-separated experiments: all, or any of "+strings.Join(names(), ","))
+	quick      = fs.Bool("quick", false, "shrink sweeps to smoke-test size")
+	outdir     = fs.String("outdir", "", "also write one text file per experiment into this directory")
+	baseline   = fs.String("baseline", "BENCH_SPTRSV.json", "benchmark summary file: written by -only bench, compared by -only regress")
+	latencyTol = fs.Float64("latency-tol", 0.05, "fractional per-record latency slowdown -only regress tolerates")
+	bytesTol   = fs.Float64("bytes-tol", 0, "fractional per-record byte growth -only regress tolerates (0 = any increase is fatal)")
+	verbose    = fs.Bool("v", false, "log progress")
+)
+
 func main() {
-	scale := flag.String("scale", "medium", "matrix scale: small, medium, large")
-	only := flag.String("only", "all", "comma-separated experiments: table1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,ablation,autotune,breakdown,faults,elastic,slo,bench,regress")
-	quick := flag.Bool("quick", false, "shrink sweeps to smoke-test size")
-	outdir := flag.String("outdir", "", "also write one text file per experiment into this directory")
-	baseline := flag.String("baseline", "BENCH_SPTRSV.json", "benchmark summary file: written by -only bench, compared by -only regress")
-	latencyTol := flag.Float64("latency-tol", 0.05, "fractional per-record latency slowdown -only regress tolerates")
-	bytesTol := flag.Float64("bytes-tol", 0, "fractional per-record byte growth -only regress tolerates (0 = any increase is fatal)")
-	modeName := flag.String("mode", "auto", "solve mode for every experiment point: auto, strict, elastic (the elastic sweep sets its own modes)")
-	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
-	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
-	refineMax := flag.Int("refine-max", 0, "cap on elastic iterative-refinement passes (0 = default 48)")
-	verbose := flag.Bool("v", false, "log progress")
-	flag.Parse()
+	cf.Scale = "medium"
+	cf.Bind(fs, cliutil.Scale|cliutil.Elastic)
+	cliutil.Main(fs, run)
+}
 
-	solveMode, err := cliutil.ElasticFlags(*modeName, *staleness, *refineTol, *refineMax)
-	if err != nil {
-		cliutil.Fail("figures", err)
+// names lists every valid -only experiment name.
+func names() []string {
+	var out []string
+	for _, e := range experiments {
+		out = append(out, e.name)
 	}
+	return append(out, explicitOnly...)
+}
 
+func run() error {
+	cfg, err := cf.Config()
+	if err != nil {
+		return err
+	}
+	scale, err := gen.ParseScale(cf.Scale)
+	if err != nil {
+		return err
+	}
 	want := map[string]bool{}
 	for _, s := range strings.Split(*only, ",") {
-		want[strings.TrimSpace(s)] = true
-	}
-	all := want["all"]
-	if all {
-		want["ablation"] = true
-		want["autotune"] = true
-		want["faults"] = true
-		want["elastic"] = true
+		s = strings.TrimSpace(s)
+		if s != "all" && !slices.Contains(names(), s) {
+			return fmt.Errorf("unknown experiment %q (want all, or any of %s)", s, strings.Join(names(), ", "))
+		}
+		want[s] = true
 	}
 
-	run := func(name string, f func(cfg bench.Config)) {
-		if !all && !want[name] {
-			return
-		}
+	do := func(name string, f func(cfg bench.Config)) error {
 		var w io.Writer = os.Stdout
 		var file *os.File
 		if *outdir != "" {
 			if err := os.MkdirAll(*outdir, 0o755); err != nil {
-				cliutil.Fail("figures", err)
+				return err
 			}
 			var err error
-			file, err = os.Create(filepath.Join(*outdir, name+".txt"))
-			if err != nil {
-				cliutil.Fail("figures", err)
+			if file, err = os.Create(filepath.Join(*outdir, name+".txt")); err != nil {
+				return err
 			}
+			defer file.Close()
 			w = io.MultiWriter(os.Stdout, file)
 		}
-		cfg := bench.Config{
-			Scale:     gen.ParseScale(*scale),
-			Quick:     *quick,
-			Verbose:   *verbose,
-			Out:       w,
-			Mode:      solveMode,
-			Staleness: *staleness,
-			RefineTol: *refineTol,
-			RefineMax: *refineMax,
-		}
 		t0 := time.Now()
-		fmt.Printf("== %s (scale=%s quick=%v) ==\n", name, *scale, *quick)
-		f(cfg)
+		fmt.Printf("== %s (scale=%s quick=%v) ==\n", name, cf.Scale, *quick)
+		f(bench.Config{
+			Scale: scale, Quick: *quick, Verbose: *verbose, Out: w,
+			Mode: cfg.Mode, Staleness: cfg.Staleness, RefineTol: cfg.RefineTol, RefineMax: cfg.RefineMax,
+		})
 		fmt.Printf("== %s done in %v ==\n\n", name, time.Since(t0).Round(time.Millisecond))
-		if file != nil {
-			file.Close()
+		return nil
+	}
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			if err := do(e.name, e.run); err != nil {
+				return err
+			}
+		}
+	}
+	if want["slo"] {
+		if err := do("slo", func(cfg bench.Config) { bench.SLO(cfg) }); err != nil {
+			return err
 		}
 	}
 
-	run("table1", func(cfg bench.Config) { bench.Table1(cfg) })
-	run("fig4", func(cfg bench.Config) { bench.Fig4(cfg) })
-	run("fig5", func(cfg bench.Config) { bench.Breakdown(cfg, "s2d9pt") })
-	run("fig6", func(cfg bench.Config) { bench.Breakdown(cfg, "nlpkkt") })
-	run("fig7", func(cfg bench.Config) { bench.LoadBalance(cfg, "s2d9pt") })
-	run("fig8", func(cfg bench.Config) { bench.LoadBalance(cfg, "nlpkkt") })
-	run("fig9", func(cfg bench.Config) { bench.GPUScaling(cfg, "crusher") })
-	run("fig10", func(cfg bench.Config) { bench.GPUScaling(cfg, "perlmutter") })
-	run("fig11", func(cfg bench.Config) { bench.Fig11(cfg) })
-	run("ablation", func(cfg bench.Config) { bench.Ablation(cfg) })
-	run("autotune", func(cfg bench.Config) { bench.Autotune(cfg) })
-	run("breakdown", func(cfg bench.Config) { bench.BreakdownDetail(cfg) })
-	run("faults", func(cfg bench.Config) { bench.FaultSweep(cfg) })
-	run("elastic", func(cfg bench.Config) { bench.ElasticSweep(cfg) })
-
-	// slo is explicit-only: it measures wall-clock serving latency through
-	// the solve service, so its numbers are machine-dependent and do not
-	// belong in the deterministic "all" output set.
-	if want["slo"] {
-		run("slo", func(cfg bench.Config) { bench.SLO(cfg) })
-	}
-
-	// bench and regress are explicit-only: "all" must neither overwrite the
-	// committed baseline nor fail on a checkout that does not carry one.
-	benchCfg := bench.Config{Scale: gen.ParseScale(*scale), Verbose: *verbose, Out: os.Stdout}
+	benchCfg := bench.Config{Scale: scale, Verbose: *verbose, Out: os.Stdout}
 	if want["bench"] {
 		t0 := time.Now()
-		fmt.Printf("== bench (scale=%s) ==\n", *scale)
+		fmt.Printf("== bench (scale=%s) ==\n", cf.Scale)
 		sum := bench.BuildSummary(benchCfg)
-		f, err := os.Create(*baseline)
-		if err != nil {
-			cliutil.Fail("figures", err)
+		var buf bytes.Buffer
+		if err := sum.WriteJSON(&buf); err != nil {
+			return err
 		}
-		if err := sum.WriteJSON(f); err != nil {
-			f.Close()
-			cliutil.Fail("figures", err)
-		}
-		if err := f.Close(); err != nil {
-			cliutil.Fail("figures", err)
+		if err := os.WriteFile(*baseline, buf.Bytes(), 0o644); err != nil {
+			return err
 		}
 		printSummary(sum)
 		fmt.Printf("wrote %s (%d records)\n", *baseline, len(sum.Records))
@@ -150,15 +168,15 @@ func main() {
 	}
 	if want["regress"] {
 		t0 := time.Now()
-		fmt.Printf("== regress (scale=%s, baseline=%s) ==\n", *scale, *baseline)
+		fmt.Printf("== regress (scale=%s, baseline=%s) ==\n", cf.Scale, *baseline)
 		base, err := bench.ReadSummary(*baseline)
 		if err != nil {
-			cliutil.FailInput("figures", *baseline, err)
+			return &cliutil.InputError{Path: *baseline, Err: err}
 		}
 		cur := bench.BuildSummary(benchCfg)
 		regs, err := bench.CompareSummaries(cur, base, *latencyTol, *bytesTol)
 		if err != nil {
-			cliutil.Fail("figures", err)
+			return err
 		}
 		fatal := 0
 		for _, r := range regs {
@@ -171,9 +189,10 @@ func main() {
 			len(base.Records), len(regs), fatal)
 		fmt.Printf("== regress done in %v ==\n\n", time.Since(t0).Round(time.Millisecond))
 		if fatal > 0 {
-			os.Exit(1)
+			return fmt.Errorf("%d fatal regression(s) against %s", fatal, *baseline)
 		}
 	}
+	return nil
 }
 
 // printSummary echoes the summary records as an aligned table so a human

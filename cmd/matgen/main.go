@@ -6,12 +6,18 @@
 // Usage:
 //
 //	matgen [-scale small|medium|large] [-matrix all|s2d9pt|...] [-factor]
+//
+// -matrix (which also takes "all"), -scale and the elastic group are
+// internal/cliutil's; elastic mode adds the L/U-depth columns that
+// calibrate -staleness.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"text/tabwriter"
 
 	"sptrsv/internal/cliutil"
@@ -24,79 +30,78 @@ import (
 	"sptrsv/internal/trsv"
 )
 
-func main() {
-	scale := flag.String("scale", "small", "matrix scale: small, medium, large")
-	matrix := flag.String("matrix", "all", "one analog name or 'all'")
-	factored := flag.Bool("factor", true, "run ordering+factorization and report fill")
-	modeName := flag.String("mode", "auto", "solve mode: auto, strict, elastic (elastic adds the L/U dependency-depth columns that calibrate -staleness)")
-	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
-	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
-	refineMax := flag.Int("refine-max", 0, "cap on elastic iterative-refinement passes (0 = default 48)")
-	flag.Parse()
+var (
+	fs       = flag.NewFlagSet("matgen", flag.ContinueOnError)
+	cf       = cliutil.NewConfigFlags()
+	factored = fs.Bool("factor", true, "run ordering+factorization and report fill")
+)
 
-	mode, err := cliutil.ElasticFlags(*modeName, *staleness, *refineTol, *refineMax)
+func main() {
+	cf.Matrix = "all"
+	cf.Bind(fs, cliutil.Scale|cliutil.Analog|cliutil.Elastic)
+	fs.Lookup("matrix").Usage += ", or all"
+	cliutil.Main(fs, run)
+}
+
+func run() error {
+	cfg, err := cf.Config()
 	if err != nil {
-		cliutil.Fail("matgen", err)
+		return err
 	}
 	// Elastic mode is about dependency levels, so report the structural
 	// quantity the staleness bound S is measured against: the L- and
 	// U-sweep dependency depths (from a 1x1x1 plan — depths are a property
 	// of the factors, not of any particular process grid).
-	elastic := mode.Resolve() == trsv.ModeElastic && *factored
+	elastic := cfg.Mode.Resolve() == trsv.ModeElastic && *factored
 
 	names := gen.SuiteNames()
-	if *matrix != "all" {
-		names = []string{*matrix}
+	if cf.Matrix != "all" {
+		names = []string{cf.Matrix}
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	header := "analog\tstands for\tn\tnnz(A)\tnnz(LU)\tdensity\tsupernodes\tdomain"
-	if elastic {
-		header = "analog\tstands for\tn\tnnz(A)\tnnz(LU)\tdensity\tsupernodes\tL-depth\tU-depth\tdomain"
+	// row prints one table line; the L/U-depth columns are elastic-only.
+	row := func(cells ...string) {
+		if !elastic {
+			cells = slices.Delete(cells, 7, 9)
+		}
+		fmt.Fprintln(tw, strings.Join(cells, "\t"))
 	}
-	fmt.Fprintln(tw, header)
+	row("analog", "stands for", "n", "nnz(A)", "nnz(LU)", "density", "supernodes", "L-depth", "U-depth", "domain")
 	for _, name := range names {
-		m := gen.Named(name, gen.ParseScale(*scale))
-		nnzLU, snCount := -1, -1
-		lDepth, uDepth := "-", "-"
+		// The table is not flushed yet, so a bad -matrix or -scale fails
+		// before anything is printed.
+		m, err := cf.Analog(name)
+		if err != nil {
+			return err
+		}
+		lu, density, sn, lDepth, uDepth := "-", "-", "-", "-", "-"
 		if *factored {
 			sys, err := core.Factorize(m.A, core.FactorOptions{})
 			if err != nil {
-				cliutil.Fail("matgen", err)
+				return err
 			}
-			nnzLU = sys.NNZFactors()
-			snCount = sys.SN.SnCount
+			lu = fmt.Sprint(sys.NNZFactors())
+			density = fmt.Sprintf("%.3g%%", 100*float64(sys.NNZFactors())/(float64(m.A.N)*float64(m.A.N)))
+			sn = fmt.Sprint(sys.SN.SnCount)
 			if elastic {
 				plan, err := dist.New(sys.SN, sys.Tree, grid.Layout{Px: 1, Py: 1, Pz: 1}, ctree.Auto)
 				if err != nil {
-					cliutil.Fail("matgen", err)
+					return err
 				}
 				sc, err := sched.Of(plan)
 				if err != nil {
-					cliutil.Fail("matgen", err)
+					return err
 				}
 				lDepth = fmt.Sprint(sc.Grids[0].LDepth)
 				uDepth = fmt.Sprint(sc.Grids[0].UDepth)
 			}
 		}
-		density := "-"
-		lu := "-"
-		sn := "-"
-		if nnzLU >= 0 {
-			density = fmt.Sprintf("%.3g%%", 100*float64(nnzLU)/(float64(m.A.N)*float64(m.A.N)))
-			lu = fmt.Sprint(nnzLU)
-			sn = fmt.Sprint(snCount)
-		}
-		if elastic {
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
-				m.Name, m.PaperName, m.A.N, m.A.NNZ(), lu, density, sn, lDepth, uDepth, m.Description)
-		} else {
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%s\t%s\t%s\t%s\n",
-				m.Name, m.PaperName, m.A.N, m.A.NNZ(), lu, density, sn, m.Description)
-		}
+		row(m.Name, m.PaperName, fmt.Sprint(m.A.N), fmt.Sprint(m.A.NNZ()), lu, density, sn, lDepth, uDepth, m.Description)
 	}
 	tw.Flush()
 	if elastic {
 		fmt.Printf("\nelastic deadlines: a rank forces progress once it falls S=%d levels behind; "+
-			"a sweep's forcing horizon is depth+S levels\n", *staleness)
+			"a sweep's forcing horizon is depth+S levels\n", cf.Staleness)
 	}
+	return nil
 }

@@ -1,12 +1,10 @@
-// Command serve runs the multi-tenant solve service (default) or the
-// original self-driving solve loop (-mode loop).
-//
-// In serve mode it exposes the upload-once/solve-many HTTP API of
-// internal/server — POST a Matrix Market body (or a generated analog by
-// name) to get a handle, then solve against it — with bounded-queue
-// admission control, per-tenant quotas, and multi-RHS request coalescing.
-// /metrics serves the OpenMetrics exposition and /debug/pprof/ the
-// standard profiler endpoints on the same port.
+// Command serve runs the multi-tenant solve service: the
+// upload-once/solve-many HTTP API of internal/server — POST a Matrix
+// Market body (or a generated analog by name) to get a handle, then solve
+// against it — with bounded-queue admission control, per-tenant quotas,
+// and multi-RHS request coalescing. /metrics serves the OpenMetrics
+// exposition and /debug/pprof/ the standard profiler endpoints on the same
+// port.
 //
 // Usage:
 //
@@ -19,16 +17,13 @@
 //	curl -s -XPOST -H 'Content-Type: application/json' \
 //	     -d '{"b":[1,1,...]}' http://127.0.0.1:8080/v1/matrices/<handle>/solve
 //
+// -machine, -backend, the elastic group and -trace-cap are
+// internal/cliutil's and set the default solve configuration.
+//
 // On SIGINT/SIGTERM the service shuts down gracefully: admission stops
 // (new solves get 503), queued and coalescing requests drain bounded by
 // -drain-timeout, a final serving summary prints, and only then does the
 // HTTP listener close.
-//
-// Loop mode (-mode loop) keeps the previous behavior — repeated solves of
-// one fixed configuration, /metrics and pprof on the side — and is what
-// the CI smoke test drives with -n:
-//
-//	serve -mode loop -matrix s2d9pt -scale small -px 2 -py 2 -pz 2 -n 25
 package main
 
 import (
@@ -44,123 +39,44 @@ import (
 	"time"
 
 	"sptrsv/internal/cliutil"
-	"sptrsv/internal/core"
-	"sptrsv/internal/gen"
-	"sptrsv/internal/grid"
-	"sptrsv/internal/machine"
-	"sptrsv/internal/metrics"
-	"sptrsv/internal/runtime"
 	"sptrsv/internal/server"
-	"sptrsv/internal/sparse"
-	"sptrsv/internal/trsv"
 )
 
 func main() {
-	mode := flag.String("mode", "serve", "serve (multi-tenant solve service) or loop (self-driving solve loop)")
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-
-	// Serve-mode flags.
-	ranks := flag.Int("ranks", 4, "rank budget of the default process layout")
-	maxQueue := flag.Int("max-queue", 256, "bounded admission queue depth (beyond it requests shed with 429)")
-	maxBatch := flag.Int("max-batch", 16, "coalescer flush width (requests per multi-RHS panel solve)")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "coalescer flush deadline after the first request of a batch")
-	quotaRate := flag.Float64("quota-rate", 0, "per-tenant requests/second (0 disables quotas)")
-	quotaBurst := flag.Float64("quota-burst", 0, "per-tenant burst capacity (0 = max(8, 2x rate))")
-	maxHandles := flag.Int("max-handles", 64, "matrix handle cache capacity (LRU eviction)")
-	tuneFlag := flag.Bool("tune", false, "autotune the default config per uploaded matrix")
-	tuneCacheDir := flag.String("tune-cache", "", "persistent tuned-config cache directory (with -tune)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight requests at shutdown")
-	traceCap := flag.Int("trace-cap", 0, "per-rank event capacity of armed solve traces (0 = default 65536); overflow drops oldest events")
-	exemplars := flag.Bool("exemplars", false, "attach request-ID exemplars to /metrics histogram buckets (OpenMetrics syntax)")
-	flightCap := flag.Int("flight-cap", 0, "flight recorder capacity: retained slow/faulted solve captures (0 = default 64, negative disables)")
-	slowFactor := flag.Float64("slow-factor", 0, "capture a flight when a solve exceeds this multiple of the rolling median latency (0 = default 8, negative disables)")
-
-	// Shared flags (loop mode uses all of them; serve mode uses machine,
-	// backend, and the solve-mode flags for its default configuration).
-	matrix := flag.String("matrix", "s2d9pt", "loop mode: matrix analog: s2d9pt, nlpkkt, ldoor, dielfilter, gaas, s1mat")
-	mtxPath := flag.String("mtx", "", "loop mode: solve a Matrix Market file instead of a generated analog")
-	scale := flag.String("scale", "small", "loop mode: matrix scale: small, medium, large")
-	px := flag.Int("px", 2, "loop mode: process rows per 2D grid")
-	py := flag.Int("py", 2, "loop mode: process columns per 2D grid")
-	pz := flag.Int("pz", 2, "loop mode: number of replicated 2D grids (power of two)")
-	algoName := flag.String("algo", "proposed", "loop mode: algorithm: proposed, baseline, gpu-single, gpu-multi, naive-allreduce")
-	treeName := flag.String("trees", "auto", "loop mode: communication trees: flat, binary, auto")
-	machineName := flag.String("machine", "cori-haswell", "machine model (see internal/machine)")
-	backendName := flag.String("backend", "sim", "backend: sim (modeled time) or pool (wall clock)")
-	solveModeName := flag.String("solve-mode", "auto", "default solve mode: auto, strict, elastic (per-request override via config.mode; -mode is taken by serve/loop)")
-	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
-	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
-	refineMax := flag.Int("refine-max", 0, "cap on elastic iterative-refinement passes (0 = default 48)")
-	nrhs := flag.Int("nrhs", 1, "loop mode: number of right-hand sides per solve")
-	interval := flag.Duration("interval", 100*time.Millisecond, "loop mode: pause between solves (0 = back to back)")
-	count := flag.Int("n", 0, "loop mode: stop after this many solves (0 = run until interrupted)")
-	check := flag.Int("check", 10, "loop mode: verify the residual every check-th solve (0 = never)")
-	flag.Parse()
-
-	fail := func(err error) { cliutil.Fail("serve", err) }
-
-	model, err := cliutil.ParseMachine(*machineName)
-	if err != nil {
-		fail(err)
-	}
-	solveMode, err := cliutil.ElasticFlags(*solveModeName, *staleness, *refineTol, *refineMax)
-	if err != nil {
-		fail(err)
-	}
-	var backend trsv.Backend
-	switch *backendName {
-	case "sim": // nil Config.Backend means the DES simulator
-	case "pool":
-		backend = trsv.PoolBackend{Pool: runtime.Pool{}}
-	default:
-		fail(fmt.Errorf("unknown backend %q (want sim, pool)", *backendName))
-	}
-
-	switch *mode {
-	case "serve":
-		svc, err := server.New(server.Options{
-			Machine:      model,
-			Ranks:        *ranks,
-			Backend:      backend,
-			Mode:         solveMode,
-			Staleness:    *staleness,
-			RefineTol:    *refineTol,
-			RefineMax:    *refineMax,
-			MaxQueue:     *maxQueue,
-			MaxBatch:     *maxBatch,
-			MaxWait:      *maxWait,
-			QuotaRate:    *quotaRate,
-			QuotaBurst:   *quotaBurst,
-			MaxHandles:   *maxHandles,
-			Tune:         *tuneFlag,
-			TuneCacheDir: *tuneCacheDir,
-			TraceCap:     *traceCap,
-			Exemplars:    *exemplars,
-			FlightCap:    *flightCap,
-			SlowFactor:   *slowFactor,
-		})
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	cf := cliutil.NewConfigFlags().Bind(fs, cliutil.Machine|cliutil.Backend|cliutil.Elastic|cliutil.TraceCap)
+	var opts server.Options
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
+	fs.IntVar(&opts.Ranks, "ranks", 4, "rank budget of the default process layout")
+	fs.IntVar(&opts.MaxQueue, "max-queue", 256, "bounded admission queue depth (beyond it requests shed with 429)")
+	fs.IntVar(&opts.MaxBatch, "max-batch", 16, "coalescer flush width (requests per multi-RHS panel solve)")
+	fs.DurationVar(&opts.MaxWait, "max-wait", 2*time.Millisecond, "coalescer flush deadline after the first request of a batch")
+	fs.Float64Var(&opts.QuotaRate, "quota-rate", 0, "per-tenant requests/second (0 disables quotas)")
+	fs.Float64Var(&opts.QuotaBurst, "quota-burst", 0, "per-tenant burst capacity (0 = max(8, 2x rate))")
+	fs.IntVar(&opts.MaxHandles, "max-handles", 64, "matrix handle cache capacity (LRU eviction)")
+	fs.BoolVar(&opts.Tune, "tune", false, "autotune the default config per uploaded matrix")
+	fs.StringVar(&opts.TuneCacheDir, "tune-cache", "", "persistent tuned-config cache directory (with -tune)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight requests at shutdown")
+	fs.BoolVar(&opts.Exemplars, "exemplars", false, "attach request-ID exemplars to /metrics histogram buckets (OpenMetrics syntax)")
+	fs.IntVar(&opts.FlightCap, "flight-cap", 0, "flight recorder capacity: retained slow/faulted solve captures (0 = default 64, negative disables)")
+	fs.Float64Var(&opts.SlowFactor, "slow-factor", 0, "capture a flight when a solve exceeds this multiple of the rolling median latency (0 = default 8, negative disables)")
+	cliutil.Main(fs, func() error {
+		cfg, err := cf.Config()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		runService(svc, *addr, *drainTimeout, fail)
-	case "loop":
-		runLoop(loopConfig{
-			matrix: *matrix, mtxPath: *mtxPath, scale: *scale,
-			px: *px, py: *py, pz: *pz,
-			algoName: *algoName, treeName: *treeName,
-			model: model, backend: backend,
-			solveMode: solveMode, staleness: *staleness,
-			refineTol: *refineTol, refineMax: *refineMax,
-			nrhs: *nrhs,
-			addr: *addr, interval: *interval, count: *count, check: *check,
-		}, fail)
-	default:
-		fail(fmt.Errorf("unknown mode %q (want serve, loop)", *mode))
-	}
+		opts.Machine, opts.Backend, opts.TraceCap = cfg.Machine, cfg.Backend, cfg.TraceCap
+		opts.Mode, opts.Staleness, opts.RefineTol, opts.RefineMax = cfg.Mode, cfg.Staleness, cfg.RefineTol, cfg.RefineMax
+		svc, err := server.New(opts)
+		if err != nil {
+			return err
+		}
+		return runService(svc, *addr, *drainTimeout)
+	})
 }
 
 // runService hosts the solve service until SIGINT/SIGTERM, then drains.
-func runService(svc *server.Server, addr string, drainTimeout time.Duration, fail func(error)) {
+func runService(svc *server.Server, addr string, drainTimeout time.Duration) error {
 	mux := http.NewServeMux()
 	mux.Handle("/", svc.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -171,7 +87,7 @@ func runService(svc *server.Server, addr string, drainTimeout time.Duration, fai
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	srv := &http.Server{Handler: mux}
 	errc := make(chan error, 1)
@@ -186,7 +102,7 @@ func runService(svc *server.Server, addr string, drainTimeout time.Duration, fai
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
-		fail(err)
+		return err
 	case sig := <-stop:
 		fmt.Printf("%v: draining (bounded by %v)\n", sig, drainTimeout)
 	}
@@ -222,116 +138,5 @@ func runService(svc *server.Server, addr string, drainTimeout time.Duration, fai
 	if st.TraceDropped > 0 {
 		fmt.Printf("tracing: %.0f trace events dropped, raise -trace-cap\n", st.TraceDropped)
 	}
-}
-
-// loopConfig carries the original self-driving loop's flags.
-type loopConfig struct {
-	matrix, mtxPath, scale string
-	px, py, pz             int
-	algoName, treeName     string
-	model                  *machine.Model
-	backend                trsv.Backend
-	solveMode              trsv.SolveMode
-	staleness, refineMax   int
-	refineTol              float64
-	nrhs                   int
-	addr                   string
-	interval               time.Duration
-	count, check           int
-}
-
-// runLoop is the pre-service behavior: repeated solves of one fixed
-// configuration with /metrics and pprof on the side.
-func runLoop(lc loopConfig, fail func(error)) {
-	var a *sparse.CSR
-	if lc.mtxPath != "" {
-		a = cliutil.LoadMTX("serve", lc.mtxPath)
-		fmt.Printf("matrix %s: n=%d, nnz=%d\n", lc.mtxPath, a.N, a.NNZ())
-	} else {
-		m := gen.Named(lc.matrix, gen.ParseScale(lc.scale))
-		a = m.A
-		fmt.Printf("matrix %s (analog of %s): n=%d, nnz=%d\n", m.Name, m.PaperName, a.N, a.NNZ())
-	}
-	sys, err := core.Factorize(a, core.FactorOptions{})
-	if err != nil {
-		fail(err)
-	}
-
-	algo, err := cliutil.ParseAlgorithm(lc.algoName)
-	if err != nil {
-		fail(err)
-	}
-	trees, err := cliutil.ParseTrees(lc.treeName)
-	if err != nil {
-		fail(err)
-	}
-	solver, err := core.NewSolver(sys, core.Config{
-		Layout:    grid.Layout{Px: lc.px, Py: lc.py, Pz: lc.pz},
-		Algorithm: algo,
-		Trees:     trees,
-		Machine:   lc.model,
-		Backend:   lc.backend,
-		Mode:      lc.solveMode,
-		Staleness: lc.staleness,
-		RefineTol: lc.refineTol,
-		RefineMax: lc.refineMax,
-	})
-	if err != nil {
-		fail(err)
-	}
-
-	// Serve /metrics and the pprof endpoints on an explicit mux — nothing
-	// rides the default mux, so nothing else in the process can leak
-	// handlers onto this port.
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", metrics.Handler(metrics.Default()))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	ln, err := net.Listen("tcp", lc.addr)
-	if err != nil {
-		fail(err)
-	}
-	srv := &http.Server{Handler: mux}
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fail(err)
-		}
-	}()
-	fmt.Printf("serving http://%s/metrics and http://%s/debug/pprof/\n", ln.Addr(), ln.Addr())
-	fmt.Printf("solving %s %dx%dx%d on %s every %v — ctrl-c to stop\n",
-		lc.algoName, lc.px, lc.py, lc.pz, lc.model.Name, lc.interval)
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	b := sparse.NewPanel(a.N, lc.nrhs)
-	for i := range b.Data {
-		b.Data[i] = 1 + float64(i%7)/7
-	}
-	solves, failures := 0, 0
-	for lc.count == 0 || solves < lc.count {
-		x, rep, err := solver.Solve(b)
-		solves++
-		if err != nil {
-			failures++
-			fmt.Fprintf(os.Stderr, "serve: solve %d failed: %v\n", solves, err)
-		} else if lc.check > 0 && solves%lc.check == 0 {
-			fmt.Printf("solve %d: %.6g s, residual %.3g\n", solves, rep.Time, solver.Residual(x, b))
-		}
-		select {
-		case <-stop:
-			fmt.Printf("interrupted after %d solves (%d failed)\n", solves, failures)
-			srv.Close()
-			return
-		case <-time.After(lc.interval):
-		}
-	}
-	fmt.Printf("done: %d solves (%d failed)\n", solves, failures)
-	srv.Close()
-	if failures > 0 {
-		os.Exit(1)
-	}
+	return nil
 }

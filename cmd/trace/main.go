@@ -11,130 +11,68 @@
 //
 //	trace -matrix s2d9pt -scale small -px 2 -py 2 -pz 4 \
 //	      -algo proposed -machine cori-haswell -o trace.json -top 5
+//
+// Flags: the shared surface of internal/cliutil except -backend, plus -o
+// and -top.
 package main
 
 import (
-	"bufio"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
 
 	"sptrsv/internal/cliutil"
 	"sptrsv/internal/core"
-	"sptrsv/internal/gen"
-	"sptrsv/internal/grid"
-	"sptrsv/internal/machine"
 	"sptrsv/internal/runtime"
 	"sptrsv/internal/sparse"
 	"sptrsv/internal/trsv"
 )
 
-func main() {
-	matrix := flag.String("matrix", "s2d9pt", "matrix analog: s2d9pt, nlpkkt, ldoor, dielfilter, gaas, s1mat")
-	mtxPath := flag.String("mtx", "", "trace a Matrix Market file instead of a generated analog")
-	scale := flag.String("scale", "small", "matrix scale: small, medium, large")
-	px := flag.Int("px", 2, "process rows per 2D grid")
-	py := flag.Int("py", 2, "process columns per 2D grid")
-	pz := flag.Int("pz", 2, "number of replicated 2D grids (power of two)")
-	algoName := flag.String("algo", "proposed", "algorithm: proposed, baseline, gpu-single, gpu-multi")
-	treeName := flag.String("trees", "auto", "communication trees: flat, binary, auto")
-	machineName := flag.String("machine", "cori-haswell", "machine model (see internal/machine)")
-	modeName := flag.String("mode", "auto", "solve mode: auto, strict, elastic (bounded staleness + iterative refinement)")
-	staleness := flag.Int("staleness", 16, "elastic mode's staleness bound S, in dependency levels")
-	refineTol := flag.Float64("refine-tol", 0, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
-	refineMax := flag.Int("refine-max", 0, "cap on elastic iterative-refinement passes (0 = default 48)")
-	nrhs := flag.Int("nrhs", 1, "number of right-hand sides")
-	traceCap := flag.Int("trace-cap", 0, "per-rank trace event capacity (0 = default 65536); overflow drops oldest events")
-	out := flag.String("o", "trace.json", "output path for the Chrome trace_event JSON")
-	top := flag.Int("top", 5, "how many top-slack and top-wait message edges to print")
-	flag.Parse()
+var (
+	fs  = flag.NewFlagSet("trace", flag.ContinueOnError)
+	cf  = cliutil.NewConfigFlags().Bind(fs, cliutil.Solve&^cliutil.Backend)
+	out = fs.String("o", "trace.json", "output path for the Chrome trace_event JSON")
+	top = fs.Int("top", 5, "how many top-slack and top-wait message edges to print")
+)
 
-	fail := func(err error) { cliutil.Fail("trace", err) }
+func main() { cliutil.Main(fs, run) }
 
-	var a *sparse.CSR
-	if *mtxPath != "" {
-		a = cliutil.LoadMTX("trace", *mtxPath)
-		fmt.Printf("matrix %s: n=%d, nnz=%d\n", *mtxPath, a.N, a.NNZ())
-	} else {
-		m := gen.Named(*matrix, gen.ParseScale(*scale))
-		a = m.A
-		fmt.Printf("matrix %s (analog of %s): n=%d, nnz=%d\n", m.Name, m.PaperName, a.N, a.NNZ())
+func run() error {
+	cf.Trace = true
+	cfg, a, err := cf.Load()
+	if err != nil {
+		return err
 	}
 	sys, err := core.Factorize(a, core.FactorOptions{})
 	if err != nil {
-		fail(err)
+		return err
+	}
+	solver, err := core.NewSolver(sys, cfg)
+	if err != nil {
+		return err
 	}
 
-	algo, err := cliutil.ParseAlgorithm(*algoName)
-	if err != nil {
-		fail(err)
-	}
-	trees, err := cliutil.ParseTrees(*treeName)
-	if err != nil {
-		fail(err)
-	}
-	mode, err := cliutil.ElasticFlags(*modeName, *staleness, *refineTol, *refineMax)
-	if err != nil {
-		fail(err)
-	}
-
-	solver, err := core.NewSolver(sys, core.Config{
-		Layout:    grid.Layout{Px: *px, Py: *py, Pz: *pz},
-		Algorithm: algo,
-		Trees:     trees,
-		Machine:   machine.ByName(*machineName),
-		Trace:     true,
-		TraceCap:  *traceCap,
-		Mode:      mode,
-		Staleness: *staleness,
-		RefineTol: *refineTol,
-		RefineMax: *refineMax,
-	})
-	if err != nil {
-		fail(err)
-	}
-
-	b := sparse.NewPanel(a.N, *nrhs)
+	b := sparse.NewPanel(a.N, cf.NRHS)
 	for i := range b.Data {
 		b.Data[i] = 1
 	}
 	x, rep, err := solver.Solve(b)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	fmt.Printf("layout %dx%dx%d, %s, %s model: solve time %.6g s, residual %.3g\n",
-		*px, *py, *pz, *algoName, *machineName, rep.Time, solver.Residual(x, b))
-	if mode.Resolve() == trsv.ModeElastic {
+		cf.Px, cf.Py, cf.Pz, cf.Algo, cf.Machine, rep.Time, solver.Residual(x, b))
+	if cfg.Mode.Resolve() == trsv.ModeElastic {
 		fmt.Printf("elastic: S=%d, %d stale supernodes, %d refinement passes, verified residual %.3g\n",
-			*staleness, rep.StaleSupernodes, rep.RefinePasses, rep.Residual)
+			cf.Staleness, rep.StaleSupernodes, rep.RefinePasses, rep.Residual)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fail(err)
+	if err := cliutil.WriteTrace("trace", *out, rep.Raw); err != nil {
+		return err
 	}
-	w := bufio.NewWriter(f)
-	if err := rep.Raw.WriteTraceNamed(w, trsv.TagName); err != nil {
-		// A truncated-but-valid trace is worth keeping; warn and go on.
-		var dropped *runtime.DroppedEventsError
-		if !errors.As(err, &dropped) {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace: warning: %d trace events dropped, raise -trace-cap\n", dropped.Dropped)
-	}
-	if err := w.Flush(); err != nil {
-		fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fail(err)
-	}
-	fmt.Printf("wrote %s (%d events) — open in chrome://tracing or ui.perfetto.dev\n",
-		*out, rep.Raw.Trace.Events())
 
 	bd, err := rep.Raw.TraceBreakdown()
 	if err != nil {
-		fail(err)
+		return err
 	}
 	fmt.Printf("\nbreakdown (mean s over %d participating ranks):\n", bd.Participants)
 	for _, k := range []runtime.EventKind{runtime.EvCompute, runtime.EvSend, runtime.EvRecv, runtime.EvElapse} {
@@ -152,12 +90,12 @@ func main() {
 		// Critical-path and edge analyses need every event; the written
 		// (truncated) trace file is still usable in a viewer.
 		fmt.Println("\nskipping critical-path and edge analyses: trace is truncated, raise -trace-cap for them")
-		return
+		return nil
 	}
 
 	cp, err := rep.Raw.CriticalPath()
 	if err != nil {
-		fail(err)
+		return err
 	}
 	fmt.Printf("\ncritical path: %.6g s = %.0f%% of the %.6g s makespan\n",
 		cp.Length, 100*cp.Length/cp.Makespan, cp.Makespan)
@@ -171,7 +109,7 @@ func main() {
 
 	edges, err := rep.Raw.MessageEdges()
 	if err != nil {
-		fail(err)
+		return err
 	}
 	name := func(tag int) string {
 		if n := trsv.TagName(tag); n != "" {
@@ -187,4 +125,5 @@ func main() {
 	for _, e := range runtime.TopWait(edges, *top) {
 		fmt.Printf("  %-12s %3d -> %3d  %6d B  wait %.4g s\n", name(e.Tag), e.Src, e.Dst, e.Bytes, e.Wait)
 	}
+	return nil
 }

@@ -196,12 +196,12 @@ func TestRandomDDWellFormed(t *testing.T) {
 
 func TestParseScaleRoundTrip(t *testing.T) {
 	for _, s := range []Scale{Small, Medium, Large} {
-		if ParseScale(s.String()) != s {
-			t.Fatalf("round trip failed for %v", s)
+		if got, err := ParseScale(s.String()); err != nil || got != s {
+			t.Fatalf("round trip failed for %v: %v, %v", s, got, err)
 		}
 	}
-	if ParseScale("bogus") != Medium {
-		t.Fatal("unknown scale should default to Medium")
+	if _, err := ParseScale("bogus"); err == nil {
+		t.Fatal("unknown scale should be an error")
 	}
 }
 

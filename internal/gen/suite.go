@@ -1,5 +1,7 @@
 package gen
 
+import "fmt"
+
 // Scale selects the size of the generated analogs. Tests and `go test
 // -bench` use Small; cmd/figures defaults to Medium; Large approaches the
 // largest problems this environment can factor in reasonable time (the
@@ -13,16 +15,14 @@ const (
 	Large
 )
 
-// ParseScale maps a flag string to a Scale; unknown strings map to Medium.
-func ParseScale(s string) Scale {
-	switch s {
-	case "small":
-		return Small
-	case "large":
-		return Large
-	default:
-		return Medium
+// ParseScale maps a flag string to a Scale; unknown names are errors.
+func ParseScale(s string) (Scale, error) {
+	for _, sc := range []Scale{Small, Medium, Large} {
+		if s == sc.String() {
+			return sc, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown scale %q (want small, medium, large)", s)
 }
 
 func (s Scale) String() string {

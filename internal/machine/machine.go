@@ -226,14 +226,3 @@ func Lookup(name string) (*Model, bool) {
 	}
 	return nil, false
 }
-
-// ByName returns a model by its Name field; experiment harnesses use it
-// for flag parsing. It panics on unknown names (Lookup is the non-panicking
-// form).
-func ByName(name string) *Model {
-	m, ok := Lookup(name)
-	if !ok {
-		panic("machine: unknown model " + name)
-	}
-	return m
-}

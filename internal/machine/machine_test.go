@@ -74,16 +74,13 @@ func TestCrusherOverheadAbovePerlmutter(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
+func TestLookup(t *testing.T) {
 	for _, name := range []string{"cori-haswell", "perlmutter-cpu", "perlmutter-gpu", "crusher-cpu", "crusher-gpu"} {
-		if m := ByName(name); m.Name != name {
-			t.Fatalf("ByName(%q).Name = %q", name, m.Name)
+		if m, ok := Lookup(name); !ok || m.Name != name {
+			t.Fatalf("Lookup(%q) = %v, %v", name, m, ok)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown name should panic")
-		}
-	}()
-	ByName("nope")
+	if m, ok := Lookup("nope"); ok || m != nil {
+		t.Fatalf("Lookup(\"nope\") = %v, %v; want nil, false", m, ok)
+	}
 }

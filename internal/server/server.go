@@ -305,7 +305,9 @@ type errorResponse struct {
 
 type uploadRequest struct {
 	Generate *struct {
-		Name  string `json:"name"`
+		Name string `json:"name"`
+		// Scale is small, medium or large; omitted means medium, and
+		// any other name is a 400.
 		Scale string `json:"scale"`
 	} `json:"generate"`
 	Options *struct {
@@ -426,8 +428,15 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("unknown matrix analog %q (want one of %v)", req.Generate.Name, gen.SuiteNames()), 0)
 			return
 		}
-		genKey = fmt.Sprintf("%s|%s|%d|%d", req.Generate.Name, gen.ParseScale(req.Generate.Scale),
-			fopt.TreeDepth, fopt.MaxSupernode)
+		scale := gen.Medium
+		if req.Generate.Scale != "" {
+			var err error
+			if scale, err = gen.ParseScale(req.Generate.Scale); err != nil {
+				writeError(w, http.StatusBadRequest, err.Error(), 0)
+				return
+			}
+		}
+		genKey = fmt.Sprintf("%s|%s|%d|%d", req.Generate.Name, scale, fopt.TreeDepth, fopt.MaxSupernode)
 		if id, ok := s.genIDs.Load(genKey); ok {
 			if h, ok := s.handles.get(id.(string), now); ok {
 				s.metrics.uploads.With("reused").Inc()
@@ -435,7 +444,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		m := gen.Named(req.Generate.Name, gen.ParseScale(req.Generate.Scale))
+		m := gen.Named(req.Generate.Name, scale)
 		a, name = m.A, m.Name
 	} else {
 		raw, err := mtx.Read(body)
@@ -755,8 +764,8 @@ func (s *Server) resolveConfig(h *Handle, wc *wireConfig) (core.Config, error) {
 	if wc.RefineMax != nil {
 		cfg.RefineMax = *wc.RefineMax
 	}
-	if cfg.Mode.Resolve() == trsv.ModeElastic && cfg.Staleness <= 0 {
-		return core.Config{}, fmt.Errorf("elastic mode requires staleness > 0, got %d", cfg.Staleness)
+	if err := cliutil.CheckElastic(cfg); err != nil {
+		return core.Config{}, err
 	}
 	cfg.Layout = grid.Layout{Px: wc.Px, Py: wc.Py, Pz: wc.Pz}
 	if cfg.Layout.Px == 0 && cfg.Layout.Py == 0 && cfg.Layout.Pz == 0 {

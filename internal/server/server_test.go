@@ -117,6 +117,24 @@ func TestUploadGenerateDedupAndInspect(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown handle: %d, want 404", resp.StatusCode)
 	}
+
+	// An unknown scale is a client error; an omitted one means medium.
+	resp, data = postJSON(t, ts.URL+"/v1/matrices", map[string]any{
+		"generate": map[string]string{"name": "gaas", "scale": "smal"},
+	}, nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown scale") {
+		t.Fatalf("unknown scale: %d: %s", resp.StatusCode, data)
+	}
+	resp, data = postJSON(t, ts.URL+"/v1/matrices", map[string]any{
+		"generate": map[string]string{"name": "gaas"},
+	}, nil)
+	var medium matrixInfo
+	if err := json.Unmarshal(data, &medium); err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("omitted scale: %d: %s", resp.StatusCode, data)
+	}
+	if want := gen.Named("gaas", gen.Medium).A.N; medium.N != want {
+		t.Fatalf("omitted scale solved n=%d, want the medium n=%d", medium.N, want)
+	}
 }
 
 func get(t *testing.T, url string) (*http.Response, []byte) {

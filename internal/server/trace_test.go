@@ -59,9 +59,11 @@ func TestValidRequestID(t *testing.T) {
 // TestDebugRequestEndToEnd is the tentpole acceptance path: a traced solve
 // is retrievable by its request ID — spans at /debug/requests/{id}, a
 // captured flight whose download stitches service spans to the per-rank
-// runtime trace, and the latency bucket carrying the ID as an exemplar.
+// runtime trace, and the latency bucket carrying the ID as an exemplar. A
+// traced crash is captured as a fault flight with its runtime events and
+// lands in the fault-outcome latency buckets.
 func TestDebugRequestEndToEnd(t *testing.T) {
-	_, _, ts := newHTTPServer(t, func(o *Options) { o.Exemplars = true })
+	s, _, ts := newHTTPServer(t, func(o *Options) { o.Exemplars = true })
 	info := uploadGenerated(t, ts.URL, "s2d9pt", "small")
 	url := ts.URL + "/v1/matrices/" + info.Handle + "/solve"
 
@@ -118,21 +120,38 @@ func TestDebugRequestEndToEnd(t *testing.T) {
 	}
 	assertStitchedChromeTrace(t, data, true)
 
-	// 4. The exemplar: the ok-outcome latency bucket names the request.
+	// 4. A first-incident crash sent with X-Trace: the fault trigger wins
+	// and the flight still carries the salvaged runtime events.
+	crash := solveBody(info.N)
+	crash["fault"] = map[string]any{"crash_rank": 1, "crash_at": 0}
+	resp, data = postJSON(t, url, crash, map[string]string{"X-Request-ID": "probe-fault", "X-Trace": "1"})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("traced crash: %d: %s", resp.StatusCode, data)
+	}
+	f, ok := s.flights.Get("probe-fault")
+	if !ok || f.Trigger != "fault" || f.Events() == 0 {
+		t.Fatalf("traced crash flight = %+v (ok=%v), want a fault flight with runtime events", f, ok)
+	}
+
+	// 5. The exemplar: the ok-outcome latency bucket names the request,
+	// and the crash has its own outcome buckets.
 	resp, data = get(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
-	found := false
+	okExemplar, faultBucket := false, false
 	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "sptrsv_server_request_seconds_bucket") &&
-			strings.Contains(line, `outcome="ok"`) &&
-			strings.Contains(line, `# {request_id="`) {
-			found = true
+		if !strings.HasPrefix(line, "sptrsv_server_request_seconds_bucket") {
+			continue
 		}
+		okExemplar = okExemplar || strings.Contains(line, `outcome="ok"`) && strings.Contains(line, `# {request_id="`)
+		faultBucket = faultBucket || strings.Contains(line, `outcome="fault"`)
 	}
-	if !found {
+	if !okExemplar {
 		t.Fatalf("no request_id exemplar on the ok latency buckets:\n%s", data)
+	}
+	if !faultBucket {
+		t.Fatalf("no fault-outcome latency bucket:\n%s", data)
 	}
 }
 

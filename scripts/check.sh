@@ -33,6 +33,9 @@ echo "== go test -race -count=2 (chaos / fault-injection stress) =="
 go test -race -count=2 -run 'Chaos|Fault|Stall|Straggl|Watchdog|Crash|Robust|NonFinite|PoolMeanFP|PoolComputeTime' \
     ./internal/fault ./internal/runtime ./internal/core ./internal/sparse
 
+echo "== go test -count=2 (CLI flag surface + exit-code contract) =="
+go test -count=2 ./internal/cliutil
+
 echo "== go test -count (former flakes: alloc neutrality, shutdown drain) =="
 go test -count=50 -run TestSolveWithZeroSpecAllocNeutral ./internal/core
 go test -count=20 -run TestQueueFullShedsAndShutdownDrains ./internal/server
@@ -67,14 +70,8 @@ go test -race -count=2 \
     -run 'Flight|Statusz|Exemplar|DebugRequest|RequestID|TraceOff|ShedRequests|ConcurrentTraffic' \
     ./internal/server ./internal/metrics
 
-echo "== traced-serve + flight-recorder smoke =="
-go run ./scripts/tracesmoke
-
 echo "== solve service + loadgen smoke =="
 go run ./cmd/figures -only slo -scale small -quick
-
-echo "== serve loop-mode smoke =="
-go run ./cmd/serve -mode loop -matrix s2d9pt -scale small -n 5 -interval 0 -check 5 -addr 127.0.0.1:0
 
 echo "== benchmark regression gate =="
 scripts/bench_regress

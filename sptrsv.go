@@ -301,8 +301,15 @@ var (
 type TestMatrix = gen.Matrix
 
 // Suite generates the full Table 1 analog set at the given scale
-// ("small", "medium", "large" via ParseScale).
-func Suite(scale string) []TestMatrix { return gen.Suite(gen.ParseScale(scale)) }
+// ("small", "medium" or "large"). Like the generators it panics on an
+// unknown name, so a misconfigured experiment fails immediately.
+func Suite(scale string) []TestMatrix {
+	sc, err := gen.ParseScale(scale)
+	if err != nil {
+		panic("sptrsv: " + err.Error())
+	}
+	return gen.Suite(sc)
+}
 
 // ReadMatrixMarket parses a Matrix Market coordinate stream (real/integer,
 // general/symmetric) into a CSR matrix, so the paper's original SuiteSparse

@@ -122,6 +122,15 @@ func TestPublicAPISuiteAndMTX(t *testing.T) {
 	}
 }
 
+func TestSuitePanicsOnUnknownScale(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Suite(\"smal\") should panic, not fall back to a default scale")
+		}
+	}()
+	sptrsv.Suite("smal")
+}
+
 func TestPublicAPIBuilder(t *testing.T) {
 	// Users can assemble their own matrices.
 	b := sptrsv.NewBuilder(3)
