@@ -2,7 +2,7 @@
 // execute: for every 2D grid z, the leaf-to-root path of elimination-tree
 // nodes, the supernodes living on that path, block-cyclic ownership, the
 // per-supernode broadcast and reduction communication trees, and the row
-// lists the fmod/bmod dependency counters are derived from.
+// lists the dependency counters are derived from.
 //
 // Ownership convention (identical on every grid, which is what lets the
 // inter-grid exchanges pair ranks with equal 2D coordinates): block (I, K)

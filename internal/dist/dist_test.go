@@ -167,6 +167,40 @@ func TestPendingCountsMatchTreeStructure(t *testing.T) {
 	}
 }
 
+// TestLocalCountsMatchRowListsOnOneRankGrids pins the identity that lets
+// the GPU handler run gpu-single (Px=Py=1) on its per-rank block counts:
+// on a one-rank grid that rank holds every on-path block, so its count of
+// blocks in row K is the number of on-path supernodes feeding K in each
+// sweep. The matrices are those of the trsv engine goldens.
+func TestLocalCountsMatchRowListsOnOneRankGrids(t *testing.T) {
+	for _, mc := range []struct {
+		name         string
+		a            *sparse.CSR
+		depth, maxSn int
+	}{
+		{"s2d", gen.S2D9pt(20, 20, 31), 3, 8},
+		{"rand", gen.RandomDD(rand.New(rand.NewSource(200)), 240, 0.06), 2, 10},
+		{"s2d-xl", gen.S2D9pt(26, 26, 32), 2, 12},
+	} {
+		m, tr := buildFactors(t, mc.a, mc.depth, mc.maxSn)
+		for _, pz := range []int{1, 2, 4} {
+			p, err := New(m, tr, grid.Layout{Px: 1, Py: 1, Pz: pz}, ctree.Binary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, gp := range p.Grids {
+				rd := gp.Ranks[0]
+				for _, k := range gp.Sns {
+					if rd.LocalL[k] != len(gp.RowSns[k]) || rd.LocalU[k] != len(gp.URowSns[k]) {
+						t.Fatalf("%s Pz=%d grid %d sn %d: local L/U %d/%d, row lists %d/%d", mc.name, pz, gp.Z, k,
+							rd.LocalL[k], rd.LocalU[k], len(gp.RowSns[k]), len(gp.URowSns[k]))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRecvTotalsMatchSendTotals(t *testing.T) {
 	// Across a grid, total expected receives must equal total messages the
 	// trees will carry: every tree edge carries exactly one message per

@@ -46,10 +46,6 @@ type Grid struct {
 	Sns []int
 	// Width is the supernode width per slot.
 	Width []int32
-	// Fmod and Bmod are the GPU execution model's dependency-counter
-	// templates per slot: the number of on-path supernodes feeding slot K
-	// in the forward (L) and backward (U) sweep.
-	Fmod, Bmod []int32
 
 	// LDepth and UDepth are the grid-global dependency depths of the two
 	// sweeps: the length of the longest supernode chain over the grid's
@@ -214,8 +210,6 @@ func buildGrid(p *dist.Plan, gp *dist.GridPlan) *Grid {
 		SlotOf: make([]int32, m.SnCount),
 		Sns:    gp.Sns,
 		Width:  make([]int32, n),
-		Fmod:   make([]int32, n),
-		Bmod:   make([]int32, n),
 	}
 	for i := range g.SlotOf {
 		g.SlotOf[i] = -1
@@ -223,8 +217,6 @@ func buildGrid(p *dist.Plan, gp *dist.GridPlan) *Grid {
 	for s, k := range gp.Sns {
 		g.SlotOf[k] = int32(s)
 		g.Width[s] = int32(m.SnWidth(k))
-		g.Fmod[s] = int32(len(gp.RowSns[k]))
-		g.Bmod[s] = int32(len(gp.URowSns[k]))
 	}
 	g.LDepth, g.UDepth = gridDepths(gp, g)
 	g.Ranks = make([]*Rank, len(gp.Ranks))

@@ -6,7 +6,6 @@ import (
 
 	"sptrsv/internal/dist"
 	"sptrsv/internal/fault"
-	"sptrsv/internal/machine"
 	"sptrsv/internal/runtime"
 	"sptrsv/internal/sparse"
 )
@@ -35,27 +34,6 @@ type groupMsg struct {
 	W    wirePanel
 }
 
-// NewBaseline3D returns the handler factory for the baseline algorithm
-// under default solve options. dist.Plan.BuildBaseline must have run
-// (Solve does it).
-func NewBaseline3D(p *dist.Plan, model *machine.Model, b, x *sparse.Panel) func(rank int) runtime.Handler {
-	return newBaseline3D(p, model, b, x, SolveOpts{})
-}
-
-func newBaseline3D(p *dist.Plan, model *machine.Model, b, x *sparse.Panel, opts SolveOpts) func(rank int) runtime.Handler {
-	if err := p.BuildBaseline(); err != nil {
-		// Unreachable from SolveInto, which builds the baseline plan (with an
-		// error return) before constructing the factory.
-		panic(&fault.ProtocolError{Rank: -1, Phase: "plan",
-			Msg: fmt.Sprintf("baseline plan build failed: %v", err)})
-	}
-	return func(rank int) runtime.Handler {
-		h := &base3dRank{}
-		h.rankCore.init(p, model, rank, b, x, opts)
-		return h
-	}
-}
-
 func (h *base3dRank) Done() bool { return h.st.phase == 3 }
 
 func (h *base3dRank) base() *dist.Baseline { return h.gp.Base }
@@ -65,14 +43,14 @@ func (h *base3dRank) Init(ctx *runtime.Ctx) {
 	h.s = bb.S
 	rd := bb.Ranks[h.r2d]
 	st := h.st
-	st.dpendL = slotCounts(st.dpendL, h.gp.Sns, rd.PendingL)
-	st.dpendU = slotCounts(st.dpendU, h.gp.Sns, rd.PendingU)
+	st.dpend[sweepL] = slotCounts(st.dpend[sweepL], h.gp.Sns, rd.PendingL)
+	st.dpend[sweepU] = slotCounts(st.dpend[sweepU], h.gp.Sns, rd.PendingU)
 	st.lRemaining = append(st.lRemaining[:0], rd.LRemaining...)
 	st.uRemaining = append(st.uRemaining[:0], rd.URemaining...)
 
 	// Kick off the leaf node.
 	for _, k := range h.myDiagSns {
-		if h.gp.NodeOf[k] == 0 && h.pendingLOf(k) == 0 {
+		if h.gp.NodeOf[k] == 0 && h.pendingOf(sweepL, k) == 0 {
 			st.enqueueY(k)
 		}
 	}
@@ -140,20 +118,20 @@ func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	case tagLReduce:
 		d := m.Data.(*sumMsg)
 		st.lRemaining[st.lStage]--
-		addWire(h.getLsum(d.K), &d.W)
-		h.lContribution(ctx, d.K, h.base().LReduceNode[d.K])
+		addWire(h.getSum(sweepL, d.K), &d.W)
+		h.contribution(ctx, sweepL, d.K, h.base().LReduceNode[d.K])
 		h.drainReadyY(ctx, h)
 		h.advanceL(ctx)
 	case tagZGatherL:
 		d := m.Data.(*vecBundle)
 		for i, k := range d.Ks {
-			addWire(h.getLsum(k), &d.Ws[i])
+			addWire(h.getSum(sweepL, k), &d.Ws[i])
 		}
 		st.lAwaitMerge = false
 		st.lStage++
 		h.sendGathers(ctx)
 		for _, k := range h.myDiagSns {
-			if h.gp.NodeOf[k] == st.lStage && h.pendingLOf(k) == 0 {
+			if h.gp.NodeOf[k] == st.lStage && h.pendingOf(sweepL, k) == 0 {
 				st.enqueueY(k)
 			}
 		}
@@ -183,8 +161,8 @@ func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	case tagUReduce:
 		d := m.Data.(*sumMsg)
 		st.uRemaining[h.gp.NodeOf[d.K]]--
-		addWire(h.getUsum(d.K), &d.W)
-		h.uContribution(ctx, d.K, h.base().UReduceFlat[d.K])
+		addWire(h.getSum(sweepU, d.K), &d.W)
+		h.contribution(ctx, sweepU, d.K, h.base().UReduceFlat[d.K])
 		h.drainReadyX(ctx, h)
 		h.advanceU(ctx)
 	}
@@ -200,7 +178,7 @@ func (h *base3dRank) applyYGroup(ctx *runtime.Ctx, k, g int, yk *sparse.Panel) {
 		}
 		ctx.ComputeT(TagApplyL, h.applyLBlock(blk, k, yk), nil)
 		if g == h.gp.NodeOf[k] {
-			h.lContribution(ctx, blk.I, h.base().LReduceNode[blk.I])
+			h.contribution(ctx, sweepL, blk.I, h.base().LReduceNode[blk.I])
 		}
 	}
 }
@@ -218,7 +196,7 @@ func (h *base3dRank) keepB(int) bool { return true }
 func (h *base3dRank) solveY(ctx *runtime.Ctx, k int) {
 	yk, secs := h.solveYPanel(k, true)
 	ctx.ComputeT(TagDiagSolveL, secs, nil)
-	delete(h.st.lsum, k)
+	delete(h.st.sum[sweepL], k)
 	h.st.y[k] = yk
 	// One broadcast per row-node group (the baseline's extra messages);
 	// the subvector is packed once and shared by every hop.
@@ -235,7 +213,7 @@ func (h *base3dRank) solveY(ctx *runtime.Ctx, k int) {
 	for _, blk := range h.colL[k] {
 		ctx.ComputeT(TagApplyL, h.applyLBlock(blk, k, yk), nil)
 		if h.gp.NodeOf[blk.I] == h.gp.NodeOf[k] {
-			h.lContribution(ctx, blk.I, h.base().LReduceNode[blk.I])
+			h.contribution(ctx, sweepL, blk.I, h.base().LReduceNode[blk.I])
 		}
 	}
 }
@@ -252,13 +230,13 @@ func (h *base3dRank) sendGathers(ctx *runtime.Ctx) {
 		if h.col == diagCol || !containsCol(h.base().GatherCols[k], h.col) {
 			continue
 		}
-		s := h.getLsum(k)
+		s := h.getSum(sweepL, k)
 		w, bytes := h.packSend(s)
 		ctx.Send(runtime.Msg{
 			Dst: h.p.GlobalRank(h.z, h.p.DiagRank2D(k)), Tag: tagLReduce, Cat: runtime.CatXY,
 			Data: &sumMsg{K: k, W: w}, Bytes: bytes,
 		})
-		delete(st.lsum, k)
+		delete(st.sum[sweepL], k)
 	}
 }
 
@@ -292,11 +270,11 @@ func (h *base3dRank) finishL(ctx *runtime.Ctx) {
 		// nodes) to my partner on the continuing grid.
 		partner := h.z - (1 << h.s)
 		b := &vecBundle{Step: h.s}
-		for _, k := range sortedKeys(st.lsum) {
+		for _, k := range sortedKeys(st.sum[sweepL]) {
 			b.Ks = append(b.Ks, k)
-			b.Ws = append(b.Ws, packPanel(st.lsum[k]))
+			b.Ws = append(b.Ws, packPanel(st.sum[sweepL][k]))
 		}
-		clear(st.lsum) // ownership of the panels moved into the bundle
+		clear(st.sum[sweepL]) // ownership of the panels moved into the bundle
 		ctx.Send(runtime.Msg{
 			Dst: h.p.GlobalRank(partner, h.r2d), Tag: tagZGatherL, Cat: runtime.CatZ,
 			Data: b, Bytes: b.bytes(),
@@ -318,7 +296,7 @@ func (h *base3dRank) startU(ctx *runtime.Ctx) {
 		ctx.Mark(MarkZDone)
 	}
 	for _, k := range h.myDiagSns {
-		if h.gp.NodeOf[k] <= h.s && h.pendingUOf(k) == 0 {
+		if h.gp.NodeOf[k] <= h.s && h.pendingOf(sweepU, k) == 0 {
 			st.enqueueX(k)
 		}
 	}
@@ -346,7 +324,7 @@ func (h *base3dRank) rebroadcastX(ctx *runtime.Ctx, k int, xk *sparse.Panel) {
 			continue
 		}
 		ctx.ComputeT(TagApplyU, h.applyUBlock(ref, k, xk), nil)
-		h.uContribution(ctx, ref.I, h.base().UReduceFlat[ref.I])
+		h.contribution(ctx, sweepU, ref.I, h.base().UReduceFlat[ref.I])
 	}
 }
 
@@ -356,7 +334,7 @@ func (h *base3dRank) applyXGroup(ctx *runtime.Ctx, k, g int, xk *sparse.Panel) {
 			continue
 		}
 		ctx.ComputeT(TagApplyU, h.applyUBlock(ref, k, xk), nil)
-		h.uContribution(ctx, ref.I, h.base().UReduceFlat[ref.I])
+		h.contribution(ctx, sweepU, ref.I, h.base().UReduceFlat[ref.I])
 	}
 }
 
@@ -379,7 +357,7 @@ func (h *base3dRank) solveX(ctx *runtime.Ctx, k int) {
 	}
 	for _, ref := range h.colU[k] {
 		ctx.ComputeT(TagApplyU, h.applyUBlock(ref, k, xk), nil)
-		h.uContribution(ctx, ref.I, h.base().UReduceFlat[ref.I])
+		h.contribution(ctx, sweepU, ref.I, h.base().UReduceFlat[ref.I])
 	}
 }
 
@@ -430,7 +408,7 @@ func (h *base3dRank) forceStale(ctx *runtime.Ctx, phase int) {
 		// rank's U solves may be stale.
 		for _, k := range h.myDiagSns {
 			if h.gp.NodeOf[k] <= h.s {
-				h.markStaleU(k)
+				h.markStale(sweepU, k)
 			}
 		}
 		st := h.st
@@ -465,12 +443,12 @@ func (h *base3dRank) forceL(ctx *runtime.Ctx) {
 			st.lStage++
 			for _, k := range h.myDiagSns {
 				if h.gp.NodeOf[k] >= st.lStage {
-					h.markStaleL(k)
+					h.markStale(sweepL, k)
 				}
 			}
 			h.sendGathers(ctx)
 			for _, k := range h.myDiagSns {
-				if h.gp.NodeOf[k] == st.lStage && h.pendingLOf(k) == 0 {
+				if h.gp.NodeOf[k] == st.lStage && h.pendingOf(sweepL, k) == 0 {
 					st.enqueueY(k)
 				}
 			}
@@ -480,8 +458,8 @@ func (h *base3dRank) forceL(ctx *runtime.Ctx) {
 		}
 		for _, k := range h.myDiagSns {
 			if h.gp.NodeOf[k] == st.lStage && st.y[k] == nil {
-				h.markStaleL(k)
-				h.zeroPendingL(k)
+				h.markStale(sweepL, k)
+				h.zeroPending(sweepL, k)
 				st.enqueueY(k)
 			}
 		}
@@ -499,8 +477,8 @@ func (h *base3dRank) forceU(ctx *runtime.Ctx) {
 	st := h.st
 	for _, k := range h.myDiagSns {
 		if h.gp.NodeOf[k] <= h.s && st.xl[k] == nil {
-			h.markStaleU(k)
-			h.zeroPendingU(k)
+			h.markStale(sweepU, k)
+			h.zeroPending(sweepU, k)
 			st.enqueueX(k)
 		}
 	}

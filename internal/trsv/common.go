@@ -7,8 +7,9 @@
 //   - the baseline 3D SpTRSV (Sao et al., ICS '19): level-by-level node
 //     processing with O(log Pz) inter-grid exchanges and per-node-group
 //     flat trees;
-//   - GPU execution models for both the single-GPU-per-grid kernels
-//     (Alg. 4) and the NVSHMEM multi-GPU kernels (Alg. 5).
+//   - the GPU execution model of the NVSHMEM multi-GPU kernels (Alg. 5);
+//     the single-GPU-per-grid kernels (Alg. 4) are the same handler on a
+//     one-rank grid.
 //
 // With Pz=1 the proposed algorithm reduces to the communication-optimized
 // 2D solver of Liu et al. (CSC '18) and the baseline reduces to the classic
@@ -229,6 +230,17 @@ func (c *rankCore) packSend(p *sparse.Panel) (wirePanel, int) {
 
 // ---- execution layer ----
 
+// Sweep indices of the per-sweep state: the forward (L) and the backward
+// (U) triangular solve. Every L/U pair of counters, accumulators and
+// stale sets is a [2] array indexed by them.
+const (
+	sweepL = iota
+	sweepU
+)
+
+// reduceTag is each sweep's reduction-tree message tag.
+var reduceTag = [2]int{tagLReduce, tagUReduce}
+
 // solveState is the per-solve mutable state of one rank handler: everything
 // a solve writes to, for every algorithm family. States are recycled
 // through the rank's schedule pool — maps keep their bucket storage and
@@ -244,18 +256,17 @@ type solveState struct {
 
 	phase int
 
-	// Per-supernode numeric state, keyed by global supernode index.
-	lsum map[int]*sparse.Panel
-	usum map[int]*sparse.Panel
-	y    map[int]*sparse.Panel // subvectors at their diagonal rank
-	xl   map[int]*sparse.Panel // solved x at the diagonal rank
+	// Per-supernode numeric state, keyed by global supernode index: the
+	// partial sums lsum/usum by sweep, the subvectors y at their diagonal
+	// rank and the solved x at the diagonal rank.
+	sum [2]map[int]*sparse.Panel
+	y   map[int]*sparse.Panel
+	xl  map[int]*sparse.Panel
 
-	// Dependency tracking: slot-indexed working copies of the read-only
-	// counter templates (the L/U contribution counts of the CPU algorithms,
-	// the GPU model's fmod/bmod), receive budgets, and the ready queues of
-	// solvable diagonal rows.
-	dpendL, dpendU       []int32
-	dfmod, dbmod         []int32
+	// Dependency tracking: slot-indexed working copies of each sweep's
+	// read-only contribution-count template, receive budgets, and the
+	// ready queues of solvable diagonal rows.
+	dpend                [2][]int32
 	lRecvLeft, uRecvLeft int
 	readyY, readyX       []int
 	xQueued              map[int]bool // enqueueX dedup guard
@@ -284,16 +295,15 @@ type solveState struct {
 
 	// Elastic-mode per-solve state (zero / nil on strict solves).
 	// elArmed marks phases whose staleness-deadline tick has been armed;
-	// staleL/staleU record (by schedule slot) the supernode rows whose L-
-	// and U-solves consumed stale or missing inputs after a forced phase
-	// closure. putSeen/putForced track multi-GPU one-sided puts: puts
+	// stale records per sweep (by schedule slot) the supernode rows whose
+	// solves consumed stale or missing inputs after a forced phase
+	// closure. putSeen/putForced track GPU one-sided puts per sweep: puts
 	// already received versus puts synthesized as zero panels at a forcing
 	// deadline (a late real put superseded by a synthesized one is
 	// dropped, keeping the task count exact).
-	elArmed                [3]bool
-	staleL, staleU         *sched.StaleSet
-	putSeenL, putSeenU     map[int]bool
-	putForcedL, putForcedU map[int]bool
+	elArmed            [3]bool
+	stale              [2]*sched.StaleSet
+	putSeen, putForced [2]map[int]bool
 
 	// scratch backs the short-lived block products of scratchPanel.
 	scratch sparse.Panel
@@ -305,8 +315,7 @@ type solveState struct {
 
 func newSolveState() *solveState {
 	return &solveState{
-		lsum:    map[int]*sparse.Panel{},
-		usum:    map[int]*sparse.Panel{},
+		sum:     [2]map[int]*sparse.Panel{{}, {}},
 		y:       map[int]*sparse.Panel{},
 		xl:      map[int]*sparse.Panel{},
 		xQueued: map[int]bool{},
@@ -319,8 +328,13 @@ func newSolveState() *solveState {
 // between ranks, so a stale reference would pin another solve's memory —
 // and returns the state to the pool.
 func (st *solveState) release() {
-	clear(st.lsum)
-	clear(st.usum)
+	for sw := range st.sum {
+		clear(st.sum[sw])
+		st.dpend[sw] = st.dpend[sw][:0]
+		st.stale[sw] = nil
+		clear(st.putSeen[sw])
+		clear(st.putForced[sw])
+	}
 	clear(st.y)
 	clear(st.xl)
 	clear(st.xQueued)
@@ -337,21 +351,12 @@ func (st *solveState) release() {
 	st.lRemaining, st.uRemaining = st.lRemaining[:0], st.uRemaining[:0]
 	clear(st.preY)
 	clear(st.preX)
-	st.dpendL, st.dpendU = st.dpendL[:0], st.dpendU[:0]
-	st.dfmod, st.dbmod = st.dfmod[:0], st.dbmod[:0]
 	st.b, st.x = nil, nil
 	st.nrhs, st.phase = 0, 0
 	st.lRecvLeft, st.uRecvLeft = 0, 0
 	st.lStage, st.uStage, st.lAwaitMerge = 0, 0, false
 	st.smFree, st.tasksLeft = 0, 0
 	st.elArmed = [3]bool{}
-	st.staleL, st.staleU = nil, nil
-	if st.putSeenL != nil {
-		clear(st.putSeenL)
-		clear(st.putSeenU)
-		clear(st.putForcedL)
-		clear(st.putForcedU)
-	}
 	st.counts = solveCounts{}
 	st.owner.Put(st)
 }
@@ -556,6 +561,16 @@ func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *spar
 
 // slot maps a supernode to its schedule slot; -1 off-path.
 func (c *rankCore) slot(k int) int32 { return c.sg.SlotOf[k] }
+
+// bcastKids returns this rank's children in supernode k's broadcast tree
+// of sweep sw, precomputed by the schedule (the ranks in tree-walk order,
+// without materializing a slice per call); empty off the tree.
+func (c *rankCore) bcastKids(sw, k int) []int32 {
+	if sw == sweepL {
+		return c.sr.LBcastKids[c.slot(k)]
+	}
+	return c.sr.UBcastKids[c.slot(k)]
+}
 
 // releaseState returns the per-solve state to the pool. Solve calls it
 // after the backend run has fully completed, so no handler code can still
@@ -804,7 +819,7 @@ func (c *rankCore) precomputeY(k int, keep bool, buf *[]float64) *sparse.Panel {
 			copy(rhs.Col(j), c.st.b.Col(j)[lo:lo+w])
 		}
 	}
-	if s := c.st.lsum[k]; s != nil {
+	if s := c.st.sum[sweepL][k]; s != nil {
 		for i, v := range s.Data {
 			rhs.Data[i] -= v
 		}
@@ -828,7 +843,7 @@ func (c *rankCore) precomputeX(k int, buf *[]float64) *sparse.Panel {
 	}
 	rhs := &sparse.Panel{Rows: w, Cols: n, Data: (*buf)[:w*n]}
 	copy(rhs.Data, yk.Data)
-	if s := c.st.usum[k]; s != nil {
+	if s := c.st.sum[sweepU][k]; s != nil {
 		for i, v := range s.Data {
 			rhs.Data[i] -= v
 		}
@@ -872,93 +887,44 @@ func (c *rankCore) solveXPanel(k int) (*sparse.Panel, float64) {
 // algorithm's Init); every counter key is an on-path supernode, so every
 // key has a slot. Slots a rank never contributes to read zero.
 
-// decPendingL decrements row K's outstanding L-contribution count and
-// returns the new value.
-func (c *rankCore) decPendingL(k int) int {
-	s := c.slot(k)
-	c.st.dpendL[s]--
-	return int(c.st.dpendL[s])
+// decPending decrements row K's outstanding contribution count in sweep
+// sw and returns the new value.
+func (c *rankCore) decPending(sw, k int) int {
+	d := &c.st.dpend[sw][c.slot(k)]
+	*d--
+	return int(*d)
 }
 
-// decPendingU mirrors decPendingL for the U phase.
-func (c *rankCore) decPendingU(k int) int {
-	s := c.slot(k)
-	c.st.dpendU[s]--
-	return int(c.st.dpendU[s])
-}
+// pendingOf reads row K's outstanding contribution count in sweep sw.
+func (c *rankCore) pendingOf(sw, k int) int { return int(c.st.dpend[sw][c.slot(k)]) }
 
-// pendingLOf reads row K's outstanding L-contribution count.
-func (c *rankCore) pendingLOf(k int) int { return int(c.st.dpendL[c.slot(k)]) }
+// zeroPending clears row K's outstanding contribution count in sweep sw.
+func (c *rankCore) zeroPending(sw, k int) { c.st.dpend[sw][c.slot(k)] = 0 }
 
-// pendingUOf mirrors pendingLOf for the U phase.
-func (c *rankCore) pendingUOf(k int) int { return int(c.st.dpendU[c.slot(k)]) }
-
-// zeroPendingL clears row K's outstanding L-contribution counter.
-func (c *rankCore) zeroPendingL(k int) { c.st.dpendL[c.slot(k)] = 0 }
-
-// zeroPendingU mirrors zeroPendingL for the U phase.
-func (c *rankCore) zeroPendingU(k int) { c.st.dpendU[c.slot(k)] = 0 }
-
-// decFmod decrements the GPU model's forward-dependency counter for row K
-// and returns the new value.
-func (c *rankCore) decFmod(k int) int {
-	s := c.slot(k)
-	c.st.dfmod[s]--
-	return int(c.st.dfmod[s])
-}
-
-// decBmod mirrors decFmod for the backward (U) counters.
-func (c *rankCore) decBmod(k int) int {
-	s := c.slot(k)
-	c.st.dbmod[s]--
-	return int(c.st.dbmod[s])
-}
-
-// fmodOf reads row K's forward-dependency counter.
-func (c *rankCore) fmodOf(k int) int { return int(c.st.dfmod[c.slot(k)]) }
-
-// bmodOf mirrors fmodOf for the backward counters.
-func (c *rankCore) bmodOf(k int) int { return int(c.st.dbmod[c.slot(k)]) }
-
-// lContribution records one lsum contribution for row K (a local GEMV or a
-// reduction-tree child message) under the given reduction tree and fires
-// the follow-up when the row completes: enqueue the diagonal solve at the
-// tree root, forward the partial sum to the parent elsewhere.
-func (c *rankCore) lContribution(ctx *runtime.Ctx, k int, tree *ctree.Tree) {
+// contribution records one partial-sum contribution for row K of sweep sw
+// (a local block product or a reduction-tree child message) under the
+// given reduction tree and fires the follow-up when the row completes:
+// enqueue the diagonal solve at the tree root, forward the partial sum to
+// the parent elsewhere.
+func (c *rankCore) contribution(ctx *runtime.Ctx, sw, k int, tree *ctree.Tree) {
 	st := c.st
-	if c.decPendingL(k) != 0 {
+	if c.decPending(sw, k) != 0 {
 		return
 	}
 	if tree.Root() == c.r2d {
-		st.enqueueY(k)
+		if sw == sweepL {
+			st.enqueueY(k)
+		} else {
+			st.enqueueX(k)
+		}
 		return
 	}
-	s := c.getLsum(k)
-	w, bytes := c.packSend(s)
+	w, bytes := c.packSend(c.getSum(sw, k))
 	ctx.Send(runtime.Msg{
-		Dst: c.p.GlobalRank(c.z, tree.Parent(c.r2d)), Tag: tagLReduce, Cat: runtime.CatXY,
+		Dst: c.p.GlobalRank(c.z, tree.Parent(c.r2d)), Tag: reduceTag[sw], Cat: runtime.CatXY,
 		Data: &sumMsg{K: k, W: w}, Bytes: bytes,
 	})
-	delete(st.lsum, k) // ownership transferred
-}
-
-// uContribution mirrors lContribution for usum rows.
-func (c *rankCore) uContribution(ctx *runtime.Ctx, k int, tree *ctree.Tree) {
-	st := c.st
-	if c.decPendingU(k) != 0 {
-		return
-	}
-	if tree.Root() == c.r2d {
-		st.enqueueX(k)
-		return
-	}
-	s := c.getUsum(k)
-	w, bytes := c.packSend(s)
-	ctx.Send(runtime.Msg{
-		Dst: c.p.GlobalRank(c.z, tree.Parent(c.r2d)), Tag: tagUReduce, Cat: runtime.CatXY,
-		Data: &sumMsg{K: k, W: w}, Bytes: bytes,
-	})
-	delete(st.usum, k)
+	delete(st.sum[sw], k) // ownership transferred
 }
 
 // ---- shared numeric kernels ----
@@ -983,22 +949,13 @@ func (c *rankCore) clonePanel(p *sparse.Panel) *sparse.Panel {
 	return out
 }
 
-// getLsum returns (allocating if needed) the lsum accumulator for row k.
-func (c *rankCore) getLsum(k int) *sparse.Panel {
-	s := c.st.lsum[k]
+// getSum returns (allocating if needed) the partial-sum accumulator of
+// row k in sweep sw: lsum(k) or usum(k).
+func (c *rankCore) getSum(sw, k int) *sparse.Panel {
+	s := c.st.sum[sw][k]
 	if s == nil {
 		s = c.newPanel(c.snWidth(k))
-		c.st.lsum[k] = s
-	}
-	return s
-}
-
-// getUsum returns the usum accumulator for row k.
-func (c *rankCore) getUsum(k int) *sparse.Panel {
-	s := c.st.usum[k]
-	if s == nil {
-		s = c.newPanel(c.snWidth(k))
-		c.st.usum[k] = s
+		c.st.sum[sw][k] = s
 	}
 	return s
 }
@@ -1026,7 +983,7 @@ func (c *rankCore) applyLBlock(blk *snode.LBlock, k int, yk *sparse.Panel) float
 	w := c.snWidth(k)
 	prod := c.st.scratchPanel(len(blk.Rows), c.st.nrhs)
 	sparse.GemmAdd(blk.Val, yk, prod)
-	dst := c.getLsum(blk.I)
+	dst := c.getSum(sweepL, blk.I)
 	base := c.p.M.SnBegin[blk.I]
 	for j := 0; j < c.st.nrhs; j++ {
 		dc := dst.Col(j)
@@ -1052,14 +1009,14 @@ func (c *rankCore) applyUBlock(ref dist.UBlockRef, k int, xk *sparse.Panel) floa
 			sc[t] = xc[col-base]
 		}
 	}
-	sparse.GemmAdd(blk.Val, sub, c.getUsum(ref.I))
+	sparse.GemmAdd(blk.Val, sub, c.getSum(sweepU, ref.I))
 	return c.model.GemmTime(blk.Val.Rows, len(blk.Cols), c.st.nrhs)
 }
 
 // diagSolveY computes y(K) = inv(L(K,K))·(rhs − lsum(K)); rhs is consumed.
 func (c *rankCore) diagSolveY(k int, rhs *sparse.Panel) (*sparse.Panel, float64) {
 	c.st.counts.diagY++
-	if s := c.st.lsum[k]; s != nil {
+	if s := c.st.sum[sweepL][k]; s != nil {
 		for i, v := range s.Data {
 			rhs.Data[i] -= v
 		}
@@ -1081,7 +1038,7 @@ func (c *rankCore) diagSolveX(k int) (*sparse.Panel, float64) {
 	w := c.snWidth(k)
 	rhs := c.st.scratchPanel(w, c.st.nrhs)
 	copy(rhs.Data, yk.Data)
-	if s := c.st.usum[k]; s != nil {
+	if s := c.st.sum[sweepU][k]; s != nil {
 		for i, v := range s.Data {
 			rhs.Data[i] -= v
 		}

@@ -161,31 +161,17 @@ func (c *rankCore) Progress() (done, total int) {
 	return st.counts.diagY + st.counts.diagX, 2 * len(c.myDiagSns)
 }
 
-// markStaleL records that supernode k's L-solve (y(k)) consumed stale or
-// missing inputs; idempotent per sweep.
-func (c *rankCore) markStaleL(k int) {
+// markStale records that supernode k's solve in sweep sw (y(k) or x(k))
+// consumed stale or missing inputs; idempotent per sweep.
+func (c *rankCore) markStale(sw, k int) {
 	if c.el == nil {
 		return
 	}
 	st := c.st
-	if st.staleL == nil {
-		st.staleL = sched.NewStaleSet(len(c.gp.Sns))
+	if st.stale[sw] == nil {
+		st.stale[sw] = sched.NewStaleSet(len(c.gp.Sns))
 	}
-	if s := c.slot(k); s >= 0 && st.staleL.Set(int(s)) {
-		st.counts.staleRows++
-	}
-}
-
-// markStaleU mirrors markStaleL for the U sweep (x(k)).
-func (c *rankCore) markStaleU(k int) {
-	if c.el == nil {
-		return
-	}
-	st := c.st
-	if st.staleU == nil {
-		st.staleU = sched.NewStaleSet(len(c.gp.Sns))
-	}
-	if s := c.slot(k); s >= 0 && st.staleU.Set(int(s)) {
+	if s := c.slot(k); s >= 0 && st.stale[sw].Set(int(s)) {
 		st.counts.staleRows++
 	}
 }
@@ -196,7 +182,7 @@ func (c *rankCore) markStaleU(k int) {
 func (c *rankCore) markStaleAR() {
 	for _, k := range c.myDiagSns {
 		if c.gp.Path[c.gp.NodeOf[k]].Replicated() {
-			c.markStaleL(k)
+			c.markStale(sweepL, k)
 		}
 	}
 }

@@ -1,7 +1,11 @@
 package trsv
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sptrsv/internal/ctree"
@@ -33,8 +37,8 @@ func elasticCases() []elasticCase {
 }
 
 // elasticSolve runs one DES solve in the given mode and returns the solution
-// panel and the per-rank clocks.
-func elasticSolve(t *testing.T, pl *pipeline, ec elasticCase, b *sparse.Panel, opts SolveOpts, plan *fault.Plan) (*sparse.Panel, []float64) {
+// panel and the run result.
+func elasticSolve(t *testing.T, pl *pipeline, ec elasticCase, b *sparse.Panel, opts SolveOpts, plan *fault.Plan) (*sparse.Panel, *runtime.Result) {
 	t.Helper()
 	p := pl.plan(t, ec.l, ec.kind)
 	x := sparse.NewPanel(b.Rows, b.Cols)
@@ -43,7 +47,13 @@ func elasticSolve(t *testing.T, pl *pipeline, ec elasticCase, b *sparse.Panel, o
 	if err != nil {
 		t.Fatalf("%s mode=%v S=%d: %v", ec.name, opts.Mode, opts.Staleness, err)
 	}
-	return x, res.Clocks
+	return x, res
+}
+
+// forcingPlan is a network straggler severe enough to make every elastic
+// case force at least one phase at S=4.
+func forcingPlan() *fault.Plan {
+	return &fault.Plan{Seed: 9, NetDelay: map[int]float64{0: 5e-3}, Jitter: 1e-5}
 }
 
 // TestElasticS0BitIdenticalToStrict pins the degenerate end of the staleness
@@ -55,8 +65,9 @@ func TestElasticS0BitIdenticalToStrict(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b := randPanel(rng, pl.m.N, 1)
 	for _, ec := range elasticCases() {
-		xs, cs := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeStrict}, nil)
-		xe, ce := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 0}, nil)
+		xs, rs := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeStrict}, nil)
+		xe, re := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 0}, nil)
+		cs, ce := rs.Clocks, re.Clocks
 		for i, v := range xs.Data {
 			if xe.Data[i] != v {
 				t.Fatalf("%s: x[%d] strict %g vs elastic S=0 %g", ec.name, i, v, xe.Data[i])
@@ -80,10 +91,12 @@ func TestElasticHealthyMatchesStrict(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	b := randPanel(rng, pl.m.N, 1)
 	for _, ec := range elasticCases() {
-		xs, cs := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeStrict}, nil)
+		xs, rs := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeStrict}, nil)
+		cs := rs.Clocks
 		for _, s := range []int{4, 16} {
 			var stats ElasticStats
-			xe, ce := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: s, Elastic: &stats}, nil)
+			xe, re := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: s, Elastic: &stats}, nil)
+			ce := re.Clocks
 			if stats.StaleSupernodes != 0 || stats.ForcedTicks != 0 {
 				t.Fatalf("%s S=%d: healthy run forced (stale=%d ticks=%d)",
 					ec.name, s, stats.StaleSupernodes, stats.ForcedTicks)
@@ -110,10 +123,10 @@ func TestElasticDESDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	b := randPanel(rng, pl.m.N, 1)
 	for _, ec := range elasticCases() {
-		plan := &fault.Plan{Seed: 9, NetDelay: map[int]float64{0: 5e-3}, Jitter: 1e-5}
 		var sa, sb ElasticStats
-		xa, ca := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 4, Elastic: &sa}, plan)
-		xb, cb := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 4, Elastic: &sb}, plan)
+		xa, ra := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 4, Elastic: &sa}, forcingPlan())
+		xb, rb := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 4, Elastic: &sb}, forcingPlan())
+		ca, cb := ra.Clocks, rb.Clocks
 		if sa != sb {
 			t.Fatalf("%s: stale stats differ across same-seed runs: %+v vs %+v", ec.name, sa, sb)
 		}
@@ -128,5 +141,62 @@ func TestElasticDESDeterministic(t *testing.T) {
 			}
 		}
 		t.Logf("%s: stale=%d forced-ticks=%d", ec.name, sa.StaleSupernodes, sa.ForcedTicks)
+	}
+}
+
+// elasticGolden is one frozen forced-elastic DES result: the strict
+// goldens' fields plus what the run forced.
+type elasticGolden struct {
+	engineGolden
+	Stats ElasticStats `json:"elastic_stats"`
+}
+
+// TestElasticMatchesGoldens pins the forcing paths bit for bit. The strict
+// goldens never force a phase, so they never run the stale marking, the
+// counter zeroing, the synthesized GPU puts or the forced allreduce
+// closure. testdata/elastic_goldens.json freezes, for each elasticCase
+// under TestElasticDESDeterministic's straggler (forcingPlan, S=4), the
+// solution hash, per-rank DES clocks, message and byte totals and
+// ElasticStats. They were captured before the two GPU handlers and the
+// L/U sweep twins of the executor were merged, which reproduces them bit
+// for bit.
+func TestElasticMatchesGoldens(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "elastic_goldens.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []elasticGolden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	cases := elasticCases()
+	if len(want) != len(cases) {
+		t.Fatalf("%d goldens for %d cases", len(want), len(cases))
+	}
+	pl := buildPipeline(t, gen.S2D9pt(16, 16, 15), 3, 8)
+	rng := rand.New(rand.NewSource(13))
+	b := randPanel(rng, pl.m.N, 1)
+	for i, ec := range cases {
+		var stats ElasticStats
+		x, res := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 4, Elastic: &stats}, forcingPlan())
+		got, w := elasticGolden{goldenOf(ec.name, x, res), stats}, want[i]
+		if got.Name != w.Name {
+			t.Fatalf("case %d is %s, golden is %s", i, got.Name, w.Name)
+		}
+		if stats.StaleSupernodes == 0 || stats.ForcedTicks == 0 {
+			t.Errorf("%s: nothing forced (%+v)", ec.name, stats)
+		}
+		if got.Stats != w.Stats {
+			t.Errorf("%s: elastic stats %+v, golden %+v", ec.name, got.Stats, w.Stats)
+		}
+		if got.Solution != w.Solution {
+			t.Errorf("%s: solution hash %s, golden %s", ec.name, got.Solution, w.Solution)
+		}
+		if fmt.Sprint(got.Clocks) != fmt.Sprint(w.Clocks) {
+			t.Errorf("%s: DES clocks %v, golden %v", ec.name, got.Clocks, w.Clocks)
+		}
+		if got.Msgs != w.Msgs || got.Bytes != w.Bytes {
+			t.Errorf("%s: %d msgs / %d B, golden %d / %d", ec.name, got.Msgs, got.Bytes, w.Msgs, w.Bytes)
+		}
 	}
 }

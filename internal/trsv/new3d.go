@@ -3,9 +3,7 @@ package trsv
 import (
 	"fmt"
 
-	"sptrsv/internal/dist"
 	"sptrsv/internal/fault"
-	"sptrsv/internal/machine"
 	"sptrsv/internal/runtime"
 	"sptrsv/internal/sparse"
 )
@@ -30,27 +28,6 @@ type new3dRank struct {
 	naive bool
 }
 
-// NewProposed3D returns the handler factory for the proposed algorithm
-// under default solve options.
-func NewProposed3D(p *dist.Plan, model *machine.Model, b, x *sparse.Panel) func(rank int) runtime.Handler {
-	return newProposed3D(p, model, b, x, SolveOpts{}, false)
-}
-
-// NewProposed3DNaiveAR is the proposed algorithm with the inter-grid
-// exchange replaced by the per-node strawman allreduce — the ablation of
-// the paper's §3.2 optimization.
-func NewProposed3DNaiveAR(p *dist.Plan, model *machine.Model, b, x *sparse.Panel) func(rank int) runtime.Handler {
-	return newProposed3D(p, model, b, x, SolveOpts{}, true)
-}
-
-func newProposed3D(p *dist.Plan, model *machine.Model, b, x *sparse.Panel, opts SolveOpts, naive bool) func(rank int) runtime.Handler {
-	return func(rank int) runtime.Handler {
-		h := &new3dRank{naive: naive}
-		h.rankCore.init(p, model, rank, b, x, opts)
-		return h
-	}
-}
-
 func (h *new3dRank) Done() bool { return h.st.phase == 3 }
 
 func (h *new3dRank) Init(ctx *runtime.Ctx) {
@@ -58,15 +35,15 @@ func (h *new3dRank) Init(ctx *runtime.Ctx) {
 	st := h.st
 	// The schedule carries this rank's counter templates as flat
 	// slot-indexed slices; refill by copy.
-	st.dpendL = append(st.dpendL[:0], h.sr.PendingL...)
-	st.dpendU = append(st.dpendU[:0], h.sr.PendingU...)
+	st.dpend[sweepL] = append(st.dpend[sweepL][:0], h.sr.PendingL...)
+	st.dpend[sweepU] = append(st.dpend[sweepU][:0], h.sr.PendingU...)
 	st.lRecvLeft = rd.LRecv
 	st.uRecvLeft = rd.URecv
 	h.ar = newARHelper(&h.rankCore)
 
 	// Kick off: diagonal supernodes with no pending contributions.
 	for _, k := range h.myDiagSns {
-		if h.pendingLOf(k) == 0 {
+		if h.pendingOf(sweepL, k) == 0 {
 			st.enqueueY(k)
 		}
 	}
@@ -132,8 +109,8 @@ func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	case tagLReduce:
 		d := m.Data.(*sumMsg)
 		h.st.lRecvLeft--
-		addWire(h.getLsum(d.K), &d.W)
-		h.lContribution(ctx, d.K, h.gp.LReduce[d.K])
+		addWire(h.getSum(sweepL, d.K), &d.W)
+		h.contribution(ctx, sweepL, d.K, h.gp.LReduce[d.K])
 		h.drainReadyY(ctx, h)
 		h.maybeFinishL(ctx)
 	case tagARReduce:
@@ -157,8 +134,8 @@ func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	case tagUReduce:
 		d := m.Data.(*sumMsg)
 		h.st.uRecvLeft--
-		addWire(h.getUsum(d.K), &d.W)
-		h.uContribution(ctx, d.K, h.gp.UReduce[d.K])
+		addWire(h.getSum(sweepU, d.K), &d.W)
+		h.contribution(ctx, sweepU, d.K, h.gp.UReduce[d.K])
 		h.drainReadyX(ctx, h)
 		h.maybeFinishU(ctx)
 	}
@@ -169,31 +146,29 @@ func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 // onY handles a received (or locally computed) y(K): forward along the
 // broadcast tree and apply my column-K blocks.
 func (h *new3dRank) onY(ctx *runtime.Ctx, k int, yk *sparse.Panel) {
-	h.bcast(ctx, k, yk, tagYBcast)
+	h.bcast(ctx, sweepL, k, yk)
 	for _, blk := range h.colL[k] {
 		secs := h.applyLBlock(blk, k, yk)
 		ctx.ComputeT(TagApplyL, secs, nil)
-		h.lContribution(ctx, blk.I, h.gp.LReduce[blk.I])
+		h.contribution(ctx, sweepL, blk.I, h.gp.LReduce[blk.I])
 	}
 }
 
-// bcast forwards a solved subvector down the supernode's broadcast tree,
-// packing it once and reusing the wire form for every child. The children
-// come precomputed from the schedule (the ranks in tree-walk order, without
-// materializing a slice per call).
-func (h *new3dRank) bcast(ctx *runtime.Ctx, k int, v *sparse.Panel, tag int) {
-	kids := h.sr.LBcastKids
-	if tag == tagXBcast {
-		kids = h.sr.UBcastKids
-	}
-	children := kids[h.slot(k)]
+// bcastTag is each sweep's broadcast-tree message tag.
+var bcastTag = [2]int{tagYBcast, tagXBcast}
+
+// bcast forwards a solved subvector of sweep sw down the supernode's
+// broadcast tree, packing it once and reusing the wire form for every
+// child.
+func (h *new3dRank) bcast(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
+	children := h.bcastKids(sw, k)
 	if len(children) == 0 {
 		return
 	}
 	w, bytes := h.packSend(v)
 	for _, child := range children {
 		ctx.Send(runtime.Msg{
-			Dst: h.p.GlobalRank(h.z, int(child)), Tag: tag, Cat: runtime.CatXY,
+			Dst: h.p.GlobalRank(h.z, int(child)), Tag: bcastTag[sw], Cat: runtime.CatXY,
 			Data: &yMsg{K: k, W: w}, Bytes: bytes,
 		})
 	}
@@ -236,7 +211,7 @@ func (h *new3dRank) finishAR(ctx *runtime.Ctx) {
 	st := h.st
 	st.phase = 2
 	for _, k := range h.myDiagSns {
-		if h.pendingUOf(k) == 0 {
+		if h.pendingOf(sweepU, k) == 0 {
 			st.enqueueX(k)
 		}
 	}
@@ -247,11 +222,11 @@ func (h *new3dRank) finishAR(ctx *runtime.Ctx) {
 // ---- U phase ----
 
 func (h *new3dRank) onX(ctx *runtime.Ctx, k int, xk *sparse.Panel) {
-	h.bcast(ctx, k, xk, tagXBcast)
+	h.bcast(ctx, sweepU, k, xk)
 	for _, ref := range h.colU[k] {
 		secs := h.applyUBlock(ref, k, xk)
 		ctx.ComputeT(TagApplyU, secs, nil)
-		h.uContribution(ctx, ref.I, h.gp.UReduce[ref.I])
+		h.contribution(ctx, sweepU, ref.I, h.gp.UReduce[ref.I])
 	}
 }
 
@@ -313,8 +288,8 @@ func (h *new3dRank) forceL(ctx *runtime.Ctx) {
 	st := h.st
 	for _, k := range h.myDiagSns {
 		if st.y[k] == nil {
-			h.markStaleL(k)
-			h.zeroPendingL(k)
+			h.markStale(sweepL, k)
+			h.zeroPending(sweepL, k)
 			st.enqueueY(k)
 		}
 	}
@@ -328,8 +303,8 @@ func (h *new3dRank) forceU(ctx *runtime.Ctx) {
 	st := h.st
 	for _, k := range h.myDiagSns {
 		if st.xl[k] == nil {
-			h.markStaleU(k)
-			h.zeroPendingU(k)
+			h.markStale(sweepU, k)
+			h.zeroPending(sweepU, k)
 			st.enqueueX(k)
 		}
 	}

@@ -24,7 +24,8 @@ const (
 	Baseline3D
 	// GPUSingle is the proposed 3D algorithm with each 2D grid collapsed
 	// to one GPU (Px=Py=1, Alg. 4): no intra-grid communication, task-
-	// parallel execution on SM slots. Simulation backend only.
+	// parallel execution on SM slots. It runs the GPUMulti (Alg. 5)
+	// handler on a one-rank grid. Simulation backend only.
 	GPUSingle
 	// GPUMulti is the proposed 3D algorithm with NVSHMEM-style multi-GPU
 	// 2D grids (Alg. 5), Py=1 layouts. Simulation backend only.
@@ -151,6 +152,45 @@ func (p PoolBackend) withElastic(tag int) Backend {
 // uses it to hand the per-solve state back to the pool after the run.
 type stateReleaser interface{ releaseState() }
 
+// handlerFactory checks that algo can run on the plan's layout and the
+// model, and returns the constructor of its per-rank handlers.
+func handlerFactory(algo Algorithm, p *dist.Plan, model *machine.Model, b, x *sparse.Panel, opts SolveOpts) (func(rank int) runtime.Handler, error) {
+	switch algo {
+	case Proposed3D, Proposed3DNaiveAR:
+		naive := algo == Proposed3DNaiveAR
+		return func(rank int) runtime.Handler {
+			h := &new3dRank{naive: naive}
+			h.init(p, model, rank, b, x, opts)
+			return h
+		}, nil
+	case Baseline3D:
+		if err := p.BuildBaseline(); err != nil {
+			return nil, err
+		}
+		return func(rank int) runtime.Handler {
+			h := &base3dRank{}
+			h.init(p, model, rank, b, x, opts)
+			return h
+		}, nil
+	case GPUSingle, GPUMulti:
+		if algo == GPUSingle && (p.Layout.Px != 1 || p.Layout.Py != 1) {
+			return nil, fmt.Errorf("trsv: gpu-single requires Px=Py=1, got %dx%d", p.Layout.Px, p.Layout.Py)
+		}
+		if p.Layout.Py != 1 {
+			return nil, fmt.Errorf("trsv: gpu-multi requires Py=1, got Py=%d", p.Layout.Py)
+		}
+		if model.GPU == nil {
+			return nil, fmt.Errorf("trsv: model %s has no GPU parameters", model.Name)
+		}
+		return func(rank int) runtime.Handler {
+			h := &gpuRank{gpu: model.GPU}
+			h.init(p, model, rank, b, x, opts)
+			return h
+		}, nil
+	}
+	return nil, fmt.Errorf("trsv: unknown algorithm %v", algo)
+}
+
 // Solve runs one distributed triangular solve of L·U·x = b on the given
 // backend and returns the solution panel (in the permuted ordering of the
 // plan's factors) together with the per-rank timing result.
@@ -199,35 +239,9 @@ func SolveIntoOpts(p *dist.Plan, model *machine.Model, algo Algorithm, back Back
 		back = eb.withElastic(tagElastic)
 	}
 	x.Zero()
-	var factory func(int) runtime.Handler
-	switch algo {
-	case Proposed3D:
-		factory = newProposed3D(p, model, b, x, opts, false)
-	case Proposed3DNaiveAR:
-		factory = newProposed3D(p, model, b, x, opts, true)
-	case Baseline3D:
-		if err := p.BuildBaseline(); err != nil {
-			return nil, err
-		}
-		factory = newBaseline3D(p, model, b, x, opts)
-	case GPUSingle:
-		if p.Layout.Px != 1 || p.Layout.Py != 1 {
-			return nil, fmt.Errorf("trsv: gpu-single requires Px=Py=1, got %dx%d", p.Layout.Px, p.Layout.Py)
-		}
-		if model.GPU == nil {
-			return nil, fmt.Errorf("trsv: model %s has no GPU parameters", model.Name)
-		}
-		factory = newGPUSingle(p, model, b, x, opts)
-	case GPUMulti:
-		if p.Layout.Py != 1 {
-			return nil, fmt.Errorf("trsv: gpu-multi requires Py=1, got Py=%d", p.Layout.Py)
-		}
-		if model.GPU == nil {
-			return nil, fmt.Errorf("trsv: model %s has no GPU parameters", model.Name)
-		}
-		factory = newGPUMulti(p, model, b, x, opts)
-	default:
-		return nil, fmt.Errorf("trsv: unknown algorithm %v", algo)
+	factory, err := handlerFactory(algo, p, model, b, x, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	// Track the handlers so their pooled solve states can be released once

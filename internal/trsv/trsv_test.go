@@ -352,14 +352,9 @@ func TestAlgorithmsUnderMessageReordering(t *testing.T) {
 					p = pl.plan(t, l, ctree.Flat)
 				}
 				x := sparse.NewPanel(b.Rows, b.Cols)
-				var factory func(int) runtime.Handler
-				switch algo {
-				case Proposed3D:
-					factory = NewProposed3D(p, machine.CoriHaswell(), b, x)
-				case Proposed3DNaiveAR:
-					factory = NewProposed3DNaiveAR(p, machine.CoriHaswell(), b, x)
-				case Baseline3D:
-					factory = NewBaseline3D(p, machine.CoriHaswell(), b, x)
+				factory, err := handlerFactory(algo, p, machine.CoriHaswell(), b, x, SolveOpts{})
+				if err != nil {
+					t.Fatal(err)
 				}
 				if _, err := runtime.NewEngine(l.Size(), jitterNet{salt: salt}).Run(factory); err != nil {
 					t.Fatalf("%v %+v salt=%d: %v", algo, l, salt, err)
@@ -388,11 +383,9 @@ func TestGPUUnderMessageReordering(t *testing.T) {
 		} {
 			p := pl.plan(t, tc.l, ctree.Binary)
 			x := sparse.NewPanel(b.Rows, b.Cols)
-			var factory func(int) runtime.Handler
-			if tc.algo == GPUSingle {
-				factory = NewGPUSingle(p, model, b, x)
-			} else {
-				factory = NewGPUMulti(p, model, b, x)
+			factory, err := handlerFactory(tc.algo, p, model, b, x, SolveOpts{})
+			if err != nil {
+				t.Fatal(err)
 			}
 			if _, err := runtime.NewEngine(tc.l.Size(), jitterNet{salt: salt}).Run(factory); err != nil {
 				t.Fatalf("%v salt=%d: %v", tc.algo, salt, err)

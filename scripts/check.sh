@@ -48,8 +48,8 @@ echo "== go test -race -count=2 (concurrent solves scraping /metrics) =="
 go test -race -count=2 -run 'Metrics|OpenMetrics|Histogram' \
     ./internal/metrics ./internal/core
 
-echo "== go test -race -count=3 (level-sweep work-stealing stress) =="
-go test -race -count=3 -run 'TestSchedConcurrentSolves|TestSchedPoolBitExact|TestEngineMatchesGoldens' \
+echo "== go test -race -count=3 (level-sweep work-stealing stress, strict and forced-elastic goldens, GPU reordering) =="
+go test -race -count=3 -run 'TestSchedConcurrentSolves|TestSchedPoolBitExact|TestEngineMatchesGoldens|TestElasticMatchesGoldens|TestGPUUnderMessageReordering' \
     ./internal/trsv ./internal/sched
 
 echo "== go test -race -count=2 (packed wire format + deferred-queue stress) =="
