@@ -159,6 +159,11 @@ func benchPoolSolve(b *testing.B, px, py, pz, nrhs int) {
 }
 
 func BenchmarkPoolSolve1x1x1(b *testing.B) { benchPoolSolve(b, 1, 1, 1, 1) }
+
+// BenchmarkPoolSolve1x1x2 is the pool layout of perfbench's pool-1rhs
+// workload: two ranks, one per grid, one right-hand side.
+func BenchmarkPoolSolve1x1x2(b *testing.B) { benchPoolSolve(b, 1, 1, 2, 1) }
+
 func BenchmarkPoolSolve2x2x1(b *testing.B) { benchPoolSolve(b, 2, 2, 1, 1) }
 func BenchmarkPoolSolve2x2x4(b *testing.B) { benchPoolSolve(b, 2, 2, 4, 1) }
 func BenchmarkPoolSolveMulti(b *testing.B) { benchPoolSolve(b, 2, 2, 4, 8) }

@@ -564,9 +564,13 @@ func (p *Pool) Run(n int, newHandler func(rank int) Handler) (*Result, error) {
 		wg.Wait()
 		close(done)
 	}()
+	// A stopped timer, not time.After: under this module's Go version a
+	// time.After timer stays live for the whole timeout after the run.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case <-done:
-	case <-time.After(timeout):
+	case <-timer.C:
 		s.abort()
 		<-done
 		if err := s.failure(); err != nil {

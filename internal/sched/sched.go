@@ -28,6 +28,7 @@
 package sched
 
 import (
+	"math/bits"
 	"sync"
 
 	"sptrsv/internal/ctree"
@@ -40,7 +41,7 @@ type Grid struct {
 	// SlotOf maps a global supernode to its slot — its index in the
 	// grid's ascending on-path supernode list — or -1 when off-path.
 	// Slots ascend with global supernode order, so an ascending slot scan
-	// visits supernodes in exactly the order sortedKeys visits map keys.
+	// visits supernodes in ascending order.
 	SlotOf []int32
 	// Sns is the inverse mapping: slot → global supernode, ascending.
 	Sns []int
@@ -270,7 +271,7 @@ func buildRank(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) *Rank {
 
 	levelSweep(p, gp, g, r2d, r, false)
 	levelSweep(p, gp, g, r2d, r, true)
-	r.ArenaPerRHS, r.Panels = arenaSize(p, gp, g, r)
+	r.ArenaPerRHS, r.Panels = arenaSize(p, gp, g, r2d, r)
 	return r
 }
 
@@ -397,33 +398,52 @@ func levelSweep(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int, r *Rank, uSwe
 // arenaSize bounds the panel storage one solve needs on this rank: the
 // diagonal solutions y/x it produces, the partial sums it accumulates as
 // a reduction member, the gathered solution slices of the baseline
-// algorithm, and the clones the sparse-allreduce phase sends (one
-// replicated set per Z level plus one working set). Returned per rhs
-// column; the matching panel-header count comes second.
-func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r *Rank) (floats, panels int) {
+// algorithm, the clones the sparse-allreduce phase sends (one replicated
+// set per Z level plus one working set), the broadcast receipts a sparse
+// wire form unpacks, and the lsum rows the baseline's inter-grid merge
+// delivers. Returned per rhs column; the matching panel-header count
+// comes second. The bound covers every algorithm, so it is a safe
+// overestimate for any one of them.
+func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int, r *Rank) (floats, panels int) {
 	zLevels := p.Map.L + 1
-	for s := range gp.Sns {
+	rd := gp.Ranks[r2d]
+	row := r2d / p.Layout.Py
+	diag := make([]bool, len(gp.Sns))
+	for _, d := range r.DiagSlot {
+		diag[d] = true
+	}
+	for s, k := range gp.Sns {
 		w := int(g.Width[s])
-		diag := false
-		for _, d := range r.DiagSlot {
-			if int(d) == s {
-				diag = true
-				break
-			}
+		add := func(n int) {
+			floats += n * w
+			panels += n
 		}
-		if diag {
+		if diag[s] {
 			// y(K), x(K), the baseline's gathered xl(K), and the
 			// allreduce clones of y(K).
-			floats += w * (3 + zLevels)
-			panels += 3 + zLevels
+			add(3 + zLevels)
+		} else {
+			// y(K) and x(K) as received: once per broadcast tree this
+			// rank is in — the proposed algorithm's one, or one per path
+			// node holding rows of my blocks (the baseline's group trees).
+			var lNodes, uNodes uint64
+			for _, blk := range rd.ColL[k] {
+				lNodes |= 1 << gp.NodeOf[blk.I]
+			}
+			for _, ref := range rd.ColU[k] {
+				uNodes |= 1 << gp.NodeOf[ref.I]
+			}
+			add(bits.OnesCount64(lNodes) + bits.OnesCount64(uNodes))
 		}
 		if r.MemberL[s] {
-			floats += w
-			panels++
+			add(1)
+		} else if gp.NodeOf[k] > 0 && k%p.Layout.Px == row {
+			// A shared-node row another grid's rank at my 2D position may
+			// hand over in the baseline's inter-grid lsum merge.
+			add(1)
 		}
 		if r.MemberU[s] {
-			floats += w
-			panels++
+			add(1)
 		}
 	}
 	return floats, panels

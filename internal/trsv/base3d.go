@@ -2,7 +2,6 @@ package trsv
 
 import (
 	"fmt"
-	"sort"
 
 	"sptrsv/internal/dist"
 	"sptrsv/internal/fault"
@@ -142,10 +141,10 @@ func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 		st.phase = 2
 		st.uStage = h.s
 		for i, k := range d.Ks {
-			st.xl[k] = h.unpackPanel(&d.Ws[i])
+			st.xl.set(k, h.unpackPanel(&d.Ws[i]))
 		}
 		for _, k := range d.Ks {
-			h.rebroadcastX(ctx, k, st.xl[k])
+			h.rebroadcastX(ctx, k, st.xl.get(k))
 		}
 		h.startU(ctx)
 	case tagXBcast:
@@ -196,8 +195,8 @@ func (h *base3dRank) keepB(int) bool { return true }
 func (h *base3dRank) solveY(ctx *runtime.Ctx, k int) {
 	yk, secs := h.solveYPanel(k, true)
 	ctx.ComputeT(TagDiagSolveL, secs, nil)
-	delete(h.st.sum[sweepL], k)
-	h.st.y[k] = yk
+	h.st.sum[sweepL].set(k, nil)
+	h.st.y.set(k, yk)
 	// One broadcast per row-node group (the baseline's extra messages);
 	// the subvector is packed once and shared by every hop.
 	wy, ybytes := h.packSend(yk)
@@ -236,7 +235,7 @@ func (h *base3dRank) sendGathers(ctx *runtime.Ctx) {
 			Dst: h.p.GlobalRank(h.z, h.p.DiagRank2D(k)), Tag: tagLReduce, Cat: runtime.CatXY,
 			Data: &sumMsg{K: k, W: w}, Bytes: bytes,
 		})
-		delete(st.sum[sweepL], k)
+		st.sum[sweepL].set(k, nil)
 	}
 }
 
@@ -266,15 +265,8 @@ func (h *base3dRank) finishL(ctx *runtime.Ctx) {
 	ctx.Mark(MarkLDone)
 	st := h.st
 	if h.z != 0 {
-		// Ship every leftover lsum row (all in unprocessed ancestor
-		// nodes) to my partner on the continuing grid.
 		partner := h.z - (1 << h.s)
-		b := &vecBundle{Step: h.s}
-		for _, k := range sortedKeys(st.sum[sweepL]) {
-			b.Ks = append(b.Ks, k)
-			b.Ws = append(b.Ws, packPanel(st.sum[sweepL][k]))
-		}
-		clear(st.sum[sweepL]) // ownership of the panels moved into the bundle
+		b := h.leftoverBundle()
 		ctx.Send(runtime.Msg{
 			Dst: h.p.GlobalRank(partner, h.r2d), Tag: tagZGatherL, Cat: runtime.CatZ,
 			Data: b, Bytes: b.bytes(),
@@ -288,16 +280,34 @@ func (h *base3dRank) finishL(ctx *runtime.Ctx) {
 	h.startU(ctx)
 }
 
+// leftoverBundle packs the leftover lsum rows of the unprocessed ancestor
+// nodes (path nodes above s, which the partner grid continues) for the
+// inter-grid merge and drops every remaining lsum row. A strict run has
+// no leftover at or below s; after an elastic forced close a rank can
+// still hold partial sums for its own nodes, which lie off the partner's
+// path and must not ship.
+func (h *base3dRank) leftoverBundle() *vecBundle {
+	st := h.st
+	b := &vecBundle{Step: h.s}
+	st.sum[sweepL].each(func(k int, s *sparse.Panel) {
+		if h.gp.NodeOf[k] > h.s {
+			b.Ks = append(b.Ks, k)
+			b.Ws = append(b.Ws, packPanel(s))
+		}
+	})
+	st.sum[sweepL].clear() // ownership of the shipped panels moved into the bundle
+	return b
+}
+
 // ---- U phase ----
 
 func (h *base3dRank) startU(ctx *runtime.Ctx) {
-	st := h.st
 	if h.z != 0 {
 		ctx.Mark(MarkZDone)
 	}
 	for _, k := range h.myDiagSns {
 		if h.gp.NodeOf[k] <= h.s && h.pendingOf(sweepU, k) == 0 {
-			st.enqueueX(k)
+			h.enqueueX(k)
 		}
 	}
 	h.drainReadyX(ctx, h)
@@ -342,7 +352,7 @@ func (h *base3dRank) applyXGroup(ctx *runtime.Ctx, k, g int, xk *sparse.Panel) {
 func (h *base3dRank) solveX(ctx *runtime.Ctx, k int) {
 	xk, secs := h.solveXPanel(k)
 	ctx.ComputeT(TagDiagSolveU, secs, nil)
-	h.st.xl[k] = xk
+	h.st.xl.set(k, xk)
 	if h.gp.OwnerGridOfSn(k) == h.z {
 		h.writeX(k, xk)
 	}
@@ -369,12 +379,12 @@ func (h *base3dRank) advanceU(ctx *runtime.Ctx) {
 		if st.uStage >= 1 {
 			partner := h.z + (1 << (st.uStage - 1))
 			b := &vecBundle{Step: st.uStage}
-			for _, k := range sortedKeys(st.xl) {
+			st.xl.each(func(k int, x *sparse.Panel) {
 				if h.gp.NodeOf[k] >= st.uStage {
 					b.Ks = append(b.Ks, k)
-					b.Ws = append(b.Ws, packPanel(st.xl[k]))
+					b.Ws = append(b.Ws, packPanel(x))
 				}
-			}
+			})
 			ctx.Send(runtime.Msg{
 				Dst: h.p.GlobalRank(partner, h.r2d), Tag: tagZBcastU, Cat: runtime.CatZ,
 				Data: b, Bytes: b.bytes(),
@@ -457,7 +467,7 @@ func (h *base3dRank) forceL(ctx *runtime.Ctx) {
 			continue
 		}
 		for _, k := range h.myDiagSns {
-			if h.gp.NodeOf[k] == st.lStage && st.y[k] == nil {
+			if h.gp.NodeOf[k] == st.lStage && st.y.get(k) == nil {
 				h.markStale(sweepL, k)
 				h.zeroPending(sweepL, k)
 				st.enqueueY(k)
@@ -476,10 +486,10 @@ func (h *base3dRank) forceL(ctx *runtime.Ctx) {
 func (h *base3dRank) forceU(ctx *runtime.Ctx) {
 	st := h.st
 	for _, k := range h.myDiagSns {
-		if h.gp.NodeOf[k] <= h.s && st.xl[k] == nil {
+		if h.gp.NodeOf[k] <= h.s && st.xl.get(k) == nil {
 			h.markStale(sweepU, k)
 			h.zeroPending(sweepU, k)
-			st.enqueueX(k)
+			h.enqueueX(k)
 		}
 	}
 	for i := range st.uRemaining {
@@ -487,13 +497,4 @@ func (h *base3dRank) forceU(ctx *runtime.Ctx) {
 	}
 	h.drainReadyX(ctx, h)
 	h.advanceU(ctx)
-}
-
-func sortedKeys(m map[int]*sparse.Panel) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -243,11 +243,10 @@ var reduceTag = [2]int{tagLReduce, tagUReduce}
 
 // solveState is the per-solve mutable state of one rank handler: everything
 // a solve writes to, for every algorithm family. States are recycled
-// through the rank's schedule pool — maps keep their bucket storage and
-// slices their backing arrays between solves, which is what makes repeated
-// solves on one Solver nearly allocation-free in steady state. A state is
-// owned by exactly one handler for the duration of one solve; release
-// returns it.
+// through the rank's schedule pool — the slot tables, queues and arena keep
+// their backing arrays between solves, which is what makes repeated solves
+// on one Solver nearly allocation-free in steady state. A state is owned by
+// exactly one handler for the duration of one solve; release returns it.
 type solveState struct {
 	// b is the global RHS panel (read-only during the solve); x the global
 	// output panel (each supernode written by exactly one rank).
@@ -256,12 +255,12 @@ type solveState struct {
 
 	phase int
 
-	// Per-supernode numeric state, keyed by global supernode index: the
-	// partial sums lsum/usum by sweep, the subvectors y at their diagonal
-	// rank and the solved x at the diagonal rank.
-	sum [2]map[int]*sparse.Panel
-	y   map[int]*sparse.Panel
-	xl  map[int]*sparse.Panel
+	// Per-supernode numeric state, stored by schedule slot: the partial
+	// sums lsum/usum by sweep, the subvectors y at their diagonal rank and
+	// the solved x at the diagonal rank.
+	sum [2]slotTable
+	y   slotTable
+	xl  slotTable
 
 	// Dependency tracking: slot-indexed working copies of each sweep's
 	// read-only contribution-count template, receive budgets, and the
@@ -269,7 +268,7 @@ type solveState struct {
 	dpend                [2][]int32
 	lRecvLeft, uRecvLeft int
 	readyY, readyX       []int
-	xQueued              map[int]bool // enqueueX dedup guard
+	xQueued              []bool // enqueueX dedup guard, by slot
 
 	// Messages that arrived ahead of the phase that can process them.
 	deferred []runtime.Msg
@@ -287,8 +286,10 @@ type solveState struct {
 	// arena backs the solve's working panels.
 	arena arena
 	// preY and preX hold diagonal solutions precomputed in parallel by a
-	// level sweep on the pool backend, consumed by the serial send pass.
-	preY, preX map[int]*sparse.Panel
+	// level sweep on the pool backend, consumed by the serial send pass;
+	// wave is the precompute's work description, reused across waves.
+	preY, preX slotTable
+	wave       waveJob
 	// owner is the per-rank schedule pool this state returns to on release
 	// (the arena capacity is plan-specific).
 	owner *sync.Pool
@@ -297,13 +298,13 @@ type solveState struct {
 	// elArmed marks phases whose staleness-deadline tick has been armed;
 	// stale records per sweep (by schedule slot) the supernode rows whose
 	// solves consumed stale or missing inputs after a forced phase
-	// closure. putSeen/putForced track GPU one-sided puts per sweep: puts
-	// already received versus puts synthesized as zero panels at a forcing
-	// deadline (a late real put superseded by a synthesized one is
-	// dropped, keeping the task count exact).
+	// closure. putSeen/putForced track GPU one-sided puts per sweep by
+	// slot: puts already received versus puts synthesized as zero panels
+	// at a forcing deadline (a late real put superseded by a synthesized
+	// one is dropped, keeping the task count exact).
 	elArmed            [3]bool
 	stale              [2]*sched.StaleSet
-	putSeen, putForced [2]map[int]bool
+	putSeen, putForced [2]slotBits
 
 	// scratch backs the short-lived block products of scratchPanel.
 	scratch sparse.Panel
@@ -313,15 +314,23 @@ type solveState struct {
 	counts solveCounts
 }
 
-func newSolveState() *solveState {
-	return &solveState{
-		sum:     [2]map[int]*sparse.Panel{{}, {}},
-		y:       map[int]*sparse.Panel{},
-		xl:      map[int]*sparse.Panel{},
-		xQueued: map[int]bool{},
-		preY:    map[int]*sparse.Panel{},
-		preX:    map[int]*sparse.Panel{},
+// size readies the slot-indexed tables for a grid's slot numbering. A
+// state always serves one rank of one plan (it lives in that rank's
+// schedule pool), so after the first solve this only reslices.
+func (st *solveState) size(sg *sched.Grid) {
+	for sw := range st.sum {
+		st.sum[sw].size(sg)
+		st.putSeen[sw].size(len(sg.Sns))
+		st.putForced[sw].size(len(sg.Sns))
 	}
+	st.y.size(sg)
+	st.xl.size(sg)
+	st.preY.size(sg)
+	st.preX.size(sg)
+	if cap(st.xQueued) < len(sg.Sns) {
+		st.xQueued = make([]bool, len(sg.Sns))
+	}
+	st.xQueued = st.xQueued[:len(sg.Sns)]
 }
 
 // release drops every reference the solve accumulated — panels travel
@@ -329,14 +338,14 @@ func newSolveState() *solveState {
 // and returns the state to the pool.
 func (st *solveState) release() {
 	for sw := range st.sum {
-		clear(st.sum[sw])
+		st.sum[sw].clear()
 		st.dpend[sw] = st.dpend[sw][:0]
 		st.stale[sw] = nil
 		clear(st.putSeen[sw])
 		clear(st.putForced[sw])
 	}
-	clear(st.y)
-	clear(st.xl)
+	st.y.clear()
+	st.xl.clear()
 	clear(st.xQueued)
 	// Clear the full capacity, not just the length: drainDeferred's
 	// compaction and the GPU ready-queue pops reslice these, so stale
@@ -349,8 +358,9 @@ func (st *solveState) release() {
 	st.readyTasks = st.readyTasks[:0]
 	st.readyY, st.readyX = st.readyY[:0], st.readyX[:0]
 	st.lRemaining, st.uRemaining = st.lRemaining[:0], st.uRemaining[:0]
-	clear(st.preY)
-	clear(st.preX)
+	st.preY.clear()
+	st.preX.clear()
+	st.wave.reset()
 	st.b, st.x = nil, nil
 	st.nrhs, st.phase = 0, 0
 	st.lRecvLeft, st.uRecvLeft = 0, 0
@@ -361,31 +371,96 @@ func (st *solveState) release() {
 	st.owner.Put(st)
 }
 
+// slotTable is a per-solve panel table keyed by global supernode and
+// stored by the grid's schedule slot (sched.Grid.SlotOf): lookups are one
+// index, clearing is one slice clear, and the key walk visits supernodes in
+// ascending order because slots ascend with supernode index. Every key must
+// be on the grid's path; an off-path key (slot −1) panics on the index.
+type slotTable struct {
+	slotOf []int32
+	sns    []int
+	v      []*sparse.Panel
+}
+
+// size binds the table to a grid's slot numbering, growing its storage
+// only when the grid has more slots than any earlier binding.
+func (t *slotTable) size(sg *sched.Grid) {
+	t.slotOf, t.sns = sg.SlotOf, sg.Sns
+	if cap(t.v) < len(sg.Sns) {
+		t.v = make([]*sparse.Panel, len(sg.Sns))
+	}
+	t.v = t.v[:len(sg.Sns)]
+}
+
+// get returns supernode k's panel, nil when absent.
+func (t *slotTable) get(k int) *sparse.Panel { return t.v[t.slotOf[k]] }
+
+// set stores p as supernode k's panel; nil removes it.
+func (t *slotTable) set(k int, p *sparse.Panel) { t.v[t.slotOf[k]] = p }
+
+// clear removes every panel.
+func (t *slotTable) clear() { clear(t.v) }
+
+// each calls f for every stored panel in ascending supernode order.
+func (t *slotTable) each(f func(k int, p *sparse.Panel)) {
+	for s, p := range t.v {
+		if p != nil {
+			f(t.sns[s], p)
+		}
+	}
+}
+
+// slotBits is a per-solve set of schedule slots.
+type slotBits []uint64
+
+// size readies the set for n slots.
+func (b *slotBits) size(n int) {
+	w := (n + 63) / 64
+	if cap(*b) < w {
+		*b = make([]uint64, w)
+	}
+	*b = (*b)[:w]
+}
+
+// has reports whether slot s is in the set.
+func (b slotBits) has(s int32) bool { return b[s>>6]&(1<<(s&63)) != 0 }
+
+// set adds slot s to the set.
+func (b slotBits) set(s int32) { b[s>>6] |= 1 << (s & 63) }
+
 // enqueueY queues a diagonal row for the L-phase solve.
 func (st *solveState) enqueueY(k int) { st.readyY = append(st.readyY, k) }
 
 // enqueueX queues a diagonal row for the U-phase solve exactly once: both
 // the phase-start seeding and the dependency counters can discover the same
 // ready row.
-func (st *solveState) enqueueX(k int) {
-	if st.xQueued[k] {
+func (c *rankCore) enqueueX(k int) {
+	st, s := c.st, c.slot(k)
+	if st.xQueued[s] {
 		return
 	}
-	st.xQueued[k] = true
+	st.xQueued[s] = true
 	st.readyX = append(st.readyX, k)
 }
 
 // scratchPanel returns a zeroed rows×cols panel backed by the state's
-// reusable scratch buffer. It is valid only until the next scratchPanel
-// call and must never escape the current handler step (be sent in a message
-// or stored in a map) — callers copy out anything they keep.
+// reusable scratch buffer. It is valid only until the next scratch call
+// and must never escape the current handler step (be sent in a message or
+// stored in a table) — callers copy out anything they keep.
 func (st *solveState) scratchPanel(rows, cols int) *sparse.Panel {
+	p := st.scratchBuf(rows, cols)
+	clear(p.Data)
+	return p
+}
+
+// scratchBuf is scratchPanel without the zeroing, for callers that write
+// every element before reading any.
+func (st *solveState) scratchBuf(rows, cols int) *sparse.Panel {
 	n := rows * cols
 	if cap(st.scratch.Data) < n {
 		st.scratch.Data = make([]float64, n)
 	}
 	st.scratch.Data = st.scratch.Data[:n]
-	clear(st.scratch.Data)
 	st.scratch.Rows, st.scratch.Cols = rows, cols
 	return &st.scratch
 }
@@ -412,6 +487,8 @@ type arena struct {
 	data   []float64
 	panels []sparse.Panel
 	nd, np int
+	// spills counts this solve's allocations that fell back to the heap.
+	spills int
 }
 
 // reserve readies the arena for one solve needing at most the given floats
@@ -424,7 +501,7 @@ func (a *arena) reserve(floats, panels int) {
 	if cap(a.panels) < panels {
 		a.panels = make([]sparse.Panel, panels)
 	}
-	a.nd, a.np = 0, 0
+	a.nd, a.np, a.spills = 0, 0, 0
 }
 
 // alloc returns a zeroed rows×cols panel from the reservation, or from the
@@ -432,6 +509,7 @@ func (a *arena) reserve(floats, panels int) {
 func (a *arena) alloc(rows, cols int) *sparse.Panel {
 	n := rows * cols
 	if a.np >= cap(a.panels) || a.nd+n > cap(a.data) {
+		a.spills++
 		return sparse.NewPanel(rows, cols)
 	}
 	p := &a.panels[a.np]
@@ -504,9 +582,9 @@ type rankCore struct {
 // sweeps: sweeps narrower than two chunks run serially.
 const defaultSweepChunk = 8
 
-// maxSweepWorkers caps the goroutines one rank's level sweep spawns — the
-// pool already runs one goroutine per rank, so per-rank parallelism only
-// pays on wide levels with idle cores.
+// maxSweepWorkers caps the workers of one rank's level sweep, the handler
+// goroutine included — the pool already runs one goroutine per rank, so
+// per-rank parallelism only pays on wide levels with idle cores.
 const maxSweepWorkers = 4
 
 func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *sparse.Panel, opts SolveOpts) {
@@ -547,15 +625,14 @@ func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *spar
 	// States live in the schedule's per-rank pool: their arena reservation
 	// is plan-specific, so tying their lifetime to the plan keeps the
 	// reservation exact across solves.
-	var st *solveState
-	if v := c.sr.Pool.Get(); v != nil {
-		st = v.(*solveState)
-	} else {
-		st = newSolveState()
+	st, _ := c.sr.Pool.Get().(*solveState)
+	if st == nil {
+		st = &solveState{}
 	}
 	st.owner = &c.sr.Pool
 	st.b, st.x, st.nrhs = b, x, b.Cols
 	st.arena.reserve(c.sr.ArenaPerRHS*st.nrhs, c.sr.Panels)
+	st.size(c.sg)
 	c.st = st
 }
 
@@ -730,7 +807,9 @@ func (c *rankCore) drainReady(ctx *runtime.Ctx, s diagSolver, q *[]int, uPhase b
 				s.solveY(ctx, (*q)[i])
 			}
 		}
-		*q = (*q)[n:]
+		// Slide the next wave down instead of reslicing from the front, so
+		// the queue keeps its backing array across waves and solves.
+		*q = append((*q)[:0], (*q)[n:]...)
 		st.counts.sweeps++
 		st.counts.sweepTasks += n
 		if traced {
@@ -756,56 +835,90 @@ func (c *rankCore) precomputeWave(ctx *runtime.Ctx, s diagSolver, wave []int, uP
 	if ctx.Virtual() || len(wave) < 2*chunk || goruntime.GOMAXPROCS(0) < 2 {
 		return
 	}
-	res := make([]*sparse.Panel, len(wave))
-	nchunks := (len(wave) + chunk - 1) / chunk
-	workers := goruntime.GOMAXPROCS(0)
-	if workers > nchunks {
-		workers = nchunks
+	// Destinations come from the arena, allocated here on the handler
+	// goroutine (bump allocation is single-threaded); each is the panel
+	// the serial diagonal solve would otherwise have taken.
+	j := &c.st.wave
+	j.s, j.keys, j.uPhase = s, wave, uPhase
+	j.out = j.out[:0]
+	for _, k := range wave {
+		j.out = append(j.out, c.newPanel(c.snWidth(k)))
 	}
-	if workers > maxSweepWorkers {
-		workers = maxSweepWorkers
+	j.chunks = (len(wave) + chunk - 1) / chunk
+	j.next.Store(0)
+	// The handler goroutine is one of the workers: it would only wait
+	// otherwise.
+	workers := min(goruntime.GOMAXPROCS(0), j.chunks, maxSweepWorkers)
+	j.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go c.waveWorker(&j.buf[w], &j.wg)
 	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []float64 // per-worker rhs scratch
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				hi := min((ci+1)*chunk, len(wave))
-				for i := ci * chunk; i < hi; i++ {
-					if uPhase {
-						res[i] = c.precomputeX(wave[i], &buf)
-					} else {
-						res[i] = c.precomputeY(wave[i], s.keepB(wave[i]), &buf)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	pre := c.st.preY
+	c.waveWorker(&j.buf[0], nil)
+	j.wg.Wait()
+	pre := &c.st.preY
 	if uPhase {
-		pre = c.st.preX
+		pre = &c.st.preX
 	}
 	for i, k := range wave {
-		if res[i] != nil {
-			pre[k] = res[i]
+		if j.out[i] != nil {
+			pre.set(k, j.out[i])
 		}
 	}
 }
 
-// precomputeY replicates diagSolveY's arithmetic off the handler
-// goroutine: rhs per the algorithm's keep rule, minus lsum(K), times the
-// diagonal inverse. It allocates from the heap, not the arena (bump
-// allocation is single-threaded), and leaves the kernel tallies to the
-// consuming solveYPanel so counters stay single-writer.
-func (c *rankCore) precomputeY(k int, keep bool, buf *[]float64) *sparse.Panel {
+// waveJob describes the wave being precomputed to its workers. It lives on
+// the solve state, so launching a wave allocates nothing beyond the
+// goroutines themselves.
+type waveJob struct {
+	s      diagSolver
+	keys   []int
+	out    []*sparse.Panel // per key: the zeroed destination; nil if unsolvable
+	uPhase bool
+	chunks int
+	next   atomic.Int32 // next chunk to claim
+	wg     sync.WaitGroup
+	buf    [maxSweepWorkers][]float64 // per-worker rhs scratch
+}
+
+// reset drops the job's references, keeping its storage.
+func (j *waveJob) reset() {
+	clear(j.out[:cap(j.out)])
+	j.out = j.out[:0]
+	j.s, j.keys = nil, nil
+}
+
+// waveWorker claims chunks of the current wave until none is left, writing
+// each task's result into its destination panel; a spawned worker then
+// marks wg done.
+func (c *rankCore) waveWorker(buf *[]float64, wg *sync.WaitGroup) {
+	if wg != nil {
+		defer wg.Done()
+	}
+	j := &c.st.wave
+	for {
+		ci := int(j.next.Add(1)) - 1
+		if ci >= j.chunks {
+			return
+		}
+		hi := min((ci+1)*c.chunk, len(j.keys))
+		for i := ci * c.chunk; i < hi; i++ {
+			k := j.keys[i]
+			if j.uPhase {
+				if !c.precomputeX(k, j.out[i], buf) {
+					j.out[i] = nil
+				}
+			} else {
+				c.precomputeY(k, j.s.keepB(k), j.out[i], buf)
+			}
+		}
+	}
+}
+
+// precomputeY replicates diagSolveY's arithmetic for a wave worker, into
+// the zeroed destination yk: rhs per the algorithm's keep
+// rule, minus lsum(K), times the diagonal inverse. It leaves the kernel
+// tallies to the consuming solveYPanel so counters stay single-writer.
+func (c *rankCore) precomputeY(k int, keep bool, yk *sparse.Panel, buf *[]float64) {
 	w := c.snWidth(k)
 	n := c.st.nrhs
 	if cap(*buf) < w*n {
@@ -819,22 +932,20 @@ func (c *rankCore) precomputeY(k int, keep bool, buf *[]float64) *sparse.Panel {
 			copy(rhs.Col(j), c.st.b.Col(j)[lo:lo+w])
 		}
 	}
-	if s := c.st.sum[sweepL][k]; s != nil {
+	if s := c.st.sum[sweepL].get(k); s != nil {
 		for i, v := range s.Data {
 			rhs.Data[i] -= v
 		}
 	}
-	yk := sparse.NewPanel(w, n)
 	sparse.GemmAdd(c.p.M.LDiagInv[k], rhs, yk)
-	return yk
 }
 
-// precomputeX mirrors precomputeY for diagSolveX. A missing y(K) returns
-// nil so the serial path raises its usual protocol diagnostic.
-func (c *rankCore) precomputeX(k int, buf *[]float64) *sparse.Panel {
-	yk := c.st.y[k]
+// precomputeX mirrors precomputeY for diagSolveX. A missing y(K) reports
+// false so the serial path raises its usual protocol diagnostic.
+func (c *rankCore) precomputeX(k int, xk *sparse.Panel, buf *[]float64) bool {
+	yk := c.st.y.get(k)
 	if yk == nil {
-		return nil
+		return false
 	}
 	w := c.snWidth(k)
 	n := c.st.nrhs
@@ -843,40 +954,35 @@ func (c *rankCore) precomputeX(k int, buf *[]float64) *sparse.Panel {
 	}
 	rhs := &sparse.Panel{Rows: w, Cols: n, Data: (*buf)[:w*n]}
 	copy(rhs.Data, yk.Data)
-	if s := c.st.sum[sweepU][k]; s != nil {
+	if s := c.st.sum[sweepU].get(k); s != nil {
 		for i, v := range s.Data {
 			rhs.Data[i] -= v
 		}
 	}
-	xk := sparse.NewPanel(w, n)
 	sparse.GemmAdd(c.p.M.UDiagInv[k], rhs, xk)
-	return xk
+	return true
 }
 
 // solveYPanel produces y(K) with the modeled seconds of its diagonal
 // solve: from the wave precompute when one is stashed (same numerics,
 // already run), else through the shared serial kernel.
 func (c *rankCore) solveYPanel(k int, keep bool) (*sparse.Panel, float64) {
-	if len(c.st.preY) > 0 {
-		if yk := c.st.preY[k]; yk != nil {
-			delete(c.st.preY, k)
-			c.st.counts.diagY++
-			w := c.snWidth(k)
-			return yk, c.model.GemmTime(w, w, c.st.nrhs)
-		}
+	if yk := c.st.preY.get(k); yk != nil {
+		c.st.preY.set(k, nil)
+		c.st.counts.diagY++
+		w := c.snWidth(k)
+		return yk, c.model.GemmTime(w, w, c.st.nrhs)
 	}
 	return c.diagSolveY(k, c.rhsFor(k, keep))
 }
 
 // solveXPanel mirrors solveYPanel for the U phase.
 func (c *rankCore) solveXPanel(k int) (*sparse.Panel, float64) {
-	if len(c.st.preX) > 0 {
-		if xk := c.st.preX[k]; xk != nil {
-			delete(c.st.preX, k)
-			c.st.counts.diagX++
-			w := c.snWidth(k)
-			return xk, c.model.GemmTime(w, w, c.st.nrhs)
-		}
+	if xk := c.st.preX.get(k); xk != nil {
+		c.st.preX.set(k, nil)
+		c.st.counts.diagX++
+		w := c.snWidth(k)
+		return xk, c.model.GemmTime(w, w, c.st.nrhs)
 	}
 	return c.diagSolveX(k)
 }
@@ -915,7 +1021,7 @@ func (c *rankCore) contribution(ctx *runtime.Ctx, sw, k int, tree *ctree.Tree) {
 		if sw == sweepL {
 			st.enqueueY(k)
 		} else {
-			st.enqueueX(k)
+			c.enqueueX(k)
 		}
 		return
 	}
@@ -924,7 +1030,7 @@ func (c *rankCore) contribution(ctx *runtime.Ctx, sw, k int, tree *ctree.Tree) {
 		Dst: c.p.GlobalRank(c.z, tree.Parent(c.r2d)), Tag: reduceTag[sw], Cat: runtime.CatXY,
 		Data: &sumMsg{K: k, W: w}, Bytes: bytes,
 	})
-	delete(st.sum[sw], k) // ownership transferred
+	st.sum[sw].set(k, nil) // ownership transferred
 }
 
 // ---- shared numeric kernels ----
@@ -934,7 +1040,7 @@ func (c *rankCore) snWidth(k int) int { return c.p.M.SnWidth(k) }
 
 // newPanel returns a zeroed rows×nrhs working panel from the solve's
 // arena reservation. The panel outlives the handler step (it may be stored
-// in a per-supernode map or sent to a peer) and stays valid until the
+// in a slot table or sent to a peer) and stays valid until the
 // owning state is released.
 func (c *rankCore) newPanel(rows int) *sparse.Panel {
 	return c.st.arena.alloc(rows, c.st.nrhs)
@@ -952,10 +1058,10 @@ func (c *rankCore) clonePanel(p *sparse.Panel) *sparse.Panel {
 // getSum returns (allocating if needed) the partial-sum accumulator of
 // row k in sweep sw: lsum(k) or usum(k).
 func (c *rankCore) getSum(sw, k int) *sparse.Panel {
-	s := c.st.sum[sw][k]
+	s := c.st.sum[sw].get(k)
 	if s == nil {
 		s = c.newPanel(c.snWidth(k))
-		c.st.sum[sw][k] = s
+		c.st.sum[sw].set(k, s)
 	}
 	return s
 }
@@ -966,12 +1072,13 @@ func (c *rankCore) getSum(sw, k int) *sparse.Panel {
 // node. The result is consumed by diagSolveY before the next scratch use.
 func (c *rankCore) rhsFor(k int, keep bool) *sparse.Panel {
 	w := c.snWidth(k)
-	out := c.st.scratchPanel(w, c.st.nrhs)
-	if keep {
-		lo := c.p.M.SnBegin[k]
-		for j := 0; j < c.st.nrhs; j++ {
-			copy(out.Col(j), c.st.b.Col(j)[lo:lo+w])
-		}
+	if !keep {
+		return c.st.scratchPanel(w, c.st.nrhs)
+	}
+	out := c.st.scratchBuf(w, c.st.nrhs)
+	lo := c.p.M.SnBegin[k]
+	for j := 0; j < c.st.nrhs; j++ {
+		copy(out.Col(j), c.st.b.Col(j)[lo:lo+w])
 	}
 	return out
 }
@@ -1001,7 +1108,7 @@ func (c *rankCore) applyUBlock(ref dist.UBlockRef, k int, xk *sparse.Panel) floa
 	c.st.counts.uBlocks++
 	blk := ref.Blk
 	base := c.p.M.SnBegin[k]
-	sub := c.st.scratchPanel(len(blk.Cols), c.st.nrhs)
+	sub := c.st.scratchBuf(len(blk.Cols), c.st.nrhs)
 	for j := 0; j < c.st.nrhs; j++ {
 		sc := sub.Col(j)
 		xc := xk.Col(j)
@@ -1016,7 +1123,7 @@ func (c *rankCore) applyUBlock(ref dist.UBlockRef, k int, xk *sparse.Panel) floa
 // diagSolveY computes y(K) = inv(L(K,K))·(rhs − lsum(K)); rhs is consumed.
 func (c *rankCore) diagSolveY(k int, rhs *sparse.Panel) (*sparse.Panel, float64) {
 	c.st.counts.diagY++
-	if s := c.st.sum[sweepL][k]; s != nil {
+	if s := c.st.sum[sweepL].get(k); s != nil {
 		for i, v := range s.Data {
 			rhs.Data[i] -= v
 		}
@@ -1030,15 +1137,15 @@ func (c *rankCore) diagSolveY(k int, rhs *sparse.Panel) (*sparse.Panel, float64)
 // diagSolveX computes x(K) = inv(U(K,K))·(y(K) − usum(K)).
 func (c *rankCore) diagSolveX(k int) (*sparse.Panel, float64) {
 	c.st.counts.diagX++
-	yk := c.st.y[k]
+	yk := c.st.y.get(k)
 	if yk == nil {
 		panic(&fault.ProtocolError{Rank: c.rank, Phase: "U-solve",
 			Msg: fmt.Sprintf("solving x(%d) without y(%d)", k, k)})
 	}
 	w := c.snWidth(k)
-	rhs := c.st.scratchPanel(w, c.st.nrhs)
+	rhs := c.st.scratchBuf(w, c.st.nrhs)
 	copy(rhs.Data, yk.Data)
-	if s := c.st.sum[sweepU][k]; s != nil {
+	if s := c.st.sum[sweepU].get(k); s != nil {
 		for i, v := range s.Data {
 			rhs.Data[i] -= v
 		}

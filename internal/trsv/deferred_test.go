@@ -28,7 +28,7 @@ func (f *fakeOps) process(_ *runtime.Ctx, m runtime.Msg) {
 // earlier survivor must fully drain across rounds, preserving the retained
 // queue's relative order at every step.
 func TestDrainDeferredChains(t *testing.T) {
-	c := &rankCore{st: newSolveState()}
+	c := &rankCore{st: &solveState{}}
 	// Queue 5,4,3,2,1; only 1 starts acceptable and each k unlocks k+1, so
 	// round one processes just 1, round two just 2, and so on — the worst
 	// case for restart-from-zero scans, five rounds here.
@@ -59,7 +59,7 @@ func TestDrainDeferredChains(t *testing.T) {
 // panel while the state waits in the pool (the retention bug this rewrite
 // fixed kept a duplicate of the last survivor alive past len).
 func TestDrainDeferredZeroesVacatedTail(t *testing.T) {
-	c := &rankCore{st: newSolveState()}
+	c := &rankCore{st: &solveState{}}
 	panel := sparse.NewPanel(4, 1)
 	for tag := 1; tag <= 6; tag++ {
 		c.st.deferred = append(c.st.deferred, runtime.Msg{Tag: tag, Data: &yMsg{K: tag, W: wirePanel{Rows: 4, Cols: 1, EffCols: 1, Vals: panel.Data}}})
@@ -89,7 +89,7 @@ func TestDrainDeferredZeroesVacatedTail(t *testing.T) {
 // readyTasks to capacity, not length — pops and compaction reslice both,
 // leaving panel-holding elements beyond len.
 func TestReleaseClearsBackingArrays(t *testing.T) {
-	st := newSolveState()
+	st := &solveState{}
 	st.owner = &sync.Pool{}
 	panel := sparse.NewPanel(4, 1)
 	for i := 0; i < 4; i++ {
@@ -121,7 +121,7 @@ func TestReleaseClearsBackingArrays(t *testing.T) {
 func BenchmarkDrainDeferred(b *testing.B) {
 	const n = 4096
 	const waves = 8
-	c := &rankCore{st: newSolveState()}
+	c := &rankCore{st: &solveState{}}
 	msgs := make([]runtime.Msg, n)
 	for i := range msgs {
 		msgs[i] = runtime.Msg{Tag: 1 + i%waves}

@@ -128,12 +128,6 @@ func (h *gpuRank) Init(ctx *runtime.Ctx) {
 	// row, zero for rows of other process rows.
 	st.dpend[sweepL] = slotCounts(st.dpend[sweepL], h.gp.Sns, h.localL)
 	st.dpend[sweepU] = slotCounts(st.dpend[sweepU], h.gp.Sns, h.localU)
-	if h.el != nil && st.putSeen[sweepL] == nil {
-		for sw := range st.putSeen {
-			st.putSeen[sw] = map[int]bool{}
-			st.putForced[sw] = map[int]bool{}
-		}
-	}
 	h.startSweep(ctx, sweepL)
 	h.armElastic(ctx)
 }
@@ -174,10 +168,11 @@ func (h *gpuRank) forcePuts(ctx *runtime.Ctx, sw int) {
 	seen, forced := st.putSeen[sw], st.putForced[sw]
 	added := false
 	for _, k := range h.gp.Sns {
-		if h.p.DiagRank2D(k) == h.r2d || !h.inBcast(sw, k) || seen[k] || forced[k] {
+		s := h.slot(k)
+		if h.p.DiagRank2D(k) == h.r2d || !h.inBcast(sw, k) || seen.has(s) || forced.has(s) {
 			continue
 		}
-		forced[k] = true
+		forced.set(s)
 		// The zero subvector feeds this rank's blocks of column k: every
 		// owned diagonal row those blocks contribute to is now stale.
 		h.eachRow(sw, k, func(i int) {
@@ -242,13 +237,14 @@ func (h *gpuRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	case tagGPUPut:
 		d := m.Data.(*gpuPut)
 		if h.el != nil {
-			if h.st.putForced[d.sw][d.K] {
+			s := h.slot(d.K)
+			if h.st.putForced[d.sw].has(s) {
 				// A staleness deadline already synthesized this put as a
 				// zero panel and the task count charged it; drop the late
 				// real delivery.
 				return
 			}
-			h.st.putSeen[d.sw][d.K] = true
+			h.st.putSeen[d.sw].set(s)
 		}
 		h.st.readyTasks = append(h.st.readyTasks, gpuTask{k: d.K, sw: d.sw, put: h.unpackPanel(&d.W)})
 		h.startTasks(ctx)
@@ -291,7 +287,7 @@ func (h *gpuRank) runTask(t gpuTask) *sparse.Panel {
 	if t.sw == sweepL {
 		if v == nil {
 			v, _ = h.diagSolveY(t.k, h.rhsFor(t.k, owner))
-			st.y[t.k] = v
+			st.y.set(t.k, v)
 		}
 		for _, blk := range h.colL[t.k] {
 			h.applyLBlock(blk, t.k, v)
@@ -300,7 +296,7 @@ func (h *gpuRank) runTask(t gpuTask) *sparse.Panel {
 	}
 	if v == nil {
 		v, _ = h.diagSolveX(t.k)
-		st.xl[t.k] = v
+		st.xl.set(t.k, v)
 		if owner {
 			h.writeX(t.k, v)
 		}

@@ -183,7 +183,7 @@ func (h *new3dRank) keepB(k int) bool { return h.gp.OwnerGridOfSn(k) == h.z }
 func (h *new3dRank) solveY(ctx *runtime.Ctx, k int) {
 	yk, secs := h.solveYPanel(k, h.keepB(k))
 	ctx.ComputeT(TagDiagSolveL, secs, nil)
-	h.st.y[k] = yk
+	h.st.y.set(k, yk)
 	h.onY(ctx, k, yk)
 }
 
@@ -212,7 +212,7 @@ func (h *new3dRank) finishAR(ctx *runtime.Ctx) {
 	st.phase = 2
 	for _, k := range h.myDiagSns {
 		if h.pendingOf(sweepU, k) == 0 {
-			st.enqueueX(k)
+			h.enqueueX(k)
 		}
 	}
 	h.drainReadyX(ctx, h)
@@ -234,7 +234,7 @@ func (h *new3dRank) onX(ctx *runtime.Ctx, k int, xk *sparse.Panel) {
 func (h *new3dRank) solveX(ctx *runtime.Ctx, k int) {
 	xk, secs := h.solveXPanel(k)
 	ctx.ComputeT(TagDiagSolveU, secs, nil)
-	h.st.xl[k] = xk
+	h.st.xl.set(k, xk)
 	if h.gp.OwnerGridOfSn(k) == h.z {
 		h.writeX(k, xk)
 	}
@@ -287,7 +287,7 @@ func (h *new3dRank) forceStale(ctx *runtime.Ctx, phase int) {
 func (h *new3dRank) forceL(ctx *runtime.Ctx) {
 	st := h.st
 	for _, k := range h.myDiagSns {
-		if st.y[k] == nil {
+		if st.y.get(k) == nil {
 			h.markStale(sweepL, k)
 			h.zeroPending(sweepL, k)
 			st.enqueueY(k)
@@ -302,10 +302,10 @@ func (h *new3dRank) forceL(ctx *runtime.Ctx) {
 func (h *new3dRank) forceU(ctx *runtime.Ctx) {
 	st := h.st
 	for _, k := range h.myDiagSns {
-		if st.xl[k] == nil {
+		if st.xl.get(k) == nil {
 			h.markStale(sweepU, k)
 			h.zeroPending(sweepU, k)
-			st.enqueueX(k)
+			h.enqueueX(k)
 		}
 	}
 	st.uRecvLeft = 0

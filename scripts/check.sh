@@ -44,6 +44,9 @@ echo "== go test -race -count=2 (elastic-chaos stress: staleness x straggler sev
 go test -race -count=2 -run 'Elastic' \
     ./internal/trsv ./internal/fault ./internal/core ./internal/server
 
+echo "== go test -count=10 (elastic pool chaos: forced closes are timing-dependent) =="
+go test -count=10 -run TestChaosElasticPoolBackend ./internal/fault
+
 echo "== go test -race -count=2 (concurrent solves scraping /metrics) =="
 go test -race -count=2 -run 'Metrics|OpenMetrics|Histogram' \
     ./internal/metrics ./internal/core
