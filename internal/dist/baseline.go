@@ -16,14 +16,12 @@ type GroupTree struct {
 	Tree *ctree.Tree
 }
 
-// BaselineRankData holds one rank's precomputed baseline counters: stage
-// receive totals and per-row dependency counts. Handlers clone the maps
-// and slices.
+// BaselineRankData holds one rank's precomputed baseline counters, by
+// sweep: expected receives per node stage 0..s and per-row dependency
+// counts. Handlers clone the maps and slices.
 type BaselineRankData struct {
-	LRemaining []int // expected L-phase receives per node stage 0..s
-	URemaining []int // expected U-phase receives per node stage 0..s
-	PendingL   map[int]int
-	PendingU   map[int]int
+	Remaining [2][]int
+	Pending   [2]map[int]int
 }
 
 // Baseline holds the per-grid structures only the baseline algorithm uses.
@@ -36,19 +34,16 @@ type Baseline struct {
 	// Ranks holds the per-rank counters, indexed by 2D-local rank.
 	Ranks []*BaselineRankData
 
-	// LBcastGroups[K] holds one flat tree per path node containing rows of
-	// blocks L(I,K); ordered by ascending node index.
-	LBcastGroups [][]GroupTree
-	// LReduceNode[K] is the flat reduction tree over ranks owning blocks
-	// L(K,J) with J in K's own node (within-node contributions only; the
-	// cross-node ones arrive through the pre-gather).
-	LReduceNode []*ctree.Tree
-	// UBcastGroups[K] holds one flat tree per path node containing rows of
-	// blocks U(I,K), I < K.
-	UBcastGroups [][]GroupTree
-	// UReduceFlat[K] is the flat reduction tree over all ranks owning
-	// blocks U(K,J), J on path.
-	UReduceFlat []*ctree.Tree
+	// BcastGroups[sw][K] holds one flat tree per path node containing rows
+	// of the sweep's blocks in column K — L(I,K), or U(I,K) with I < K —
+	// ordered by ascending node index.
+	BcastGroups [2][][]GroupTree
+	// Reduce[SweepL][K] is the flat reduction tree over ranks owning
+	// blocks L(K,J) with J in K's own node (within-node contributions
+	// only; the cross-node ones arrive through the pre-gather);
+	// Reduce[SweepU][K] the flat tree over all ranks owning blocks U(K,J),
+	// J on path.
+	Reduce [2][]*ctree.Tree
 	// GatherCols[K] lists the process columns holding cross-node lsum
 	// contributions for row K: the distinct J mod Py over all global
 	// supernodes J with a block L(K,J) lying strictly below K's node.
@@ -98,106 +93,66 @@ func trailingZerosCapped(z, cap int) int {
 func (p *Plan) buildBaselineGrid(gp *GridPlan) (*Baseline, error) {
 	m := p.M
 	l := p.Layout
-	b := &Baseline{
-		LBcastGroups: make([][]GroupTree, m.SnCount),
-		LReduceNode:  make([]*ctree.Tree, m.SnCount),
-		UBcastGroups: make([][]GroupTree, m.SnCount),
-		UReduceFlat:  make([]*ctree.Tree, m.SnCount),
-		GatherCols:   make([][]int, m.SnCount),
+	b := &Baseline{GatherCols: make([][]int, m.SnCount)}
+	for sw := range b.Reduce {
+		b.BcastGroups[sw] = make([][]GroupTree, m.SnCount)
+		b.Reduce[sw] = make([]*ctree.Tree, m.SnCount)
 	}
 	for _, k := range gp.Sns {
 		diag := p.DiagRank2D(k)
 		ni := gp.NodeOf[k]
 
-		// L broadcast group trees: rows grouped by their path node.
-		byNode := map[int][]int{}
-		seen := map[[2]int]bool{}
-		for _, blk := range m.LBlocks[k] {
-			g := gp.NodeOf[blk.I]
-			r := p.Rank2D(blk.I%l.Px, k%l.Py)
-			if key := [2]int{g, r}; !seen[key] {
-				seen[key] = true
-				byNode[g] = append(byNode[g], r)
-			}
+		// Broadcast group trees, by sweep: the rows of column K's blocks —
+		// L(I,K), or U(I,K) with I < K — grouped by their path node.
+		lRows := make([]int, len(m.LBlocks[k]))
+		for i, blk := range m.LBlocks[k] {
+			lRows[i] = blk.I
 		}
-		var groups []int
-		for g := range byNode {
-			groups = append(groups, g)
-		}
-		sort.Ints(groups)
-		for _, g := range groups {
-			members := byNode[g]
-			if !containsInt(members, diag) {
-				members = append([]int{diag}, members...)
+		for sw, rows := range [2][]int{lRows, gp.RowSns[k]} {
+			byNode := map[int][]int{}
+			seen := map[[2]int]bool{}
+			for _, i := range rows {
+				g := gp.NodeOf[i]
+				r := p.Rank2D(i%l.Px, k%l.Py)
+				if key := [2]int{g, r}; !seen[key] {
+					seen[key] = true
+					byNode[g] = append(byNode[g], r)
+				}
 			}
-			tr, err := ctree.New(ctree.Flat, diag, members)
-			if err != nil {
-				return nil, err
+			var groups []int
+			for g := range byNode {
+				groups = append(groups, g)
 			}
-			b.LBcastGroups[k] = append(b.LBcastGroups[k], GroupTree{Node: g, Tree: tr})
+			sort.Ints(groups)
+			for _, g := range groups {
+				members := byNode[g]
+				if !containsInt(members, diag) {
+					members = append([]int{diag}, members...)
+				}
+				tr, err := ctree.New(ctree.Flat, diag, members)
+				if err != nil {
+					return nil, err
+				}
+				b.BcastGroups[sw][k] = append(b.BcastGroups[sw][k], GroupTree{Node: g, Tree: tr})
+			}
 		}
 
-		// U broadcast group trees: rows I < K with U(I,K) ≠ 0, grouped.
-		byNode = map[int][]int{}
-		seen = map[[2]int]bool{}
-		for _, i := range gp.RowSns[k] {
-			g := gp.NodeOf[i]
-			r := p.Rank2D(i%l.Px, k%l.Py)
-			if key := [2]int{g, r}; !seen[key] {
-				seen[key] = true
-				byNode[g] = append(byNode[g], r)
-			}
-		}
-		groups = groups[:0]
-		for g := range byNode {
-			groups = append(groups, g)
-		}
-		sort.Ints(groups)
-		for _, g := range groups {
-			members := byNode[g]
-			if !containsInt(members, diag) {
-				members = append([]int{diag}, members...)
-			}
-			tr, err := ctree.New(ctree.Flat, diag, members)
-			if err != nil {
-				return nil, err
-			}
-			b.UBcastGroups[k] = append(b.UBcastGroups[k], GroupTree{Node: g, Tree: tr})
-		}
-
-		// Within-node L reduction tree.
-		members := []int{diag}
-		seenR := map[int]bool{diag: true}
+		// Reduction trees: within-node L contributions only, and every U
+		// contributor on the path.
+		var within []int
 		for _, j := range gp.RowSns[k] {
-			if gp.NodeOf[j] != ni {
-				continue
-			}
-			r := p.Rank2D(k%l.Px, j%l.Py)
-			if !seenR[r] {
-				seenR[r] = true
-				members = append(members, r)
+			if gp.NodeOf[j] == ni {
+				within = append(within, j)
 			}
 		}
-		tr, err := ctree.New(ctree.Flat, diag, members)
-		if err != nil {
-			return nil, err
-		}
-		b.LReduceNode[k] = tr
-
-		// Flat U reduction tree over all path contributors.
-		members = []int{diag}
-		seenR = map[int]bool{diag: true}
-		for _, j := range gp.URowSns[k] {
-			r := p.Rank2D(k%l.Px, j%l.Py)
-			if !seenR[r] {
-				seenR[r] = true
-				members = append(members, r)
+		rowRank := func(j int) int { return p.Rank2D(k%l.Px, j%l.Py) }
+		for sw, cols := range [2][]int{within, gp.URowSns[k]} {
+			tr, err := memberTree(ctree.Flat, diag, cols, rowRank)
+			if err != nil {
+				return nil, err
 			}
+			b.Reduce[sw][k] = tr
 		}
-		if tr, err = ctree.New(ctree.Flat, diag, members); err != nil {
-			return nil, err
-		}
-		b.UReduceFlat[k] = tr
 
 		// Gather columns: global row list entries strictly below K's node.
 		colSet := map[int]bool{}
@@ -226,20 +181,18 @@ func (p *Plan) buildBaselineRankData(gp *GridPlan, b *Baseline) {
 	b.Ranks = make([]*BaselineRankData, l.GridSize())
 	for r := range b.Ranks {
 		b.Ranks[r] = &BaselineRankData{
-			LRemaining: make([]int, s+1),
-			URemaining: make([]int, s+1),
-			PendingL:   map[int]int{},
-			PendingU:   map[int]int{},
+			Remaining: [2][]int{make([]int, s+1), make([]int, s+1)},
+			Pending:   [2]map[int]int{{}, {}},
 		}
 	}
 	for _, k := range gp.Sns {
 		ni := gp.NodeOf[k]
 		diag := p.DiagRank2D(k)
 		if ni <= s {
-			for _, gt := range b.LBcastGroups[k] {
+			for _, gt := range b.BcastGroups[SweepL][k] {
 				for _, m := range gt.Tree.Members() {
 					if m != diag {
-						b.Ranks[m].LRemaining[ni]++
+						b.Ranks[m].Remaining[SweepL][ni]++
 					}
 				}
 			}
@@ -255,11 +208,11 @@ func (p *Plan) buildBaselineRankData(gp *GridPlan, b *Baseline) {
 				withinByCol[j%l.Py]++
 			}
 		}
-		t := b.LReduceNode[k]
+		t := b.Reduce[SweepL][k]
 		for _, m := range t.Members() {
 			rd := b.Ranks[m]
-			rd.PendingL[k] = withinByCol[m%l.Py] + t.NumChildren(m)
-			rd.LRemaining[ni] += t.NumChildren(m)
+			rd.Pending[SweepL][k] = withinByCol[m%l.Py] + t.NumChildren(m)
+			rd.Remaining[SweepL][ni] += t.NumChildren(m)
 		}
 		gather := 0
 		for _, c := range b.GatherCols[k] {
@@ -268,21 +221,21 @@ func (p *Plan) buildBaselineRankData(gp *GridPlan, b *Baseline) {
 			}
 		}
 		if gather > 0 {
-			b.Ranks[diag].PendingL[k] += gather
-			b.Ranks[diag].LRemaining[ni] += gather
+			b.Ranks[diag].Pending[SweepL][k] += gather
+			b.Ranks[diag].Remaining[SweepL][ni] += gather
 		}
-		for _, gt := range b.UBcastGroups[k] {
+		for _, gt := range b.BcastGroups[SweepU][k] {
 			for _, m := range gt.Tree.Members() {
 				if m != diag {
-					b.Ranks[m].URemaining[ni]++
+					b.Ranks[m].Remaining[SweepU][ni]++
 				}
 			}
 		}
-		tu := b.UReduceFlat[k]
+		tu := b.Reduce[SweepU][k]
 		for _, m := range tu.Members() {
 			rd := b.Ranks[m]
-			rd.PendingU[k] = gp.Ranks[m].LocalU[k] + tu.NumChildren(m)
-			rd.URemaining[ni] += tu.NumChildren(m)
+			rd.Pending[SweepU][k] = gp.Ranks[m].Local[SweepU][k] + tu.NumChildren(m)
+			rd.Remaining[SweepU][ni] += tu.NumChildren(m)
 		}
 	}
 	if gp.Z != 0 {
@@ -291,13 +244,13 @@ func (p *Plan) buildBaselineRankData(gp *GridPlan, b *Baseline) {
 				continue
 			}
 			diag := p.DiagRank2D(k)
-			for _, gt := range b.UBcastGroups[k] {
+			for _, gt := range b.BcastGroups[SweepU][k] {
 				if gt.Node > s {
 					continue
 				}
 				for _, m := range gt.Tree.Members() {
 					if m != diag {
-						b.Ranks[m].URemaining[s]++
+						b.Ranks[m].Remaining[SweepU][s]++
 					}
 				}
 			}

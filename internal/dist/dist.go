@@ -26,6 +26,13 @@ type UBlockRef struct {
 	Blk *snode.UBlock
 }
 
+// Sweep indices of every per-sweep [2] array of the plan and the schedule
+// built on it: the forward (L) and the backward (U) triangular solve.
+const (
+	SweepL = iota
+	SweepU
+)
+
 // RankData holds one 2D-local rank's precomputed view of the grid:
 // which subvectors it owns, which blocks it applies per column, and how
 // many row contributions it owes. Built once per grid so that handler
@@ -34,16 +41,13 @@ type RankData struct {
 	MyDiagSns []int                   // supernodes whose diagonal rank is this one, ascending
 	ColL      map[int][]*snode.LBlock // my L blocks by column supernode
 	ColU      map[int][]UBlockRef     // my U blocks by column supernode
-	LocalL    map[int]int             // #my L blocks per row supernode
-	LocalU    map[int]int             // #my U blocks per row supernode
+	Local     [2]map[int]int          // #my blocks per row supernode, by sweep
 
-	// Initial dependency counters for the proposed algorithm: expected
-	// contributions per row (local GEMVs plus reduction-tree children) and
-	// total expected receives per phase. Handlers clone the maps.
-	PendingL map[int]int
-	PendingU map[int]int
-	LRecv    int
-	URecv    int
+	// Initial dependency counters for the proposed algorithm, by sweep:
+	// expected contributions per row (local GEMVs plus reduction-tree
+	// children) and total expected receives per phase.
+	Pending [2]map[int]int
+	Recv    [2]int
 }
 
 // GridPlan is the per-grid view of the distributed factors.
@@ -65,12 +69,11 @@ type GridPlan struct {
 	// URowSns[K] lists the path supernodes J > K with a nonzero U(K, J).
 	URowSns [][]int
 
-	// Communication trees over 2D-local ranks (row·Py + col), indexed by
-	// global supernode; nil for off-path supernodes.
-	LBcast  []*ctree.Tree // y(K) down the process column of K
-	LReduce []*ctree.Tree // lsum(K) across the process row of K
-	UBcast  []*ctree.Tree // x(K) down the process column of K
-	UReduce []*ctree.Tree // usum(K) across the process row of K
+	// Communication trees over 2D-local ranks (row·Py + col), by sweep and
+	// global supernode; nil for off-path supernodes. Bcast carries y(K) or
+	// x(K) down the process column of K, Reduce lsum(K) or usum(K) across
+	// its process row.
+	Bcast, Reduce [2][]*ctree.Tree
 
 	// Ranks holds each 2D-local rank's precomputed block lists and
 	// ownership, indexed by row·Py+col.
@@ -238,15 +241,11 @@ func (p *Plan) buildRankData(gp *GridPlan) {
 	gp.Ranks = make([]*RankData, l.GridSize())
 	for r := range gp.Ranks {
 		gp.Ranks[r] = &RankData{
-			ColL:   map[int][]*snode.LBlock{},
-			ColU:   map[int][]UBlockRef{},
-			LocalL: map[int]int{},
-			LocalU: map[int]int{},
+			ColL:    map[int][]*snode.LBlock{},
+			ColU:    map[int][]UBlockRef{},
+			Local:   [2]map[int]int{{}, {}},
+			Pending: [2]map[int]int{{}, {}},
 		}
-	}
-	for r := range gp.Ranks {
-		gp.Ranks[r].PendingL = map[int]int{}
-		gp.Ranks[r].PendingU = map[int]int{}
 	}
 	for _, k := range gp.Sns {
 		gp.Ranks[p.DiagRank2D(k)].MyDiagSns = append(gp.Ranks[p.DiagRank2D(k)].MyDiagSns, k)
@@ -255,7 +254,7 @@ func (p *Plan) buildRankData(gp *GridPlan) {
 			r := gp.Ranks[p.Rank2D(blk.I%l.Px, k%l.Py)]
 			r.ColL[k] = append(r.ColL[k], blk)
 			if blk.I != k {
-				r.LocalL[blk.I]++
+				r.Local[SweepL][blk.I]++
 			}
 		}
 		for bi := range m.UBlocks[k] {
@@ -265,115 +264,79 @@ func (p *Plan) buildRankData(gp *GridPlan) {
 			}
 			r := gp.Ranks[p.Rank2D(k%l.Px, blk.J%l.Py)]
 			r.ColU[blk.J] = append(r.ColU[blk.J], UBlockRef{I: k, Blk: blk})
-			r.LocalU[k]++
+			r.Local[SweepU][k]++
 		}
 	}
 	// Dependency counters: one pass over tree members instead of one scan
 	// of every supernode per rank.
 	for _, k := range gp.Sns {
-		for _, m := range gp.LReduce[k].Members() {
-			rd := gp.Ranks[m]
-			rd.PendingL[k] = rd.LocalL[k] + gp.LReduce[k].NumChildren(m)
-			rd.LRecv += gp.LReduce[k].NumChildren(m)
-		}
-		for _, m := range gp.LBcast[k].Members() {
-			if m != gp.LBcast[k].Root() {
-				gp.Ranks[m].LRecv++
+		for sw := range gp.Reduce {
+			red, bc := gp.Reduce[sw][k], gp.Bcast[sw][k]
+			for _, m := range red.Members() {
+				rd := gp.Ranks[m]
+				rd.Pending[sw][k] = rd.Local[sw][k] + red.NumChildren(m)
+				rd.Recv[sw] += red.NumChildren(m)
 			}
-		}
-		for _, m := range gp.UReduce[k].Members() {
-			rd := gp.Ranks[m]
-			rd.PendingU[k] = rd.LocalU[k] + gp.UReduce[k].NumChildren(m)
-			rd.URecv += gp.UReduce[k].NumChildren(m)
-		}
-		for _, m := range gp.UBcast[k].Members() {
-			if m != gp.UBcast[k].Root() {
-				gp.Ranks[m].URecv++
+			for _, m := range bc.Members() {
+				if m != bc.Root() {
+					gp.Ranks[m].Recv[sw]++
+				}
 			}
 		}
 	}
 }
 
-// buildTrees constructs the four tree families for one grid.
+// buildTrees constructs the broadcast and reduction trees of both sweeps
+// for one grid.
 func (p *Plan) buildTrees(gp *GridPlan) error {
 	m := p.M
 	l := p.Layout
-	gp.LBcast = make([]*ctree.Tree, m.SnCount)
-	gp.LReduce = make([]*ctree.Tree, m.SnCount)
-	gp.UBcast = make([]*ctree.Tree, m.SnCount)
-	gp.UReduce = make([]*ctree.Tree, m.SnCount)
-
+	for sw := range gp.Bcast {
+		gp.Bcast[sw] = make([]*ctree.Tree, m.SnCount)
+		gp.Reduce[sw] = make([]*ctree.Tree, m.SnCount)
+	}
 	for _, k := range gp.Sns {
 		diag := p.DiagRank2D(k)
-
-		// L broadcast of y(K): owners of blocks L(I, K), I on path.
-		members := []int{diag}
-		seen := map[int]bool{diag: true}
+		colRank := func(i int) int { return p.Rank2D(i%l.Px, k%l.Py) }
+		rowRank := func(j int) int { return p.Rank2D(k%l.Px, j%l.Py) }
+		// Broadcasts of y(K) and x(K) reach the owners of the sweep's
+		// blocks in column K: L(I, K) with I on path, and U(I, K), whose
+		// rows I are exactly those with L(K, I) nonzero (RowSns[K]).
+		// Reductions of lsum(K) and usum(K) span the owners of the
+		// sweep's blocks in row K: L(K, J) and U(K, J), J on path.
+		var lRows []int
 		for _, blk := range m.LBlocks[k] {
-			if !gp.OnPath[blk.I] {
-				continue // cannot happen for on-path K; kept as a guard
-			}
-			r := p.Rank2D(blk.I%l.Px, k%l.Py)
-			if !seen[r] {
-				seen[r] = true
-				members = append(members, r)
+			if gp.OnPath[blk.I] { // always true for on-path K; kept as a guard
+				lRows = append(lRows, blk.I)
 			}
 		}
-		tr, err := ctree.New(p.Kind, diag, members)
-		if err != nil {
-			return err
-		}
-		gp.LBcast[k] = tr
-
-		// U broadcast of x(K): owners of blocks U(I, K) = mirrors L(K, ·)
-		// read column-wise; participants are owners of U(I,K) with I < K,
-		// i.e. ranks (I mod Px, K mod Py) for I in RowSns[K]... the rows I
-		// with L(K, I) nonzero are exactly the rows with U(I, K) nonzero.
-		members = []int{diag}
-		seen = map[int]bool{diag: true}
-		for _, i := range gp.RowSns[k] {
-			r := p.Rank2D(i%l.Px, k%l.Py)
-			if !seen[r] {
-				seen[r] = true
-				members = append(members, r)
+		bcast := [2][]int{lRows, gp.RowSns[k]}
+		reduce := [2][]int{gp.RowSns[k], gp.URowSns[k]}
+		for sw := range gp.Bcast {
+			var err error
+			if gp.Bcast[sw][k], err = memberTree(p.Kind, diag, bcast[sw], colRank); err != nil {
+				return err
+			}
+			if gp.Reduce[sw][k], err = memberTree(p.Kind, diag, reduce[sw], rowRank); err != nil {
+				return err
 			}
 		}
-		if tr, err = ctree.New(p.Kind, diag, members); err != nil {
-			return err
-		}
-		gp.UBcast[k] = tr
-
-		// L reduction of lsum(K): owners of blocks L(K, J), J on path.
-		members = []int{diag}
-		seen = map[int]bool{diag: true}
-		for _, j := range gp.RowSns[k] {
-			r := p.Rank2D(k%l.Px, j%l.Py)
-			if !seen[r] {
-				seen[r] = true
-				members = append(members, r)
-			}
-		}
-		if tr, err = ctree.New(p.Kind, diag, members); err != nil {
-			return err
-		}
-		gp.LReduce[k] = tr
-
-		// U reduction of usum(K): owners of blocks U(K, J), J > K on path.
-		members = []int{diag}
-		seen = map[int]bool{diag: true}
-		for _, j := range gp.URowSns[k] {
-			r := p.Rank2D(k%l.Px, j%l.Py)
-			if !seen[r] {
-				seen[r] = true
-				members = append(members, r)
-			}
-		}
-		if tr, err = ctree.New(p.Kind, diag, members); err != nil {
-			return err
-		}
-		gp.UReduce[k] = tr
 	}
 	return nil
+}
+
+// memberTree builds a tree of the given kind rooted at diag over diag and
+// the ranks of keys, deduplicated in first-seen order.
+func memberTree(kind ctree.Kind, diag int, keys []int, rank func(int) int) (*ctree.Tree, error) {
+	members := []int{diag}
+	seen := map[int]bool{diag: true}
+	for _, key := range keys {
+		if r := rank(key); !seen[r] {
+			seen[r] = true
+			members = append(members, r)
+		}
+	}
+	return ctree.New(kind, diag, members)
 }
 
 // OwnerGridOfSn returns the smallest grid replicating the node containing

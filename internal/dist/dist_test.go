@@ -94,20 +94,20 @@ func TestTreesCoverBlockOwners(t *testing.T) {
 		for _, k := range gp.Sns {
 			for _, blk := range p.M.LBlocks[k] {
 				owner := p.Rank2D(blk.I%l.Px, k%l.Py)
-				if !gp.LBcast[k].Contains(owner) {
+				if !gp.Bcast[SweepL][k].Contains(owner) {
 					t.Fatalf("LBcast(%d) missing owner of block (%d,%d)", k, blk.I, k)
 				}
 			}
 			for _, j := range gp.RowSns[k] {
 				owner := p.Rank2D(k%l.Px, j%l.Py)
-				if !gp.LReduce[k].Contains(owner) {
+				if !gp.Reduce[SweepL][k].Contains(owner) {
 					t.Fatalf("LReduce(%d) missing owner of block (%d,%d)", k, k, j)
 				}
 			}
-			if gp.LBcast[k].Root() != p.DiagRank2D(k) {
+			if gp.Bcast[SweepL][k].Root() != p.DiagRank2D(k) {
 				t.Fatalf("LBcast(%d) not rooted at diagonal", k)
 			}
-			if gp.UReduce[k].Root() != p.DiagRank2D(k) {
+			if gp.Reduce[SweepU][k].Root() != p.DiagRank2D(k) {
 				t.Fatalf("UReduce(%d) not rooted at diagonal", k)
 			}
 		}
@@ -151,15 +151,15 @@ func TestPendingCountsMatchTreeStructure(t *testing.T) {
 	p := newPlan(t, grid.Layout{Px: 2, Py: 2, Pz: 4}, ctree.Binary)
 	for _, gp := range p.Grids {
 		for _, k := range gp.Sns {
-			// Sum over ranks of PendingL[k] must equal total L blocks in
+			// Sum over ranks of Pending[SweepL][k] must equal total L blocks in
 			// row k plus total reduce-tree edges (each child sends one
 			// message, each message is one pending unit at its parent).
 			sum := 0
 			for _, rd := range gp.Ranks {
-				sum += rd.PendingL[k]
+				sum += rd.Pending[SweepL][k]
 			}
 			blocks := len(gp.RowSns[k])
-			edges := gp.LReduce[k].Size() - 1
+			edges := gp.Reduce[SweepL][k].Size() - 1
 			if sum != blocks+edges {
 				t.Fatalf("grid %d sn %d: pending sum %d != blocks %d + edges %d", gp.Z, k, sum, blocks, edges)
 			}
@@ -191,9 +191,9 @@ func TestLocalCountsMatchRowListsOnOneRankGrids(t *testing.T) {
 			for _, gp := range p.Grids {
 				rd := gp.Ranks[0]
 				for _, k := range gp.Sns {
-					if rd.LocalL[k] != len(gp.RowSns[k]) || rd.LocalU[k] != len(gp.URowSns[k]) {
+					if rd.Local[SweepL][k] != len(gp.RowSns[k]) || rd.Local[SweepU][k] != len(gp.URowSns[k]) {
 						t.Fatalf("%s Pz=%d grid %d sn %d: local L/U %d/%d, row lists %d/%d", mc.name, pz, gp.Z, k,
-							rd.LocalL[k], rd.LocalU[k], len(gp.RowSns[k]), len(gp.URowSns[k]))
+							rd.Local[SweepL][k], rd.Local[SweepU][k], len(gp.RowSns[k]), len(gp.URowSns[k]))
 					}
 				}
 			}
@@ -209,13 +209,13 @@ func TestRecvTotalsMatchSendTotals(t *testing.T) {
 	for _, gp := range p.Grids {
 		lRecv, uRecv := 0, 0
 		for _, rd := range gp.Ranks {
-			lRecv += rd.LRecv
-			uRecv += rd.URecv
+			lRecv += rd.Recv[SweepL]
+			uRecv += rd.Recv[SweepU]
 		}
 		lEdges, uEdges := 0, 0
 		for _, k := range gp.Sns {
-			lEdges += gp.LBcast[k].Size() - 1 + gp.LReduce[k].Size() - 1
-			uEdges += gp.UBcast[k].Size() - 1 + gp.UReduce[k].Size() - 1
+			lEdges += gp.Bcast[SweepL][k].Size() - 1 + gp.Reduce[SweepL][k].Size() - 1
+			uEdges += gp.Bcast[SweepU][k].Size() - 1 + gp.Reduce[SweepU][k].Size() - 1
 		}
 		if lRecv != lEdges || uRecv != uEdges {
 			t.Fatalf("grid %d: recv totals (%d,%d) != tree edges (%d,%d)", gp.Z, lRecv, uRecv, lEdges, uEdges)
@@ -243,7 +243,7 @@ func TestBaselineStructures(t *testing.T) {
 			// Group trees must be ordered by node and cover every block owner.
 			prev := -1
 			memberCount := 0
-			for _, gt := range b.LBcastGroups[k] {
+			for _, gt := range b.BcastGroups[SweepL][k] {
 				if gt.Node <= prev {
 					t.Fatalf("group trees out of order for sn %d", k)
 				}

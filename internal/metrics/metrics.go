@@ -274,23 +274,37 @@ type family struct {
 	keyList []string       // insertion order, re-sorted at exposition
 }
 
-// labelKey joins label values with a separator no sane value contains.
-func labelKey(values []string) string { return strings.Join(values, "\x1f") }
+// appendLabelKey appends the child key of the label values to buf: the
+// values joined with a separator no sane value contains.
+func appendLabelKey(buf []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			buf = append(buf, '\x1f')
+		}
+		buf = append(buf, v...)
+	}
+	return buf
+}
 
 func (f *family) child(values []string) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s expects %d label values %v, got %d",
 			f.name, len(f.labels), f.labels, len(values)))
 	}
-	k := labelKey(values)
+	// The key is built in a stack buffer and looked up without converting
+	// it to a string (the compiler elides that allocation for a map
+	// index), so a hit allocates nothing; only a miss stores a string.
+	var arr [128]byte
+	key := appendLabelKey(arr[:0], values)
 	f.mu.RLock()
-	c, ok := f.kids[k]
+	c, ok := f.kids[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return c
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	k := string(key)
 	if c, ok = f.kids[k]; ok {
 		return c
 	}

@@ -31,6 +31,25 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestWithLookupAllocFree pins the hot-path contract of labelled
+// families: once a child exists, selecting it again allocates nothing.
+func TestWithLookupAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under the race detector")
+	}
+	v := NewRegistry().Counter("test_ops", "ops", "algorithm", "phase")
+	v.With("proposed-3d", "diag_y").Inc() // create the child
+	allocs := testing.AllocsPerRun(100, func() {
+		v.With("proposed-3d", "diag_y").Inc()
+	})
+	if allocs != 0 {
+		t.Fatalf("With on an existing child allocated %v times per call, want 0", allocs)
+	}
+	if got := v.With("proposed-3d", "diag_y").Value(); got != 102 {
+		t.Fatalf("counter = %g, want 102", got)
+	}
+}
+
 func TestFamilyShapeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_x", "")

@@ -3,9 +3,8 @@
 // diag_x, l_block, u_block) for both the L and the U sweep, topologically
 // layered into levels, together with the dense per-rank structures the
 // executor in internal/trsv runs on — slot numbering,
-// dependency-counter templates, precomputed broadcast fan-outs and
-// reduction parents, and the arena capacity that makes the per-task hot
-// path allocation-free.
+// dependency-counter templates, precomputed broadcast fan-outs, and the
+// arena capacity that makes the per-task hot path allocation-free.
 //
 // The schedule is derived once per plan and cached on it (Plan.
 // CachedSchedule, the same sync.Once pattern as BuildBaseline), so
@@ -51,7 +50,7 @@ type Grid struct {
 	// LDepth and UDepth are the grid-global dependency depths of the two
 	// sweeps: the length of the longest supernode chain over the grid's
 	// on-path structure, counting diagonal solves. Unlike the per-rank
-	// LLevels/ULevels (which layer only intra-rank edges), these span
+	// levels of levelSweep (which layer only intra-rank edges), these span
 	// cross-rank dependencies too, so they are the level budget elastic
 	// mode's staleness deadlines are measured against.
 	LDepth, UDepth int
@@ -60,81 +59,19 @@ type Grid struct {
 	Ranks []*Rank
 }
 
-// StaleSet is a dense per-slot bitmap recording which supernodes consumed
-// stale (forced, possibly zero) inputs during one elastic sweep. The
-// elastic executor marks a slot when it closes the slot's dependencies
-// before they were all satisfied; the refinement driver only needs the
-// count, but the set keeps the marking idempotent per supernode.
-type StaleSet struct {
-	bits  []uint64
-	count int
-}
-
-// NewStaleSet returns an empty set over n slots.
-func NewStaleSet(n int) *StaleSet {
-	return &StaleSet{bits: make([]uint64, (n+63)/64)}
-}
-
-// Set marks slot, reporting whether it was newly marked.
-func (s *StaleSet) Set(slot int) bool {
-	w, b := slot>>6, uint64(1)<<uint(slot&63)
-	if s.bits[w]&b != 0 {
-		return false
-	}
-	s.bits[w] |= b
-	s.count++
-	return true
-}
-
-// Has reports whether slot is marked.
-func (s *StaleSet) Has(slot int) bool {
-	return s.bits[slot>>6]&(uint64(1)<<uint(slot&63)) != 0
-}
-
-// Count returns the number of marked slots.
-func (s *StaleSet) Count() int { return s.count }
-
-// Reset clears the set for reuse.
-func (s *StaleSet) Reset() {
-	for i := range s.bits {
-		s.bits[i] = 0
-	}
-	s.count = 0
-}
-
-// Rank is one rank's precomputed schedule.
+// Rank is one rank's precomputed schedule. Per-sweep templates are [2]
+// arrays indexed by dist.SweepL and dist.SweepU.
 type Rank struct {
-	// PendingL and PendingU are the dense dependency-counter templates
-	// per slot (the slot form of RankData.PendingL / PendingU). Zero
-	// entries for slots this rank never reduces.
-	PendingL, PendingU []int32
-	// MemberL and MemberU report per slot whether this rank participates
-	// in the L / U reduction of the slot — the supernodes whose partial
-	// sums this rank accumulates, which is what sizes the arena.
-	MemberL, MemberU []bool
-	// DiagSlot lists the slots whose diagonal this rank solves,
-	// ascending (the slot form of RankData.MyDiagSns).
-	DiagSlot []int32
+	// Pending holds the dense dependency-counter templates per slot (the
+	// slot form of RankData.Pending). Zero entries for slots this rank
+	// never reduces.
+	Pending [2][]int32
 
-	// LBcastKids and UBcastKids are the precomputed 2D-rank fan-outs of
-	// this rank in the per-supernode broadcast trees (Tree.Children
-	// allocates on every call; the schedule pays that once per plan).
-	// Empty for slots whose tree this rank is not part of.
-	LBcastKids, UBcastKids [][]int32
-
-	// LLevelOf and ULevelOf layer the diagonal tasks: the topological
-	// level of diag_y(slot) / diag_x(slot) on this rank, -1 for slots
-	// whose diagonal this rank does not solve. Block tasks sit between
-	// the diagonal levels and are counted in the width statistics only.
-	LLevelOf, ULevelOf []int32
-	// LLevels and ULevels count the levels of each sweep; LWidthMax and
-	// UWidthMax are the widest level in tasks — the intra-rank
-	// parallelism a work-stealing executor can exploit.
-	LLevels, ULevels     int
-	LWidthMax, UWidthMax int
-	// TasksL and TasksU count this rank's tasks per sweep (diagonal
-	// solves plus block applies).
-	TasksL, TasksU int
+	// BcastKids holds the precomputed 2D-rank fan-outs of this rank in the
+	// per-supernode broadcast trees (Tree.Children allocates on every
+	// call; the schedule pays that once per plan). Empty for slots whose
+	// tree this rank is not part of.
+	BcastKids [2][][]int32
 
 	// ArenaPerRHS is the panel storage the scheduled executor needs per
 	// right-hand-side column for one solve (float64 count), and Panels
@@ -152,39 +89,21 @@ type Rank struct {
 // Schedule is the full level/DAG schedule of one plan.
 type Schedule struct {
 	Grids []*Grid
+	stats Stats
 }
 
 // Stats summarizes the schedule for reports: totals over ranks.
 type Stats struct {
-	// Tasks is the total task count over all ranks and both sweeps.
+	// Tasks is the total task count over all ranks and both sweeps
+	// (diagonal solves plus block applies).
 	Tasks int
 	// MaxLevels is the deepest per-rank level count over both sweeps —
 	// the longest intra-rank dependency chain.
 	MaxLevels int
-	// MaxWidth is the widest per-rank level over both sweeps.
-	MaxWidth int
 }
 
-// Stats computes the schedule's summary.
-func (s *Schedule) Stats() Stats {
-	var st Stats
-	for _, g := range s.Grids {
-		for _, r := range g.Ranks {
-			st.Tasks += r.TasksL + r.TasksU
-			for _, lv := range []int{r.LLevels, r.ULevels} {
-				if lv > st.MaxLevels {
-					st.MaxLevels = lv
-				}
-			}
-			for _, w := range []int{r.LWidthMax, r.UWidthMax} {
-				if w > st.MaxWidth {
-					st.MaxWidth = w
-				}
-			}
-		}
-	}
-	return st
-}
+// Stats returns the schedule's summary, tallied when it was built.
+func (s *Schedule) Stats() Stats { return s.stats }
 
 // Of returns the plan's schedule, deriving it on first use and caching it
 // on the plan.
@@ -199,12 +118,12 @@ func Of(p *dist.Plan) (*Schedule, error) {
 func build(p *dist.Plan) (*Schedule, error) {
 	s := &Schedule{Grids: make([]*Grid, len(p.Grids))}
 	for z, gp := range p.Grids {
-		s.Grids[z] = buildGrid(p, gp)
+		s.Grids[z] = buildGrid(p, gp, &s.stats)
 	}
 	return s, nil
 }
 
-func buildGrid(p *dist.Plan, gp *dist.GridPlan) *Grid {
+func buildGrid(p *dist.Plan, gp *dist.GridPlan, st *Stats) *Grid {
 	m := p.M
 	n := len(gp.Sns)
 	g := &Grid{
@@ -222,30 +141,15 @@ func buildGrid(p *dist.Plan, gp *dist.GridPlan) *Grid {
 	g.LDepth, g.UDepth = gridDepths(gp, g)
 	g.Ranks = make([]*Rank, len(gp.Ranks))
 	for r2d := range gp.Ranks {
-		g.Ranks[r2d] = buildRank(p, gp, g, r2d)
+		g.Ranks[r2d] = buildRank(p, gp, g, r2d, st)
 	}
 	return g
 }
 
-func buildRank(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) *Rank {
+func buildRank(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int, st *Stats) *Rank {
 	n := len(gp.Sns)
 	rd := gp.Ranks[r2d]
-	r := &Rank{
-		PendingL:   make([]int32, n),
-		PendingU:   make([]int32, n),
-		MemberL:    make([]bool, n),
-		MemberU:    make([]bool, n),
-		LBcastKids: make([][]int32, n),
-		UBcastKids: make([][]int32, n),
-		LLevelOf:   make([]int32, n),
-		ULevelOf:   make([]int32, n),
-	}
-	for s := range r.LLevelOf {
-		r.LLevelOf[s], r.ULevelOf[s] = -1, -1
-	}
-	for _, k := range rd.MyDiagSns {
-		r.DiagSlot = append(r.DiagSlot, g.SlotOf[k])
-	}
+	r := &Rank{}
 	kids := func(t *ctree.Tree) []int32 {
 		if !t.Contains(r2d) {
 			return nil
@@ -260,18 +164,18 @@ func buildRank(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) *Rank {
 		}
 		return out
 	}
-	for s, k := range gp.Sns {
-		r.PendingL[s] = int32(rd.PendingL[k])
-		r.PendingU[s] = int32(rd.PendingU[k])
-		r.MemberL[s] = gp.LReduce[k].Contains(r2d)
-		r.MemberU[s] = gp.UReduce[k].Contains(r2d)
-		r.LBcastKids[s] = kids(gp.LBcast[k])
-		r.UBcastKids[s] = kids(gp.UBcast[k])
+	for sw := range r.Pending {
+		r.Pending[sw] = make([]int32, n)
+		r.BcastKids[sw] = make([][]int32, n)
+		for s, k := range gp.Sns {
+			r.Pending[sw][s] = int32(rd.Pending[sw][k])
+			r.BcastKids[sw][s] = kids(gp.Bcast[sw][k])
+		}
+		_, levels, tasks := levelSweep(p, gp, g, r2d, sw)
+		st.Tasks += tasks
+		st.MaxLevels = max(st.MaxLevels, levels)
 	}
-
-	levelSweep(p, gp, g, r2d, r, false)
-	levelSweep(p, gp, g, r2d, r, true)
-	r.ArenaPerRHS, r.Panels = arenaSize(p, gp, g, r2d, r)
+	r.ArenaPerRHS, r.Panels = arenaSize(p, gp, g, r2d)
 	return r
 }
 
@@ -314,85 +218,64 @@ func gridDepths(gp *dist.GridPlan, g *Grid) (lDepth, uDepth int) {
 	return int(maxL) + 1, int(maxU) + 1
 }
 
-// levelSweep layers one sweep's intra-rank task DAG into levels by a
+// levelSweep layers sweep sw's intra-rank task DAG into levels by a
 // single topological pass (ascending supernodes for L, descending for U —
 // block dependencies only ever point from lower to higher supernodes in L
-// and the reverse in U, so supernode order is a topological order).
-func levelSweep(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int, r *Rank, uSweep bool) {
+// and the reverse in U, so supernode order is a topological order). It
+// returns the level of each slot's diagonal task (-1 for slots whose
+// diagonal this rank does not solve), the level count and the task count
+// (diagonal solves plus block applies).
+func levelSweep(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d, sw int) (levelOf []int32, levels, tasks int) {
 	n := len(gp.Sns)
 	rd := gp.Ranks[r2d]
+	levelOf = make([]int32, n)
 	// contrib[s] is 1 + the maximum level of a local block task feeding
 	// diag(s) seen so far; 0 while only cross-rank sources feed it.
 	contrib := make([]int32, n)
-	width := make(map[int32]int, 16) // tasks per level
-	tasks, maxLevel := 0, int32(0)
-	visit := func(s int, k int) {
-		myDiag := p.DiagRank2D(k) == r2d
-		var diagLvl int32 = -1
-		if myDiag {
-			diagLvl = contrib[s]
-			tasks++
-			width[diagLvl]++
-			if diagLvl > maxLevel {
-				maxLevel = diagLvl
-			}
-			if uSweep {
-				r.ULevelOf[s] = diagLvl
-			} else {
-				r.LLevelOf[s] = diagLvl
-			}
-		}
+	maxLevel := int32(0)
+	visit := func(s int) {
+		k := gp.Sns[s]
+		levelOf[s] = -1
 		// Block tasks of column k on this rank: their level follows the
 		// local diagonal solve when there is one, else they are fired by
 		// the broadcast arrival (a level-0 source).
 		var blkLvl int32
-		if myDiag {
-			blkLvl = diagLvl + 1
+		if p.DiagRank2D(k) == r2d {
+			levelOf[s] = contrib[s]
+			blkLvl = contrib[s] + 1
+			tasks++
+			maxLevel = max(maxLevel, contrib[s])
 		}
 		apply := func(target int) {
 			tasks++
-			width[blkLvl]++
-			if blkLvl > maxLevel {
-				maxLevel = blkLvl
-			}
+			maxLevel = max(maxLevel, blkLvl)
 			if t := g.SlotOf[target]; t >= 0 && blkLvl+1 > contrib[t] {
 				contrib[t] = blkLvl + 1
 			}
 		}
-		if uSweep {
-			for _, ref := range rd.ColU[k] {
-				apply(ref.I)
-			}
-		} else {
+		if sw == dist.SweepL {
 			for _, blk := range rd.ColL[k] {
 				apply(blk.I)
 			}
+		} else {
+			for _, ref := range rd.ColU[k] {
+				apply(ref.I)
+			}
 		}
 	}
-	if uSweep {
-		for s := n - 1; s >= 0; s-- {
-			visit(s, gp.Sns[s])
+	if sw == dist.SweepL {
+		for s := 0; s < n; s++ {
+			visit(s)
 		}
 	} else {
-		for s := 0; s < n; s++ {
-			visit(s, gp.Sns[s])
+		for s := n - 1; s >= 0; s-- {
+			visit(s)
 		}
 	}
-	levels := 0
 	if tasks > 0 {
 		levels = int(maxLevel) + 1
 	}
-	wmax := 0
-	for _, w := range width {
-		if w > wmax {
-			wmax = w
-		}
-	}
-	if uSweep {
-		r.ULevels, r.UWidthMax, r.TasksU = levels, wmax, tasks
-	} else {
-		r.LLevels, r.LWidthMax, r.TasksL = levels, wmax, tasks
-	}
+	return levelOf, levels, tasks
 }
 
 // arenaSize bounds the panel storage one solve needs on this rank: the
@@ -404,22 +287,18 @@ func levelSweep(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int, r *Rank, uSwe
 // delivers. Returned per rhs column; the matching panel-header count
 // comes second. The bound covers every algorithm, so it is a safe
 // overestimate for any one of them.
-func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int, r *Rank) (floats, panels int) {
+func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) (floats, panels int) {
 	zLevels := p.Map.L + 1
 	rd := gp.Ranks[r2d]
 	row := r2d / p.Layout.Py
-	diag := make([]bool, len(gp.Sns))
-	for _, d := range r.DiagSlot {
-		diag[d] = true
-	}
 	for s, k := range gp.Sns {
 		w := int(g.Width[s])
 		add := func(n int) {
 			floats += n * w
 			panels += n
 		}
-		if diag[s] {
-			// y(K), x(K), the baseline's gathered xl(K), and the
+		if p.DiagRank2D(k) == r2d {
+			// y(K), x(K), the baseline's gathered x(K), and the
 			// allreduce clones of y(K).
 			add(3 + zLevels)
 		} else {
@@ -435,14 +314,14 @@ func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int, r *Rank) (floa
 			}
 			add(bits.OnesCount64(lNodes) + bits.OnesCount64(uNodes))
 		}
-		if r.MemberL[s] {
+		if gp.Reduce[dist.SweepL][k].Contains(r2d) {
 			add(1)
 		} else if gp.NodeOf[k] > 0 && k%p.Layout.Px == row {
 			// A shared-node row another grid's rank at my 2D position may
 			// hand over in the baseline's inter-grid lsum merge.
 			add(1)
 		}
-		if r.MemberU[s] {
+		if gp.Reduce[dist.SweepU][k].Contains(r2d) {
 			add(1)
 		}
 	}

@@ -38,9 +38,9 @@ func buildPlan(t *testing.T, l grid.Layout, kind ctree.Kind) *dist.Plan {
 }
 
 // TestScheduleMatchesPlan checks every dense template against the plan
-// structure it compresses: slot numbering, widths, counter templates,
-// broadcast fan-outs and reduction parents must agree entry by entry with
-// the map/tree forms they are derived from.
+// structure it compresses: slot numbering, widths, counter templates and
+// broadcast fan-outs must agree entry by entry with the map/tree forms
+// they are derived from, and every diagonal task must be layered.
 func TestScheduleMatchesPlan(t *testing.T) {
 	for _, tc := range []struct {
 		l    grid.Layout
@@ -70,40 +70,33 @@ func TestScheduleMatchesPlan(t *testing.T) {
 			}
 			for r2d, r := range g.Ranks {
 				rd := gp.Ranks[r2d]
-				for slot, k := range gp.Sns {
-					if int(r.PendingL[slot]) != rd.PendingL[k] || int(r.PendingU[slot]) != rd.PendingU[k] {
-						t.Fatalf("grid %d rank %d sn %d: pending template mismatch", z, r2d, k)
-					}
-					wantKids := gp.LBcast[k].Children(r2d)
-					if !gp.LBcast[k].Contains(r2d) {
-						wantKids = nil
-					}
-					if len(r.LBcastKids[slot]) != len(wantKids) {
-						t.Fatalf("grid %d rank %d sn %d: %d L kids, want %d",
-							z, r2d, k, len(r.LBcastKids[slot]), len(wantKids))
-					}
-					for i, c := range wantKids {
-						if int(r.LBcastKids[slot][i]) != c {
-							t.Fatalf("grid %d rank %d sn %d: L kid %d is %d, want %d",
-								z, r2d, k, i, r.LBcastKids[slot][i], c)
+				for sw := range r.Pending {
+					for slot, k := range gp.Sns {
+						if int(r.Pending[sw][slot]) != rd.Pending[sw][k] {
+							t.Fatalf("grid %d rank %d sweep %d sn %d: pending template mismatch", z, r2d, sw, k)
+						}
+						wantKids := gp.Bcast[sw][k].Children(r2d)
+						if !gp.Bcast[sw][k].Contains(r2d) {
+							wantKids = nil
+						}
+						if len(r.BcastKids[sw][slot]) != len(wantKids) {
+							t.Fatalf("grid %d rank %d sweep %d sn %d: %d kids, want %d",
+								z, r2d, sw, k, len(r.BcastKids[sw][slot]), len(wantKids))
+						}
+						for i, c := range wantKids {
+							if int(r.BcastKids[sw][slot][i]) != c {
+								t.Fatalf("grid %d rank %d sweep %d sn %d: kid %d is %d, want %d",
+									z, r2d, sw, k, i, r.BcastKids[sw][slot][i], c)
+							}
 						}
 					}
-					if r.MemberL[slot] != gp.LReduce[k].Contains(r2d) {
-						t.Fatalf("grid %d rank %d sn %d: L membership mismatch", z, r2d, k)
+					// Every diagonal slot must be layered into some level.
+					levelOf, levels, _ := levelSweep(p, gp, g, r2d, sw)
+					for _, k := range rd.MyDiagSns {
+						if lv := levelOf[g.SlotOf[k]]; lv < 0 || int(lv) >= levels {
+							t.Fatalf("grid %d rank %d sweep %d: diag %d at level %d of %d", z, r2d, sw, k, lv, levels)
+						}
 					}
-				}
-				// Every diagonal slot must be layered into some level.
-				for _, ds := range r.DiagSlot {
-					if r.LLevelOf[ds] < 0 || r.ULevelOf[ds] < 0 {
-						t.Fatalf("grid %d rank %d: diag slot %d unlayered", z, r2d, ds)
-					}
-					if int(r.LLevelOf[ds]) >= r.LLevels || int(r.ULevelOf[ds]) >= r.ULevels {
-						t.Fatalf("grid %d rank %d: diag slot %d level out of range", z, r2d, ds)
-					}
-				}
-				if len(rd.MyDiagSns) != len(r.DiagSlot) {
-					t.Fatalf("grid %d rank %d: %d diag slots, plan has %d",
-						z, r2d, len(r.DiagSlot), len(rd.MyDiagSns))
 				}
 				if r.ArenaPerRHS < 0 || r.Panels < 0 {
 					t.Fatalf("grid %d rank %d: negative arena bound", z, r2d)
@@ -124,8 +117,9 @@ func TestLevelMonotonicity(t *testing.T) {
 	}
 	for z, g := range s.Grids {
 		gp := p.Grids[z]
-		for r2d, r := range g.Ranks {
+		for r2d := range g.Ranks {
 			rd := gp.Ranks[r2d]
+			levelOf, _, _ := levelSweep(p, gp, g, r2d, dist.SweepL)
 			for _, k := range rd.MyDiagSns {
 				ks := g.SlotOf[k]
 				for _, blk := range rd.ColL[k] {
@@ -133,9 +127,9 @@ func TestLevelMonotonicity(t *testing.T) {
 					if ts < 0 || p.DiagRank2D(blk.I) != r2d {
 						continue
 					}
-					if r.LLevelOf[ts] <= r.LLevelOf[ks] {
+					if levelOf[ts] <= levelOf[ks] {
 						t.Fatalf("grid %d rank %d: diag %d (level %d) feeds diag %d (level %d)",
-							z, r2d, k, r.LLevelOf[ks], blk.I, r.LLevelOf[ts])
+							z, r2d, k, levelOf[ks], blk.I, levelOf[ts])
 					}
 				}
 			}

@@ -75,30 +75,37 @@ func (h *Handle) touch(now time.Time) {
 // a built plan and schedule (O(nnz) memory), so a client streaming distinct
 // configurations must displace old slots rather than grow the map without
 // bound. In-flight solves holding an evicted slot finish normally — the
-// eviction only unlinks it from the map.
+// eviction unlinks it from the map and flushes its pending batch, which
+// Shutdown's drain pass could no longer reach.
 const maxSlotsPerHandle = 32
 
 // slot returns the (possibly new, not yet built) solver slot for key,
 // refreshing its LRU position. When creating the slot would exceed
 // maxSlotsPerHandle, the least-recently-used slot is evicted first.
 func (h *Handle) slot(key string, now time.Time) (sl *solverSlot, evicted bool) {
+	var victim *coalescer
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	sl, ok := h.slots[key]
 	if !ok {
 		if len(h.slots) >= maxSlotsPerHandle {
-			h.evictSlotLocked()
+			victim = h.evictSlotLocked()
 			evicted = true
 		}
 		sl = &solverSlot{}
 		h.slots[key] = sl
 	}
 	sl.lastUse = now
+	h.mu.Unlock()
+	if victim != nil {
+		victim.drain()
+	}
 	return sl, evicted
 }
 
-// evictSlotLocked removes the least-recently-used slot. Caller holds h.mu.
-func (h *Handle) evictSlotLocked() {
+// evictSlotLocked removes the least-recently-used slot and returns its
+// coalescer (nil while the slot is still being built), which the caller
+// drains once it has released h.mu. Caller holds h.mu.
+func (h *Handle) evictSlotLocked() *coalescer {
 	var victimKey string
 	var victim *solverSlot
 	for k, sl := range h.slots {
@@ -107,6 +114,7 @@ func (h *Handle) evictSlotLocked() {
 		}
 	}
 	delete(h.slots, victimKey)
+	return victim.coal
 }
 
 // ContentHash digests a matrix's full content — dimension, nonzero
@@ -262,17 +270,19 @@ func victimUse(h *Handle) time.Time {
 }
 
 // remove deletes a handle by id. In-flight solves holding the handle
-// finish normally — removal only unlinks it from the cache.
+// finish normally — removal unlinks it from the cache and flushes its
+// pending batches, which Shutdown's drain pass could no longer reach.
 func (c *handleCache) remove(id string) bool {
 	sh := c.shardOf(id)
 	sh.Lock()
-	_, ok := sh.handles[id]
+	h, ok := sh.handles[id]
 	delete(sh.handles, id)
 	sh.Unlock()
 	if ok {
 		c.mu.Lock()
 		c.count--
 		c.mu.Unlock()
+		h.drainAll()
 	}
 	return ok
 }

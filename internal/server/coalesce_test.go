@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -246,6 +247,46 @@ func TestCoalesceAddAfterDrainFlushes(t *testing.T) {
 	}
 	if s.metrics.flushes.With("drain").Value() != 1 {
 		t.Fatal("expected one drain flush")
+	}
+}
+
+// TestShutdownReachesUnlinkedBatches parks a request in a coalescer, then
+// unlinks the coalescer's slot from the handle (LRU eviction) or the handle
+// from the cache (DELETE). Shutdown's drain pass walks only linked slots,
+// so the unlink itself must flush the batch: Shutdown then returns without
+// the fake clock ever reaching MaxWait.
+func TestShutdownReachesUnlinkedBatches(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		unlink func(t *testing.T, s *Server, h *Handle)
+	}{
+		{"slot-evicted", func(t *testing.T, s *Server, h *Handle) {
+			later := s.clock.Now().Add(time.Second)
+			for i := 0; i < maxSlotsPerHandle; i++ {
+				if _, evicted := h.slot(fmt.Sprintf("other-%d", i), later); evicted != (i == maxSlotsPerHandle-1) {
+					t.Fatalf("slot %d: evicted=%v", i, evicted)
+				}
+			}
+		}},
+		{"handle-removed", func(t *testing.T, s *Server, h *Handle) {
+			if !s.handles.remove(h.ID) {
+				t.Fatal("handle not removed")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _, h, slot := newTestServer(t, func(o *Options) { o.MaxWait = time.Hour })
+			r := submit(t, s, slot, rhs(h.N, 0), nil)
+			tc.unlink(t, s, h)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+			if res := <-r.done; res.err != nil {
+				t.Fatalf("parked request: %v", res.err)
+			}
+		})
 	}
 }
 

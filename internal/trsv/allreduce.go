@@ -43,7 +43,7 @@ func (a *arHelper) begin(ctx *runtime.Ctx) bool {
 	}
 	for _, k := range r.myDiagSns {
 		if r.gp.Path[r.gp.NodeOf[k]].Replicated() {
-			r.st.y.set(k, r.clonePanel(r.st.y.get(k)))
+			r.st.sol[sweepL].set(k, r.clonePanel(r.st.sol[sweepL].get(k)))
 		}
 	}
 	a.advance(ctx)
@@ -78,7 +78,7 @@ func (a *arHelper) onReduce(ctx *runtime.Ctx, b *vecBundle) bool {
 	// seconds), but a tagged span makes it visible in traces.
 	ctx.ComputeT(TagARMerge, 0, func() {
 		for i, k := range b.Ks {
-			yk := r.st.y.get(k)
+			yk := r.st.sol[sweepL].get(k)
 			if yk == nil {
 				panic(&fault.ProtocolError{Rank: r.rank, Phase: "allreduce",
 					Msg: fmt.Sprintf("allreduce merge for unsolved y(%d)", k)})
@@ -97,7 +97,7 @@ func (a *arHelper) onBcast(ctx *runtime.Ctx, b *vecBundle) bool {
 	r := a.r
 	r.st.counts.arBcast++
 	for i, k := range b.Ks {
-		r.st.y.set(k, r.unpackPanel(&b.Ws[i]))
+		r.st.sol[sweepL].set(k, r.unpackPanel(&b.Ws[i]))
 	}
 	a.sendBcasts(ctx, a.trailing-1)
 	a.done = true
@@ -135,7 +135,7 @@ func (a *arHelper) bundle(step, maxLevel int, clone bool) *vecBundle {
 	b := &vecBundle{Step: step}
 	for _, k := range r.myDiagSns {
 		if r.gp.Path[r.gp.NodeOf[k]].Level <= maxLevel {
-			v := r.st.y.get(k)
+			v := r.st.sol[sweepL].get(k)
 			if clone {
 				v = r.clonePanel(v)
 			}
@@ -224,7 +224,7 @@ func (a *naiveAR) begin(ctx *runtime.Ctx) bool {
 	}
 	for _, k := range r.myDiagSns {
 		if r.gp.Path[r.gp.NodeOf[k]].Replicated() {
-			r.st.y.set(k, r.clonePanel(r.st.y.get(k)))
+			r.st.sol[sweepL].set(k, r.clonePanel(r.st.sol[sweepL].get(k)))
 		}
 	}
 	a.sendStep(ctx)
@@ -243,7 +243,7 @@ func (a *naiveAR) bundle() *vecBundle {
 	for _, k := range r.myDiagSns {
 		if r.gp.NodeOf[k] == a.node {
 			b.Ks = append(b.Ks, k)
-			b.Ws = append(b.Ws, packPanel(r.clonePanel(r.st.y.get(k))))
+			b.Ws = append(b.Ws, packPanel(r.clonePanel(r.st.sol[sweepL].get(k))))
 		}
 	}
 	return b
@@ -275,7 +275,7 @@ func (a *naiveAR) onMsg(ctx *runtime.Ctx, m runtime.Msg) bool {
 	d := m.Data.(*vecBundle)
 	ctx.ComputeT(TagARMerge, 0, func() {
 		for i, k := range d.Ks {
-			addWire(r.st.y.get(k), &d.Ws[i])
+			addWire(r.st.sol[sweepL].get(k), &d.Ws[i])
 		}
 	})
 	a.step++

@@ -25,6 +25,13 @@ type base3dRank struct {
 	rankCore
 
 	s int // trailing zeros of z, capped at L = log2(Pz)
+
+	// Stage state: the current L and U node stages, whether the L sweep
+	// awaits the inter-grid merge of its current stage, and the receives
+	// each stage still expects, by sweep.
+	lStage, uStage int
+	lAwaitMerge    bool
+	remaining      [2][]int
 }
 
 // groupMsg is a y/x broadcast restricted to one row-node group.
@@ -42,18 +49,14 @@ func (h *base3dRank) Init(ctx *runtime.Ctx) {
 	h.s = bb.S
 	rd := bb.Ranks[h.r2d]
 	st := h.st
-	st.dpend[sweepL] = slotCounts(st.dpend[sweepL], h.gp.Sns, rd.PendingL)
-	st.dpend[sweepU] = slotCounts(st.dpend[sweepU], h.gp.Sns, rd.PendingU)
-	st.lRemaining = append(st.lRemaining[:0], rd.LRemaining...)
-	st.uRemaining = append(st.uRemaining[:0], rd.URemaining...)
+	for sw := range st.dpend {
+		st.dpend[sw] = slotCounts(st.dpend[sw], h.gp.Sns, rd.Pending[sw])
+		h.remaining[sw] = append([]int(nil), rd.Remaining[sw]...)
+	}
 
 	// Kick off the leaf node.
-	for _, k := range h.myDiagSns {
-		if h.gp.NodeOf[k] == 0 && h.pendingOf(sweepL, k) == 0 {
-			st.enqueueY(k)
-		}
-	}
-	h.drainReadyY(ctx, h)
+	h.enqueueStage(0)
+	h.drainReady(ctx, h, sweepL)
 	h.advanceL(ctx)
 	h.drainDeferred(ctx, h)
 	h.armElastic(ctx)
@@ -68,11 +71,11 @@ func (h *base3dRank) accepts(m runtime.Msg) bool {
 	st := h.st
 	switch m.Tag {
 	case tagYBcast:
-		return st.phase == 0 && !st.lAwaitMerge && h.gp.NodeOf[m.Data.(*groupMsg).K] == st.lStage
+		return st.phase == 0 && !h.lAwaitMerge && h.gp.NodeOf[m.Data.(*groupMsg).K] == h.lStage
 	case tagLReduce:
-		return st.phase == 0 && !st.lAwaitMerge && h.gp.NodeOf[m.Data.(*sumMsg).K] == st.lStage
+		return st.phase == 0 && !h.lAwaitMerge && h.gp.NodeOf[m.Data.(*panelMsg).K] == h.lStage
 	case tagZGatherL:
-		return st.phase == 0 && st.lAwaitMerge && m.Data.(*vecBundle).Step == st.lStage
+		return st.phase == 0 && h.lAwaitMerge && m.Data.(*vecBundle).Step == h.lStage
 	case tagZBcastU:
 		return st.phase == 1
 	case tagXBcast, tagUReduce:
@@ -92,11 +95,11 @@ func (h *base3dRank) DeadOnArrival(m runtime.Msg) bool {
 	}
 	switch m.Tag {
 	case tagYBcast:
-		return st.phase > 0 || (st.phase == 0 && h.gp.NodeOf[m.Data.(*groupMsg).K] < st.lStage)
+		return st.phase > 0 || (st.phase == 0 && h.gp.NodeOf[m.Data.(*groupMsg).K] < h.lStage)
 	case tagLReduce:
-		return st.phase > 0 || (st.phase == 0 && h.gp.NodeOf[m.Data.(*sumMsg).K] < st.lStage)
+		return st.phase > 0 || (st.phase == 0 && h.gp.NodeOf[m.Data.(*panelMsg).K] < h.lStage)
 	case tagZGatherL:
-		return st.phase > 0 || (st.phase == 0 && m.Data.(*vecBundle).Step < st.lStage)
+		return st.phase > 0 || (st.phase == 0 && m.Data.(*vecBundle).Step < h.lStage)
 	case tagZBcastU:
 		return st.phase > 1
 	case tagXBcast, tagUReduce:
@@ -108,78 +111,90 @@ func (h *base3dRank) DeadOnArrival(m runtime.Msg) bool {
 func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	st := h.st
 	switch m.Tag {
-	case tagYBcast:
-		d := m.Data.(*groupMsg)
-		st.lRemaining[st.lStage]--
-		h.applyYGroup(ctx, d.K, d.G, h.unpackPanel(&d.W))
-		h.drainReadyY(ctx, h)
-		h.advanceL(ctx)
-	case tagLReduce:
-		d := m.Data.(*sumMsg)
-		st.lRemaining[st.lStage]--
-		addWire(h.getSum(sweepL, d.K), &d.W)
-		h.contribution(ctx, sweepL, d.K, h.base().LReduceNode[d.K])
-		h.drainReadyY(ctx, h)
-		h.advanceL(ctx)
+	case tagYBcast, tagLReduce, tagXBcast, tagUReduce:
+		// Every admitted message's row lies at or below stage s: the L
+		// gates admit only the current stage, and U traffic for the
+		// ancestors above s is charged to stage s (re-broadcasts).
+		sw := sweepOf(m.Tag)
+		if m.Tag == bcastTag[sw] {
+			d := m.Data.(*groupMsg)
+			h.remaining[sw][min(h.gp.NodeOf[d.K], h.s)]--
+			h.applyBlocks(ctx, sw, d.K, h.unpackPanel(&d.W), d.G, d.G)
+		} else {
+			d := m.Data.(*panelMsg)
+			h.remaining[sw][min(h.gp.NodeOf[d.K], h.s)]--
+			addWire(h.getSum(sw, d.K), &d.W)
+			h.contribution(ctx, sw, d.K, h.base().Reduce[sw][d.K])
+		}
+		h.drainReady(ctx, h, sw)
+		if sw == sweepL {
+			h.advanceL(ctx)
+		} else {
+			h.advanceU(ctx)
+		}
 	case tagZGatherL:
 		d := m.Data.(*vecBundle)
 		for i, k := range d.Ks {
 			addWire(h.getSum(sweepL, k), &d.Ws[i])
 		}
-		st.lAwaitMerge = false
-		st.lStage++
-		h.sendGathers(ctx)
-		for _, k := range h.myDiagSns {
-			if h.gp.NodeOf[k] == st.lStage && h.pendingOf(sweepL, k) == 0 {
-				st.enqueueY(k)
-			}
-		}
-		h.drainReadyY(ctx, h)
-		h.advanceL(ctx)
+		h.nextLStage(ctx)
 	case tagZBcastU:
 		d := m.Data.(*vecBundle)
 		st.phase = 2
-		st.uStage = h.s
+		h.uStage = h.s
 		for i, k := range d.Ks {
-			st.xl.set(k, h.unpackPanel(&d.Ws[i]))
+			st.sol[sweepU].set(k, h.unpackPanel(&d.Ws[i]))
 		}
 		for _, k := range d.Ks {
-			h.rebroadcastX(ctx, k, st.xl.get(k))
+			h.spread(ctx, sweepU, k, st.sol[sweepU].get(k), h.s)
 		}
 		h.startU(ctx)
-	case tagXBcast:
-		d := m.Data.(*groupMsg)
-		stage := h.gp.NodeOf[d.K]
-		if stage > h.s {
-			stage = h.s // re-broadcasts are charged to stage s
-		}
-		st.uRemaining[stage]--
-		h.applyXGroup(ctx, d.K, d.G, h.unpackPanel(&d.W))
-		h.drainReadyX(ctx, h)
-		h.advanceU(ctx)
-	case tagUReduce:
-		d := m.Data.(*sumMsg)
-		st.uRemaining[h.gp.NodeOf[d.K]]--
-		addWire(h.getSum(sweepU, d.K), &d.W)
-		h.contribution(ctx, sweepU, d.K, h.base().UReduceFlat[d.K])
-		h.drainReadyX(ctx, h)
-		h.advanceU(ctx)
 	}
 }
 
-// ---- L phase ----
-
-// applyYGroup applies my column-K blocks whose rows live in node group g.
-func (h *base3dRank) applyYGroup(ctx *runtime.Ctx, k, g int, yk *sparse.Panel) {
-	for _, blk := range h.colL[k] {
-		if h.gp.NodeOf[blk.I] != g {
-			continue
+// applyBlocks applies my blocks of column k in sweep sw whose rows lie in
+// path nodes lo..hi and feeds each product to its row's reduction: every U
+// row, but only the L rows inside K's own node — cross-node lsum rows wait
+// for the pre-gather.
+func (h *base3dRank) applyBlocks(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, lo, hi int) {
+	red := h.base().Reduce[sw]
+	if sw == sweepL {
+		for _, blk := range h.colL[k] {
+			if g := h.gp.NodeOf[blk.I]; g >= lo && g <= hi {
+				ctx.ComputeT(TagApplyL, h.applyLBlock(blk, k, v), nil)
+				if g == h.gp.NodeOf[k] {
+					h.contribution(ctx, sw, blk.I, red[blk.I])
+				}
+			}
 		}
-		ctx.ComputeT(TagApplyL, h.applyLBlock(blk, k, yk), nil)
-		if g == h.gp.NodeOf[k] {
-			h.contribution(ctx, sweepL, blk.I, h.base().LReduceNode[blk.I])
+		return
+	}
+	for _, ref := range h.colU[k] {
+		if g := h.gp.NodeOf[ref.I]; g >= lo && g <= hi {
+			ctx.ComputeT(TagApplyU, h.applyUBlock(ref, k, v), nil)
+			h.contribution(ctx, sw, ref.I, red[ref.I])
 		}
 	}
+}
+
+// spread broadcasts a solved subvector of sweep sw down my grid's group
+// trees of the path nodes up to maxNode — the baseline's one broadcast per
+// row-node group, packed once and shared by every hop — and applies my
+// own blocks whose rows lie in those nodes.
+func (h *base3dRank) spread(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, maxNode int) {
+	w, bytes := h.packSend(v)
+	for _, gt := range h.base().BcastGroups[sw][k] {
+		if gt.Node > maxNode {
+			continue
+		}
+		for _, child := range gt.Tree.Children(h.r2d) {
+			ctx.Send(runtime.Msg{
+				Dst: h.p.GlobalRank(h.z, child), Tag: bcastTag[sw], Cat: runtime.CatXY,
+				Data: &groupMsg{K: k, G: gt.Node, W: w}, Bytes: bytes,
+			})
+		}
+	}
+	h.applyBlocks(ctx, sw, k, v, 0, maxNode)
 }
 
 // keepB implements diagSolver: the baseline always keeps b(K) — its grids
@@ -190,31 +205,39 @@ func (h *base3dRank) applyYGroup(ctx *runtime.Ctx, k, g int, yk *sparse.Panel) {
 // its broadcasts walk the plan's per-group trees.
 func (h *base3dRank) keepB(int) bool { return true }
 
-// solveY performs one L-phase diagonal solve plus the baseline's
-// per-row-node-group broadcasts (diagSolver, driven by the shared drain).
-func (h *base3dRank) solveY(ctx *runtime.Ctx, k int) {
-	yk, secs := h.solveYPanel(k, true)
-	ctx.ComputeT(TagDiagSolveL, secs, nil)
-	h.st.sum[sweepL].set(k, nil)
-	h.st.y.set(k, yk)
-	// One broadcast per row-node group (the baseline's extra messages);
-	// the subvector is packed once and shared by every hop.
-	wy, ybytes := h.packSend(yk)
-	for _, gt := range h.base().LBcastGroups[k] {
-		for _, child := range gt.Tree.Children(h.r2d) {
-			ctx.Send(runtime.Msg{
-				Dst: h.p.GlobalRank(h.z, child), Tag: tagYBcast, Cat: runtime.CatXY,
-				Data: &groupMsg{K: k, G: gt.Node, W: wy}, Bytes: ybytes,
-			})
+// solve performs one diagonal solve of sweep sw plus the baseline's
+// per-row-node-group broadcasts and block applications (diagSolver, driven
+// by the shared drain). A solved L row drops its lsum, which the
+// inter-grid merge must not ship.
+func (h *base3dRank) solve(ctx *runtime.Ctx, sw, k int) {
+	v, secs := h.solvePanel(sw, k, true)
+	ctx.ComputeT(diagTag[sw], secs, nil)
+	if sw == sweepL {
+		h.st.sum[sweepL].set(k, nil)
+	}
+	h.spread(ctx, sw, k, v, len(h.gp.Path))
+}
+
+// enqueueStage queues this rank's diagonal rows of L node stage i that
+// need no further contribution.
+func (h *base3dRank) enqueueStage(i int) {
+	for _, k := range h.myDiagSns {
+		if h.gp.NodeOf[k] == i && h.pendingOf(sweepL, k) == 0 {
+			h.enqueue(sweepL, k)
 		}
 	}
-	// Apply my own blocks across all groups.
-	for _, blk := range h.colL[k] {
-		ctx.ComputeT(TagApplyL, h.applyLBlock(blk, k, yk), nil)
-		if h.gp.NodeOf[blk.I] == h.gp.NodeOf[k] {
-			h.contribution(ctx, sweepL, blk.I, h.base().LReduceNode[blk.I])
-		}
-	}
+}
+
+// nextLStage completes an inter-grid merge: the L sweep moves to the next
+// node stage, forwards its gathered cross-node sums and solves the rows
+// that are ready.
+func (h *base3dRank) nextLStage(ctx *runtime.Ctx) {
+	h.lAwaitMerge = false
+	h.lStage++
+	h.sendGathers(ctx)
+	h.enqueueStage(h.lStage)
+	h.drainReady(ctx, h, sweepL)
+	h.advanceL(ctx)
 }
 
 // sendGathers forwards my accumulated cross-node lsum rows for the new
@@ -222,7 +245,7 @@ func (h *base3dRank) solveY(ctx *runtime.Ctx, k int) {
 func (h *base3dRank) sendGathers(ctx *runtime.Ctx) {
 	st := h.st
 	for _, k := range h.gp.Sns {
-		if h.gp.NodeOf[k] != st.lStage || k%h.p.Layout.Px != h.row {
+		if h.gp.NodeOf[k] != h.lStage || k%h.p.Layout.Px != h.row {
 			continue
 		}
 		diagCol := k % h.p.Layout.Py
@@ -233,7 +256,7 @@ func (h *base3dRank) sendGathers(ctx *runtime.Ctx) {
 		w, bytes := h.packSend(s)
 		ctx.Send(runtime.Msg{
 			Dst: h.p.GlobalRank(h.z, h.p.DiagRank2D(k)), Tag: tagLReduce, Cat: runtime.CatXY,
-			Data: &sumMsg{K: k, W: w}, Bytes: bytes,
+			Data: &panelMsg{K: k, W: w}, Bytes: bytes,
 		})
 		st.sum[sweepL].set(k, nil)
 	}
@@ -251,9 +274,9 @@ func containsCol(cols []int, c int) bool {
 // advanceL moves through node stages once the current stage has quiesced.
 func (h *base3dRank) advanceL(ctx *runtime.Ctx) {
 	st := h.st
-	for st.phase == 0 && !st.lAwaitMerge && st.lRemaining[st.lStage] == 0 && len(st.readyY) == 0 {
-		if st.lStage < h.s {
-			st.lAwaitMerge = true
+	for st.phase == 0 && !h.lAwaitMerge && h.remaining[sweepL][h.lStage] == 0 && len(st.ready[sweepL]) == 0 {
+		if h.lStage < h.s {
+			h.lAwaitMerge = true
 			return
 		}
 		h.finishL(ctx)
@@ -276,7 +299,7 @@ func (h *base3dRank) finishL(ctx *runtime.Ctx) {
 	}
 	ctx.Mark(MarkZDone)
 	st.phase = 2
-	st.uStage = h.s
+	h.uStage = h.s
 	h.startU(ctx)
 }
 
@@ -307,80 +330,23 @@ func (h *base3dRank) startU(ctx *runtime.Ctx) {
 	}
 	for _, k := range h.myDiagSns {
 		if h.gp.NodeOf[k] <= h.s && h.pendingOf(sweepU, k) == 0 {
-			h.enqueueX(k)
+			h.enqueue(sweepU, k)
 		}
 	}
-	h.drainReadyX(ctx, h)
+	h.drainReady(ctx, h, sweepU)
 	h.advanceU(ctx)
-}
-
-// rebroadcastX forwards a bundle-received x(K) (K in an unprocessed node)
-// down my grid's group trees and applies my own blocks.
-func (h *base3dRank) rebroadcastX(ctx *runtime.Ctx, k int, xk *sparse.Panel) {
-	wx, xbytes := h.packSend(xk)
-	for _, gt := range h.base().UBcastGroups[k] {
-		if gt.Node > h.s {
-			continue
-		}
-		for _, child := range gt.Tree.Children(h.r2d) {
-			ctx.Send(runtime.Msg{
-				Dst: h.p.GlobalRank(h.z, child), Tag: tagXBcast, Cat: runtime.CatXY,
-				Data: &groupMsg{K: k, G: gt.Node, W: wx}, Bytes: xbytes,
-			})
-		}
-	}
-	for _, ref := range h.colU[k] {
-		if h.gp.NodeOf[ref.I] > h.s {
-			continue
-		}
-		ctx.ComputeT(TagApplyU, h.applyUBlock(ref, k, xk), nil)
-		h.contribution(ctx, sweepU, ref.I, h.base().UReduceFlat[ref.I])
-	}
-}
-
-func (h *base3dRank) applyXGroup(ctx *runtime.Ctx, k, g int, xk *sparse.Panel) {
-	for _, ref := range h.colU[k] {
-		if h.gp.NodeOf[ref.I] != g {
-			continue
-		}
-		ctx.ComputeT(TagApplyU, h.applyUBlock(ref, k, xk), nil)
-		h.contribution(ctx, sweepU, ref.I, h.base().UReduceFlat[ref.I])
-	}
-}
-
-// solveX performs one U-phase diagonal solve plus the group broadcasts.
-func (h *base3dRank) solveX(ctx *runtime.Ctx, k int) {
-	xk, secs := h.solveXPanel(k)
-	ctx.ComputeT(TagDiagSolveU, secs, nil)
-	h.st.xl.set(k, xk)
-	if h.gp.OwnerGridOfSn(k) == h.z {
-		h.writeX(k, xk)
-	}
-	wx, xbytes := h.packSend(xk)
-	for _, gt := range h.base().UBcastGroups[k] {
-		for _, child := range gt.Tree.Children(h.r2d) {
-			ctx.Send(runtime.Msg{
-				Dst: h.p.GlobalRank(h.z, child), Tag: tagXBcast, Cat: runtime.CatXY,
-				Data: &groupMsg{K: k, G: gt.Node, W: wx}, Bytes: xbytes,
-			})
-		}
-	}
-	for _, ref := range h.colU[k] {
-		ctx.ComputeT(TagApplyU, h.applyUBlock(ref, k, xk), nil)
-		h.contribution(ctx, sweepU, ref.I, h.base().UReduceFlat[ref.I])
-	}
 }
 
 // advanceU retires node stages top-down, sending the pairwise x bundle to
 // the grid that resumes at each level.
 func (h *base3dRank) advanceU(ctx *runtime.Ctx) {
 	st := h.st
-	for st.phase == 2 && st.uRemaining[st.uStage] == 0 && len(st.readyX) == 0 {
-		if st.uStage >= 1 {
-			partner := h.z + (1 << (st.uStage - 1))
-			b := &vecBundle{Step: st.uStage}
-			st.xl.each(func(k int, x *sparse.Panel) {
-				if h.gp.NodeOf[k] >= st.uStage {
+	for st.phase == 2 && h.remaining[sweepU][h.uStage] == 0 && len(st.ready[sweepU]) == 0 {
+		if h.uStage >= 1 {
+			partner := h.z + (1 << (h.uStage - 1))
+			b := &vecBundle{Step: h.uStage}
+			st.sol[sweepU].each(func(k int, x *sparse.Panel) {
+				if h.gp.NodeOf[k] >= h.uStage {
 					b.Ks = append(b.Ks, k)
 					b.Ws = append(b.Ws, packPanel(x))
 				}
@@ -389,7 +355,7 @@ func (h *base3dRank) advanceU(ctx *runtime.Ctx) {
 				Dst: h.p.GlobalRank(partner, h.r2d), Tag: tagZBcastU, Cat: runtime.CatZ,
 				Data: b, Bytes: b.bytes(),
 			})
-			st.uStage--
+			h.uStage--
 			continue
 		}
 		ctx.Mark(MarkUDone)
@@ -421,9 +387,8 @@ func (h *base3dRank) forceStale(ctx *runtime.Ctx, phase int) {
 				h.markStale(sweepU, k)
 			}
 		}
-		st := h.st
-		st.phase = 2
-		st.uStage = h.s
+		h.st.phase = 2
+		h.uStage = h.s
 		h.startU(ctx)
 		h.drainDeferred(ctx, h)
 	}
@@ -448,33 +413,24 @@ func (h *base3dRank) forceL(ctx *runtime.Ctx) {
 		if st.phase != 0 {
 			return
 		}
-		if st.lAwaitMerge {
-			st.lAwaitMerge = false
-			st.lStage++
+		if h.lAwaitMerge {
 			for _, k := range h.myDiagSns {
-				if h.gp.NodeOf[k] >= st.lStage {
+				if h.gp.NodeOf[k] > h.lStage {
 					h.markStale(sweepL, k)
 				}
 			}
-			h.sendGathers(ctx)
-			for _, k := range h.myDiagSns {
-				if h.gp.NodeOf[k] == st.lStage && h.pendingOf(sweepL, k) == 0 {
-					st.enqueueY(k)
-				}
-			}
-			h.drainReadyY(ctx, h)
-			h.advanceL(ctx)
+			h.nextLStage(ctx)
 			continue
 		}
 		for _, k := range h.myDiagSns {
-			if h.gp.NodeOf[k] == st.lStage && st.y.get(k) == nil {
+			if h.gp.NodeOf[k] == h.lStage && st.sol[sweepL].get(k) == nil {
 				h.markStale(sweepL, k)
 				h.zeroPending(sweepL, k)
-				st.enqueueY(k)
+				h.enqueue(sweepL, k)
 			}
 		}
-		st.lRemaining[st.lStage] = 0
-		h.drainReadyY(ctx, h)
+		h.remaining[sweepL][h.lStage] = 0
+		h.drainReady(ctx, h, sweepL)
 		h.advanceL(ctx)
 	}
 }
@@ -486,15 +442,13 @@ func (h *base3dRank) forceL(ctx *runtime.Ctx) {
 func (h *base3dRank) forceU(ctx *runtime.Ctx) {
 	st := h.st
 	for _, k := range h.myDiagSns {
-		if h.gp.NodeOf[k] <= h.s && st.xl.get(k) == nil {
+		if h.gp.NodeOf[k] <= h.s && st.sol[sweepU].get(k) == nil {
 			h.markStale(sweepU, k)
 			h.zeroPending(sweepU, k)
-			h.enqueueX(k)
+			h.enqueue(sweepU, k)
 		}
 	}
-	for i := range st.uRemaining {
-		st.uRemaining[i] = 0
-	}
-	h.drainReadyX(ctx, h)
+	clear(h.remaining[sweepU])
+	h.drainReady(ctx, h, sweepU)
 	h.advanceU(ctx)
 }

@@ -127,16 +127,11 @@ func TagName(tag int) string {
 	return ""
 }
 
-// yMsg carries a solved subvector (y or x) for one supernode in wire form.
-// The packed values are immutable after sending; receivers only read them.
-type yMsg struct {
-	K int
-	W wirePanel
-}
-
-// sumMsg carries a packed partial sum for one supernode row. The receiver
-// accumulates the wire entries into its own accumulator.
-type sumMsg struct {
+// panelMsg carries one supernode's panel in wire form: a solved subvector
+// (y or x) down a broadcast tree, or a partial sum up a reduction tree,
+// which the receiver accumulates into its own. The packed values are
+// immutable after sending; receivers only read them.
+type panelMsg struct {
 	K int
 	W wirePanel
 }
@@ -231,22 +226,42 @@ func (c *rankCore) packSend(p *sparse.Panel) (wirePanel, int) {
 // ---- execution layer ----
 
 // Sweep indices of the per-sweep state: the forward (L) and the backward
-// (U) triangular solve. Every L/U pair of counters, accumulators and
-// stale sets is a [2] array indexed by them.
+// (U) triangular solve, the same indices as the plan's and schedule's
+// per-sweep arrays. Every L/U pair of counters, accumulators, queues and
+// tags is a [2] array indexed by them.
 const (
-	sweepL = iota
-	sweepU
+	sweepL = dist.SweepL
+	sweepU = dist.SweepU
 )
 
-// reduceTag is each sweep's reduction-tree message tag.
-var reduceTag = [2]int{tagLReduce, tagUReduce}
+// Per-sweep message tags, compute span tags and phase-done marks.
+var (
+	bcastTag  = [2]int{tagYBcast, tagXBcast}
+	reduceTag = [2]int{tagLReduce, tagUReduce}
+	diagTag   = [2]int{TagDiagSolveL, TagDiagSolveU}
+	doneMark  = [2]string{MarkLDone, MarkUDone}
+)
 
-// solveState is the per-solve mutable state of one rank handler: everything
-// a solve writes to, for every algorithm family. States are recycled
-// through the rank's schedule pool — the slot tables, queues and arena keep
-// their backing arrays between solves, which is what makes repeated solves
-// on one Solver nearly allocation-free in steady state. A state is owned by
+// sweepOf returns the sweep of a broadcast- or reduction-tree tag.
+func sweepOf(tag int) int {
+	if tag == tagXBcast || tag == tagUReduce {
+		return sweepU
+	}
+	return sweepL
+}
+
+// sweepPhase is the phase (of the three every algorithm runs) that runs
+// sweep sw: the L sweep is phase 0, the U sweep phase 2.
+func sweepPhase(sw int) int { return 2 * sw }
+
+// solveState is the per-solve mutable state every algorithm family shares;
+// the baseline's stage cursors and the GPU task queue live on their
+// handlers, which are built once per solve. States are recycled through
+// the rank's schedule pool — the slot tables, queues and arena keep their
+// backing arrays between solves, which is what makes repeated solves on
+// one Solver nearly allocation-free in steady state. A state is owned by
 // exactly one handler for the duration of one solve; release returns it.
+// Per-sweep fields are [2] arrays indexed by sweepL and sweepU.
 type solveState struct {
 	// b is the global RHS panel (read-only during the solve); x the global
 	// output panel (each supernode written by exactly one rank).
@@ -255,58 +270,42 @@ type solveState struct {
 
 	phase int
 
-	// Per-supernode numeric state, stored by schedule slot: the partial
-	// sums lsum/usum by sweep, the subvectors y at their diagonal rank and
-	// the solved x at the diagonal rank.
-	sum [2]slotTable
-	y   slotTable
-	xl  slotTable
+	// Per-supernode numeric state by sweep, stored by schedule slot: the
+	// partial sums lsum/usum, and the solutions y/x this rank solved or
+	// received in an inter-grid bundle.
+	sum, sol [2]slotTable
 
 	// Dependency tracking: slot-indexed working copies of each sweep's
 	// read-only contribution-count template, receive budgets, and the
-	// ready queues of solvable diagonal rows.
-	dpend                [2][]int32
-	lRecvLeft, uRecvLeft int
-	readyY, readyX       []int
-	xQueued              []bool // enqueueX dedup guard, by slot
+	// ready queues of solvable diagonal rows with their dedup guards.
+	dpend    [2][]int32
+	recvLeft [2]int
+	ready    [2][]int
+	queued   [2]slotBits
 
 	// Messages that arrived ahead of the phase that can process them.
 	deferred []runtime.Msg
 
-	// Baseline-3D stage state.
-	lStage, uStage int
-	lAwaitMerge    bool
-	lRemaining     []int
-	uRemaining     []int
-
-	// GPU task state.
-	readyTasks        []gpuTask
-	smFree, tasksLeft int
-
 	// arena backs the solve's working panels.
 	arena arena
-	// preY and preX hold diagonal solutions precomputed in parallel by a
-	// level sweep on the pool backend, consumed by the serial send pass;
-	// wave is the precompute's work description, reused across waves.
-	preY, preX slotTable
-	wave       waveJob
+	// pre holds diagonal solutions precomputed in parallel by a level
+	// sweep on the pool backend, consumed by the serial send pass; wave is
+	// the precompute's work description, reused across waves.
+	pre  [2]slotTable
+	wave waveJob
 	// owner is the per-rank schedule pool this state returns to on release
 	// (the arena capacity is plan-specific).
 	owner *sync.Pool
 
-	// Elastic-mode per-solve state (zero / nil on strict solves).
-	// elArmed marks phases whose staleness-deadline tick has been armed;
-	// stale records per sweep (by schedule slot) the supernode rows whose
-	// solves consumed stale or missing inputs after a forced phase
-	// closure. putSeen/putForced track GPU one-sided puts per sweep by
-	// slot: puts already received versus puts synthesized as zero panels
-	// at a forcing deadline (a late real put superseded by a synthesized
-	// one is dropped, keeping the task count exact).
-	elArmed            [3]bool
-	stale              [2]*sched.StaleSet
-	putSeen, putForced [2]slotBits
+	// Elastic-mode per-solve state (empty on strict solves). elArmed
+	// marks phases whose staleness-deadline tick has been armed; stale
+	// records per sweep (by schedule slot) the supernode rows whose solves
+	// consumed stale or missing inputs after a forced phase closure.
+	elArmed [3]bool
+	stale   [2]slotBits
 
-	// scratch backs the short-lived block products of scratchPanel.
+	// scratch backs the short-lived block products of scratchPanel and the
+	// serial diagonal solve's right-hand side.
 	scratch sparse.Panel
 
 	// counts tallies kernel and exchange activity for the metrics registry;
@@ -320,17 +319,11 @@ type solveState struct {
 func (st *solveState) size(sg *sched.Grid) {
 	for sw := range st.sum {
 		st.sum[sw].size(sg)
-		st.putSeen[sw].size(len(sg.Sns))
-		st.putForced[sw].size(len(sg.Sns))
+		st.sol[sw].size(sg)
+		st.pre[sw].size(sg)
+		st.queued[sw].size(len(sg.Sns))
+		st.stale[sw].size(len(sg.Sns))
 	}
-	st.y.size(sg)
-	st.xl.size(sg)
-	st.preY.size(sg)
-	st.preX.size(sg)
-	if cap(st.xQueued) < len(sg.Sns) {
-		st.xQueued = make([]bool, len(sg.Sns))
-	}
-	st.xQueued = st.xQueued[:len(sg.Sns)]
 }
 
 // release drops every reference the solve accumulated — panels travel
@@ -339,33 +332,23 @@ func (st *solveState) size(sg *sched.Grid) {
 func (st *solveState) release() {
 	for sw := range st.sum {
 		st.sum[sw].clear()
+		st.sol[sw].clear()
+		st.pre[sw].clear()
+		clear(st.queued[sw])
 		st.dpend[sw] = st.dpend[sw][:0]
-		st.stale[sw] = nil
-		clear(st.putSeen[sw])
-		clear(st.putForced[sw])
+		st.ready[sw] = st.ready[sw][:0]
+		clear(st.stale[sw])
 	}
-	st.y.clear()
-	st.xl.clear()
-	clear(st.xQueued)
 	// Clear the full capacity, not just the length: drainDeferred's
-	// compaction and the GPU ready-queue pops reslice these, so stale
-	// elements (holding Data panels) can sit in the backing array beyond
-	// len and would otherwise stay pinned while the state waits in the
-	// pool.
+	// compaction reslices the queue, so stale messages (holding Data
+	// panels) can sit in the backing array beyond len and would otherwise
+	// stay pinned while the state waits in the pool.
 	clear(st.deferred[:cap(st.deferred)])
 	st.deferred = st.deferred[:0]
-	clear(st.readyTasks[:cap(st.readyTasks)]) // gpuTask.put holds panels
-	st.readyTasks = st.readyTasks[:0]
-	st.readyY, st.readyX = st.readyY[:0], st.readyX[:0]
-	st.lRemaining, st.uRemaining = st.lRemaining[:0], st.uRemaining[:0]
-	st.preY.clear()
-	st.preX.clear()
 	st.wave.reset()
 	st.b, st.x = nil, nil
 	st.nrhs, st.phase = 0, 0
-	st.lRecvLeft, st.uRecvLeft = 0, 0
-	st.lStage, st.uStage, st.lAwaitMerge = 0, 0, false
-	st.smFree, st.tasksLeft = 0, 0
+	st.recvLeft = [2]int{}
 	st.elArmed = [3]bool{}
 	st.counts = solveCounts{}
 	st.owner.Put(st)
@@ -428,19 +411,16 @@ func (b slotBits) has(s int32) bool { return b[s>>6]&(1<<(s&63)) != 0 }
 // set adds slot s to the set.
 func (b slotBits) set(s int32) { b[s>>6] |= 1 << (s & 63) }
 
-// enqueueY queues a diagonal row for the L-phase solve.
-func (st *solveState) enqueueY(k int) { st.readyY = append(st.readyY, k) }
-
-// enqueueX queues a diagonal row for the U-phase solve exactly once: both
+// enqueue queues a diagonal row for sweep sw's solve exactly once: both
 // the phase-start seeding and the dependency counters can discover the same
 // ready row.
-func (c *rankCore) enqueueX(k int) {
+func (c *rankCore) enqueue(sw, k int) {
 	st, s := c.st, c.slot(k)
-	if st.xQueued[s] {
+	if st.queued[sw].has(s) {
 		return
 	}
-	st.xQueued[s] = true
-	st.readyX = append(st.readyX, k)
+	st.queued[sw].set(s)
+	st.ready[sw] = append(st.ready[sw], k)
 }
 
 // scratchPanel returns a zeroed rows×cols panel backed by the state's
@@ -531,15 +511,13 @@ type rankOps interface {
 }
 
 // diagSolver is implemented by the CPU handlers that drive the shared
-// ready-queue drains: solveY/solveX perform one diagonal solve plus its
-// follow-up broadcasts and block applications. keepB reports the
+// ready-queue drain: solve performs one diagonal solve of sweep sw plus
+// its follow-up broadcasts and block applications. keepB reports the
 // algorithm's RHS rule for supernode K (the proposed algorithm zeroes
 // b(K) on grids that do not own K's node; the baseline always keeps it),
-// which is what the parallel level-sweep precompute needs to reproduce a
-// solveY's numerics off the handler goroutine.
+// which the parallel level-sweep precompute passes to the shared kernel.
 type diagSolver interface {
-	solveY(ctx *runtime.Ctx, k int)
-	solveX(ctx *runtime.Ctx, k int)
+	solve(ctx *runtime.Ctx, sw, k int)
 	keepB(k int) bool
 }
 
@@ -558,8 +536,6 @@ type rankCore struct {
 	// Precomputed read-only views shared with the plan.
 	colL      map[int][]*snode.LBlock  // my blocks in column K (L)
 	colU      map[int][]dist.UBlockRef // my blocks in column K (U): U(I, K)
-	localL    map[int]int              // #my blocks in row K (L)
-	localU    map[int]int              // #my blocks in row K (U)
 	myDiagSns []int                    // supernodes whose diagonal rank is me
 
 	// This rank's slice of the plan's level/DAG schedule and the
@@ -601,8 +577,6 @@ func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *spar
 	rd := c.gp.Ranks[c.r2d]
 	c.colL = rd.ColL
 	c.colU = rd.ColU
-	c.localL = rd.LocalL
-	c.localU = rd.LocalU
 	c.myDiagSns = rd.MyDiagSns
 
 	s, err := sched.Of(p)
@@ -642,12 +616,7 @@ func (c *rankCore) slot(k int) int32 { return c.sg.SlotOf[k] }
 // bcastKids returns this rank's children in supernode k's broadcast tree
 // of sweep sw, precomputed by the schedule (the ranks in tree-walk order,
 // without materializing a slice per call); empty off the tree.
-func (c *rankCore) bcastKids(sw, k int) []int32 {
-	if sw == sweepL {
-		return c.sr.LBcastKids[c.slot(k)]
-	}
-	return c.sr.UBcastKids[c.slot(k)]
-}
+func (c *rankCore) bcastKids(sw, k int) []int32 { return c.sr.BcastKids[sw][c.slot(k)] }
 
 // releaseState returns the per-solve state to the pool. Solve calls it
 // after the backend run has fully completed, so no handler code can still
@@ -699,8 +668,8 @@ func (c *rankCore) WaitState() string {
 	if st == nil {
 		return "state released"
 	}
-	return fmt.Sprintf("phase=%d lRecvLeft=%d uRecvLeft=%d readyY=%d readyX=%d deferred=%d",
-		st.phase, st.lRecvLeft, st.uRecvLeft, len(st.readyY), len(st.readyX), len(st.deferred))
+	return fmt.Sprintf("phase=%d recvLeft=%v ready=[%d %d] deferred=%d",
+		st.phase, st.recvLeft, len(st.ready[sweepL]), len(st.ready[sweepU]), len(st.deferred))
 }
 
 // dispatch implements the deferral protocol shared by every handler:
@@ -768,7 +737,7 @@ func (c *rankCore) drainDeferred(ctx *runtime.Ctx, ops rankOps) {
 	}
 }
 
-// drainReadyY solves queued L-phase diagonal rows; solving one row can
+// drainReady solves sweep sw's queued diagonal rows; solving one row can
 // locally unlock further rows, so it loops until the queue is quiet.
 //
 // The queue is consumed in level sweeps: everything ready now is one wave
@@ -781,17 +750,9 @@ func (c *rankCore) drainDeferred(ctx *runtime.Ctx, ops rankOps) {
 // would feed it), and on the pool backend a wide wave's independent
 // diagonal solves are precomputed on worker goroutines before the serial
 // send pass.
-func (c *rankCore) drainReadyY(ctx *runtime.Ctx, s diagSolver) {
-	c.drainReady(ctx, s, &c.st.readyY, false)
-}
-
-// drainReadyX mirrors drainReadyY for the U phase.
-func (c *rankCore) drainReadyX(ctx *runtime.Ctx, s diagSolver) {
-	c.drainReady(ctx, s, &c.st.readyX, true)
-}
-
-func (c *rankCore) drainReady(ctx *runtime.Ctx, s diagSolver, q *[]int, uPhase bool) {
+func (c *rankCore) drainReady(ctx *runtime.Ctx, s diagSolver, sw int) {
 	st := c.st
+	q := &st.ready[sw]
 	traced := ctx.Traced()
 	for len(*q) > 0 {
 		n := len(*q)
@@ -799,13 +760,9 @@ func (c *rankCore) drainReady(ctx *runtime.Ctx, s diagSolver, q *[]int, uPhase b
 		if traced {
 			start = ctx.Now()
 		}
-		c.precomputeWave(ctx, s, (*q)[:n], uPhase)
+		c.precomputeWave(ctx, s, sw, (*q)[:n])
 		for i := 0; i < n; i++ {
-			if uPhase {
-				s.solveX(ctx, (*q)[i])
-			} else {
-				s.solveY(ctx, (*q)[i])
-			}
+			s.solve(ctx, sw, (*q)[i])
 		}
 		// Slide the next wave down instead of reslicing from the front, so
 		// the queue keeps its backing array across waves and solves.
@@ -818,19 +775,18 @@ func (c *rankCore) drainReady(ctx *runtime.Ctx, s diagSolver, q *[]int, uPhase b
 	}
 }
 
-// precomputeWave runs a wave's diagonal-solve numerics on worker
-// goroutines, chunked work-stealing style (workers grab fixed-size chunks
-// off a shared counter). Pool backend only: the DES backend's clock
-// charges are serial by construction, and there the sweep is pure
-// bookkeeping anyway. Safe because every supernode in the wave has all
-// its contributions in (its pending counter hit zero), the inputs (b,
-// diagonal inverses, accumulated partial sums) are no longer written, and
-// each task writes only its own result slot; the arithmetic per task is
-// instruction-identical to the serial kernel, so the solution stays
-// bit-exact regardless of worker interleaving. The serial pass that
-// follows consumes the results in wave order, so message order is
-// untouched.
-func (c *rankCore) precomputeWave(ctx *runtime.Ctx, s diagSolver, wave []int, uPhase bool) {
+// precomputeWave runs a wave's diagonal solves on worker goroutines,
+// chunked work-stealing style (workers grab fixed-size chunks off a shared
+// counter). Pool backend only: the DES backend's clock charges are serial
+// by construction, and there the sweep is pure bookkeeping anyway. Safe
+// because every supernode in the wave has all its contributions in (its
+// pending counter hit zero), the inputs (b, diagonal inverses, accumulated
+// partial sums) are no longer written, and each task writes only its own
+// result slot. The workers call the serial path's kernel, diagSolve, so
+// the solution stays bit-exact regardless of worker interleaving. The
+// serial pass that follows consumes the results in wave order, so message
+// order is untouched.
+func (c *rankCore) precomputeWave(ctx *runtime.Ctx, s diagSolver, sw int, wave []int) {
 	chunk := c.chunk
 	if ctx.Virtual() || len(wave) < 2*chunk || goruntime.GOMAXPROCS(0) < 2 {
 		return
@@ -839,7 +795,7 @@ func (c *rankCore) precomputeWave(ctx *runtime.Ctx, s diagSolver, wave []int, uP
 	// goroutine (bump allocation is single-threaded); each is the panel
 	// the serial diagonal solve would otherwise have taken.
 	j := &c.st.wave
-	j.s, j.keys, j.uPhase = s, wave, uPhase
+	j.s, j.keys, j.sw = s, wave, sw
 	j.out = j.out[:0]
 	for _, k := range wave {
 		j.out = append(j.out, c.newPanel(c.snWidth(k)))
@@ -855,13 +811,9 @@ func (c *rankCore) precomputeWave(ctx *runtime.Ctx, s diagSolver, wave []int, uP
 	}
 	c.waveWorker(&j.buf[0], nil)
 	j.wg.Wait()
-	pre := &c.st.preY
-	if uPhase {
-		pre = &c.st.preX
-	}
 	for i, k := range wave {
 		if j.out[i] != nil {
-			pre.set(k, j.out[i])
+			c.st.pre[sw].set(k, j.out[i])
 		}
 	}
 }
@@ -873,7 +825,7 @@ type waveJob struct {
 	s      diagSolver
 	keys   []int
 	out    []*sparse.Panel // per key: the zeroed destination; nil if unsolvable
-	uPhase bool
+	sw     int
 	chunks int
 	next   atomic.Int32 // next chunk to claim
 	wg     sync.WaitGroup
@@ -889,7 +841,8 @@ func (j *waveJob) reset() {
 
 // waveWorker claims chunks of the current wave until none is left, writing
 // each task's result into its destination panel; a spawned worker then
-// marks wg done.
+// marks wg done. The kernel tallies are left to the consuming solvePanel,
+// so counters stay single-writer.
 func (c *rankCore) waveWorker(buf *[]float64, wg *sync.WaitGroup) {
 	if wg != nil {
 		defer wg.Done()
@@ -903,88 +856,37 @@ func (c *rankCore) waveWorker(buf *[]float64, wg *sync.WaitGroup) {
 		hi := min((ci+1)*c.chunk, len(j.keys))
 		for i := ci * c.chunk; i < hi; i++ {
 			k := j.keys[i]
-			if j.uPhase {
-				if !c.precomputeX(k, j.out[i], buf) {
-					j.out[i] = nil
-				}
-			} else {
-				c.precomputeY(k, j.s.keepB(k), j.out[i], buf)
+			if !c.diagSolve(j.sw, k, j.s.keepB(k), j.out[i], buf) {
+				j.out[i] = nil
 			}
 		}
 	}
 }
 
-// precomputeY replicates diagSolveY's arithmetic for a wave worker, into
-// the zeroed destination yk: rhs per the algorithm's keep
-// rule, minus lsum(K), times the diagonal inverse. It leaves the kernel
-// tallies to the consuming solveYPanel so counters stay single-writer.
-func (c *rankCore) precomputeY(k int, keep bool, yk *sparse.Panel, buf *[]float64) {
+// solvePanel produces and stores row k's solution in sweep sw, y(K) or
+// x(K) (the owning grid also writes x(K) to the output), and returns it
+// with the modeled seconds of its diagonal solve: from the wave precompute
+// when one is stashed (same kernel, already run), else through the kernel
+// now. keep is the L sweep's RHS rule (diagSolver.keepB).
+func (c *rankCore) solvePanel(sw, k int, keep bool) (*sparse.Panel, float64) {
+	st := c.st
+	st.counts.diag[sw]++
 	w := c.snWidth(k)
-	n := c.st.nrhs
-	if cap(*buf) < w*n {
-		*buf = make([]float64, w*n)
-	}
-	rhs := &sparse.Panel{Rows: w, Cols: n, Data: (*buf)[:w*n]}
-	clear(rhs.Data)
-	if keep {
-		lo := c.p.M.SnBegin[k]
-		for j := 0; j < n; j++ {
-			copy(rhs.Col(j), c.st.b.Col(j)[lo:lo+w])
+	v := st.pre[sw].get(k)
+	if v != nil {
+		st.pre[sw].set(k, nil)
+	} else {
+		v = c.newPanel(w)
+		if !c.diagSolve(sw, k, keep, v, &st.scratch.Data) {
+			panic(&fault.ProtocolError{Rank: c.rank, Phase: "U-solve",
+				Msg: fmt.Sprintf("solving x(%d) without y(%d)", k, k)})
 		}
 	}
-	if s := c.st.sum[sweepL].get(k); s != nil {
-		for i, v := range s.Data {
-			rhs.Data[i] -= v
-		}
+	st.sol[sw].set(k, v)
+	if sw == sweepU && c.gp.OwnerGridOfSn(k) == c.z {
+		c.writeX(k, v)
 	}
-	sparse.GemmAdd(c.p.M.LDiagInv[k], rhs, yk)
-}
-
-// precomputeX mirrors precomputeY for diagSolveX. A missing y(K) reports
-// false so the serial path raises its usual protocol diagnostic.
-func (c *rankCore) precomputeX(k int, xk *sparse.Panel, buf *[]float64) bool {
-	yk := c.st.y.get(k)
-	if yk == nil {
-		return false
-	}
-	w := c.snWidth(k)
-	n := c.st.nrhs
-	if cap(*buf) < w*n {
-		*buf = make([]float64, w*n)
-	}
-	rhs := &sparse.Panel{Rows: w, Cols: n, Data: (*buf)[:w*n]}
-	copy(rhs.Data, yk.Data)
-	if s := c.st.sum[sweepU].get(k); s != nil {
-		for i, v := range s.Data {
-			rhs.Data[i] -= v
-		}
-	}
-	sparse.GemmAdd(c.p.M.UDiagInv[k], rhs, xk)
-	return true
-}
-
-// solveYPanel produces y(K) with the modeled seconds of its diagonal
-// solve: from the wave precompute when one is stashed (same numerics,
-// already run), else through the shared serial kernel.
-func (c *rankCore) solveYPanel(k int, keep bool) (*sparse.Panel, float64) {
-	if yk := c.st.preY.get(k); yk != nil {
-		c.st.preY.set(k, nil)
-		c.st.counts.diagY++
-		w := c.snWidth(k)
-		return yk, c.model.GemmTime(w, w, c.st.nrhs)
-	}
-	return c.diagSolveY(k, c.rhsFor(k, keep))
-}
-
-// solveXPanel mirrors solveYPanel for the U phase.
-func (c *rankCore) solveXPanel(k int) (*sparse.Panel, float64) {
-	if xk := c.st.preX.get(k); xk != nil {
-		c.st.preX.set(k, nil)
-		c.st.counts.diagX++
-		w := c.snWidth(k)
-		return xk, c.model.GemmTime(w, w, c.st.nrhs)
-	}
-	return c.diagSolveX(k)
+	return v, c.model.GemmTime(w, w, st.nrhs)
 }
 
 // ---- dependency-counter accessors ----
@@ -1018,17 +920,13 @@ func (c *rankCore) contribution(ctx *runtime.Ctx, sw, k int, tree *ctree.Tree) {
 		return
 	}
 	if tree.Root() == c.r2d {
-		if sw == sweepL {
-			st.enqueueY(k)
-		} else {
-			c.enqueueX(k)
-		}
+		c.enqueue(sw, k)
 		return
 	}
 	w, bytes := c.packSend(c.getSum(sw, k))
 	ctx.Send(runtime.Msg{
 		Dst: c.p.GlobalRank(c.z, tree.Parent(c.r2d)), Tag: reduceTag[sw], Cat: runtime.CatXY,
-		Data: &sumMsg{K: k, W: w}, Bytes: bytes,
+		Data: &panelMsg{K: k, W: w}, Bytes: bytes,
 	})
 	st.sum[sw].set(k, nil) // ownership transferred
 }
@@ -1066,27 +964,17 @@ func (c *rankCore) getSum(sw, k int) *sparse.Panel {
 	return s
 }
 
-// rhsFor builds the diagonal rank's local copy of b(K) in the scratch
-// panel, honoring the proposed algorithm's zeroing rule (Alg. 1 lines
-// 4–10): when keep is false the subvector is zero unless this grid owns the
-// node. The result is consumed by diagSolveY before the next scratch use.
-func (c *rankCore) rhsFor(k int, keep bool) *sparse.Panel {
-	w := c.snWidth(k)
-	if !keep {
-		return c.st.scratchPanel(w, c.st.nrhs)
-	}
-	out := c.st.scratchBuf(w, c.st.nrhs)
-	lo := c.p.M.SnBegin[k]
-	for j := 0; j < c.st.nrhs; j++ {
-		copy(out.Col(j), c.st.b.Col(j)[lo:lo+w])
-	}
-	return out
-}
-
 // applyLBlock computes prod = L(I,K)·y(K) and accumulates it into lsum(I),
 // returning the modeled FP seconds of the operation.
+//
+// The two sweeps' blocks differ in type (an L block's rows scatter into
+// lsum(I), a U block's columns gather from x(K)), so handlers walk a
+// column with one typed loop per sweep. A shared block iterator — by
+// closure, by a block view with per-block dispatch, or by a per-block
+// helper call — cost 4–10% of pool-1rhs solve latency: the blocks are
+// small and a solve applies thousands of them.
 func (c *rankCore) applyLBlock(blk *snode.LBlock, k int, yk *sparse.Panel) float64 {
-	c.st.counts.lBlocks++
+	c.st.counts.blocks[sweepL]++
 	w := c.snWidth(k)
 	prod := c.st.scratchPanel(len(blk.Rows), c.st.nrhs)
 	sparse.GemmAdd(blk.Val, yk, prod)
@@ -1105,7 +993,7 @@ func (c *rankCore) applyLBlock(blk *snode.LBlock, k int, yk *sparse.Panel) float
 // applyUBlock accumulates U(I,K)·x(K) into usum(I) and returns the modeled
 // FP seconds.
 func (c *rankCore) applyUBlock(ref dist.UBlockRef, k int, xk *sparse.Panel) float64 {
-	c.st.counts.uBlocks++
+	c.st.counts.blocks[sweepU]++
 	blk := ref.Blk
 	base := c.p.M.SnBegin[k]
 	sub := c.st.scratchBuf(len(blk.Cols), c.st.nrhs)
@@ -1120,39 +1008,46 @@ func (c *rankCore) applyUBlock(ref dist.UBlockRef, k int, xk *sparse.Panel) floa
 	return c.model.GemmTime(blk.Val.Rows, len(blk.Cols), c.st.nrhs)
 }
 
-// diagSolveY computes y(K) = inv(L(K,K))·(rhs − lsum(K)); rhs is consumed.
-func (c *rankCore) diagSolveY(k int, rhs *sparse.Panel) (*sparse.Panel, float64) {
-	c.st.counts.diagY++
-	if s := c.st.sum[sweepL].get(k); s != nil {
+// diagSolve is the diagonal-solve kernel of both sweeps, shared by the
+// serial path and the wave workers: it writes inv(L(K,K))·(rhs − lsum(K))
+// into the zeroed panel dst in the L sweep, where rhs is b(K) when keep
+// holds and zero otherwise (the proposed algorithm's zeroing rule, Alg. 1
+// lines 4–10), and inv(U(K,K))·(y(K) − usum(K)) in the U sweep. buf is the
+// caller's right-hand-side scratch. It reports false, writing nothing,
+// when the U sweep finds no y(K).
+func (c *rankCore) diagSolve(sw, k int, keep bool, dst *sparse.Panel, buf *[]float64) bool {
+	st := c.st
+	w, n := c.snWidth(k), st.nrhs
+	if cap(*buf) < w*n {
+		*buf = make([]float64, w*n)
+	}
+	rhs := sparse.Panel{Rows: w, Cols: n, Data: (*buf)[:w*n]}
+	switch {
+	case sw == sweepU:
+		yk := st.sol[sweepL].get(k)
+		if yk == nil {
+			return false
+		}
+		copy(rhs.Data, yk.Data)
+	case keep:
+		lo := c.p.M.SnBegin[k]
+		for j := 0; j < n; j++ {
+			copy(rhs.Col(j), st.b.Col(j)[lo:lo+w])
+		}
+	default:
+		clear(rhs.Data)
+	}
+	if s := st.sum[sw].get(k); s != nil {
 		for i, v := range s.Data {
 			rhs.Data[i] -= v
 		}
 	}
-	w := c.snWidth(k)
-	yk := c.newPanel(w)
-	sparse.GemmAdd(c.p.M.LDiagInv[k], rhs, yk)
-	return yk, c.model.GemmTime(w, w, c.st.nrhs)
-}
-
-// diagSolveX computes x(K) = inv(U(K,K))·(y(K) − usum(K)).
-func (c *rankCore) diagSolveX(k int) (*sparse.Panel, float64) {
-	c.st.counts.diagX++
-	yk := c.st.y.get(k)
-	if yk == nil {
-		panic(&fault.ProtocolError{Rank: c.rank, Phase: "U-solve",
-			Msg: fmt.Sprintf("solving x(%d) without y(%d)", k, k)})
+	inv := c.p.M.LDiagInv[k]
+	if sw == sweepU {
+		inv = c.p.M.UDiagInv[k]
 	}
-	w := c.snWidth(k)
-	rhs := c.st.scratchBuf(w, c.st.nrhs)
-	copy(rhs.Data, yk.Data)
-	if s := c.st.sum[sweepU].get(k); s != nil {
-		for i, v := range s.Data {
-			rhs.Data[i] -= v
-		}
-	}
-	xk := c.newPanel(w)
-	sparse.GemmAdd(c.p.M.UDiagInv[k], rhs, xk)
-	return xk, c.model.GemmTime(w, w, c.st.nrhs)
+	sparse.GemmAdd(inv, &rhs, dst)
+	return true
 }
 
 // writeX stores x(K) into the global output panel.

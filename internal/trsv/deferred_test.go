@@ -62,7 +62,7 @@ func TestDrainDeferredZeroesVacatedTail(t *testing.T) {
 	c := &rankCore{st: &solveState{}}
 	panel := sparse.NewPanel(4, 1)
 	for tag := 1; tag <= 6; tag++ {
-		c.st.deferred = append(c.st.deferred, runtime.Msg{Tag: tag, Data: &yMsg{K: tag, W: wirePanel{Rows: 4, Cols: 1, EffCols: 1, Vals: panel.Data}}})
+		c.st.deferred = append(c.st.deferred, runtime.Msg{Tag: tag, Data: &panelMsg{K: tag, W: wirePanel{Rows: 4, Cols: 1, EffCols: 1, Vals: panel.Data}}})
 	}
 	// Accept the even tags: three survivors compact to the front, three
 	// slots beyond len must be zeroed.
@@ -85,31 +85,24 @@ func TestDrainDeferredZeroesVacatedTail(t *testing.T) {
 	}
 }
 
-// TestReleaseClearsBackingArrays: release must clear deferred and
-// readyTasks to capacity, not length — pops and compaction reslice both,
-// leaving panel-holding elements beyond len.
+// TestReleaseClearsBackingArrays: release must clear deferred to capacity,
+// not length — compaction reslices it, leaving panel-holding messages
+// beyond len.
 func TestReleaseClearsBackingArrays(t *testing.T) {
 	st := &solveState{}
 	st.owner = &sync.Pool{}
 	panel := sparse.NewPanel(4, 1)
 	for i := 0; i < 4; i++ {
-		st.deferred = append(st.deferred, runtime.Msg{Tag: 1, Data: &yMsg{K: i, W: wirePanel{Rows: 4, Cols: 1, EffCols: 1, Vals: panel.Data}}})
-		st.readyTasks = append(st.readyTasks, gpuTask{k: i, put: panel})
+		st.deferred = append(st.deferred, runtime.Msg{Tag: 1, Data: &panelMsg{K: i, W: wirePanel{Rows: 4, Cols: 1, EffCols: 1, Vals: panel.Data}}})
 	}
-	// Simulate a compaction/pop reslice: live prefix shrinks, stale
-	// elements remain in the backing arrays beyond len.
+	// Simulate a compaction reslice: the live prefix shrinks, stale
+	// elements remain in the backing array beyond len.
 	st.deferred = st.deferred[:1]
-	st.readyTasks = st.readyTasks[:2]
-	defCap, taskCap := st.deferred[:cap(st.deferred)], st.readyTasks[:cap(st.readyTasks)]
+	defCap := st.deferred[:cap(st.deferred)]
 	st.release()
 	for i := range defCap {
 		if defCap[i].Data != nil {
 			t.Fatalf("release left deferred slot %d holding %+v", i, defCap[i])
-		}
-	}
-	for i := range taskCap {
-		if taskCap[i].put != nil {
-			t.Fatalf("release left readyTasks slot %d holding a panel", i)
 		}
 	}
 }

@@ -25,10 +25,7 @@ package trsv
 // ElasticStats and run iterative refinement until the true residual meets
 // tolerance, preserving the verified-solution-or-typed-fault contract.
 
-import (
-	"sptrsv/internal/runtime"
-	"sptrsv/internal/sched"
-)
+import "sptrsv/internal/runtime"
 
 // elasticSlack scales the modeled per-level quantum on the DES backend: it
 // absorbs the modeling error between the quantum's average-cost estimate
@@ -158,7 +155,7 @@ func (c *rankCore) Progress() (done, total int) {
 	if st == nil {
 		return 0, 0
 	}
-	return st.counts.diagY + st.counts.diagX, 2 * len(c.myDiagSns)
+	return st.counts.diag[sweepL] + st.counts.diag[sweepU], 2 * len(c.myDiagSns)
 }
 
 // markStale records that supernode k's solve in sweep sw (y(k) or x(k))
@@ -168,10 +165,8 @@ func (c *rankCore) markStale(sw, k int) {
 		return
 	}
 	st := c.st
-	if st.stale[sw] == nil {
-		st.stale[sw] = sched.NewStaleSet(len(c.gp.Sns))
-	}
-	if s := c.slot(k); s >= 0 && st.stale[sw].Set(int(s)) {
+	if s := c.slot(k); s >= 0 && !st.stale[sw].has(s) {
+		st.stale[sw].set(s)
 		st.counts.staleRows++
 	}
 }

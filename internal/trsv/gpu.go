@@ -38,26 +38,28 @@ type gpuTask struct {
 // gpuTaskTag is each sweep's compute span tag.
 var gpuTaskTag = [2]int{TagGPUTaskL, TagGPUTaskU}
 
-// sweepPhase is the phase (of the proposed algorithm's three) that runs
-// sweep sw: the L sweep is phase 0, the U sweep phase 2.
-func sweepPhase(sw int) int { return 2 * sw }
-
 type gpuRank struct {
 	rankCore
 	gpu *machine.GPU
 	ar  *arHelper
+
+	// Task state: launchable tasks in FIFO order, free SM slots, and the
+	// open sweep's tasks not yet completed.
+	readyTasks        []gpuTask
+	smFree, tasksLeft int
+
+	// Elastic mode only: per sweep by slot, the one-sided puts already
+	// received versus those synthesized as zero panels at a forcing
+	// deadline (a late real put superseded by a synthesized one is
+	// dropped, keeping the task count exact).
+	putSeen, putForced [2]slotBits
 }
 
 func (h *gpuRank) Done() bool { return h.st.phase == 3 }
 
 // inBcast reports whether this rank belongs to supernode k's broadcast
 // tree of sweep sw.
-func (h *gpuRank) inBcast(sw, k int) bool {
-	if sw == sweepL {
-		return h.gp.LBcast[k].Contains(h.r2d)
-	}
-	return h.gp.UBcast[k].Contains(h.r2d)
-}
+func (h *gpuRank) inBcast(sw, k int) bool { return h.gp.Bcast[sw][k].Contains(h.r2d) }
 
 // taskCount returns the number of tasks this rank executes in sweep sw:
 // one per owned diagonal plus one per broadcast-tree membership (the
@@ -121,13 +123,19 @@ func (h *gpuRank) Init(ctx *runtime.Ctx) {
 	}
 	h.ar = newARHelper(&h.rankCore)
 	st := h.st
-	st.smFree = h.gpu.SMs
+	h.smFree = h.gpu.SMs
 	// With Py=1 every block of row K lives on rank K mod Px, so the
 	// dependency counters are purely local (no reduction phase — the
 	// reason the paper prefers Py=1 on GPUs): this rank's block counts per
 	// row, zero for rows of other process rows.
-	st.dpend[sweepL] = slotCounts(st.dpend[sweepL], h.gp.Sns, h.localL)
-	st.dpend[sweepU] = slotCounts(st.dpend[sweepU], h.gp.Sns, h.localU)
+	local := h.gp.Ranks[h.r2d].Local
+	for sw := range st.dpend {
+		st.dpend[sw] = slotCounts(st.dpend[sw], h.gp.Sns, local[sw])
+		if h.el != nil {
+			h.putSeen[sw].size(len(h.gp.Sns))
+			h.putForced[sw].size(len(h.gp.Sns))
+		}
+	}
 	h.startSweep(ctx, sweepL)
 	h.armElastic(ctx)
 }
@@ -164,8 +172,7 @@ func (h *gpuRank) forceStale(ctx *runtime.Ctx, phase int) {
 // dropped in process, keeping the phase task count exact. gp.Sns ascends,
 // so the synthesis order is deterministic.
 func (h *gpuRank) forcePuts(ctx *runtime.Ctx, sw int) {
-	st := h.st
-	seen, forced := st.putSeen[sw], st.putForced[sw]
+	seen, forced := h.putSeen[sw], h.putForced[sw]
 	added := false
 	for _, k := range h.gp.Sns {
 		s := h.slot(k)
@@ -180,7 +187,7 @@ func (h *gpuRank) forcePuts(ctx *runtime.Ctx, sw int) {
 				h.markStale(sw, i)
 			}
 		})
-		st.readyTasks = append(st.readyTasks, gpuTask{k: k, sw: sw, put: h.newPanel(h.snWidth(k))})
+		h.readyTasks = append(h.readyTasks, gpuTask{k: k, sw: sw, put: h.newPanel(h.snWidth(k))})
 		added = true
 	}
 	if added {
@@ -238,15 +245,15 @@ func (h *gpuRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 		d := m.Data.(*gpuPut)
 		if h.el != nil {
 			s := h.slot(d.K)
-			if h.st.putForced[d.sw].has(s) {
+			if h.putForced[d.sw].has(s) {
 				// A staleness deadline already synthesized this put as a
 				// zero panel and the task count charged it; drop the late
 				// real delivery.
 				return
 			}
-			h.st.putSeen[d.sw].set(s)
+			h.putSeen[d.sw].set(s)
 		}
-		h.st.readyTasks = append(h.st.readyTasks, gpuTask{k: d.K, sw: d.sw, put: h.unpackPanel(&d.W)})
+		h.readyTasks = append(h.readyTasks, gpuTask{k: d.K, sw: d.sw, put: h.unpackPanel(&d.W)})
 		h.startTasks(ctx)
 	case tagARReduce:
 		if h.ar.onReduce(ctx, m.Data.(*vecBundle)) {
@@ -281,28 +288,18 @@ func (h *gpuRank) forwardPuts(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, dela
 // diagonal task, then this rank's block products of the column — and
 // returns the column's solved subvector.
 func (h *gpuRank) runTask(t gpuTask) *sparse.Panel {
-	st := h.st
 	v := t.put
-	owner := h.gp.OwnerGridOfSn(t.k) == h.z
+	if v == nil {
+		v, _ = h.solvePanel(t.sw, t.k, h.gp.OwnerGridOfSn(t.k) == h.z)
+	}
 	if t.sw == sweepL {
-		if v == nil {
-			v, _ = h.diagSolveY(t.k, h.rhsFor(t.k, owner))
-			st.y.set(t.k, v)
-		}
 		for _, blk := range h.colL[t.k] {
 			h.applyLBlock(blk, t.k, v)
 		}
-		return v
-	}
-	if v == nil {
-		v, _ = h.diagSolveX(t.k)
-		st.xl.set(t.k, v)
-		if owner {
-			h.writeX(t.k, v)
+	} else {
+		for _, ref := range h.colU[t.k] {
+			h.applyUBlock(ref, t.k, v)
 		}
-	}
-	for _, ref := range h.colU[t.k] {
-		h.applyUBlock(ref, t.k, v)
 	}
 	return v
 }
@@ -315,12 +312,11 @@ func (h *gpuRank) runTask(t gpuTask) *sparse.Panel {
 func (h *gpuRank) startTasks(ctx *runtime.Ctx) {
 	st := h.st
 	launched, start := 0, ctx.Now()
-	for st.smFree > 0 && len(st.readyTasks) > 0 {
+	for h.smFree > 0 && len(h.readyTasks) > 0 {
 		launched++
-		t := st.readyTasks[0]
-		st.readyTasks[0] = gpuTask{} // drop the panel reference: release() can't reach popped slots
-		st.readyTasks = st.readyTasks[1:]
-		st.smFree--
+		t := h.readyTasks[0]
+		h.readyTasks = h.readyTasks[1:]
+		h.smFree--
 		diag := t.put == nil
 		flops, bytes, diagFlops := h.flopsBytes(t.sw, t.k, diag)
 		// The task's time is its completion event's delay, so the span
@@ -342,12 +338,11 @@ func (h *gpuRank) startTasks(ctx *runtime.Ctx) {
 }
 
 func (h *gpuRank) onTaskDone(ctx *runtime.Ctx, t gpuTask) {
-	st := h.st
-	st.smFree++
-	st.tasksLeft--
+	h.smFree++
+	h.tasksLeft--
 	h.eachRow(t.sw, t.k, func(i int) {
 		if h.decPending(t.sw, i) == 0 && h.p.DiagRank2D(i) == h.r2d {
-			st.readyTasks = append(st.readyTasks, gpuTask{k: i, sw: t.sw})
+			h.readyTasks = append(h.readyTasks, gpuTask{k: i, sw: t.sw})
 		}
 	})
 	h.startTasks(ctx)
@@ -357,11 +352,10 @@ func (h *gpuRank) onTaskDone(ctx *runtime.Ctx, t gpuTask) {
 // startSweep opens sweep sw: this rank's task budget, then every owned
 // diagonal with no outstanding local dependency.
 func (h *gpuRank) startSweep(ctx *runtime.Ctx, sw int) {
-	st := h.st
-	st.tasksLeft = h.taskCount(sw)
+	h.tasksLeft = h.taskCount(sw)
 	for _, k := range h.myDiagSns {
 		if h.pendingOf(sw, k) == 0 {
-			st.readyTasks = append(st.readyTasks, gpuTask{k: k, sw: sw})
+			h.readyTasks = append(h.readyTasks, gpuTask{k: k, sw: sw})
 		}
 	}
 	h.startTasks(ctx)
@@ -370,14 +364,14 @@ func (h *gpuRank) startSweep(ctx *runtime.Ctx, sw int) {
 
 func (h *gpuRank) maybeFinishPhase(ctx *runtime.Ctx) {
 	st := h.st
-	if st.tasksLeft != 0 {
+	if h.tasksLeft != 0 {
 		return
 	}
 	switch st.phase {
 	case 0:
 		ctx.Mark(MarkLDone)
 		st.phase = 1
-		st.tasksLeft = -1 // sentinel until the U sweep reloads it
+		h.tasksLeft = -1 // sentinel until the U sweep reloads it
 		if h.ar.begin(ctx) {
 			h.finishAR(ctx)
 		}

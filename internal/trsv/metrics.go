@@ -30,22 +30,22 @@ var (
 // single solve. It lives on solveState, is reset by release, and is summed
 // across ranks before publication.
 type solveCounts struct {
-	diagY, diagX     int // diagonal panel solves (L phase, U phase)
-	lBlocks, uBlocks int // off-diagonal block products applied
-	arReduce         int // sparse-allreduce reduce bundles merged
-	arBcast          int // sparse-allreduce broadcast bundles installed
-	naiveRounds      int // strawman butterfly exchanges merged
-	sweeps           int // level sweeps run
-	sweepTasks       int // tasks covered by those sweeps
-	staleRows        int // elastic: supernode solves that consumed stale inputs
-	forcedTicks      int // elastic: deadline ticks that forced an open phase
+	diag        [2]int // diagonal panel solves, by sweep
+	blocks      [2]int // off-diagonal block products applied, by sweep
+	arReduce    int    // sparse-allreduce reduce bundles merged
+	arBcast     int    // sparse-allreduce broadcast bundles installed
+	naiveRounds int    // strawman butterfly exchanges merged
+	sweeps      int    // level sweeps run
+	sweepTasks  int    // tasks covered by those sweeps
+	staleRows   int    // elastic: supernode solves that consumed stale inputs
+	forcedTicks int    // elastic: deadline ticks that forced an open phase
 }
 
 func (a *solveCounts) accumulate(b solveCounts) {
-	a.diagY += b.diagY
-	a.diagX += b.diagX
-	a.lBlocks += b.lBlocks
-	a.uBlocks += b.uBlocks
+	for sw := range a.diag {
+		a.diag[sw] += b.diag[sw]
+		a.blocks[sw] += b.blocks[sw]
+	}
 	a.arReduce += b.arReduce
 	a.arBcast += b.arBcast
 	a.naiveRounds += b.naiveRounds
@@ -81,8 +81,8 @@ func publishSolve(algo Algorithm, total solveCounts, failed bool) {
 		n     int
 	}
 	for _, p := range []pc{
-		{"diag_y", total.diagY}, {"diag_x", total.diagX},
-		{"l_block", total.lBlocks}, {"u_block", total.uBlocks},
+		{"diag_y", total.diag[sweepL]}, {"diag_x", total.diag[sweepU]},
+		{"l_block", total.blocks[sweepL]}, {"u_block", total.blocks[sweepU]},
 	} {
 		if p.n > 0 {
 			mPhaseOps.With(a, p.phase).Add(float64(p.n))

@@ -31,24 +31,17 @@ type new3dRank struct {
 func (h *new3dRank) Done() bool { return h.st.phase == 3 }
 
 func (h *new3dRank) Init(ctx *runtime.Ctx) {
-	rd := h.gp.Ranks[h.r2d]
 	st := h.st
 	// The schedule carries this rank's counter templates as flat
 	// slot-indexed slices; refill by copy.
-	st.dpend[sweepL] = append(st.dpend[sweepL][:0], h.sr.PendingL...)
-	st.dpend[sweepU] = append(st.dpend[sweepU][:0], h.sr.PendingU...)
-	st.lRecvLeft = rd.LRecv
-	st.uRecvLeft = rd.URecv
+	for sw := range st.dpend {
+		st.dpend[sw] = append(st.dpend[sw][:0], h.sr.Pending[sw]...)
+	}
+	st.recvLeft = h.gp.Ranks[h.r2d].Recv
 	h.ar = newARHelper(&h.rankCore)
 
 	// Kick off: diagonal supernodes with no pending contributions.
-	for _, k := range h.myDiagSns {
-		if h.pendingOf(sweepL, k) == 0 {
-			st.enqueueY(k)
-		}
-	}
-	h.drainReadyY(ctx, h)
-	h.maybeFinishL(ctx)
+	h.startSweep(ctx, sweepL)
 	h.armElastic(ctx)
 }
 
@@ -100,19 +93,17 @@ func (h *new3dRank) DeadOnArrival(m runtime.Msg) bool {
 
 func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	switch m.Tag {
-	case tagYBcast:
-		d := m.Data.(*yMsg)
-		h.st.lRecvLeft--
-		h.onY(ctx, d.K, h.unpackPanel(&d.W))
-		h.drainReadyY(ctx, h)
-		h.maybeFinishL(ctx)
-	case tagLReduce:
-		d := m.Data.(*sumMsg)
-		h.st.lRecvLeft--
-		addWire(h.getSum(sweepL, d.K), &d.W)
-		h.contribution(ctx, sweepL, d.K, h.gp.LReduce[d.K])
-		h.drainReadyY(ctx, h)
-		h.maybeFinishL(ctx)
+	case tagYBcast, tagLReduce, tagXBcast, tagUReduce:
+		sw, d := sweepOf(m.Tag), m.Data.(*panelMsg)
+		h.st.recvLeft[sw]--
+		if m.Tag == bcastTag[sw] {
+			h.onSolved(ctx, sw, d.K, h.unpackPanel(&d.W))
+		} else {
+			addWire(h.getSum(sw, d.K), &d.W)
+			h.contribution(ctx, sw, d.K, h.gp.Reduce[sw][d.K])
+		}
+		h.drainReady(ctx, h, sw)
+		h.maybeFinish(ctx, sw)
 	case tagARReduce:
 		if h.ar.onReduce(ctx, m.Data.(*vecBundle)) {
 			h.finishAR(ctx)
@@ -125,37 +116,27 @@ func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 		if h.nar.onMsg(ctx, m) {
 			h.finishAR(ctx)
 		}
-	case tagXBcast:
-		d := m.Data.(*yMsg)
-		h.st.uRecvLeft--
-		h.onX(ctx, d.K, h.unpackPanel(&d.W))
-		h.drainReadyX(ctx, h)
-		h.maybeFinishU(ctx)
-	case tagUReduce:
-		d := m.Data.(*sumMsg)
-		h.st.uRecvLeft--
-		addWire(h.getSum(sweepU, d.K), &d.W)
-		h.contribution(ctx, sweepU, d.K, h.gp.UReduce[d.K])
-		h.drainReadyX(ctx, h)
-		h.maybeFinishU(ctx)
 	}
 }
 
-// ---- L phase ----
-
-// onY handles a received (or locally computed) y(K): forward along the
-// broadcast tree and apply my column-K blocks.
-func (h *new3dRank) onY(ctx *runtime.Ctx, k int, yk *sparse.Panel) {
-	h.bcast(ctx, sweepL, k, yk)
-	for _, blk := range h.colL[k] {
-		secs := h.applyLBlock(blk, k, yk)
-		ctx.ComputeT(TagApplyL, secs, nil)
-		h.contribution(ctx, sweepL, blk.I, h.gp.LReduce[blk.I])
+// onSolved handles a received (or locally computed) solution y(K) or x(K)
+// of sweep sw: forward it along the broadcast tree and apply my column-K
+// blocks.
+func (h *new3dRank) onSolved(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
+	h.bcast(ctx, sw, k, v)
+	red := h.gp.Reduce[sw]
+	if sw == sweepL {
+		for _, blk := range h.colL[k] {
+			ctx.ComputeT(TagApplyL, h.applyLBlock(blk, k, v), nil)
+			h.contribution(ctx, sw, blk.I, red[blk.I])
+		}
+		return
+	}
+	for _, ref := range h.colU[k] {
+		ctx.ComputeT(TagApplyU, h.applyUBlock(ref, k, v), nil)
+		h.contribution(ctx, sw, ref.I, red[ref.I])
 	}
 }
-
-// bcastTag is each sweep's broadcast-tree message tag.
-var bcastTag = [2]int{tagYBcast, tagXBcast}
 
 // bcast forwards a solved subvector of sweep sw down the supernode's
 // broadcast tree, packing it once and reusing the wire form for every
@@ -169,7 +150,7 @@ func (h *new3dRank) bcast(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
 	for _, child := range children {
 		ctx.Send(runtime.Msg{
 			Dst: h.p.GlobalRank(h.z, int(child)), Tag: bcastTag[sw], Cat: runtime.CatXY,
-			Data: &yMsg{K: k, W: w}, Bytes: bytes,
+			Data: &panelMsg{K: k, W: w}, Bytes: bytes,
 		})
 	}
 }
@@ -178,22 +159,39 @@ func (h *new3dRank) bcast(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
 // the grid that owns K's path node (Alg. 1 lines 4–10).
 func (h *new3dRank) keepB(k int) bool { return h.gp.OwnerGridOfSn(k) == h.z }
 
-// solveY performs one L-phase diagonal solve and its follow-ups
+// solve performs one diagonal solve of sweep sw and its follow-ups
 // (diagSolver, driven by the shared ready-queue drain).
-func (h *new3dRank) solveY(ctx *runtime.Ctx, k int) {
-	yk, secs := h.solveYPanel(k, h.keepB(k))
-	ctx.ComputeT(TagDiagSolveL, secs, nil)
-	h.st.y.set(k, yk)
-	h.onY(ctx, k, yk)
+func (h *new3dRank) solve(ctx *runtime.Ctx, sw, k int) {
+	v, secs := h.solvePanel(sw, k, h.keepB(k))
+	ctx.ComputeT(diagTag[sw], secs, nil)
+	h.onSolved(ctx, sw, k, v)
 }
 
-func (h *new3dRank) maybeFinishL(ctx *runtime.Ctx) {
+// startSweep opens sweep sw: every owned diagonal with no pending
+// contribution is solvable at once.
+func (h *new3dRank) startSweep(ctx *runtime.Ctx, sw int) {
+	for _, k := range h.myDiagSns {
+		if h.pendingOf(sw, k) == 0 {
+			h.enqueue(sw, k)
+		}
+	}
+	h.drainReady(ctx, h, sw)
+	h.maybeFinish(ctx, sw)
+}
+
+// maybeFinish closes sweep sw's phase once every expected message has
+// arrived and no row is left to solve; closing the L sweep starts the
+// inter-grid allreduce.
+func (h *new3dRank) maybeFinish(ctx *runtime.Ctx, sw int) {
 	st := h.st
-	if st.phase != 0 || st.lRecvLeft != 0 || len(st.readyY) != 0 {
+	if st.phase != sweepPhase(sw) || st.recvLeft[sw] != 0 || len(st.ready[sw]) != 0 {
 		return
 	}
-	ctx.Mark(MarkLDone)
-	st.phase = 1
+	ctx.Mark(doneMark[sw])
+	st.phase++
+	if sw == sweepU {
+		return
+	}
 	if h.naive {
 		h.nar = newNaiveAR(&h.rankCore)
 		if h.nar.begin(ctx) {
@@ -208,46 +206,8 @@ func (h *new3dRank) maybeFinishL(ctx *runtime.Ctx) {
 
 func (h *new3dRank) finishAR(ctx *runtime.Ctx) {
 	ctx.Mark(MarkZDone)
-	st := h.st
-	st.phase = 2
-	for _, k := range h.myDiagSns {
-		if h.pendingOf(sweepU, k) == 0 {
-			h.enqueueX(k)
-		}
-	}
-	h.drainReadyX(ctx, h)
-	h.maybeFinishU(ctx)
-}
-
-// ---- U phase ----
-
-func (h *new3dRank) onX(ctx *runtime.Ctx, k int, xk *sparse.Panel) {
-	h.bcast(ctx, sweepU, k, xk)
-	for _, ref := range h.colU[k] {
-		secs := h.applyUBlock(ref, k, xk)
-		ctx.ComputeT(TagApplyU, secs, nil)
-		h.contribution(ctx, sweepU, ref.I, h.gp.UReduce[ref.I])
-	}
-}
-
-// solveX performs one U-phase diagonal solve and its follow-ups.
-func (h *new3dRank) solveX(ctx *runtime.Ctx, k int) {
-	xk, secs := h.solveXPanel(k)
-	ctx.ComputeT(TagDiagSolveU, secs, nil)
-	h.st.xl.set(k, xk)
-	if h.gp.OwnerGridOfSn(k) == h.z {
-		h.writeX(k, xk)
-	}
-	h.onX(ctx, k, xk)
-}
-
-func (h *new3dRank) maybeFinishU(ctx *runtime.Ctx) {
-	st := h.st
-	if st.phase != 2 || st.uRecvLeft != 0 || len(st.readyX) != 0 {
-		return
-	}
-	ctx.Mark(MarkUDone)
-	st.phase = 3
+	h.st.phase = 2
+	h.startSweep(ctx, sweepU)
 }
 
 // ---- elastic forcing ----
@@ -260,7 +220,7 @@ func (h *new3dRank) maybeFinishU(ctx *runtime.Ctx) {
 // row solved without all its contributions is recorded stale.
 func (h *new3dRank) forceStale(ctx *runtime.Ctx, phase int) {
 	if h.st.phase == 0 {
-		h.forceL(ctx)
+		h.force(ctx, sweepL)
 	}
 	// Each closure can admit messages that arrived ahead of their phase;
 	// consume them before declaring the next phase's inputs missing.
@@ -276,39 +236,24 @@ func (h *new3dRank) forceStale(ctx *runtime.Ctx, phase int) {
 		h.drainDeferred(ctx, h)
 	}
 	if phase >= 2 && h.st.phase == 2 {
-		h.forceU(ctx)
+		h.force(ctx, sweepU)
 	}
 }
 
-// forceL closes the L phase: every unsolved diagonal row of this rank is
-// solved with its current (incomplete) partial sums — missing
+// force closes sweep sw's phase: every unsolved diagonal row of this rank
+// is solved with its current (incomplete) partial sums — missing
 // contributions read as zero — and the outstanding receive budget is
 // dropped. myDiagSns ascends, so the forced solve order is deterministic.
-func (h *new3dRank) forceL(ctx *runtime.Ctx) {
+func (h *new3dRank) force(ctx *runtime.Ctx, sw int) {
 	st := h.st
 	for _, k := range h.myDiagSns {
-		if st.y.get(k) == nil {
-			h.markStale(sweepL, k)
-			h.zeroPending(sweepL, k)
-			st.enqueueY(k)
+		if st.sol[sw].get(k) == nil {
+			h.markStale(sw, k)
+			h.zeroPending(sw, k)
+			h.enqueue(sw, k)
 		}
 	}
-	st.lRecvLeft = 0
-	h.drainReadyY(ctx, h)
-	h.maybeFinishL(ctx)
-}
-
-// forceU mirrors forceL for the U phase.
-func (h *new3dRank) forceU(ctx *runtime.Ctx) {
-	st := h.st
-	for _, k := range h.myDiagSns {
-		if st.xl.get(k) == nil {
-			h.markStale(sweepU, k)
-			h.zeroPending(sweepU, k)
-			h.enqueueX(k)
-		}
-	}
-	st.uRecvLeft = 0
-	h.drainReadyX(ctx, h)
-	h.maybeFinishU(ctx)
+	st.recvLeft[sw] = 0
+	h.drainReady(ctx, h, sw)
+	h.maybeFinish(ctx, sw)
 }

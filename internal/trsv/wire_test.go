@@ -175,9 +175,7 @@ func recountMsg(m runtime.Msg) (int, bool) {
 		return wireHdrBytes + wireIdxBytes*len(w.RowIdx) + 8*len(w.Vals)
 	}
 	switch d := m.Data.(type) {
-	case *yMsg:
-		return wireEnvBytes + entry(&d.W), true
-	case *sumMsg:
+	case *panelMsg:
 		return wireEnvBytes + entry(&d.W), true
 	case *groupMsg:
 		return wireEnvBytes + entry(&d.W), true
@@ -266,11 +264,7 @@ func (db *denseWireBackend) Run(n int, net runtime.Network, f func(int) runtime.
 func (db *denseWireBackend) densify(m runtime.Msg) runtime.Msg {
 	out := m
 	switch d := m.Data.(type) {
-	case *yMsg:
-		c := *d
-		c.W = denseWire(&d.W)
-		out.Data = &c
-	case *sumMsg:
+	case *panelMsg:
 		c := *d
 		c.W = denseWire(&d.W)
 		out.Data = &c

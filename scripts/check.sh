@@ -22,6 +22,9 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== perfbench module (des-fig4 pinned to BENCH_SPTRSV.json) =="
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go test -race -count=2 (tuner + solver concurrency stress) =="
 go test -race -count=2 ./internal/tune ./internal/core
 
