@@ -77,6 +77,10 @@ type coalescer struct {
 	pending []*request
 	timer   Timer
 	gen     uint64 // flush generation; stale timer callbacks no-op
+	// detached is set by drain: the coalescer was unlinked from its handle
+	// (slot eviction, handle removal) or Shutdown has begun, so no later
+	// drain pass can reach it.
+	detached bool
 }
 
 func newCoalescer(s *Server, solver *core.Solver) *coalescer {
@@ -89,14 +93,15 @@ func newCoalescer(s *Server, solver *core.Solver) *coalescer {
 }
 
 // add enqueues one admitted request, arming the max-wait timer on the
-// first request of a batch and flushing immediately at max-batch. Once
-// Shutdown has begun it flushes immediately too: admission precedes the
-// solver build and this call, so the request may have missed Shutdown's
-// drain pass and no timer would flush it before MaxWait.
+// first request of a batch and flushing immediately at max-batch. Once the
+// coalescer is drained or Shutdown has begun it flushes immediately too: a
+// request that looked its slot up before an eviction, or was admitted
+// before Shutdown, may arrive after the drain that was its last chance, and
+// no timer would flush it before MaxWait.
 func (c *coalescer) add(r *request) {
 	c.mu.Lock()
 	c.pending = append(c.pending, r)
-	if c.s.admit.isDraining() {
+	if c.detached || c.s.admit.isDraining() {
 		batch := c.takeLocked()
 		c.mu.Unlock()
 		c.s.metrics.flushes.With("drain").Inc()
@@ -133,10 +138,12 @@ func (c *coalescer) timerFlush(gen uint64) {
 	go c.run(batch)
 }
 
-// drain flushes whatever is pending right now (shutdown path). It returns
-// how many requests it flushed.
+// drain flushes whatever is pending right now (shutdown, eviction and
+// removal paths) and detaches the coalescer, so later adds flush at once.
+// It returns how many requests it flushed.
 func (c *coalescer) drain() int {
 	c.mu.Lock()
+	c.detached = true
 	if len(c.pending) == 0 {
 		c.mu.Unlock()
 		return 0

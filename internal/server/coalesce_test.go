@@ -290,6 +290,34 @@ func TestShutdownReachesUnlinkedBatches(t *testing.T) {
 	}
 }
 
+// TestAddAfterEvictionDrainFlushes is the eviction twin of
+// TestCoalesceAddAfterDrainFlushes: a request looks its slot up, the slot
+// is evicted (draining its empty coalescer), and only then does the
+// request reach the coalescer. Nothing links the coalescer any more, so
+// it must flush at once; with MaxWait an hour the test would otherwise
+// block until its timeout.
+func TestAddAfterEvictionDrainFlushes(t *testing.T) {
+	s, _, h, slot := newTestServer(t, func(o *Options) { o.MaxWait = time.Hour })
+	later := s.clock.Now().Add(time.Second)
+	for i := 0; i < maxSlotsPerHandle; i++ {
+		h.slot(fmt.Sprintf("other-%d", i), later)
+	}
+	r := submit(t, s, slot, rhs(h.N, 0), nil)
+	select {
+	case res := <-r.done:
+		if res.err != nil {
+			t.Fatalf("request added after the eviction drain: %v", res.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("request added after the eviction drain parked until MaxWait")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
 func TestCoalesceStaleTimerIsHarmless(t *testing.T) {
 	s, fc, h, slot := newTestServer(t, func(o *Options) { o.MaxBatch = 2 })
 	// Fill to max-batch: flush happens immediately, but the max-wait timer

@@ -185,71 +185,86 @@ func lowerBound(a []int, x int) int {
 // SolveL performs the serial supernodal forward solve L·y = b, the
 // reference implementation of Eq. (1).
 func (m *Matrix) SolveL(b *sparse.Panel) *sparse.Panel {
-	nrhs := b.Cols
 	y := b.Clone()
-	for k := 0; k < m.SnCount; k++ {
-		bk, ek := m.SnBegin[k], m.SnBegin[k+1]
-		w := ek - bk
-		// y(K) = inv(L(K,K)) · rhs(K)
-		rhs := sparse.NewPanel(w, nrhs)
-		for j := 0; j < nrhs; j++ {
-			copy(rhs.Col(j), y.Col(j)[bk:ek])
-		}
-		yk := sparse.NewPanel(w, nrhs)
-		sparse.GemmAdd(m.LDiagInv[k], rhs, yk)
-		for j := 0; j < nrhs; j++ {
-			copy(y.Col(j)[bk:ek], yk.Col(j))
-		}
-		// lsum updates: y(rows) -= L(I,K)·y(K)
-		for _, blk := range m.LBlocks[k] {
-			prod := sparse.NewPanel(len(blk.Rows), nrhs)
-			sparse.GemmAdd(blk.Val, yk, prod)
-			for j := 0; j < nrhs; j++ {
-				col := y.Col(j)
-				pc := prod.Col(j)
-				for t, r := range blk.Rows {
-					col[r] -= pc[t]
-				}
-			}
-		}
-	}
+	m.solveL(y, m.scratch(y.Cols))
 	return y
 }
 
 // SolveU performs the serial supernodal backward solve U·x = y, the
 // reference implementation of Eq. (2).
 func (m *Matrix) SolveU(y *sparse.Panel) *sparse.Panel {
-	nrhs := y.Cols
 	x := y.Clone()
-	for k := m.SnCount - 1; k >= 0; k-- {
-		bk, ek := m.SnBegin[k], m.SnBegin[k+1]
-		w := ek - bk
-		rhs := sparse.NewPanel(w, nrhs)
-		for j := 0; j < nrhs; j++ {
-			copy(rhs.Col(j), x.Col(j)[bk:ek])
-		}
-		// rhs(K) -= U(K,J)·x(J) over all blocks to the right.
-		for _, blk := range m.UBlocks[k] {
-			xj := sparse.NewPanel(len(blk.Cols), nrhs)
-			for j := 0; j < nrhs; j++ {
-				col := x.Col(j)
-				xc := xj.Col(j)
-				for t, c := range blk.Cols {
-					xc[t] = col[c]
-				}
-			}
-			sparse.GemmSub(blk.Val, xj, rhs)
-		}
-		xk := sparse.NewPanel(w, nrhs)
-		sparse.GemmAdd(m.UDiagInv[k], rhs, xk)
-		for j := 0; j < nrhs; j++ {
-			copy(x.Col(j)[bk:ek], xk.Col(j))
-		}
-	}
+	m.solveU(x, m.scratch(x.Cols))
 	return x
 }
 
 // Solve runs the forward then backward solve: x = U⁻¹ L⁻¹ b.
 func (m *Matrix) Solve(b *sparse.Panel) *sparse.Panel {
-	return m.SolveU(m.SolveL(b))
+	x := b.Clone()
+	buf := m.scratch(x.Cols)
+	m.solveL(x, buf)
+	m.solveU(x, buf)
+	return x
+}
+
+// scratch returns the working storage of a sweep, reused by every
+// supernode: a right-hand-side half and a product half, each sized for the
+// widest supernode.
+func (m *Matrix) scratch(nrhs int) []float64 {
+	w := 0
+	for k := 0; k < m.SnCount; k++ {
+		w = max(w, m.SnWidth(k))
+	}
+	return make([]float64, 2*w*nrhs)
+}
+
+// supernodeRHS copies supernode k's rows of v into the right-hand-side
+// half of buf and returns them as a width×nrhs panel.
+func (m *Matrix) supernodeRHS(k int, v *sparse.Panel, buf []float64) sparse.Panel {
+	bk, ek := m.SnBegin[k], m.SnBegin[k+1]
+	rhs := sparse.Panel{Rows: ek - bk, Cols: v.Cols, Data: buf[:(ek-bk)*v.Cols]}
+	for j := 0; j < v.Cols; j++ {
+		copy(rhs.Col(j), v.Col(j)[bk:ek])
+	}
+	return rhs
+}
+
+// diagSolve computes inv·rhs from +0 into the product half of buf, writes
+// it over supernode k's rows of v, and returns it.
+func (m *Matrix) diagSolve(k int, inv, rhs, v *sparse.Panel, buf []float64) sparse.Panel {
+	h, bk := len(buf)/2, m.SnBegin[k]
+	out := sparse.Panel{Rows: rhs.Rows, Cols: rhs.Cols, Data: buf[h : h+len(rhs.Data)]}
+	clear(out.Data)
+	sparse.GemmAdd(inv, rhs, &out)
+	for j := 0; j < out.Cols; j++ {
+		copy(v.Col(j)[bk:bk+out.Rows], out.Col(j))
+	}
+	return out
+}
+
+// solveL overwrites y with L⁻¹·y: per supernode, y(K) = inv(L(K,K))·y(K),
+// then y(rows) −= L(I,K)·y(K) for every block below it.
+func (m *Matrix) solveL(y *sparse.Panel, buf []float64) {
+	for k := 0; k < m.SnCount; k++ {
+		rhs := m.supernodeRHS(k, y, buf)
+		yk := m.diagSolve(k, m.LDiagInv[k], &rhs, y, buf)
+		for i := range m.LBlocks[k] {
+			blk := &m.LBlocks[k][i]
+			sparse.GemmScatter(blk.Val, &yk, blk.Rows, 0, y, true)
+		}
+	}
+}
+
+// solveU overwrites x with U⁻¹·x: per supernode from the last, x(K) −=
+// U(K,J)·x(J) over every block to its right, then x(K) =
+// inv(U(K,K))·x(K).
+func (m *Matrix) solveU(x *sparse.Panel, buf []float64) {
+	for k := m.SnCount - 1; k >= 0; k-- {
+		rhs := m.supernodeRHS(k, x, buf)
+		for i := range m.UBlocks[k] {
+			blk := &m.UBlocks[k][i]
+			sparse.GemmGather(blk.Val, x, blk.Cols, 0, &rhs, true)
+		}
+		m.diagSolve(k, m.UDiagInv[k], &rhs, x, buf)
+	}
 }

@@ -1,6 +1,7 @@
 package snode
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -132,13 +133,7 @@ func TestSolveSuiteResiduals(t *testing.T) {
 		if mat.A.N > 1500 {
 			continue
 		}
-		tr := order.NestedDissection(mat.A, 2)
-		ap := mat.A.Permute(tr.Perm)
-		var bounds []int
-		for _, nd := range tr.Nodes {
-			bounds = append(bounds, nd.Begin, nd.End, nd.SubBegin)
-		}
-		_, m := build(t, ap, symbolic.Options{Boundaries: bounds})
+		ap, m := ndSystem(t, mat.A, 2)
 		b := randomPanel(rng, mat.A.N, 2)
 		x := m.Solve(b)
 		if r := sparse.ResidualInf(ap, x, b); r > 1e-7 {
@@ -178,7 +173,8 @@ func TestDiagInversesShape(t *testing.T) {
 }
 
 func TestDenseKernels(t *testing.T) {
-	// GemmAdd/Sub and triangular inverses on a hand-checked example.
+	// GemmAdd, subtracting GemmGather and triangular inverses on a
+	// hand-checked example.
 	aT := sparse.NewPanel(2, 2)
 	aT.Set(0, 0, 1)
 	aT.Set(1, 0, 2)
@@ -201,10 +197,10 @@ func TestDenseKernels(t *testing.T) {
 	if c.At(0, 0) != 1 || c.At(1, 1) != 1 || c.At(0, 1) != 0 || c.At(1, 0) != 0 {
 		t.Fatalf("U·U⁻¹ != I: %+v", c.Data)
 	}
-	sparse.GemmSub(u, uinv, c)
+	sparse.GemmGather(u, uinv, []int{0, 1}, 0, c, true)
 	for _, v := range c.Data {
 		if v != 0 {
-			t.Fatalf("GemmSub failed to cancel: %+v", c.Data)
+			t.Fatalf("subtracting GemmGather failed to cancel: %+v", c.Data)
 		}
 	}
 }
@@ -246,5 +242,147 @@ func TestTriangularInversesRandomProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refGemm is the block kernel the serial sweeps were written against:
+// C += A·B, or C −= A·B with sub, by a j-l-i triple loop that skips zero B
+// entries.
+func refGemm(a, b, c *sparse.Panel, sub bool) {
+	for j := 0; j < b.Cols; j++ {
+		for l := 0; l < a.Cols; l++ {
+			blj := b.At(l, j)
+			if blj == 0 {
+				continue
+			}
+			for i := 0; i < a.Rows; i++ {
+				if sub {
+					c.Set(i, j, c.At(i, j)-a.At(i, l)*blj)
+				} else {
+					c.Set(i, j, c.At(i, j)+a.At(i, l)*blj)
+				}
+			}
+		}
+	}
+}
+
+// oracleSolveL is the forward sweep as first written, with fresh panels
+// per supernode and per block: the bitwise oracle of SolveL.
+func oracleSolveL(m *Matrix, b *sparse.Panel) *sparse.Panel {
+	nrhs := b.Cols
+	y := b.Clone()
+	for k := 0; k < m.SnCount; k++ {
+		bk, ek := m.SnBegin[k], m.SnBegin[k+1]
+		w := ek - bk
+		rhs := sparse.NewPanel(w, nrhs)
+		for j := 0; j < nrhs; j++ {
+			copy(rhs.Col(j), y.Col(j)[bk:ek])
+		}
+		yk := sparse.NewPanel(w, nrhs)
+		refGemm(m.LDiagInv[k], rhs, yk, false)
+		for j := 0; j < nrhs; j++ {
+			copy(y.Col(j)[bk:ek], yk.Col(j))
+		}
+		for _, blk := range m.LBlocks[k] {
+			prod := sparse.NewPanel(len(blk.Rows), nrhs)
+			refGemm(blk.Val, yk, prod, false)
+			for j := 0; j < nrhs; j++ {
+				col := y.Col(j)
+				pc := prod.Col(j)
+				for t, r := range blk.Rows {
+					col[r] -= pc[t]
+				}
+			}
+		}
+	}
+	return y
+}
+
+// oracleSolveU is the backward sweep as first written: the bitwise oracle
+// of SolveU.
+func oracleSolveU(m *Matrix, y *sparse.Panel) *sparse.Panel {
+	nrhs := y.Cols
+	x := y.Clone()
+	for k := m.SnCount - 1; k >= 0; k-- {
+		bk, ek := m.SnBegin[k], m.SnBegin[k+1]
+		w := ek - bk
+		rhs := sparse.NewPanel(w, nrhs)
+		for j := 0; j < nrhs; j++ {
+			copy(rhs.Col(j), x.Col(j)[bk:ek])
+		}
+		for _, blk := range m.UBlocks[k] {
+			xj := sparse.NewPanel(len(blk.Cols), nrhs)
+			for j := 0; j < nrhs; j++ {
+				col := x.Col(j)
+				xc := xj.Col(j)
+				for t, c := range blk.Cols {
+					xc[t] = col[c]
+				}
+			}
+			refGemm(blk.Val, xj, rhs, true)
+		}
+		xk := sparse.NewPanel(w, nrhs)
+		refGemm(m.UDiagInv[k], rhs, xk, false)
+		for j := 0; j < nrhs; j++ {
+			copy(x.Col(j)[bk:ek], xk.Col(j))
+		}
+	}
+	return x
+}
+
+// ndSystem permutes a to its nested-dissection ordering and builds the
+// supernodal factors with the separator boundaries kept, as the solver
+// factors it.
+func ndSystem(t *testing.T, a *sparse.CSR, depth int) (*sparse.CSR, *Matrix) {
+	t.Helper()
+	tr := order.NestedDissection(a, depth)
+	var bounds []int
+	for _, nd := range tr.Nodes {
+		bounds = append(bounds, nd.Begin, nd.End, nd.SubBegin)
+	}
+	ap := a.Permute(tr.Perm)
+	_, m := build(t, ap, symbolic.Options{Boundaries: bounds})
+	return ap, m
+}
+
+// TestSolveMatchesOracleBitwise pins the scratch-reusing sweeps to the
+// allocate-per-block sweeps they replaced, bit for bit, on both sweeps.
+func TestSolveMatchesOracleBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"s2d9pt", gen.S2D9pt(48, 48, 1)},
+		{"nlpkkt", gen.NLPKKTLike(10, 1)},
+	} {
+		_, m := ndSystem(t, tc.a, 5)
+		for _, nrhs := range []int{1, 3, 16} {
+			b := randomPanel(rng, tc.a.N, nrhs)
+			y, wantY := m.SolveL(b), oracleSolveL(m, b)
+			x, wantX := m.SolveU(y), oracleSolveU(m, wantY)
+			full := m.Solve(b)
+			for _, c := range []struct {
+				what      string
+				got, want *sparse.Panel
+			}{{"SolveL", y, wantY}, {"SolveU", x, wantX}, {"Solve", full, wantX}} {
+				for i, v := range c.got.Data {
+					if math.Float64bits(v) != math.Float64bits(c.want.Data[i]) {
+						t.Fatalf("%s nrhs=%d: %s element %d = %v, oracle %v", tc.name, nrhs, c.what, i, v, c.want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolveAllocsBounded pins the serial floor's allocations: Solve makes
+// its output clone (panel and data) and one scratch buffer, whatever the
+// supernode or block count.
+func TestSolveAllocsBounded(t *testing.T) {
+	_, m := ndSystem(t, gen.S2D9pt(32, 32, 1), 4)
+	b := randomPanel(rand.New(rand.NewSource(34)), m.N, 4)
+	if n := testing.AllocsPerRun(5, func() { m.Solve(b) }); n > 3 {
+		t.Fatalf("Solve allocates %v times per call, want at most 3", n)
 	}
 }

@@ -304,9 +304,8 @@ type solveState struct {
 	elArmed [3]bool
 	stale   [2]slotBits
 
-	// scratch backs the short-lived block products of scratchPanel and the
-	// serial diagonal solve's right-hand side.
-	scratch sparse.Panel
+	// rhsBuf is the serial diagonal solve's right-hand-side scratch.
+	rhsBuf []float64
 
 	// counts tallies kernel and exchange activity for the metrics registry;
 	// summed across ranks and published by SolveInto.
@@ -421,28 +420,6 @@ func (c *rankCore) enqueue(sw, k int) {
 	}
 	st.queued[sw].set(s)
 	st.ready[sw] = append(st.ready[sw], k)
-}
-
-// scratchPanel returns a zeroed rows×cols panel backed by the state's
-// reusable scratch buffer. It is valid only until the next scratch call
-// and must never escape the current handler step (be sent in a message or
-// stored in a table) — callers copy out anything they keep.
-func (st *solveState) scratchPanel(rows, cols int) *sparse.Panel {
-	p := st.scratchBuf(rows, cols)
-	clear(p.Data)
-	return p
-}
-
-// scratchBuf is scratchPanel without the zeroing, for callers that write
-// every element before reading any.
-func (st *solveState) scratchBuf(rows, cols int) *sparse.Panel {
-	n := rows * cols
-	if cap(st.scratch.Data) < n {
-		st.scratch.Data = make([]float64, n)
-	}
-	st.scratch.Data = st.scratch.Data[:n]
-	st.scratch.Rows, st.scratch.Cols = rows, cols
-	return &st.scratch
 }
 
 // slotCounts refills dst with one counter per schedule slot, read from a
@@ -877,7 +854,7 @@ func (c *rankCore) solvePanel(sw, k int, keep bool) (*sparse.Panel, float64) {
 		st.pre[sw].set(k, nil)
 	} else {
 		v = c.newPanel(w)
-		if !c.diagSolve(sw, k, keep, v, &st.scratch.Data) {
+		if !c.diagSolve(sw, k, keep, v, &st.rhsBuf) {
 			panic(&fault.ProtocolError{Rank: c.rank, Phase: "U-solve",
 				Msg: fmt.Sprintf("solving x(%d) without y(%d)", k, k)})
 		}
@@ -964,8 +941,8 @@ func (c *rankCore) getSum(sw, k int) *sparse.Panel {
 	return s
 }
 
-// applyLBlock computes prod = L(I,K)·y(K) and accumulates it into lsum(I),
-// returning the modeled FP seconds of the operation.
+// applyLBlock accumulates L(I,K)·y(K) into lsum(I) through the fused
+// scatter kernel, returning the modeled FP seconds of the operation.
 //
 // The two sweeps' blocks differ in type (an L block's rows scatter into
 // lsum(I), a U block's columns gather from x(K)), so handlers walk a
@@ -975,36 +952,16 @@ func (c *rankCore) getSum(sw, k int) *sparse.Panel {
 // small and a solve applies thousands of them.
 func (c *rankCore) applyLBlock(blk *snode.LBlock, k int, yk *sparse.Panel) float64 {
 	c.st.counts.blocks[sweepL]++
-	w := c.snWidth(k)
-	prod := c.st.scratchPanel(len(blk.Rows), c.st.nrhs)
-	sparse.GemmAdd(blk.Val, yk, prod)
-	dst := c.getSum(sweepL, blk.I)
-	base := c.p.M.SnBegin[blk.I]
-	for j := 0; j < c.st.nrhs; j++ {
-		dc := dst.Col(j)
-		pc := prod.Col(j)
-		for t, row := range blk.Rows {
-			dc[row-base] += pc[t]
-		}
-	}
-	return c.model.GemmTime(len(blk.Rows), w, c.st.nrhs)
+	sparse.GemmScatter(blk.Val, yk, blk.Rows, c.p.M.SnBegin[blk.I], c.getSum(sweepL, blk.I), false)
+	return c.model.GemmTime(len(blk.Rows), c.snWidth(k), c.st.nrhs)
 }
 
-// applyUBlock accumulates U(I,K)·x(K) into usum(I) and returns the modeled
-// FP seconds.
+// applyUBlock accumulates U(I,K)·x(K) into usum(I), gathering the block's
+// columns from x(K) in place, and returns the modeled FP seconds.
 func (c *rankCore) applyUBlock(ref dist.UBlockRef, k int, xk *sparse.Panel) float64 {
 	c.st.counts.blocks[sweepU]++
 	blk := ref.Blk
-	base := c.p.M.SnBegin[k]
-	sub := c.st.scratchBuf(len(blk.Cols), c.st.nrhs)
-	for j := 0; j < c.st.nrhs; j++ {
-		sc := sub.Col(j)
-		xc := xk.Col(j)
-		for t, col := range blk.Cols {
-			sc[t] = xc[col-base]
-		}
-	}
-	sparse.GemmAdd(blk.Val, sub, c.getSum(sweepU, ref.I))
+	sparse.GemmGather(blk.Val, xk, blk.Cols, c.p.M.SnBegin[k], c.getSum(sweepU, ref.I), false)
 	return c.model.GemmTime(blk.Val.Rows, len(blk.Cols), c.st.nrhs)
 }
 

@@ -66,6 +66,9 @@ go test -race -count=2 \
 echo "== wire-format fuzz (bounded) =="
 go test -run '^$' -fuzz '^FuzzPackRoundTrip$' -fuzztime 10s ./internal/trsv
 
+echo "== block-kernel fuzz (bounded) =="
+go test -run '^$' -fuzz '^FuzzGemmKernels$' -fuzztime 10s ./internal/sparse
+
 echo "== go test -race -count=2 (solve service stress: clients x scrapes x cache churn) =="
 go test -race -count=2 -run 'TestServerStressRace|TestCoalesce|TestQueueFull' \
     ./internal/server ./internal/server/loadgen
