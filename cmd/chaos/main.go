@@ -17,8 +17,9 @@
 //	                                         count 0 = every match)
 //	-crash rank:seconds[,...]                kill ranks at a time
 //
-// The solver flags are internal/cliutil's, without -nrhs and -trace-cap;
-// -seeds, -deadline and -timeout are chaos's own. Every run must end in a
+// The solver flags are internal/cliutil's, without -nrhs and -trace-cap
+// (-staleness S > 0 runs every seed elastically); -seeds, -deadline and
+// -timeout are chaos's own. Every run must end in a
 // residual-verified solution or a typed fault error (fault.IsFault);
 // anything else is a robustness bug and makes chaos exit nonzero.
 package main
@@ -71,27 +72,25 @@ func run() error {
 		b.Data[i] = 1 + float64(i%7)/7
 	}
 
-	elastic := cfg.Mode.Resolve() == trsv.ModeElastic
-	fmt.Printf("plan: straggler=%v net-delay=%v jitter=%g drops=%v crash=%v, %d seed(s), %s backend, %s mode\n",
-		faults.Straggler, faults.NetDelay, faults.Jitter, faults.Drops, faults.Crash, *seeds, cf.Backend, cfg.Mode.Resolve())
+	elastic := cfg.Staleness > 0
+	fmt.Printf("plan: straggler=%v net-delay=%v jitter=%g drops=%v crash=%v, %d seed(s), %s backend, staleness %d\n",
+		faults.Straggler, faults.NetDelay, faults.Jitter, faults.Drops, faults.Crash, *seeds, cf.Backend, cfg.Staleness)
+	if _, ok := cfg.Backend.(trsv.PoolBackend); ok {
+		cfg.Backend = trsv.PoolBackend{Pool: runtime.Pool{
+			Timeout: *timeout,
+			Opts:    runtime.Options{StallTimeout: *deadline},
+		}}
+	}
+	solver, err := core.NewSolver(sys, cfg)
+	if err != nil {
+		return err
+	}
 	bad := 0
 	for seed := int64(1); seed <= int64(*seeds); seed++ {
 		plan := faults
 		plan.Seed = seed
-		if cfg.Backend == nil {
-			cfg.Faults = &plan
-		} else {
-			cfg.Backend = trsv.PoolBackend{Pool: runtime.Pool{
-				Timeout: *timeout,
-				Opts:    runtime.Options{Faults: &plan, StallTimeout: *deadline},
-			}}
-		}
-		solver, err := core.NewSolver(sys, cfg)
-		if err != nil {
-			return err
-		}
 		start := time.Now()
-		x, rep, err := solver.Solve(b)
+		x, rep, err := solver.SolveWith(b, core.SolveSpec{Faults: &plan})
 		elapsed := time.Since(start).Round(time.Millisecond)
 		switch {
 		case err == nil:

@@ -20,7 +20,8 @@
 // message-count increase, bytes beyond -bytes-tol, a vanished record) and 2
 // when the -baseline file is missing or unreadable. scripts/bench_regress
 // wraps the second form. -scale (default medium here) and the elastic
-// group, applied to every point, are internal/cliutil's.
+// group are internal/cliutil's; -staleness S > 0 runs every point
+// elastically, except the elastic sweep's, which set their own.
 package main
 
 import (
@@ -132,7 +133,7 @@ func run() error {
 		fmt.Printf("== %s (scale=%s quick=%v) ==\n", name, cf.Scale, *quick)
 		f(bench.Config{
 			Scale: scale, Quick: *quick, Verbose: *verbose, Out: w,
-			Mode: cfg.Mode, Staleness: cfg.Staleness, RefineTol: cfg.RefineTol, RefineMax: cfg.RefineMax,
+			Staleness: cfg.Staleness, RefineTol: cfg.RefineTol, RefineMax: cfg.RefineMax,
 		})
 		fmt.Printf("== %s done in %v ==\n\n", name, time.Since(t0).Round(time.Millisecond))
 		return nil

@@ -8,8 +8,8 @@
 //	matgen [-scale small|medium|large] [-matrix all|s2d9pt|...] [-factor]
 //
 // -matrix (which also takes "all"), -scale and the elastic group are
-// internal/cliutil's; elastic mode adds the L/U-depth columns that
-// calibrate -staleness.
+// internal/cliutil's; -staleness S > 0 adds the L/U-depth columns that
+// calibrate S.
 package main
 
 import (
@@ -27,7 +27,6 @@ import (
 	"sptrsv/internal/gen"
 	"sptrsv/internal/grid"
 	"sptrsv/internal/sched"
-	"sptrsv/internal/trsv"
 )
 
 var (
@@ -48,11 +47,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Elastic mode is about dependency levels, so report the structural
+	// The staleness bound counts dependency levels, so report the structural
 	// quantity the staleness bound S is measured against: the L- and
 	// U-sweep dependency depths (from a 1x1x1 plan — depths are a property
 	// of the factors, not of any particular process grid).
-	elastic := cfg.Mode.Resolve() == trsv.ModeElastic && *factored
+	elastic := cfg.Staleness > 0 && *factored
 
 	names := gen.SuiteNames()
 	if cf.Matrix != "all" {

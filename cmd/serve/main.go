@@ -18,7 +18,9 @@
 //	     -d '{"b":[1,1,...]}' http://127.0.0.1:8080/v1/matrices/<handle>/solve
 //
 // -machine, -backend, the elastic group and -trace-cap are
-// internal/cliutil's and set the default solve configuration.
+// internal/cliutil's and set the default solve configuration: -staleness
+// S > 0 makes elastic solves the default, and a request's
+// config.staleness overrides it (0 opts out).
 //
 // On SIGINT/SIGTERM the service shuts down gracefully: admission stops
 // (new solves get 503), queued and coalescing requests drain bounded by
@@ -65,8 +67,8 @@ func main() {
 		if err != nil {
 			return err
 		}
-		opts.Machine, opts.Backend, opts.TraceCap = cfg.Machine, cfg.Backend, cfg.TraceCap
-		opts.Mode, opts.Staleness, opts.RefineTol, opts.RefineMax = cfg.Mode, cfg.Staleness, cfg.RefineTol, cfg.RefineMax
+		opts.Machine, opts.Backend, opts.TraceCap = cfg.Machine, cfg.Backend, cf.TraceCap
+		opts.Staleness, opts.RefineTol, opts.RefineMax = cfg.Staleness, cfg.RefineTol, cfg.RefineMax
 		svc, err := server.New(opts)
 		if err != nil {
 			return err

@@ -8,6 +8,7 @@
 //	       -algo proposed -trees auto -machine cori-haswell -nrhs 1
 //
 // Flags: the whole shared surface of internal/cliutil, plus -trace.
+// -staleness S > 0 solves elastically and reports the refinement.
 // gpu-single requires px=py=1 and a GPU machine model, gpu-multi py=1.
 package main
 
@@ -18,7 +19,6 @@ import (
 	"sptrsv/internal/cliutil"
 	"sptrsv/internal/core"
 	"sptrsv/internal/sparse"
-	"sptrsv/internal/trsv"
 )
 
 var (
@@ -66,7 +66,7 @@ func run() error {
 	fmt.Printf("solve time: %.6g s (%s)\n", rep.Time, cf.Backend)
 	fmt.Printf("breakdown (mean/rank): FP %.3g s, XY-comm %.3g s, Z-comm %.3g s\n",
 		rep.MeanFP, rep.MeanXY, rep.MeanZ)
-	if cfg.Mode.Resolve() == trsv.ModeElastic {
+	if cfg.Staleness > 0 {
 		fmt.Printf("elastic: S=%d, %d stale supernodes, %d refinement passes, verified residual %.3g\n",
 			cf.Staleness, rep.StaleSupernodes, rep.RefinePasses, rep.Residual)
 	}

@@ -13,7 +13,7 @@
 //	      -algo proposed -machine cori-haswell -o trace.json -top 5
 //
 // Flags: the shared surface of internal/cliutil except -backend, plus -o
-// and -top.
+// and -top. -staleness S > 0 traces an elastic solve.
 package main
 
 import (
@@ -61,7 +61,7 @@ func run() error {
 	}
 	fmt.Printf("layout %dx%dx%d, %s, %s model: solve time %.6g s, residual %.3g\n",
 		cf.Px, cf.Py, cf.Pz, cf.Algo, cf.Machine, rep.Time, solver.Residual(x, b))
-	if cfg.Mode.Resolve() == trsv.ModeElastic {
+	if cfg.Staleness > 0 {
 		fmt.Printf("elastic: S=%d, %d stale supernodes, %d refinement passes, verified residual %.3g\n",
 			cf.Staleness, rep.StaleSupernodes, rep.RefinePasses, rep.Residual)
 	}

@@ -10,8 +10,8 @@
 // With -cache DIR the tuned choice is persisted: a second run with the
 // same matrix fingerprint, machine, rank budget, and nrhs class is served
 // from the cache with zero probe solves. Shared flags (internal/cliutil):
-// the matrix source, -machine, -nrhs, and the elastic group, stamped on
-// the tuned config.
+// the matrix source, -machine, -nrhs, and the elastic group (-staleness S,
+// -refine-tol, -refine-max), stamped on the tuned config.
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 
 	"sptrsv/internal/cliutil"
 	"sptrsv/internal/core"
-	"sptrsv/internal/trsv"
 	"sptrsv/internal/tune"
 )
 
@@ -48,7 +47,7 @@ func run() error {
 
 	opt := tune.Options{
 		NRHS: cf.NRHS, TopK: *topk, Workers: *workers,
-		Mode: cfg.Mode, Staleness: cfg.Staleness, RefineTol: cfg.RefineTol, RefineMax: cfg.RefineMax,
+		Staleness: cfg.Staleness, RefineTol: cfg.RefineTol, RefineMax: cfg.RefineMax,
 	}
 	if *cacheDir != "" {
 		if opt.Cache, err = tune.OpenCache(*cacheDir); err != nil {
@@ -65,8 +64,8 @@ func run() error {
 		source = "served from cache, zero probe solves"
 	}
 	fmt.Printf("tuned for p=%d on %s, nrhs=%d (%s)\n", *p, cfg.Machine.Name, cf.NRHS, source)
-	if cfg.Mode.Resolve() == trsv.ModeElastic {
-		fmt.Printf("solve mode: elastic (S=%d, refine-tol %g, refine-max %d) stamped on both configs\n",
+	if cfg.Staleness > 0 {
+		fmt.Printf("elastic solve (S=%d, refine-tol %g, refine-max %d) stamped on both configs\n",
 			cfg.Staleness, cfg.RefineTol, cfg.RefineMax)
 	}
 	fmt.Printf("chosen:  %-12s %dx%dx%d trees=%-6s  predicted makespan %.6g s\n",

@@ -34,13 +34,12 @@ type Config struct {
 	// Verbose echoes progress lines to Out while sweeping.
 	Verbose bool
 	Out     io.Writer
-	// Mode, Staleness, RefineTol, and RefineMax select the solve mode every
-	// experiment point runs in (strict when zero). Fault-free sweeps are
-	// bit-identical across modes, so regenerating a figure under
-	// Mode=elastic is a cheap end-to-end check that elasticity is overhead-
-	// free when healthy. Points that set their own mode (the elasticity
-	// sweep) ignore these.
-	Mode      trsv.SolveMode
+	// Staleness, RefineTol, and RefineMax are the elastic group every
+	// experiment point runs under (strict when Staleness is 0). Fault-free
+	// sweeps are bit-identical to strict at any staleness, so
+	// regenerating a figure with Staleness > 0 is a cheap end-to-end check
+	// that elasticity is overhead-free when healthy. The elasticity sweep
+	// sets its own staleness per point and ignores these.
 	Staleness int
 	RefineTol float64
 	RefineMax int
@@ -115,11 +114,9 @@ type runCfg struct {
 	model   *machine.Model
 	nrhs    int
 	backend trsv.Backend
-	// mode (with staleness/refineTol/refineMax) selects strict or elastic
-	// execution; auto inherits the lab Config's mode group.
-	mode                 trsv.SolveMode
-	staleness, refineMax int
-	refineTol            float64
+	// staleness, when positive, is the point's own staleness bound; 0
+	// inherits the lab Config's elastic group.
+	staleness int
 }
 
 // run solves once and returns the report, verifying the residual: every
@@ -131,14 +128,13 @@ func (l *lab) run(name string, rc runCfg) *core.Report {
 	if rc.backend == nil {
 		rc.backend = trsv.SimBackend{}
 	}
-	if rc.mode == trsv.ModeAuto {
-		rc.mode, rc.staleness = l.cfg.Mode, l.cfg.Staleness
-		rc.refineTol, rc.refineMax = l.cfg.RefineTol, l.cfg.RefineMax
+	if rc.staleness == 0 {
+		rc.staleness = l.cfg.Staleness
 	}
 	// The backend is part of the key: a traced and an untraced solver for
 	// the same configuration must not share a cache slot.
-	key := fmt.Sprintf("%s/%+v/%v/%v/%s/%d/%+v/%v-%d-%g-%d", name, rc.layout, rc.algo, rc.trees, rc.model.Name, rc.nrhs, rc.backend,
-		rc.mode, rc.staleness, rc.refineTol, rc.refineMax)
+	key := fmt.Sprintf("%s/%+v/%v/%v/%s/%d/%+v/%d-%g-%d", name, rc.layout, rc.algo, rc.trees, rc.model.Name, rc.nrhs, rc.backend,
+		rc.staleness, l.cfg.RefineTol, l.cfg.RefineMax)
 	solver := l.solvers[key]
 	if solver == nil {
 		var err error
@@ -148,10 +144,9 @@ func (l *lab) run(name string, rc runCfg) *core.Report {
 			Trees:     rc.trees,
 			Machine:   rc.model,
 			Backend:   rc.backend,
-			Mode:      rc.mode,
 			Staleness: rc.staleness,
-			RefineTol: rc.refineTol,
-			RefineMax: rc.refineMax,
+			RefineTol: l.cfg.RefineTol,
+			RefineMax: l.cfg.RefineMax,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("bench: solver %s %+v: %v", name, rc.layout, err))

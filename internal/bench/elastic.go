@@ -70,6 +70,10 @@ func elasticStaleness(quick bool) []int {
 // also the end-to-end proof of the "verified solution or typed fault"
 // contract under elasticity.
 func ElasticSweep(cfg Config) []ElasticPoint {
+	// Each point names its own staleness: strict points must run strict
+	// whatever elastic group the caller passed, and elastic points refine
+	// to the default tolerance.
+	cfg.Staleness, cfg.RefineTol, cfg.RefineMax = 0, 0, 0
 	l := newLab(cfg)
 	model := machine.CoriHaswell()
 	matrix := "s2d9pt"
@@ -101,7 +105,7 @@ func ElasticSweep(cfg Config) []ElasticPoint {
 			cfg.logf("elastic %s %s P=%d Pz=%d delay=%gms strict", matrix, a.name, p, pz, d*1e3)
 			strict := l.run(matrix, runCfg{
 				layout: layout, algo: a.algo, trees: a.trees, model: model, nrhs: 1,
-				backend: back, mode: trsv.ModeStrict,
+				backend: back,
 			})
 			pts = append(pts, ElasticPoint{
 				Matrix: matrix, Algo: a.name, P: p, Pz: pz, DelayMS: d * 1e3,
@@ -111,7 +115,7 @@ func ElasticSweep(cfg Config) []ElasticPoint {
 				cfg.logf("elastic %s %s P=%d Pz=%d delay=%gms S=%d", matrix, a.name, p, pz, d*1e3, s)
 				el := l.run(matrix, runCfg{
 					layout: layout, algo: a.algo, trees: a.trees, model: model, nrhs: 1,
-					backend: back, mode: trsv.ModeElastic, staleness: s,
+					backend: back, staleness: s,
 				})
 				pts = append(pts, ElasticPoint{
 					Matrix: matrix, Algo: a.name, P: p, Pz: pz, DelayMS: d * 1e3,

@@ -1,6 +1,6 @@
 // Package cliutil is the flag surface and exit path every command in cmd/
 // shares. ConfigFlags declares the solver configuration — matrix source,
-// layout, machine, backend, elastic mode, right-hand sides, trace capacity
+// layout, machine, backend, elastic bounds, right-hand sides, trace capacity
 // — once, with one help text, one default and one validation path per
 // flag; each command binds the groups it uses and declares only the flags
 // of its own verb. Main runs a command and maps its outcome onto the
@@ -91,7 +91,7 @@ const (
 	Layout                     // -px, -py, -pz, -algo, -trees
 	Machine                    // -machine
 	Backend                    // -backend
-	Elastic                    // -mode, -staleness, -refine-tol, -refine-max
+	Elastic                    // -staleness, -refine-tol, -refine-max
 	NRHS                       // -nrhs
 	TraceCap                   // -trace-cap
 
@@ -111,8 +111,7 @@ var (
 		"gpu-multi":       trsv.GPUMulti,
 		"naive-allreduce": trsv.Proposed3DNaiveAR,
 	}
-	treeKinds  = map[string]ctree.Kind{"flat": ctree.Flat, "binary": ctree.Binary, "auto": ctree.Auto}
-	solveModes = map[string]trsv.SolveMode{"auto": trsv.ModeAuto, "strict": trsv.ModeStrict, "elastic": trsv.ModeElastic}
+	treeKinds = map[string]ctree.Kind{"flat": ctree.Flat, "binary": ctree.Binary, "auto": ctree.Auto}
 	// backends maps -backend to whether it is the goroutine pool.
 	backends = map[string]bool{"sim": false, "pool": true}
 )
@@ -144,7 +143,6 @@ type ConfigFlags struct {
 	Px, Py, Pz           int
 	Algo, Trees          string
 	Machine, Backend     string
-	Mode                 string
 	Staleness, RefineMax int
 	RefineTol            float64
 	NRHS, TraceCap       int
@@ -159,7 +157,7 @@ func NewConfigFlags() *ConfigFlags {
 	return &ConfigFlags{
 		Matrix: "s2d9pt", Scale: "small", Px: 2, Py: 2, Pz: 2,
 		Algo: "proposed", Trees: "auto", Machine: "cori-haswell", Backend: "sim",
-		Mode: "auto", Staleness: 16, NRHS: 1,
+		NRHS: 1,
 	}
 }
 
@@ -185,10 +183,9 @@ func (c *ConfigFlags) Bind(fset *flag.FlagSet, groups Group) *ConfigFlags {
 	str(Layout, &c.Trees, "trees", "communication trees: "+names(treeKinds))
 	str(Machine, &c.Machine, "machine", "machine model: "+strings.Join(machine.Names(), ", "))
 	str(Backend, &c.Backend, "backend", "backend: sim (modeled time) or pool (goroutines, wall clock)")
-	str(Elastic, &c.Mode, "mode", "solve mode: auto, strict (block on every dependency), elastic (bounded staleness + iterative refinement)")
-	num(Elastic, &c.Staleness, "staleness", "elastic mode's staleness bound S, in dependency levels")
+	num(Elastic, &c.Staleness, "staleness", "staleness bound S in dependency levels: 0 blocks on every dependency (strict), S > 0 solves elastically (bounded staleness + iterative refinement)")
 	if groups&Elastic != 0 {
-		fset.Float64Var(&c.RefineTol, "refine-tol", c.RefineTol, "elastic mode's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
+		fset.Float64Var(&c.RefineTol, "refine-tol", c.RefineTol, "elastic solve's acceptance threshold on ‖b−Ax‖∞ (0 = default 1e-8)")
 	}
 	num(Elastic, &c.RefineMax, "refine-max", "cap on elastic iterative-refinement passes (0 = default 48)")
 	num(NRHS, &c.NRHS, "nrhs", "number of right-hand sides")
@@ -200,8 +197,7 @@ func (c *ConfigFlags) Bind(fset *flag.FlagSet, groups Group) *ConfigFlags {
 // the fields of the groups it bound; the others keep valid defaults.
 func (c *ConfigFlags) Config() (core.Config, error) {
 	cfg := core.Config{
-		Layout: grid.Layout{Px: c.Px, Py: c.Py, Pz: c.Pz},
-		Trace:  c.Trace, TraceCap: c.TraceCap,
+		Layout:    grid.Layout{Px: c.Px, Py: c.Py, Pz: c.Pz},
 		Staleness: c.Staleness, RefineTol: c.RefineTol, RefineMax: c.RefineMax,
 	}
 	var err error
@@ -218,11 +214,14 @@ func (c *ConfigFlags) Config() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	if pool { // nil Config.Backend means the DES simulator
-		cfg.Backend = trsv.PoolBackend{Pool: runtime.Pool{Opts: runtime.Options{Trace: c.Trace, TraceCap: c.TraceCap}}}
+	if c.TraceCap < 0 {
+		return core.Config{}, fmt.Errorf("-trace-cap must be non-negative, got %d", c.TraceCap)
 	}
-	if cfg.Mode, err = ParseSolveMode(c.Mode); err != nil {
-		return core.Config{}, err
+	opts := runtime.Options{Trace: c.Trace, TraceCap: c.TraceCap}
+	if pool {
+		cfg.Backend = trsv.PoolBackend{Pool: runtime.Pool{Opts: opts}}
+	} else {
+		cfg.Backend = trsv.SimBackend{Opts: opts}
 	}
 	if err := CheckElastic(cfg); err != nil {
 		return core.Config{}, err
@@ -271,10 +270,9 @@ func (c *ConfigFlags) Analog(name string) (gen.Matrix, error) {
 	return gen.Named(name, scale), nil
 }
 
-// CheckElastic validates the elastic group of cfg as one unit: the bounds
-// must be non-negative, and elastic mode must come with a positive
-// staleness bound (S = 0 elastic silently degrades to strict, which is
-// never what was asked for). The CLIs and the solve service share it.
+// CheckElastic validates the elastic group of cfg as one unit: the
+// staleness and refinement bounds must be non-negative. The CLIs and the
+// solve service share it.
 func CheckElastic(cfg core.Config) error {
 	switch {
 	case cfg.Staleness < 0:
@@ -283,8 +281,6 @@ func CheckElastic(cfg core.Config) error {
 		return fmt.Errorf("refine-tol must be non-negative, got %g", cfg.RefineTol)
 	case cfg.RefineMax < 0:
 		return fmt.Errorf("refine-max must be non-negative, got %d", cfg.RefineMax)
-	case cfg.Mode.Resolve() == trsv.ModeElastic && cfg.Staleness == 0:
-		return fmt.Errorf("elastic mode requires staleness > 0, got %d", cfg.Staleness)
 	}
 	return nil
 }
@@ -292,11 +288,6 @@ func CheckElastic(cfg core.Config) error {
 // ParseAlgorithm maps the -algo vocabulary to an Algorithm.
 func ParseAlgorithm(name string) (trsv.Algorithm, error) {
 	return choose("algorithm", name, algorithms)
-}
-
-// ParseSolveMode maps the -mode vocabulary to a solve mode.
-func ParseSolveMode(name string) (trsv.SolveMode, error) {
-	return choose("solve mode", name, solveModes)
 }
 
 // ParseTrees maps the -trees vocabulary to a tree kind.

@@ -10,7 +10,6 @@ import (
 
 	"sptrsv/internal/gen"
 	"sptrsv/internal/mtx"
-	"sptrsv/internal/trsv"
 )
 
 func TestParseAlgorithm(t *testing.T) {
@@ -47,8 +46,8 @@ func TestParseTrees(t *testing.T) {
 
 // runCLI is a command the way every binary in cmd/ is one: the whole
 // configuration surface bound on a ContinueOnError FlagSet, loaded, and
-// mapped to an exit code by Run. It returns the code and what the command
-// reported.
+// mapped to an exit code by Run, as cmd/sptrsv does. It returns the code
+// and what the command reported.
 func runCLI(args ...string) (int, string) {
 	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
 	var out bytes.Buffer
@@ -56,6 +55,20 @@ func runCLI(args ...string) (int, string) {
 	cf := NewConfigFlags().Bind(fs, Solve)
 	code := Run(fs, args, func() error {
 		_, _, err := cf.Load()
+		return err
+	})
+	return code, out.String()
+}
+
+// runServe is cmd/serve's use of the surface: no matrix source, and
+// Config alone before the service starts.
+func runServe(args ...string) (int, string) {
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	var out bytes.Buffer
+	fs.SetOutput(&out)
+	cf := NewConfigFlags().Bind(fs, Machine|Backend|Elastic|TraceCap)
+	code := Run(fs, args, func() error {
+		_, err := cf.Config()
 		return err
 	})
 	return code, out.String()
@@ -96,12 +109,12 @@ func TestExitCodeContract(t *testing.T) {
 		{[]string{"-backend", "Pool"}, ExitFailure, "unknown backend \"Pool\" (want pool, sim)"},
 		{[]string{"-algo", "quantum"}, ExitFailure, "unknown algorithm \"quantum\" (want baseline, gpu-multi, gpu-single, naive-allreduce, proposed)"},
 		{[]string{"-trees", "baobab"}, ExitFailure, "unknown tree kind \"baobab\" (want auto, binary, flat)"},
-		{[]string{"-mode", "psychic"}, ExitFailure, "unknown solve mode \"psychic\" (want auto, elastic, strict)"},
-		{[]string{"-mode", "elastic", "-staleness", "0"}, ExitFailure, "elastic mode requires staleness > 0"},
+		{[]string{"-mode", "elastic"}, ExitFailure, "flag provided but not defined: -mode"},
 		{[]string{"-staleness", "-1"}, ExitFailure, "staleness must be non-negative"},
 		{[]string{"-refine-tol", "-1e-9"}, ExitFailure, "refine-tol must be non-negative"},
 		{[]string{"-refine-max", "-1"}, ExitFailure, "refine-max must be non-negative"},
 		{[]string{"-nrhs", "0"}, ExitFailure, "-nrhs must be positive"},
+		{[]string{"-trace-cap", "-5"}, ExitFailure, "-trace-cap must be non-negative"},
 		{[]string{"-mtx", missing}, ExitInput, "cmd: " + missing + ": open: no such file"},
 		{[]string{"-mtx", bad}, ExitInput, "cmd: " + bad + ": mtx: line 3"},
 	} {
@@ -111,6 +124,22 @@ func TestExitCodeContract(t *testing.T) {
 		}
 		if strings.Count(out, missing) > 1 || strings.Count(out, bad) > 1 {
 			t.Errorf("%v: path reported twice: %q", tc.args, out)
+		}
+	}
+	// The service checks the same values before it listens.
+	for _, tc := range []struct {
+		args []string
+		code int
+		msg  string
+	}{
+		{[]string{"-staleness", "4"}, 0, ""},
+		{[]string{"-trace-cap", "-5"}, ExitFailure, "-trace-cap must be non-negative"},
+		{[]string{"-staleness", "-1"}, ExitFailure, "staleness must be non-negative"},
+		{[]string{"-mode", "elastic"}, ExitFailure, "flag provided but not defined: -mode"},
+	} {
+		code, out := runServe(tc.args...)
+		if code != tc.code || !strings.Contains(out, tc.msg) {
+			t.Errorf("serve %v: exit %d, want %d; report %q, want it to contain %q", tc.args, code, tc.code, out, tc.msg)
 		}
 	}
 }
@@ -124,20 +153,20 @@ func TestBindGroups(t *testing.T) {
 	cf.Bind(fs, Scale|Elastic)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got := strings.Join(names, " "); got != "mode refine-max refine-tol scale staleness" {
+	if got := strings.Join(names, " "); got != "refine-max refine-tol scale staleness" {
 		t.Fatalf("bound flags = %q", got)
 	}
 	if fs.Lookup("scale").DefValue != "medium" {
 		t.Fatalf("-scale default = %q, want the preset medium", fs.Lookup("scale").DefValue)
 	}
-	if err := fs.Parse([]string{"-mode", "elastic", "-staleness", "4"}); err != nil {
+	if err := fs.Parse([]string{"-staleness", "4"}); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := cf.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Mode != trsv.ModeElastic || cfg.Staleness != 4 {
-		t.Fatalf("elastic group = %v S=%d", cfg.Mode, cfg.Staleness)
+	if cfg.Staleness != 4 {
+		t.Fatalf("elastic group S=%d, want 4", cfg.Staleness)
 	}
 }

@@ -84,34 +84,21 @@ type Config struct {
 	Algorithm trsv.Algorithm // Proposed3D, Baseline3D, GPUSingle, GPUMulti
 	Trees     ctree.Kind     // intra-grid communication trees (CPU algorithms)
 	Machine   *machine.Model // performance model for the simulation backend
-	Backend   trsv.Backend   // nil means the discrete-event simulator
-	// Trace enables per-rank event tracing on the default simulation
-	// backend (Report.Raw.Trace, runtime.Result.WriteTrace). Ignored when
-	// Backend is non-nil — set the backend's own Options instead.
-	Trace bool
-	// TraceCap bounds the retained events per rank when Trace is set
-	// (0 means runtime.DefaultTraceCap). Like Trace it applies to the
-	// default simulation backend only.
-	TraceCap int
-	// Faults injects deterministic faults (stragglers, jitter, drops,
-	// crashes — see fault.Plan) into solves on the default simulation
-	// backend. Like Trace, it is ignored when Backend is non-nil: set the
-	// backend's own Options instead.
-	Faults *fault.Plan
-	// Mode selects the blocking discipline: trsv.ModeStrict (the default
-	// — every cross-rank dependency blocks until it arrives) or
-	// trsv.ModeElastic (dependency waits are bounded by Staleness; ranks
-	// past the deadline proceed with stale inputs and the solve is
-	// finished by iterative refinement, see RefineTol/RefineMax).
-	Mode trsv.SolveMode
-	// Staleness is elastic mode's staleness bound S in dependency
-	// levels. S ≤ 0 disables forcing, making an elastic solve
-	// bit-identical to the strict one. Ignored under ModeStrict.
+	// Backend runs the solves and carries their runtime options (event
+	// tracing, fault injection, the pool's watchdog): nil means the
+	// discrete-event simulator with default options, trsv.SimBackend{}.
+	Backend trsv.Backend
+	// Staleness selects the blocking discipline. 0, the default, is the
+	// strict solve: every cross-rank dependency blocks until it arrives.
+	// S > 0 is the elastic (stale-synchronous) solve with staleness bound
+	// S in dependency levels: ranks past the deadline proceed with stale
+	// inputs and the solve is finished by iterative refinement (see
+	// RefineTol/RefineMax). It needs the sim or pool backend.
 	Staleness int
 	// RefineTol is the elastic-mode acceptance threshold on the true
 	// residual ‖b − A·x‖∞: after an elastic solve the Solver verifies the
 	// residual and runs iterative refinement passes until it is ≤
-	// RefineTol. 0 means 1e-8. Ignored under ModeStrict.
+	// RefineTol. 0 means 1e-8. Ignored by the strict solve.
 	RefineTol float64
 	// RefineMax caps the number of refinement passes an elastic solve
 	// may run before giving up with a typed fault.NumericalError. 0 means
@@ -120,16 +107,12 @@ type Config struct {
 	// below the default RefineTol; forced passes are cheap (their makespan
 	// is the staleness deadline, not the straggler's lateness), so a
 	// generous cap trades bounded extra modeled time for far fewer
-	// spurious non-convergence faults. Ignored under ModeStrict.
+	// spurious non-convergence faults. Ignored by the strict solve.
 	RefineMax int
 }
 
-// elastic reports whether cfg asks for stale-synchronous execution (elastic
-// mode with a positive staleness bound — S ≤ 0 elastic is strict by
-// construction and skips the verification pass too).
-func (c Config) elastic() bool {
-	return c.Mode.Resolve() == trsv.ModeElastic && c.Staleness > 0
-}
+// elastic reports whether cfg asks for stale-synchronous execution.
+func (c Config) elastic() bool { return c.Staleness > 0 }
 
 // refineTol resolves the zero-value default acceptance threshold.
 func (c Config) refineTol() float64 {
@@ -207,12 +190,6 @@ func ValidateConfig(sys *System, cfg Config) error {
 	default:
 		return fmt.Errorf("core: unknown algorithm %v", cfg.Algorithm)
 	}
-	if cfg.TraceCap < 0 {
-		return fmt.Errorf("core: Config.TraceCap must be non-negative, got %d", cfg.TraceCap)
-	}
-	if !cfg.Mode.Valid() {
-		return fmt.Errorf("core: unknown solve mode %v", cfg.Mode)
-	}
 	if cfg.Staleness < 0 {
 		return fmt.Errorf("core: Config.Staleness must be non-negative, got %d", cfg.Staleness)
 	}
@@ -223,12 +200,8 @@ func ValidateConfig(sys *System, cfg Config) error {
 		return fmt.Errorf("core: Config.RefineMax must be non-negative, got %d", cfg.RefineMax)
 	}
 	if cfg.elastic() && cfg.Backend != nil {
-		switch cfg.Backend.(type) {
-		case trsv.SimBackend, trsv.PoolBackend:
-			// The built-in backends implement the staleness-deadline tick
-			// protocol.
-		default:
-			return fmt.Errorf("core: elastic mode requires the sim or pool backend, not %T", cfg.Backend)
+		if _, ok := cfg.Backend.(trsv.Configurable); !ok {
+			return fmt.Errorf("core: the elastic solve requires the sim or pool backend, not %T", cfg.Backend)
 		}
 	}
 	return nil
@@ -240,9 +213,7 @@ func NewSolver(sys *System, cfg Config) (*Solver, error) {
 		return nil, err
 	}
 	if cfg.Backend == nil {
-		cfg.Backend = trsv.SimBackend{Opts: runtime.Options{
-			Trace: cfg.Trace, TraceCap: cfg.TraceCap, Faults: cfg.Faults,
-		}}
+		cfg.Backend = trsv.SimBackend{}
 	}
 	plan, err := dist.New(sys.SN, sys.Tree, cfg.Layout, cfg.Trees)
 	if err != nil {
@@ -328,23 +299,25 @@ func (s *Solver) Solve(b *sparse.Panel) (*sparse.Panel, *Report, error) {
 // as-is, copying nothing, so serving traffic pays no overhead when neither
 // override is in play (the alloc-neutrality benchmark pins this).
 type SolveSpec struct {
-	// Faults layers a per-call fault plan onto the configured backend
-	// (see SolveFaulted).
+	// Faults injects a fault plan (see fault.Plan) into this solve only,
+	// replacing any plan the configured backend carries, so a chaos
+	// harness or a serving path can poison exactly one request against a
+	// shared Solver.
 	Faults *fault.Plan
 	// Trace arms per-rank event tracing for this solve only:
-	// Report.Raw.Trace is populated as if Config.Trace were set while the
-	// Solver's own backend stays untraced. The runtime allocates message
-	// IDs independently of the DES event order, so arming a trace does not
-	// perturb virtual time — a traced and an untraced solve of the same
-	// system return bit-identical clocks.
+	// Report.Raw.Trace is populated as if the backend's Options.Trace were
+	// set while the Solver's own backend stays untraced. The runtime
+	// allocates message IDs independently of the DES event order, so
+	// arming a trace does not perturb virtual time — a traced and an
+	// untraced solve of the same system return bit-identical clocks.
 	Trace bool
-	// TraceCap bounds retained events per rank when Trace is set
-	// (0 means runtime.DefaultTraceCap).
+	// TraceCap bounds retained events per rank when Trace is set (0 keeps
+	// the backend's own cap, whose 0 means runtime.DefaultTraceCap).
 	TraceCap int
 }
 
-// SolveWith is Solve with per-call overrides (see SolveSpec). Both
-// overrides require the built-in sim or pool backend; custom backends are
+// SolveWith is Solve with per-call overrides (see SolveSpec). A non-zero
+// spec requires the built-in sim or pool backend; custom backends are
 // rejected because core cannot know how to thread options into them.
 func (s *Solver) SolveWith(b *sparse.Panel, spec SolveSpec) (*sparse.Panel, *Report, error) {
 	back, err := s.specBackend(spec)
@@ -354,48 +327,28 @@ func (s *Solver) SolveWith(b *sparse.Panel, spec SolveSpec) (*sparse.Panel, *Rep
 	return s.solveOn(b, back)
 }
 
-// SolveFaulted is Solve with a per-call fault plan layered onto the
-// configured backend: this one solve runs with plan injected (see
-// fault.Plan) while the Solver itself stays clean, so a chaos harness or a
-// serving path can poison exactly one request against a shared Solver. A
-// nil plan is plain Solve.
-func (s *Solver) SolveFaulted(b *sparse.Panel, plan *fault.Plan) (*sparse.Panel, *Report, error) {
-	return s.SolveWith(b, SolveSpec{Faults: plan})
-}
-
 // specBackend derives the backend one SolveWith call runs on: the
 // configured backend itself for a zero spec, a value copy carrying the
 // overrides otherwise.
 func (s *Solver) specBackend(spec SolveSpec) (trsv.Backend, error) {
-	back := s.cfg.Backend
-	if spec.Faults != nil {
-		var err error
-		if back, err = faultedBackend(back, spec.Faults); err != nil {
-			return nil, err
+	if spec.Faults == nil && !spec.Trace {
+		return s.cfg.Backend, nil
+	}
+	cb, ok := s.cfg.Backend.(trsv.Configurable)
+	if !ok {
+		return nil, fmt.Errorf("core: per-solve faults and tracing require the sim or pool backend, not %T", s.cfg.Backend)
+	}
+	return cb.WithOptions(func(o *runtime.Options) {
+		if spec.Faults != nil {
+			o.Faults = spec.Faults
 		}
-	}
-	if spec.Trace {
-		ta, ok := back.(trsv.TraceArmer)
-		if !ok {
-			return nil, fmt.Errorf("core: per-solve tracing requires the sim or pool backend, not %T", back)
+		if spec.Trace {
+			o.Trace = true
+			if spec.TraceCap > 0 {
+				o.TraceCap = spec.TraceCap
+			}
 		}
-		back = ta.WithTrace(spec.TraceCap)
-	}
-	return back, nil
-}
-
-// faultedBackend derives a copy of b carrying plan (replacing any plan the
-// backend already carries).
-func faultedBackend(b trsv.Backend, plan *fault.Plan) (trsv.Backend, error) {
-	switch back := b.(type) {
-	case trsv.SimBackend:
-		back.Opts.Faults = plan
-		return back, nil
-	case trsv.PoolBackend:
-		back.Pool.Opts.Faults = plan
-		return back, nil
-	}
-	return nil, fmt.Errorf("core: per-solve fault plans require the sim or pool backend, not %T", b)
+	}), nil
 }
 
 func (s *Solver) solveOn(b *sparse.Panel, back trsv.Backend) (*sparse.Panel, *Report, error) {
@@ -422,12 +375,12 @@ func (s *Solver) solveOn(b *sparse.Panel, back trsv.Backend) (*sparse.Panel, *Re
 		sb.xp = sparse.NewPanel(b.Rows, b.Cols)
 	}
 	b.PermuteRowsInto(s.sys.Perm, sb.bp)
-	opts := trsv.SolveOpts{Mode: s.cfg.Mode, Staleness: s.cfg.Staleness}
+	opts := trsv.SolveOpts{Staleness: s.cfg.Staleness}
 	var stats trsv.ElasticStats
 	if s.cfg.elastic() {
 		opts.Elastic = &stats
 	}
-	res, err := trsv.SolveIntoOpts(s.plan, s.cfg.Machine, s.cfg.Algorithm, back, sb.bp, sb.xp, opts)
+	res, err := trsv.Solve(s.plan, s.cfg.Machine, s.cfg.Algorithm, back, sb.bp, sb.xp, opts)
 	if err != nil {
 		s.bufs.Put(sb)
 		// A traced solve that died with a typed fault still yields its
@@ -507,7 +460,7 @@ func (s *Solver) refine(b, x *sparse.Panel, sb *solveBuffers, back trsv.Backend,
 		var stats trsv.ElasticStats
 		opts.Elastic = &stats
 		r.PermuteRowsInto(s.sys.Perm, sb.bp)
-		res, err := trsv.SolveIntoOpts(s.plan, s.cfg.Machine, s.cfg.Algorithm, back, sb.bp, sb.xp, opts)
+		res, err := trsv.Solve(s.plan, s.cfg.Machine, s.cfg.Algorithm, back, sb.bp, sb.xp, opts)
 		if err != nil {
 			return err
 		}
@@ -609,34 +562,15 @@ func (e *BatchError) Unwrap() []error {
 // each panel to its error (nil for successes), so callers can retry or
 // report exactly the failed panels.
 func (s *Solver) SolveBatch(bs []*sparse.Panel) ([]*sparse.Panel, []*Report, error) {
-	return s.SolveBatchFaulted(bs, nil)
-}
-
-// SolveBatchFaulted is SolveBatch with an optional per-panel fault plan:
-// panel i runs under plans[i] (nil entries inject nothing), so a batch can
-// mix healthy panels with deliberately poisoned ones and the BatchError
-// fan-out isolates the failures — the property the serving coalescer and
-// the chaos tests rely on. plans may be nil (no injection anywhere) or
-// must match bs in length.
-func (s *Solver) SolveBatchFaulted(bs []*sparse.Panel, plans []*fault.Plan) ([]*sparse.Panel, []*Report, error) {
-	if plans == nil {
-		return s.SolveBatchWith(bs, nil)
-	}
-	if len(plans) != len(bs) {
-		return nil, nil, fmt.Errorf("core: %d fault plans for %d panels", len(plans), len(bs))
-	}
-	specs := make([]SolveSpec, len(bs))
-	for i, p := range plans {
-		specs[i].Faults = p
-	}
-	return s.SolveBatchWith(bs, specs)
+	return s.SolveBatchWith(bs, nil)
 }
 
 // SolveBatchWith is SolveBatch with an optional per-panel SolveSpec: panel
 // i runs under specs[i] (zero entries override nothing), so one flush can
 // mix plain panels, poisoned panels, and panels traced on behalf of a
-// specific request. specs may be nil (no overrides anywhere) or must match
-// bs in length.
+// specific request, and the BatchError fan-out isolates the failures — the
+// property the serving coalescer and the chaos tests rely on. specs may be
+// nil (no overrides anywhere) or must match bs in length.
 func (s *Solver) SolveBatchWith(bs []*sparse.Panel, specs []SolveSpec) ([]*sparse.Panel, []*Report, error) {
 	if specs != nil && len(specs) != len(bs) {
 		return nil, nil, fmt.Errorf("core: %d solve specs for %d panels", len(specs), len(bs))

@@ -9,6 +9,7 @@ import (
 	"sptrsv/internal/fault"
 	"sptrsv/internal/grid"
 	"sptrsv/internal/machine"
+	"sptrsv/internal/runtime"
 	"sptrsv/internal/sparse"
 	"sptrsv/internal/trsv"
 )
@@ -23,7 +24,7 @@ func TestElasticReportAndMetrics(t *testing.T) {
 	base := Config{
 		Layout: grid.Layout{Px: 2, Py: 2, Pz: 2}, Algorithm: trsv.Proposed3D,
 		Trees: ctree.Binary, Machine: machine.CoriHaswell(),
-		Faults: &fault.Plan{Seed: 3, NetDelay: map[int]float64{0: 5e-3}},
+		Backend: trsv.SimBackend{Opts: runtime.Options{Faults: &fault.Plan{Seed: 3, NetDelay: map[int]float64{0: 5e-3}}}},
 	}
 	b := sparse.NewPanel(sys.A.N, 1)
 	for i := range b.Data {
@@ -48,7 +49,6 @@ func TestElasticReportAndMetrics(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.Mode = trsv.ModeElastic
 	cfg.Staleness = 4
 	es, err := NewSolver(sys, cfg)
 	if err != nil {

@@ -79,7 +79,7 @@ func TestPoolStragglerMeasuresRealWork(t *testing.T) {
 			healthy = rep.Time
 		}
 	}
-	_, rep, err := s.SolveFaulted(b, &fault.Plan{Straggler: map[int]float64{0: 3}})
+	_, rep, err := s.SolveWith(b, SolveSpec{Faults: &fault.Plan{Straggler: map[int]float64{0: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}

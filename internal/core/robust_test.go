@@ -10,6 +10,7 @@ import (
 	"sptrsv/internal/fault"
 	"sptrsv/internal/grid"
 	"sptrsv/internal/machine"
+	"sptrsv/internal/runtime"
 	"sptrsv/internal/sparse"
 	"sptrsv/internal/trsv"
 )
@@ -160,9 +161,9 @@ func TestSolveBatchFaultedPartialFailure(t *testing.T) {
 		refs[i] = x
 	}
 
-	plans := make([]*fault.Plan, len(bs))
-	plans[2] = &fault.Plan{Crash: map[int]float64{1: 0}}
-	xs, reps, err := s.SolveBatchFaulted(bs, plans)
+	specs := make([]SolveSpec, len(bs))
+	specs[2].Faults = &fault.Plan{Crash: map[int]float64{1: 0}}
+	xs, reps, err := s.SolveBatchWith(bs, specs)
 	var be *BatchError
 	if !errors.As(err, &be) {
 		t.Fatalf("expected *BatchError, got %v", err)
@@ -187,9 +188,9 @@ func TestSolveBatchFaultedPartialFailure(t *testing.T) {
 			}
 		}
 	}
-	// Length-mismatched plans are a usage error, not a partial run.
-	if _, _, err := s.SolveBatchFaulted(bs, plans[:2]); err == nil {
-		t.Fatal("mismatched plans length accepted")
+	// Length-mismatched specs are a usage error, not a partial run.
+	if _, _, err := s.SolveBatchWith(bs, specs[:2]); err == nil {
+		t.Fatal("mismatched specs length accepted")
 	}
 	// And the solver stays healthy for the next plain batch.
 	xs2, _, err := s.SolveBatch(bs)
@@ -203,9 +204,9 @@ func TestSolveBatchFaultedPartialFailure(t *testing.T) {
 	}
 }
 
-// TestSolveFaultPlanThroughConfig checks the Config.Faults plumbing: a
-// crash plan on the default simulation backend surfaces as a CrashError
-// from Solve.
+// TestSolveFaultPlanThroughConfig checks the configured backend's fault
+// plumbing: a crash plan in the simulation backend's options surfaces as a
+// CrashError from Solve.
 func TestSolveFaultPlanThroughConfig(t *testing.T) {
 	sys := testSystem(t)
 	s, err := NewSolver(sys, Config{
@@ -213,7 +214,7 @@ func TestSolveFaultPlanThroughConfig(t *testing.T) {
 		Algorithm: trsv.Proposed3D,
 		Trees:     ctree.Binary,
 		Machine:   machine.CoriHaswell(),
-		Faults:    &fault.Plan{Crash: map[int]float64{3: 0}},
+		Backend:   trsv.SimBackend{Opts: runtime.Options{Faults: &fault.Plan{Crash: map[int]float64{3: 0}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +226,7 @@ func TestSolveFaultPlanThroughConfig(t *testing.T) {
 	_, _, err = s.Solve(b)
 	var ce *fault.CrashError
 	if !errors.As(err, &ce) {
-		t.Fatalf("expected CrashError through Config.Faults, got %v", err)
+		t.Fatalf("expected CrashError through the backend's fault plan, got %v", err)
 	}
 	if ce.Rank != 3 {
 		t.Fatalf("crash blames rank %d, want 3", ce.Rank)

@@ -100,7 +100,7 @@ func TestChaosSimBackend(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3} {
 			for name, plan := range chaosPlans(seed, 1e-4) {
 				cfg := cc.cfg
-				cfg.Faults = plan
+				cfg.Backend = trsv.SimBackend{Opts: runtime.Options{Faults: plan}}
 				s, err := core.NewSolver(sys, cfg)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", cc.name, name, err)
@@ -131,7 +131,7 @@ func TestChaosDeterminism(t *testing.T) {
 	for _, cc := range chaosConfigs() {
 		plan := &fault.Plan{Seed: 7, Jitter: 1e-4, Straggler: map[int]float64{0: 2}}
 		cfg := cc.cfg
-		cfg.Faults = plan
+		cfg.Backend = trsv.SimBackend{Opts: runtime.Options{Faults: plan}}
 		s, err := core.NewSolver(sys, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +232,7 @@ func TestChaosSolverReusableAfterFault(t *testing.T) {
 	// 3. Fail with an injected crash, then solve cleanly again: the solver
 	// alternates fault plans via distinct solvers over one shared system.
 	cfgCrash := cfg
-	cfgCrash.Faults = &fault.Plan{Crash: map[int]float64{0: 0}}
+	cfgCrash.Backend = trsv.SimBackend{Opts: runtime.Options{Faults: &fault.Plan{Crash: map[int]float64{0: 0}}}}
 	sc, err := core.NewSolver(sys, cfgCrash)
 	if err != nil {
 		t.Fatal(err)

@@ -17,13 +17,12 @@ import (
 	"sptrsv/internal/trsv"
 )
 
-// elasticChaosConfigs is the strict chaos matrix switched to elastic mode at
-// a staleness bound tight enough that the straggler plans actually force
-// stale reads (the chaos system is ~30 levels deep).
+// elasticChaosConfigs is the strict chaos matrix switched to elastic
+// execution at a staleness bound tight enough that the straggler plans
+// actually force stale reads (the chaos system is ~30 levels deep).
 func elasticChaosConfigs() []chaosConfig {
 	out := chaosConfigs()
 	for i := range out {
-		out[i].cfg.Mode = trsv.ModeElastic
 		out[i].cfg.Staleness = 8
 	}
 	return out
@@ -58,7 +57,7 @@ func TestChaosElasticSimBackend(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3} {
 			for name, plan := range elasticChaosPlans(seed, 1e-4, 5e-3) {
 				cfg := cc.cfg
-				cfg.Faults = plan
+				cfg.Backend = trsv.SimBackend{Opts: runtime.Options{Faults: plan}}
 				s, err := core.NewSolver(sys, cfg)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", cc.name, name, err)
@@ -95,7 +94,7 @@ func TestChaosElasticDeterminism(t *testing.T) {
 	sys := chaosSystem(t)
 	for _, cc := range elasticChaosConfigs() {
 		cfg := cc.cfg
-		cfg.Faults = &fault.Plan{Seed: 7, Jitter: 1e-4, NetDelay: map[int]float64{0: 5e-3}}
+		cfg.Backend = trsv.SimBackend{Opts: runtime.Options{Faults: &fault.Plan{Seed: 7, Jitter: 1e-4, NetDelay: map[int]float64{0: 5e-3}}}}
 		s, err := core.NewSolver(sys, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -182,7 +181,7 @@ func TestElasticRefinementContract(t *testing.T) {
 			plan := &fault.Plan{Seed: int64(trial + 1), NetDelay: map[int]float64{rank: delay}}
 
 			cfg := cc.cfg
-			cfg.Faults = plan
+			cfg.Backend = trsv.SimBackend{Opts: runtime.Options{Faults: plan}}
 			s, err := core.NewSolver(sys, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", cc.name, err)
@@ -202,10 +201,10 @@ func TestElasticRefinementContract(t *testing.T) {
 			// Same plan through the goroutine pool (real wall-clock delays,
 			// so scale the virtual delay down to keep the test fast).
 			pcfg := cc.cfg
-			pcfg.Faults = &fault.Plan{Seed: int64(trial + 1), NetDelay: map[int]float64{rank: delay / 10}}
+			pplan := &fault.Plan{Seed: int64(trial + 1), NetDelay: map[int]float64{rank: delay / 10}}
 			pcfg.Backend = trsv.PoolBackend{Pool: runtime.Pool{
 				Timeout: 30 * time.Second,
-				Opts:    runtime.Options{Faults: pcfg.Faults, StallTimeout: 250 * time.Millisecond},
+				Opts:    runtime.Options{Faults: pplan, StallTimeout: 250 * time.Millisecond},
 			}}
 			ps, err := core.NewSolver(sys, pcfg)
 			if err != nil {

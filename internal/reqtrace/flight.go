@@ -1,10 +1,6 @@
 package reqtrace
 
-import (
-	"sync"
-
-	"sptrsv/internal/runtime"
-)
+import "sptrsv/internal/runtime"
 
 // Flight is one captured anomalous request: its summary record, what
 // triggered the capture, and — when the solve was traced — the runtime
@@ -43,87 +39,28 @@ func (f *Flight) Dropped() int {
 // whichever bites first — a run of heavily traced incidents evicts older
 // flights faster than a run of span-only ones. Re-capturing an ID replaces
 // the entry.
-type Recorder struct {
-	mu        sync.Mutex
-	maxFly    int
-	maxEvents int
-	curEvents int
-	flights   map[string]*Flight
-	order     []string // oldest first
-}
+type Recorder struct{ idx *bounded[*Flight] }
 
 // NewRecorder bounds the recorder (maxFlights <= 0 means 1; maxEvents <= 0
 // means unlimited events, entry cap only).
 func NewRecorder(maxFlights, maxEvents int) *Recorder {
-	if maxFlights <= 0 {
-		maxFlights = 1
-	}
-	return &Recorder{maxFly: maxFlights, maxEvents: maxEvents, flights: make(map[string]*Flight)}
+	return &Recorder{idx: newBounded(maxFlights, maxEvents, (*Flight).Events)}
 }
 
 // Capture stores f, evicting the oldest flights until both bounds hold,
 // and returns how many were evicted. A flight whose own trace exceeds
 // maxEvents is still kept (alone) — refusing the very capture that blew
 // the budget would hide the worst incidents.
-func (r *Recorder) Capture(f *Flight) (evicted int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if old, ok := r.flights[f.Record.ID]; ok {
-		r.curEvents -= old.Events()
-		r.removeOrderLocked(f.Record.ID)
-	}
-	r.flights[f.Record.ID] = f
-	r.order = append(r.order, f.Record.ID)
-	r.curEvents += f.Events()
-	for len(r.order) > 1 &&
-		(len(r.order) > r.maxFly || (r.maxEvents > 0 && r.curEvents > r.maxEvents)) {
-		oldest := r.order[0]
-		r.curEvents -= r.flights[oldest].Events()
-		delete(r.flights, oldest)
-		r.order = r.order[1:]
-		evicted++
-	}
-	return evicted
-}
-
-func (r *Recorder) removeOrderLocked(id string) {
-	for i, o := range r.order {
-		if o == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			return
-		}
-	}
-}
+func (r *Recorder) Capture(f *Flight) (evicted int) { return r.idx.put(f.Record.ID, f) }
 
 // Get returns the flight captured for id.
-func (r *Recorder) Get(id string) (*Flight, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.flights[id]
-	return f, ok
-}
+func (r *Recorder) Get(id string) (*Flight, bool) { return r.idx.get(id) }
 
 // List returns all flights, newest first.
-func (r *Recorder) List() []*Flight {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Flight, 0, len(r.order))
-	for i := len(r.order) - 1; i >= 0; i-- {
-		out = append(out, r.flights[r.order[i]])
-	}
-	return out
-}
+func (r *Recorder) List() []*Flight { return r.idx.newest(0) }
 
 // Len returns the held flight count.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.order)
-}
+func (r *Recorder) Len() int { return r.idx.len() }
 
 // Events returns the total retained runtime trace events.
-func (r *Recorder) Events() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.curEvents
-}
+func (r *Recorder) Events() int { return r.idx.totalWeight() }

@@ -16,6 +16,7 @@ package reqtrace
 
 import (
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -119,77 +120,107 @@ func (c *Ctx) Finish(outcome, errMsg string, end time.Time) *Record {
 	}
 }
 
-// Store is the bounded request-record index behind GET /debug/requests: an
-// insertion-ordered map evicting its oldest record past cap. Re-adding an
-// ID (the handler finalizing a record the coalescer already stored)
-// replaces the record in place and refreshes its position.
-type Store struct {
-	mu    sync.Mutex
-	cap   int
-	recs  map[string]*Record
-	order []string // oldest first
+// bounded is the insertion-ordered, size-bounded map under Store and
+// Recorder: at most maxLen entries and, when maxWeight > 0, at most
+// maxWeight total entry weight, evicting its oldest entries until both
+// bounds hold. The newest entry is always kept, even when its own weight
+// exceeds maxWeight. Re-putting a key replaces its value in place and
+// refreshes its position.
+type bounded[V any] struct {
+	mu        sync.Mutex
+	maxLen    int
+	maxWeight int
+	weight    func(V) int
+	curWeight int
+	m         map[string]V
+	order     []string // oldest first
 }
 
-// NewStore returns a store retaining at most cap records (cap <= 0 means 1).
-func NewStore(cap int) *Store {
-	if cap <= 0 {
-		cap = 1
+func newBounded[V any](maxLen, maxWeight int, weight func(V) int) *bounded[V] {
+	if maxLen <= 0 {
+		maxLen = 1
 	}
-	return &Store{cap: cap, recs: make(map[string]*Record)}
+	return &bounded[V]{maxLen: maxLen, maxWeight: maxWeight, weight: weight, m: make(map[string]V)}
 }
 
-// Add inserts or replaces r's record.
-func (s *Store) Add(r *Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.recs[r.ID]; ok {
-		s.removeOrderLocked(r.ID)
+// put inserts or replaces key's value and returns how many of the oldest
+// entries it evicted.
+func (b *bounded[V]) put(key string, v V) (evicted int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if old, ok := b.m[key]; ok {
+		b.curWeight -= b.weight(old)
+		b.order = slices.DeleteFunc(b.order, func(k string) bool { return k == key })
 	}
-	s.recs[r.ID] = r
-	s.order = append(s.order, r.ID)
-	for len(s.order) > s.cap {
-		delete(s.recs, s.order[0])
-		s.order = s.order[1:]
+	b.m[key] = v
+	b.order = append(b.order, key)
+	b.curWeight += b.weight(v)
+	for len(b.order) > 1 &&
+		(len(b.order) > b.maxLen || (b.maxWeight > 0 && b.curWeight > b.maxWeight)) {
+		oldest := b.order[0]
+		b.curWeight -= b.weight(b.m[oldest])
+		delete(b.m, oldest)
+		b.order = b.order[1:]
+		evicted++
 	}
+	return evicted
 }
 
-func (s *Store) removeOrderLocked(id string) {
-	for i, o := range s.order {
-		if o == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
-	}
+func (b *bounded[V]) get(key string) (V, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	v, ok := b.m[key]
+	return v, ok
 }
 
-// Get returns the record for id.
-func (s *Store) Get(id string) (*Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.recs[id]
-	return r, ok
-}
-
-// Recent returns up to n records, newest first.
-func (s *Store) Recent(n int) []*Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 || n > len(s.order) {
-		n = len(s.order)
+// newest returns up to n values, newest first; n <= 0 means all.
+func (b *bounded[V]) newest(n int) []V {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n <= 0 || n > len(b.order) {
+		n = len(b.order)
 	}
-	out := make([]*Record, 0, n)
-	for i := len(s.order) - 1; i >= 0 && len(out) < n; i-- {
-		out = append(out, s.recs[s.order[i]])
+	out := make([]V, 0, n)
+	for i := len(b.order) - 1; i >= 0 && len(out) < n; i-- {
+		out = append(out, b.m[b.order[i]])
 	}
 	return out
 }
 
-// Len returns the held record count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.order)
+func (b *bounded[V]) len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.order)
 }
+
+func (b *bounded[V]) totalWeight() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.curWeight
+}
+
+// Store is the bounded request-record index behind GET /debug/requests: an
+// insertion-ordered map evicting its oldest record past cap. Re-adding an
+// ID (the handler finalizing a record the coalescer already stored)
+// replaces the record in place and refreshes its position.
+type Store struct{ idx *bounded[*Record] }
+
+// NewStore returns a store retaining at most cap records (cap <= 0 means 1).
+func NewStore(cap int) *Store {
+	return &Store{idx: newBounded(cap, 0, func(*Record) int { return 0 })}
+}
+
+// Add inserts or replaces r's record.
+func (s *Store) Add(r *Record) { s.idx.put(r.ID, r) }
+
+// Get returns the record for id.
+func (s *Store) Get(id string) (*Record, bool) { return s.idx.get(id) }
+
+// Recent returns up to n records, newest first.
+func (s *Store) Recent(n int) []*Record { return s.idx.newest(n) }
+
+// Len returns the held record count.
+func (s *Store) Len() int { return s.idx.len() }
 
 // SlowTracker flags solve durations that blow past the rolling median — the
 // flight recorder's "slow solve" trigger. One tracker guards one

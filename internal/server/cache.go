@@ -12,7 +12,6 @@ import (
 
 	"sptrsv/internal/core"
 	"sptrsv/internal/sparse"
-	"sptrsv/internal/trsv"
 )
 
 // handleShards is the shard count of the handle cache. Shards cut lock
@@ -311,12 +310,12 @@ func (c *handleCache) len() int {
 
 // configKey names one solver configuration the way the cache is keyed:
 // matrix fingerprint is the handle; this adds machine × grid × algorithm.
-// The solve-mode segment keeps strict and elastic requests on separate
-// slots — and therefore separate coalescers, so an elastic opt-in can never
-// be batched into (or force staleness onto) a strict tenant's panel.
+// The last segment keeps strict and elastic requests on separate slots —
+// and therefore separate coalescers, so an elastic opt-in can never be
+// batched into (or force staleness onto) a strict tenant's panel.
 func configKey(cfg core.Config) string {
-	mode := cfg.Mode.Resolve().String()
-	if cfg.Mode.Resolve() == trsv.ModeElastic {
+	mode := "strict"
+	if cfg.Staleness > 0 {
 		mode = fmt.Sprintf("elastic:S=%d:tol=%g:max=%d", cfg.Staleness, cfg.RefineTol, cfg.RefineMax)
 	}
 	return fmt.Sprintf("%s|%dx%dx%d|%s|%s|%s",

@@ -59,7 +59,7 @@ type result struct {
 // batch-width columns — the paper's nrhs amortization, one communication
 // schedule for the whole panel — while requests carrying a fault plan get
 // their own panel so the injected failure stays theirs alone
-// (core.SolveBatchFaulted + BatchError split the outcomes back out).
+// (core.SolveBatchWith + BatchError split the outcomes back out).
 type coalescer struct {
 	s      *Server
 	solver *core.Solver

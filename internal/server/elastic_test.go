@@ -12,10 +12,10 @@ import (
 )
 
 // TestSolveElasticOptInAndSlotIsolation pins the per-request elastic
-// contract on a healthy server: a request that opts in via config.mode gets
-// a refinement-verified answer that is bit-identical to the strict default
-// (healthy elastic forces nothing), and the elastic slot never shares a
-// solver or coalescer with the strict one.
+// contract on a healthy server: a request that opts in with a positive
+// config.staleness gets a refinement-verified answer that is bit-identical
+// to the strict default (healthy elastic forces nothing), and the elastic
+// slot never shares a solver or coalescer with the strict one.
 func TestSolveElasticOptInAndSlotIsolation(t *testing.T) {
 	s, _, ts := newHTTPServer(t, nil)
 	info := uploadGenerated(t, ts.URL, "s2d9pt", "small")
@@ -33,7 +33,7 @@ func TestSolveElasticOptInAndSlotIsolation(t *testing.T) {
 	json.Unmarshal(data, &strict)
 
 	resp, data = postJSON(t, ts.URL+"/v1/matrices/"+info.Handle+"/solve",
-		map[string]any{"b": b, "config": map[string]any{"mode": "elastic", "staleness": 8}}, nil)
+		map[string]any{"b": b, "config": map[string]any{"staleness": 8}}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("elastic solve: %d: %s", resp.StatusCode, data)
 	}
@@ -68,26 +68,56 @@ func TestSolveElasticOptInAndSlotIsolation(t *testing.T) {
 	}
 }
 
-// TestSolveElasticValidation pins the request-level vocabulary: an unknown
-// mode and an elastic request without a positive staleness bound are both
-// client errors, not server faults.
+// TestSolveElasticValidation pins the request-level vocabulary: negative
+// staleness and refinement bounds are client errors, not server faults.
 func TestSolveElasticValidation(t *testing.T) {
 	_, _, ts := newHTTPServer(t, nil)
 	info := uploadGenerated(t, ts.URL, "s2d9pt", "small")
 	solveURL := ts.URL + "/v1/matrices/" + info.Handle + "/solve"
 	b := make([]float64, info.N)
 
-	resp, data := postJSON(t, solveURL, map[string]any{
-		"b": b, "config": map[string]any{"mode": "psychic"},
-	}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown mode: %d: %s", resp.StatusCode, data)
+	for _, bad := range []map[string]any{
+		{"staleness": -1},
+		{"staleness": 4, "refine_tol": -1e-9},
+		{"staleness": 4, "refine_max": -1},
+	} {
+		resp, data := postJSON(t, solveURL, map[string]any{"b": b, "config": bad}, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("config %v: %d: %s", bad, resp.StatusCode, data)
+		}
 	}
-	resp, data = postJSON(t, solveURL, map[string]any{
-		"b": b, "config": map[string]any{"mode": "elastic", "staleness": 0},
-	}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("elastic without staleness: %d: %s", resp.StatusCode, data)
+}
+
+// TestSolveStalenessZeroOptsOut pins the per-request opt-out on a server
+// whose default is elastic: a request without a config runs elastic, and
+// {"staleness":0} runs strict on its own slot.
+func TestSolveStalenessZeroOptsOut(t *testing.T) {
+	_, _, ts := newHTTPServer(t, func(o *Options) { o.Staleness = 4 })
+	info := uploadGenerated(t, ts.URL, "s2d9pt", "small")
+	solveURL := ts.URL + "/v1/matrices/" + info.Handle + "/solve"
+	b := make([]float64, info.N)
+	for i := range b {
+		b[i] = 1
+	}
+	for _, tc := range []struct {
+		body map[string]any
+		key  string
+	}{
+		{map[string]any{"b": b}, "|elastic:S=4:tol=0:max=0"},
+		{map[string]any{"b": b, "config": map[string]any{"staleness": 0}}, "|strict"},
+	} {
+		resp, data := postJSON(t, solveURL, tc.body, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: %d: %s", tc.body["config"], resp.StatusCode, data)
+		}
+		var sr solveResponse
+		json.Unmarshal(data, &sr)
+		if !strings.HasSuffix(sr.Config, tc.key) {
+			t.Fatalf("%v: config key %q, want suffix %q", tc.body["config"], sr.Config, tc.key)
+		}
+		if elastic := sr.Residual > 0; elastic != (tc.key != "|strict") {
+			t.Fatalf("%v: residual %g on config %q", tc.body["config"], sr.Residual, sr.Config)
+		}
 	}
 }
 
@@ -107,7 +137,7 @@ func TestSolveElasticForcedRefinement(t *testing.T) {
 		b[i] = 1 + float64(i%13)/7
 	}
 	resp, data := postJSON(t, ts.URL+"/v1/matrices/"+info.Handle+"/solve",
-		map[string]any{"b": b, "config": map[string]any{"mode": "elastic", "staleness": 4}}, nil)
+		map[string]any{"b": b, "config": map[string]any{"staleness": 4}}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("elastic solve under straggler: %d: %s", resp.StatusCode, data)
 	}

@@ -67,14 +67,12 @@ type Options struct {
 	// Backend runs the solves: nil means the deterministic DES simulator;
 	// set trsv.PoolBackend for wall-clock goroutine execution.
 	Backend trsv.Backend
-	// Mode selects the default solve mode (strict when zero); requests can
-	// override it per solve via config.mode. Elastic mode serves
+	// Staleness is the default staleness bound S in dependency levels: 0
+	// serves strict solves, S > 0 elastic ones, which serve
 	// degraded-but-refined answers under stragglers instead of stalling.
-	Mode trsv.SolveMode
-	// Staleness is elastic mode's default staleness bound S in dependency
-	// levels; required > 0 when Mode is elastic.
+	// Requests override it per solve via config.staleness.
 	Staleness int
-	// RefineTol is elastic mode's default acceptance threshold on the
+	// RefineTol is the elastic solve's default acceptance threshold on the
 	// refined residual (0 = core default).
 	RefineTol float64
 	// RefineMax caps elastic refinement passes (0 = core default).
@@ -190,6 +188,7 @@ func (o Options) withDefaults() Options {
 // http.Server, and call Shutdown to drain.
 type Server struct {
 	opts      Options
+	base      core.Config // every solve's configuration starts from it
 	clock     Clock
 	metrics   *serverMetrics
 	admit     *admitter
@@ -226,6 +225,12 @@ func New(opts Options) (*Server, error) {
 		handles: newHandleCache(opts.MaxHandles),
 		store:   reqtrace.NewStore(opts.DebugRequests),
 		flights: reqtrace.NewRecorder(opts.FlightCap, opts.FlightEvents),
+	}
+	px, py := grid.Square2D(opts.Ranks)
+	s.base = core.Config{
+		Layout: grid.Layout{Px: px, Py: py, Pz: 1}, Algorithm: trsv.Proposed3D,
+		Machine: opts.Machine, Backend: opts.Backend,
+		Staleness: opts.Staleness, RefineTol: opts.RefineTol, RefineMax: opts.RefineMax,
 	}
 	s.start = s.clock.Now()
 	s.admit = newAdmitter(opts.MaxQueue, NewQuotaSet(opts.QuotaRate, opts.QuotaBurst), s.clock, s.metrics)
@@ -333,9 +338,9 @@ type wireConfig struct {
 	Pz        int    `json:"pz"`
 	Trees     string `json:"trees"`
 	Machine   string `json:"machine"`
-	// Per-request elastic opt-in. Pointers distinguish "absent — use the
-	// server default" from an explicit zero.
-	Mode      string   `json:"mode"`
+	// Per-request elastic group: a positive staleness opts in, 0 opts
+	// out. Pointers distinguish "absent — use the server default" from an
+	// explicit zero.
 	Staleness *int     `json:"staleness"`
 	RefineTol *float64 `json:"refine_tol"`
 	RefineMax *int     `json:"refine_max"`
@@ -730,10 +735,7 @@ func (s *Server) resolveConfig(h *Handle, wc *wireConfig) (core.Config, error) {
 	if wc == nil {
 		return s.defaultConfig(h)
 	}
-	cfg := core.Config{
-		Machine: s.opts.Machine, Mode: s.opts.Mode, Staleness: s.opts.Staleness,
-		RefineTol: s.opts.RefineTol, RefineMax: s.opts.RefineMax,
-	}
+	cfg := s.base
 	var err error
 	if wc.Algorithm != "" {
 		if cfg.Algorithm, err = cliutil.ParseAlgorithm(wc.Algorithm); err != nil {
@@ -750,11 +752,6 @@ func (s *Server) resolveConfig(h *Handle, wc *wireConfig) (core.Config, error) {
 			return core.Config{}, err
 		}
 	}
-	if wc.Mode != "" {
-		if cfg.Mode, err = cliutil.ParseSolveMode(wc.Mode); err != nil {
-			return core.Config{}, err
-		}
-	}
 	if wc.Staleness != nil {
 		cfg.Staleness = *wc.Staleness
 	}
@@ -767,10 +764,8 @@ func (s *Server) resolveConfig(h *Handle, wc *wireConfig) (core.Config, error) {
 	if err := cliutil.CheckElastic(cfg); err != nil {
 		return core.Config{}, err
 	}
-	cfg.Layout = grid.Layout{Px: wc.Px, Py: wc.Py, Pz: wc.Pz}
-	if cfg.Layout.Px == 0 && cfg.Layout.Py == 0 && cfg.Layout.Pz == 0 {
-		px, py := grid.Square2D(s.opts.Ranks)
-		cfg.Layout = grid.Layout{Px: px, Py: py, Pz: 1}
+	if wc.Px != 0 || wc.Py != 0 || wc.Pz != 0 {
+		cfg.Layout = grid.Layout{Px: wc.Px, Py: wc.Py, Pz: wc.Pz}
 	}
 	// Bound the modeled rank count before any plan is built: grid.Layout
 	// itself accepts arbitrarily large grids, and plan size grows with the
@@ -798,27 +793,15 @@ func (s *Server) defaultConfig(h *Handle) (core.Config, error) {
 		if s.opts.Tune {
 			res, err := tune.Run(h.sys, s.opts.Machine, s.opts.Ranks,
 				tune.Options{Cache: s.tuneCache})
-			if err == nil {
-				slot.cfg = res.Config
-				slot.cfg.Mode = s.opts.Mode
-				slot.cfg.Staleness = s.opts.Staleness
-				slot.cfg.RefineTol = s.opts.RefineTol
-				slot.cfg.RefineMax = s.opts.RefineMax
+			if err != nil {
+				slot.err = err
 				return
 			}
-			slot.err = err
+			slot.cfg = s.base
+			slot.cfg.Layout, slot.cfg.Algorithm, slot.cfg.Trees = res.Config.Layout, res.Config.Algorithm, res.Config.Trees
 			return
 		}
-		px, py := grid.Square2D(s.opts.Ranks)
-		slot.cfg = core.Config{
-			Layout:    grid.Layout{Px: px, Py: py, Pz: 1},
-			Algorithm: trsv.Proposed3D,
-			Machine:   s.opts.Machine,
-			Mode:      s.opts.Mode,
-			Staleness: s.opts.Staleness,
-			RefineTol: s.opts.RefineTol,
-			RefineMax: s.opts.RefineMax,
-		}
+		slot.cfg = s.base
 		slot.err = core.ValidateConfig(h.sys, slot.cfg)
 	})
 	return slot.cfg, slot.err
@@ -836,7 +819,6 @@ func (s *Server) solverFor(h *Handle, cfg core.Config) (*solverSlot, string, err
 	built := false
 	slot.once.Do(func() {
 		built = true
-		cfg.Backend = s.opts.Backend
 		slot.config = cfg
 		slot.solver, slot.err = core.NewSolver(h.sys, cfg)
 		if slot.err == nil {

@@ -180,32 +180,29 @@ func (p PoolBackend) Run(n int, _ runtime.Network, f func(int) runtime.Handler) 
 	return p.Pool.Run(n, f)
 }
 
-// TraceArmer is implemented by the built-in backends: WithTrace returns a
-// copy of the backend with per-rank event tracing armed at the given ring
-// capacity (0 keeps runtime.DefaultTraceCap), the receiver's own options
-// untouched. The serving layer uses it to arm tracing for exactly one
-// request's solve against a shared solver; because the backends are
-// values, the armed copy shares no mutable state with the original, and
-// because the runtime allocates message IDs independently of the DES event
-// order, an armed solve's virtual clock is bit-identical to an untraced
-// one.
-type TraceArmer interface{ WithTrace(cap int) Backend }
+// Configurable is implemented by the built-in backends: WithOptions
+// returns a copy of the backend with edit applied to its runtime options,
+// the receiver untouched. It is the one way a caller adjusts a single run:
+// the elastic solve tags its deadline ticks, and core arms tracing or
+// layers a fault plan for exactly one solve against a shared Solver.
+// Because the backends are values, the copy shares no mutable state with
+// the original, and because the runtime allocates message IDs
+// independently of the DES event order, a traced solve's virtual clock is
+// bit-identical to an untraced one.
+type Configurable interface {
+	Backend
+	WithOptions(edit func(*runtime.Options)) Backend
+}
 
-// WithTrace implements TraceArmer.
-func (s SimBackend) WithTrace(cap int) Backend {
-	s.Opts.Trace = true
-	if cap > 0 {
-		s.Opts.TraceCap = cap
-	}
+// WithOptions implements Configurable.
+func (s SimBackend) WithOptions(edit func(*runtime.Options)) Backend {
+	edit(&s.Opts)
 	return s
 }
 
-// WithTrace implements TraceArmer.
-func (p PoolBackend) WithTrace(cap int) Backend {
-	p.Pool.Opts.Trace = true
-	if cap > 0 {
-		p.Pool.Opts.TraceCap = cap
-	}
+// WithOptions implements Configurable.
+func (p PoolBackend) WithOptions(edit func(*runtime.Options)) Backend {
+	edit(&p.Pool.Opts)
 	return p
 }
 
@@ -308,7 +305,7 @@ type solveState struct {
 	rhsBuf []float64
 
 	// counts tallies kernel and exchange activity for the metrics registry;
-	// summed across ranks and published by SolveInto.
+	// summed across ranks and published by Solve.
 	counts solveCounts
 }
 
@@ -558,7 +555,7 @@ func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *spar
 
 	s, err := sched.Of(p)
 	if err != nil {
-		// Unreachable from SolveIntoOpts, which derives the schedule (with
+		// Unreachable from Solve, which derives the schedule (with
 		// an error return) before constructing the factories.
 		panic(&fault.ProtocolError{Rank: rank, Phase: "plan",
 			Msg: fmt.Sprintf("schedule build failed: %v", err)})
@@ -569,7 +566,7 @@ func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *spar
 	if c.chunk <= 0 {
 		c.chunk = defaultSweepChunk
 	}
-	if opts.Mode.Resolve() == ModeElastic && opts.Staleness > 0 {
+	if opts.Staleness > 0 {
 		c.el = &elastic{staleness: opts.Staleness}
 	}
 

@@ -42,8 +42,7 @@ const poolTickQuantum = 2e-3
 
 // elastic is a rank's read-only elastic-mode configuration plus its lazily
 // computed phase deadlines. One per rank handler, built in rankCore.init
-// only when the solve requested elastic mode with a positive staleness
-// bound. The deadlines derive from the grid schedule's dependency depths
+// only when the solve asked for a positive staleness bound. The deadlines derive from the grid schedule's dependency depths
 // (rankCore.sg).
 type elastic struct {
 	staleness int

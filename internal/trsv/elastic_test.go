@@ -36,16 +36,16 @@ func elasticCases() []elasticCase {
 	}
 }
 
-// elasticSolve runs one DES solve in the given mode and returns the solution
-// panel and the run result.
+// elasticSolve runs one DES solve with the given options and returns the
+// solution panel and the run result.
 func elasticSolve(t *testing.T, pl *pipeline, ec elasticCase, b *sparse.Panel, opts SolveOpts, plan *fault.Plan) (*sparse.Panel, *runtime.Result) {
 	t.Helper()
 	p := pl.plan(t, ec.l, ec.kind)
 	x := sparse.NewPanel(b.Rows, b.Cols)
 	back := SimBackend{Opts: runtime.Options{Faults: plan}}
-	res, err := SolveIntoOpts(p, ec.model, ec.algo, back, b, x, opts)
+	res, err := Solve(p, ec.model, ec.algo, back, b, x, opts)
 	if err != nil {
-		t.Fatalf("%s mode=%v S=%d: %v", ec.name, opts.Mode, opts.Staleness, err)
+		t.Fatalf("%s S=%d: %v", ec.name, opts.Staleness, err)
 	}
 	return x, res
 }
@@ -54,31 +54,6 @@ func elasticSolve(t *testing.T, pl *pipeline, ec elasticCase, b *sparse.Panel, o
 // case force at least one phase at S=4.
 func forcingPlan() *fault.Plan {
 	return &fault.Plan{Seed: 9, NetDelay: map[int]float64{0: 5e-3}, Jitter: 1e-5}
-}
-
-// TestElasticS0BitIdenticalToStrict pins the degenerate end of the staleness
-// axis: an elastic solve with S=0 takes the strict code path by construction
-// (no ticks are ever armed), so its solution bytes and per-rank clocks must
-// equal the strict run's exactly — not approximately.
-func TestElasticS0BitIdenticalToStrict(t *testing.T) {
-	pl := buildPipeline(t, gen.S2D9pt(16, 16, 15), 3, 8)
-	rng := rand.New(rand.NewSource(11))
-	b := randPanel(rng, pl.m.N, 1)
-	for _, ec := range elasticCases() {
-		xs, rs := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeStrict}, nil)
-		xe, re := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 0}, nil)
-		cs, ce := rs.Clocks, re.Clocks
-		for i, v := range xs.Data {
-			if xe.Data[i] != v {
-				t.Fatalf("%s: x[%d] strict %g vs elastic S=0 %g", ec.name, i, v, xe.Data[i])
-			}
-		}
-		for i, v := range cs {
-			if ce[i] != v {
-				t.Fatalf("%s: rank %d clock strict %g vs elastic S=0 %g", ec.name, i, v, ce[i])
-			}
-		}
-	}
 }
 
 // TestElasticHealthyMatchesStrict pins the stronger fault-free property: a
@@ -91,11 +66,11 @@ func TestElasticHealthyMatchesStrict(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	b := randPanel(rng, pl.m.N, 1)
 	for _, ec := range elasticCases() {
-		xs, rs := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeStrict}, nil)
+		xs, rs := elasticSolve(t, pl, ec, b, SolveOpts{}, nil)
 		cs := rs.Clocks
 		for _, s := range []int{4, 16} {
 			var stats ElasticStats
-			xe, re := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: s, Elastic: &stats}, nil)
+			xe, re := elasticSolve(t, pl, ec, b, SolveOpts{Staleness: s, Elastic: &stats}, nil)
 			ce := re.Clocks
 			if stats.StaleSupernodes != 0 || stats.ForcedTicks != 0 {
 				t.Fatalf("%s S=%d: healthy run forced (stale=%d ticks=%d)",
@@ -124,8 +99,8 @@ func TestElasticDESDeterministic(t *testing.T) {
 	b := randPanel(rng, pl.m.N, 1)
 	for _, ec := range elasticCases() {
 		var sa, sb ElasticStats
-		xa, ra := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 4, Elastic: &sa}, forcingPlan())
-		xb, rb := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 4, Elastic: &sb}, forcingPlan())
+		xa, ra := elasticSolve(t, pl, ec, b, SolveOpts{Staleness: 4, Elastic: &sa}, forcingPlan())
+		xb, rb := elasticSolve(t, pl, ec, b, SolveOpts{Staleness: 4, Elastic: &sb}, forcingPlan())
 		ca, cb := ra.Clocks, rb.Clocks
 		if sa != sb {
 			t.Fatalf("%s: stale stats differ across same-seed runs: %+v vs %+v", ec.name, sa, sb)
@@ -178,7 +153,7 @@ func TestElasticMatchesGoldens(t *testing.T) {
 	b := randPanel(rng, pl.m.N, 1)
 	for i, ec := range cases {
 		var stats ElasticStats
-		x, res := elasticSolve(t, pl, ec, b, SolveOpts{Mode: ModeElastic, Staleness: 4, Elastic: &stats}, forcingPlan())
+		x, res := elasticSolve(t, pl, ec, b, SolveOpts{Staleness: 4, Elastic: &stats}, forcingPlan())
 		got, w := elasticGolden{goldenOf(ec.name, x, res), stats}, want[i]
 		if got.Name != w.Name {
 			t.Fatalf("case %d is %s, golden is %s", i, got.Name, w.Name)

@@ -2,7 +2,7 @@ package trsv
 
 import "sptrsv/internal/metrics"
 
-// Solve metrics, published once per solve by SolveInto after the backend
+// Solve metrics, published once per solve by Solve after the backend
 // run has quiesced. The kernels bump plain integers on the per-rank solve
 // state (single-writer during a run), so the hot paths never touch the
 // registry and the discrete-event schedule is unperturbed.
@@ -56,7 +56,7 @@ func (a *solveCounts) accumulate(b solveCounts) {
 }
 
 // countsReporter exposes a handler's per-solve tallies; rankCore implements
-// it, so every algorithm reports through the same hook SolveInto already
+// it, so every algorithm reports through the same hook Solve already
 // uses for state release.
 type countsReporter interface{ solveCounts() solveCounts }
 

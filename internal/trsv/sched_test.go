@@ -58,7 +58,7 @@ func solveMode(t *testing.T, pl *pipeline, tc schedCase, b *sparse.Panel, back B
 	t.Helper()
 	p := pl.plan(t, tc.l, tc.kind)
 	x := sparse.NewPanel(b.Rows, b.Cols)
-	res, err := SolveIntoOpts(p, tc.model, tc.algo, back, b, x, opts)
+	res, err := Solve(p, tc.model, tc.algo, back, b, x, opts)
 	if err != nil {
 		t.Fatalf("%s %+v: %v", tc.name, opts, err)
 	}
@@ -173,7 +173,7 @@ func TestSchedConcurrentSolves(t *testing.T) {
 				opts.levelChunk = 1
 			}
 			x := sparse.NewPanel(b.Rows, b.Cols)
-			_, err := SolveIntoOpts(p, model, Proposed3D, back, b, x, opts)
+			_, err := Solve(p, model, Proposed3D, back, b, x, opts)
 			errs[i] = err
 			if err == nil {
 				diffs[i] = x.MaxAbsDiff(want)
@@ -225,15 +225,17 @@ func TestSchedStatsSane(t *testing.T) {
 	}
 }
 
-// TestSchedRejectsBadOpts checks the options validation surface.
+// TestSchedRejectsBadOpts checks the options validation surface: an
+// elastic solve needs a backend that can arm its deadline ticks, so a
+// backend that is not Configurable is an error, not a strict run.
 func TestSchedRejectsBadOpts(t *testing.T) {
 	pl := buildPipeline(t, gen.S2D9pt(10, 10, 37), 1, 8)
 	p := pl.plan(t, grid.Layout{Px: 1, Py: 1, Pz: 1}, ctree.Binary)
 	b := sparse.NewPanel(pl.m.N, 1)
 	x := sparse.NewPanel(pl.m.N, 1)
-	for _, opts := range []SolveOpts{{Mode: SolveMode(99)}} {
-		if _, err := SolveIntoOpts(p, machine.CoriHaswell(), Proposed3D, SimBackend{}, b, x, opts); err == nil {
-			t.Fatalf("bad options %+v accepted", opts)
-		}
+	custom := struct{ Backend }{SimBackend{}}
+	opts := SolveOpts{Staleness: 4}
+	if _, err := Solve(p, machine.CoriHaswell(), Proposed3D, custom, b, x, opts); err == nil {
+		t.Fatalf("options %+v accepted on a backend without runtime options", opts)
 	}
 }

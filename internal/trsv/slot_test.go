@@ -25,8 +25,8 @@ import (
 // releases them with releaseRanks. The solution is not returned.
 func runRanks(t *testing.T, p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b *sparse.Panel, opts SolveOpts, wrap func(runtime.Handler) runtime.Handler) ([]runtime.Handler, error) {
 	t.Helper()
-	if opts.Mode.Resolve() == ModeElastic && opts.Staleness > 0 {
-		back = back.(elasticBackend).withElastic(tagElastic)
+	if opts.Staleness > 0 {
+		back = back.(Configurable).WithOptions(func(o *runtime.Options) { o.ElasticTag = tagElastic })
 	}
 	x := sparse.NewPanel(b.Rows, b.Cols)
 	factory, err := handlerFactory(algo, p, model, b, x, opts)
@@ -85,7 +85,7 @@ func TestBaselineMergeShipsOnlyPartnerRows(t *testing.T) {
 		plan := &fault.Plan{Seed: 9, NetDelay: map[int]float64{rank: 5e-3}}
 		hs, err := runRanks(t, p, machine.CoriHaswell(), Baseline3D,
 			SimBackend{Opts: runtime.Options{Faults: plan}}, b,
-			SolveOpts{Mode: ModeElastic, Staleness: 4},
+			SolveOpts{Staleness: 4},
 			func(h runtime.Handler) runtime.Handler {
 				return zGatherProbe{base3dRank: h.(*base3dRank), offPath: &off}
 			})

@@ -52,53 +52,6 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// SolveMode selects the blocking discipline of cross-rank dependencies.
-// Strict mode is the historical contract: every rank blocks until each
-// dependency arrives, so a single straggler stretches the whole critical
-// path. Elastic mode bounds that wait: a rank whose phase is more than the
-// staleness bound S dependency levels behind schedule proceeds with its
-// last-received (possibly stale, initially zero) inputs instead of
-// blocking, and records which supernodes consumed stale data so the
-// caller can run iterative refinement (core.Solver does; see
-// SolveOpts.Staleness and ElasticStats).
-type SolveMode int
-
-const (
-	// ModeAuto picks the default mode (strict).
-	ModeAuto SolveMode = iota
-	// ModeStrict blocks on every cross-rank dependency (exactly-once-
-	// then-block — the PR 4 contract's original execution discipline).
-	ModeStrict
-	// ModeElastic bounds dependency waits by the staleness deadline and
-	// proceeds with stale inputs past it.
-	ModeElastic
-)
-
-func (m SolveMode) String() string {
-	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeStrict:
-		return "strict"
-	case ModeElastic:
-		return "elastic"
-	}
-	return fmt.Sprintf("SolveMode(%d)", int(m))
-}
-
-// Resolve maps ModeAuto to the concrete default mode.
-func (m SolveMode) Resolve() SolveMode {
-	if m == ModeAuto {
-		return ModeStrict
-	}
-	return m
-}
-
-// Valid reports whether m is a known mode.
-func (m SolveMode) Valid() bool {
-	return m == ModeAuto || m == ModeStrict || m == ModeElastic
-}
-
 // ElasticStats reports what an elastic solve actually skipped; SolveOpts
 // callers pass a pointer to receive them after the run.
 type ElasticStats struct {
@@ -115,13 +68,17 @@ type ElasticStats struct {
 
 // SolveOpts tunes solve execution without touching the plan.
 type SolveOpts struct {
-	// Mode selects strict or elastic execution; the zero value resolves
-	// to strict.
-	Mode SolveMode
-	// Staleness is elastic mode's staleness bound S in dependency levels:
-	// each phase's forcing deadline is (phase depth + S) level quanta
-	// after the previous phase's. S ≤ 0 disables forcing entirely, so an
-	// elastic solve with S=0 is bit-identical to the strict solve.
+	// Staleness selects the blocking discipline of cross-rank
+	// dependencies. S ≤ 0, the default, is the strict solve: every rank
+	// blocks until each dependency arrives, so a single straggler
+	// stretches the whole critical path. S > 0 is the elastic
+	// (stale-synchronous) solve with staleness bound S in dependency
+	// levels: each phase's forcing deadline is (phase depth + S) level
+	// quanta after the previous phase's, and a rank past it proceeds with
+	// its last-received (possibly stale, initially zero) inputs instead of
+	// blocking, recording which supernodes consumed stale data so the
+	// caller can run iterative refinement (core.Solver does). The elastic
+	// solve needs a Configurable backend, which arms the deadline ticks.
 	Staleness int
 	// Elastic, when non-nil, receives the run's stale-consumption stats.
 	Elastic *ElasticStats
@@ -130,22 +87,6 @@ type SolveOpts struct {
 	// level sweeps (tasks claimed per steal); 0 means defaultSweepChunk.
 	// Only in-package tests set it.
 	levelChunk int
-}
-
-// elasticBackend is implemented by the built-in backends: withElastic
-// returns a copy configured for an elastic run (runtime.Options.ElasticTag
-// set, which arms tick delivery filtering on the Engine and wall-clock
-// timers plus the stray-message exemption on the Pool).
-type elasticBackend interface{ withElastic(tag int) Backend }
-
-func (s SimBackend) withElastic(tag int) Backend {
-	s.Opts.ElasticTag = tag
-	return s
-}
-
-func (p PoolBackend) withElastic(tag int) Backend {
-	p.Pool.Opts.ElasticTag = tag
-	return p
 }
 
 // stateReleaser is implemented by every handler embedding rankCore; Solve
@@ -192,51 +133,33 @@ func handlerFactory(algo Algorithm, p *dist.Plan, model *machine.Model, b, x *sp
 }
 
 // Solve runs one distributed triangular solve of L·U·x = b on the given
-// backend and returns the solution panel (in the permuted ordering of the
-// plan's factors) together with the per-rank timing result.
+// backend, writing the solution (in the permuted ordering of the plan's
+// factors, zeroed first) into the caller-provided panel x, and returns the
+// per-rank timing result. Each rank handler draws its per-solve execution
+// state from its schedule pool and returns it when the run completes, so
+// steady-state repeated solves allocate little beyond the solution
+// subvectors themselves.
 //
 // The plan is only read, so any number of Solve calls may run concurrently
-// against the same plan, each with its own RHS.
-func Solve(p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b *sparse.Panel) (*sparse.Panel, *runtime.Result, error) {
-	x := sparse.NewPanel(b.Rows, b.Cols)
-	res, err := SolveInto(p, model, algo, back, b, x)
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, res, nil
-}
-
-// SolveInto is Solve writing the solution into a caller-provided panel
-// (which it zeroes first), letting repeated solves reuse output storage.
-// Each rank handler draws its per-solve execution state from its schedule
-// pool and returns it when the run completes, so steady-state repeated solves
-// allocate little beyond the solution subvectors themselves.
-func SolveInto(p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b, x *sparse.Panel) (*runtime.Result, error) {
-	return SolveIntoOpts(p, model, algo, back, b, x, SolveOpts{})
-}
-
-// SolveIntoOpts is SolveInto with explicit execution options.
-func SolveIntoOpts(p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b, x *sparse.Panel, opts SolveOpts) (*runtime.Result, error) {
+// against the same plan, each with its own RHS and output.
+func Solve(p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b, x *sparse.Panel, opts SolveOpts) (*runtime.Result, error) {
 	if b.Rows != p.M.N {
 		return nil, fmt.Errorf("trsv: rhs has %d rows, matrix has %d", b.Rows, p.M.N)
 	}
 	if x.Rows != b.Rows || x.Cols != b.Cols {
 		return nil, fmt.Errorf("trsv: output panel is %dx%d, rhs is %dx%d", x.Rows, x.Cols, b.Rows, b.Cols)
 	}
-	if !opts.Mode.Valid() {
-		return nil, fmt.Errorf("trsv: unknown solve mode %v", opts.Mode)
-	}
 	// Derive (or fetch the cached) level/DAG schedule up front so a build
 	// failure surfaces as an error, not a handler panic.
 	if _, err := sched.Of(p); err != nil {
 		return nil, err
 	}
-	if opts.Mode.Resolve() == ModeElastic && opts.Staleness > 0 {
-		eb, ok := back.(elasticBackend)
+	if opts.Staleness > 0 {
+		cb, ok := back.(Configurable)
 		if !ok {
-			return nil, fmt.Errorf("trsv: elastic mode requires a built-in backend (SimBackend or PoolBackend), got %T", back)
+			return nil, fmt.Errorf("trsv: elastic solve requires a built-in backend (SimBackend or PoolBackend), got %T", back)
 		}
-		back = eb.withElastic(tagElastic)
+		back = cb.WithOptions(func(o *runtime.Options) { o.ElasticTag = tagElastic })
 	}
 	x.Zero()
 	factory, err := handlerFactory(algo, p, model, b, x, opts)

@@ -62,6 +62,13 @@ func randPanel(rng *rand.Rand, rows, cols int) *sparse.Panel {
 	return p
 }
 
+// solveNew runs one default-options solve into a fresh output panel.
+func solveNew(p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b *sparse.Panel) (*sparse.Panel, *runtime.Result, error) {
+	x := sparse.NewPanel(b.Rows, b.Cols)
+	res, err := Solve(p, model, algo, back, b, x, SolveOpts{})
+	return x, res, err
+}
+
 // checkSolve runs one algorithm on one layout and compares against the
 // serial supernodal reference.
 func checkSolve(t *testing.T, pl *pipeline, l grid.Layout, kind ctree.Kind, algo Algorithm, back Backend, model *machine.Model, nrhs int, seed int64) *runtime.Result {
@@ -70,7 +77,7 @@ func checkSolve(t *testing.T, pl *pipeline, l grid.Layout, kind ctree.Kind, algo
 	b := randPanel(rng, pl.m.N, nrhs)
 	want := pl.m.Solve(b)
 	p := pl.plan(t, l, kind)
-	x, res, err := Solve(p, model, algo, back, b)
+	x, res, err := solveNew(p, model, algo, back, b)
 	if err != nil {
 		t.Fatalf("%v %+v: %v", algo, l, err)
 	}
@@ -174,13 +181,13 @@ func TestGPURejectsBadConfigs(t *testing.T) {
 	pl := buildPipeline(t, gen.S2D9pt(10, 10, 17), 1, 8)
 	model := machine.PerlmutterGPU()
 	b := sparse.NewPanel(pl.m.N, 1)
-	if _, _, err := Solve(pl.plan(t, grid.Layout{Px: 2, Py: 2, Pz: 1}, ctree.Binary), model, GPUSingle, SimBackend{}, b); err == nil {
+	if _, _, err := solveNew(pl.plan(t, grid.Layout{Px: 2, Py: 2, Pz: 1}, ctree.Binary), model, GPUSingle, SimBackend{}, b); err == nil {
 		t.Fatal("gpu-single with Px*Py>1 accepted")
 	}
-	if _, _, err := Solve(pl.plan(t, grid.Layout{Px: 2, Py: 2, Pz: 1}, ctree.Binary), model, GPUMulti, SimBackend{}, b); err == nil {
+	if _, _, err := solveNew(pl.plan(t, grid.Layout{Px: 2, Py: 2, Pz: 1}, ctree.Binary), model, GPUMulti, SimBackend{}, b); err == nil {
 		t.Fatal("gpu-multi with Py>1 accepted")
 	}
-	if _, _, err := Solve(pl.plan(t, grid.Layout{Px: 1, Py: 1, Pz: 1}, ctree.Binary), machine.CoriHaswell(), GPUSingle, SimBackend{}, b); err == nil {
+	if _, _, err := solveNew(pl.plan(t, grid.Layout{Px: 1, Py: 1, Pz: 1}, ctree.Binary), machine.CoriHaswell(), GPUSingle, SimBackend{}, b); err == nil {
 		t.Fatal("gpu algorithm on CPU-only model accepted")
 	}
 }
@@ -237,7 +244,7 @@ func TestBinaryTreesReduceLatencyAtWideGrids(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	b := randPanel(rng, pl.m.N, 1)
 	solve := func(kind ctree.Kind) float64 {
-		x, res, err := Solve(pl.plan(t, l, kind), model, Proposed3D, SimBackend{}, b)
+		x, res, err := solveNew(pl.plan(t, l, kind), model, Proposed3D, SimBackend{}, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,11 +295,11 @@ func TestNaiveAllreduceCostsMoreMessages(t *testing.T) {
 	l := grid.Layout{Px: 2, Py: 2, Pz: 8}
 	rng := rand.New(rand.NewSource(61))
 	b := randPanel(rng, pl.m.N, 1)
-	_, sparseRes, err := Solve(pl.plan(t, l, ctree.Binary), model, Proposed3D, SimBackend{}, b)
+	_, sparseRes, err := solveNew(pl.plan(t, l, ctree.Binary), model, Proposed3D, SimBackend{}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, naiveRes, err := Solve(pl.plan(t, l, ctree.Binary), model, Proposed3DNaiveAR, SimBackend{}, b)
+	_, naiveRes, err := solveNew(pl.plan(t, l, ctree.Binary), model, Proposed3DNaiveAR, SimBackend{}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +318,11 @@ func TestMessageCountsBaselineVsProposed(t *testing.T) {
 	l := grid.Layout{Px: 2, Py: 2, Pz: 8}
 	rng := rand.New(rand.NewSource(62))
 	b := randPanel(rng, pl.m.N, 1)
-	_, newRes, err := Solve(pl.plan(t, l, ctree.Flat), model, Proposed3D, SimBackend{}, b)
+	_, newRes, err := solveNew(pl.plan(t, l, ctree.Flat), model, Proposed3D, SimBackend{}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, baseRes, err := Solve(pl.plan(t, l, ctree.Flat), model, Baseline3D, SimBackend{}, b)
+	_, baseRes, err := solveNew(pl.plan(t, l, ctree.Flat), model, Baseline3D, SimBackend{}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +434,7 @@ func TestGPUMultiRHSFasterPerRHS(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	t1 := func(nrhs int) float64 {
 		b := randPanel(rng, pl.m.N, nrhs)
-		_, res, err := Solve(pl.plan(t, l, ctree.Binary), model, GPUSingle, SimBackend{}, b)
+		_, res, err := solveNew(pl.plan(t, l, ctree.Binary), model, GPUSingle, SimBackend{}, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -329,7 +329,7 @@ func TestByteAccountingInvariant(t *testing.T) {
 			rb := &recountBackend{inner: back}
 			p := pl.plan(t, tc.layout, ctree.Binary)
 			x := sparse.NewPanel(b.Rows, b.Cols)
-			if _, err := SolveIntoOpts(p, model, tc.algo, rb, b, x, SolveOpts{}); err != nil {
+			if _, err := Solve(p, model, tc.algo, rb, b, x, SolveOpts{}); err != nil {
 				t.Fatalf("%v %T: %v", tc.algo, back, err)
 			}
 			for i, msg := range rb.bad {
@@ -392,7 +392,7 @@ func TestPackedMatchesDenseOracle(t *testing.T) {
 			db := solveDenseOracle(t, SimBackend{}, func(back Backend) (*sparse.Panel, *runtime.Result) {
 				p := pl.plan(t, tc.layout, ctree.Binary)
 				x := sparse.NewPanel(b.Rows, b.Cols)
-				res, err := SolveIntoOpts(p, model, tc.algo, back, b, x, SolveOpts{})
+				res, err := Solve(p, model, tc.algo, back, b, x, SolveOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -431,7 +431,7 @@ func TestZeroRunSuppressionGPU(t *testing.T) {
 	db := solveDenseOracle(t, SimBackend{}, func(back Backend) (*sparse.Panel, *runtime.Result) {
 		p := pl.plan(t, l, ctree.Auto)
 		x := sparse.NewPanel(b.Rows, b.Cols)
-		res, err := SolveIntoOpts(p, model, GPUSingle, back, b, x, SolveOpts{})
+		res, err := Solve(p, model, GPUSingle, back, b, x, SolveOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

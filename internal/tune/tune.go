@@ -33,7 +33,6 @@ import (
 	"sptrsv/internal/core"
 	"sptrsv/internal/machine"
 	"sptrsv/internal/sparse"
-	"sptrsv/internal/trsv"
 )
 
 // Options controls one tuning run. The zero value asks for the defaults.
@@ -49,12 +48,11 @@ type Options struct {
 	// Cache, when non-nil, is consulted before searching and updated
 	// after. A warm hit returns immediately with zero probe solves.
 	Cache *Cache
-	// Mode, Staleness, RefineTol, and RefineMax are stamped onto the
-	// returned configurations (chosen and default) so the caller deploys
-	// the tuned choice in the solve mode it will actually run. Probes stay
+	// Staleness, RefineTol, and RefineMax are stamped onto the returned
+	// configurations (chosen and default) so the caller deploys the tuned
+	// choice with the elastic group it will actually run. Probes stay
 	// strict: they run fault-free, where elastic execution is identical by
-	// construction, so the mode cannot change the ranking.
-	Mode      trsv.SolveMode
+	// construction, so the staleness bound cannot change the ranking.
 	Staleness int
 	RefineTol float64
 	RefineMax int
@@ -101,9 +99,8 @@ type Result struct {
 	Probed []Scored
 }
 
-// stamp applies the caller's solve-mode knobs to a tuned configuration.
+// stamp applies the caller's elastic group to a tuned configuration.
 func (o Options) stamp(cfg core.Config) core.Config {
-	cfg.Mode = o.Mode
 	cfg.Staleness = o.Staleness
 	cfg.RefineTol = o.RefineTol
 	cfg.RefineMax = o.RefineMax

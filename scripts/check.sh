@@ -69,6 +69,9 @@ go test -run '^$' -fuzz '^FuzzPackRoundTrip$' -fuzztime 10s ./internal/trsv
 echo "== block-kernel fuzz (bounded) =="
 go test -run '^$' -fuzz '^FuzzGemmKernels$' -fuzztime 10s ./internal/sparse
 
+echo "== solve-request config fuzz (bounded) =="
+go test -run '^$' -fuzz '^FuzzSolveConfigDecode$' -fuzztime 10s ./internal/server
+
 echo "== go test -race -count=2 (solve service stress: clients x scrapes x cache churn) =="
 go test -race -count=2 -run 'TestServerStressRace|TestCoalesce|TestQueueFull' \
     ./internal/server ./internal/server/loadgen

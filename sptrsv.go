@@ -94,7 +94,16 @@ type (
 	FactorOptions = core.FactorOptions
 	// System is a factored matrix ready to distribute and solve.
 	System = core.System
-	// Config selects layout, algorithm, trees, machine, and backend.
+	// Config selects layout, algorithm, trees, machine, backend, and the
+	// blocking discipline. Staleness 0 (the default) waits for every
+	// dependency — the classical SpTRSV contract. Staleness S > 0 bounds
+	// how long: a rank that falls more than S dependency levels behind the
+	// modeled schedule forces progress with the contributions received so
+	// far, and the solver repairs the stale reads with iterative
+	// refinement until the true residual meets RefineTol (default 1e-8) or
+	// returns a typed NumericalError — a verified solution either way.
+	// Fault-free elastic runs force nothing and are bit-identical to
+	// strict (see DESIGN.md §14).
 	Config = core.Config
 	// Solver executes distributed solves for one System and Config.
 	Solver = core.Solver
@@ -207,24 +216,6 @@ const (
 	AutoTrees   = ctree.Auto
 )
 
-// SolveMode selects strict or elastic stale-synchronous execution via
-// Config.Mode.
-type SolveMode = trsv.SolveMode
-
-// Solve modes. ModeStrict (the ModeAuto default) waits for every dependency
-// — the classical SpTRSV contract. ModeElastic bounds how long: a rank that
-// falls more than Config.Staleness dependency levels behind the modeled
-// schedule forces progress with the contributions received so far, and the
-// solver repairs the stale reads with iterative refinement until the true
-// residual meets Config.RefineTol (default 1e-8) or returns a typed
-// NumericalError — a verified solution either way. Fault-free elastic runs
-// force nothing and are bit-identical to strict (see DESIGN.md §14).
-const (
-	ModeAuto    = trsv.ModeAuto
-	ModeStrict  = trsv.ModeStrict
-	ModeElastic = trsv.ModeElastic
-)
-
 // Machine models of the paper's three systems.
 var (
 	CoriHaswell   = machine.CoriHaswell
@@ -249,12 +240,12 @@ type (
 // GoroutinePool returns a PoolBackend with default settings.
 func GoroutinePool() PoolBackend { return PoolBackend{Pool: runtime.Pool{}} }
 
-// Fault injection and the typed failure taxonomy. A FaultPlan passed via
-// Config.Faults (or a backend's runtime.Options) injects deterministic
-// faults — straggler ranks, message latency jitter, message drops, rank
-// crashes — into solves; see DESIGN.md §9. Every runtime failure a solve
-// can hit (injected or not) comes back as one of the typed errors below
-// rather than crashing the process.
+// Fault injection and the typed failure taxonomy. A FaultPlan in a
+// backend's runtime.Options (or one solve's, via Solver.SolveWith) injects
+// deterministic faults — straggler ranks, message latency jitter, message
+// drops, rank crashes — into solves; see DESIGN.md §9. Every runtime
+// failure a solve can hit (injected or not) comes back as one of the typed
+// errors below rather than crashing the process.
 type (
 	// FaultPlan describes the faults to inject into a run; the zero value
 	// injects nothing, and a plan is reusable across concurrent solves.
