@@ -128,6 +128,15 @@ func (t *Tree) Children(rank int) []int {
 	return out
 }
 
+// RootChildren is Children(Root()) without the allocation and the lookup:
+// a view of the member list, which callers must not modify.
+func (t *Tree) RootChildren() []int {
+	if t.kind == Flat {
+		return t.ranks[1:]
+	}
+	return t.ranks[1:min(3, len(t.ranks))]
+}
+
 // Parent returns the rank a participant receives from during a broadcast
 // (sends to during a reduction), or -1 at the root.
 func (t *Tree) Parent(rank int) int {

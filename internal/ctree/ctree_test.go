@@ -56,6 +56,16 @@ func TestTreeSpansAllRanksOnce(t *testing.T) {
 				return false
 			}
 		}
+		// RootChildren is the root's Children, as a view.
+		if want, got := tr.Children(root), tr.RootChildren(); len(got) != len(want) {
+			return false
+		} else {
+			for i := range want {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+		}
 		return tr.Parent(root) == -1
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {

@@ -17,11 +17,12 @@ type GroupTree struct {
 }
 
 // BaselineRankData holds one rank's precomputed baseline counters, by
-// sweep: expected receives per node stage 0..s and per-row dependency
-// counts. Handlers clone the maps and slices.
+// sweep: expected receives per node stage 0..s, and per-row dependency
+// counts by slot — the row's index in GridPlan.Sns, the numbering of the
+// level schedule's slot tables. Handlers copy both.
 type BaselineRankData struct {
 	Remaining [2][]int
-	Pending   [2]map[int]int
+	Pending   [2][]int32
 }
 
 // Baseline holds the per-grid structures only the baseline algorithm uses.
@@ -179,13 +180,14 @@ func (p *Plan) buildBaselineRankData(gp *GridPlan, b *Baseline) {
 	b.S = trailingZerosCapped(gp.Z, p.Map.L)
 	s := b.S
 	b.Ranks = make([]*BaselineRankData, l.GridSize())
+	n := len(gp.Sns)
 	for r := range b.Ranks {
 		b.Ranks[r] = &BaselineRankData{
 			Remaining: [2][]int{make([]int, s+1), make([]int, s+1)},
-			Pending:   [2]map[int]int{{}, {}},
+			Pending:   [2][]int32{make([]int32, n), make([]int32, n)},
 		}
 	}
-	for _, k := range gp.Sns {
+	for slot, k := range gp.Sns {
 		ni := gp.NodeOf[k]
 		diag := p.DiagRank2D(k)
 		if ni <= s {
@@ -211,7 +213,7 @@ func (p *Plan) buildBaselineRankData(gp *GridPlan, b *Baseline) {
 		t := b.Reduce[SweepL][k]
 		for _, m := range t.Members() {
 			rd := b.Ranks[m]
-			rd.Pending[SweepL][k] = withinByCol[m%l.Py] + t.NumChildren(m)
+			rd.Pending[SweepL][slot] = int32(withinByCol[m%l.Py] + t.NumChildren(m))
 			rd.Remaining[SweepL][ni] += t.NumChildren(m)
 		}
 		gather := 0
@@ -221,7 +223,7 @@ func (p *Plan) buildBaselineRankData(gp *GridPlan, b *Baseline) {
 			}
 		}
 		if gather > 0 {
-			b.Ranks[diag].Pending[SweepL][k] += gather
+			b.Ranks[diag].Pending[SweepL][slot] += int32(gather)
 			b.Ranks[diag].Remaining[SweepL][ni] += gather
 		}
 		for _, gt := range b.BcastGroups[SweepU][k] {
@@ -234,7 +236,7 @@ func (p *Plan) buildBaselineRankData(gp *GridPlan, b *Baseline) {
 		tu := b.Reduce[SweepU][k]
 		for _, m := range tu.Members() {
 			rd := b.Ranks[m]
-			rd.Pending[SweepU][k] = gp.Ranks[m].Local[SweepU][k] + tu.NumChildren(m)
+			rd.Pending[SweepU][slot] = int32(gp.Ranks[m].Local[SweepU][k] + tu.NumChildren(m))
 			rd.Remaining[SweepU][ni] += tu.NumChildren(m)
 		}
 	}

@@ -45,8 +45,10 @@ type RankData struct {
 
 	// Initial dependency counters for the proposed algorithm, by sweep:
 	// expected contributions per row (local GEMVs plus reduction-tree
-	// children) and total expected receives per phase.
-	Pending [2]map[int]int
+	// children), by slot — the row's index in GridPlan.Sns, the numbering
+	// of the executor's slot tables — and total expected receives per
+	// phase.
+	Pending [2][]int32
 	Recv    [2]int
 }
 
@@ -238,13 +240,14 @@ func (p *Plan) buildGrid(z int) (*GridPlan, error) {
 func (p *Plan) buildRankData(gp *GridPlan) {
 	m := p.M
 	l := p.Layout
+	n := len(gp.Sns)
 	gp.Ranks = make([]*RankData, l.GridSize())
 	for r := range gp.Ranks {
 		gp.Ranks[r] = &RankData{
 			ColL:    map[int][]*snode.LBlock{},
 			ColU:    map[int][]UBlockRef{},
 			Local:   [2]map[int]int{{}, {}},
-			Pending: [2]map[int]int{{}, {}},
+			Pending: [2][]int32{make([]int32, n), make([]int32, n)},
 		}
 	}
 	for _, k := range gp.Sns {
@@ -269,12 +272,12 @@ func (p *Plan) buildRankData(gp *GridPlan) {
 	}
 	// Dependency counters: one pass over tree members instead of one scan
 	// of every supernode per rank.
-	for _, k := range gp.Sns {
+	for slot, k := range gp.Sns {
 		for sw := range gp.Reduce {
 			red, bc := gp.Reduce[sw][k], gp.Bcast[sw][k]
 			for _, m := range red.Members() {
 				rd := gp.Ranks[m]
-				rd.Pending[sw][k] = rd.Local[sw][k] + red.NumChildren(m)
+				rd.Pending[sw][slot] = int32(rd.Local[sw][k] + red.NumChildren(m))
 				rd.Recv[sw] += red.NumChildren(m)
 			}
 			for _, m := range bc.Members() {

@@ -150,18 +150,40 @@ func TestRankDataPartitionsBlocks(t *testing.T) {
 func TestPendingCountsMatchTreeStructure(t *testing.T) {
 	p := newPlan(t, grid.Layout{Px: 2, Py: 2, Pz: 4}, ctree.Binary)
 	for _, gp := range p.Grids {
-		for _, k := range gp.Sns {
-			// Sum over ranks of Pending[SweepL][k] must equal total L blocks in
-			// row k plus total reduce-tree edges (each child sends one
-			// message, each message is one pending unit at its parent).
+		for slot, k := range gp.Sns {
+			// Sum over ranks of row k's L-sweep Pending must equal total L
+			// blocks in row k plus total reduce-tree edges (each child sends
+			// one message, each message is one pending unit at its parent).
 			sum := 0
 			for _, rd := range gp.Ranks {
-				sum += rd.Pending[SweepL][k]
+				sum += int(rd.Pending[SweepL][slot])
 			}
 			blocks := len(gp.RowSns[k])
 			edges := gp.Reduce[SweepL][k].Size() - 1
 			if sum != blocks+edges {
 				t.Fatalf("grid %d sn %d: pending sum %d != blocks %d + edges %d", gp.Z, k, sum, blocks, edges)
+			}
+		}
+	}
+}
+
+// TestPendingIsLocalOnOneColumnGrids pins the identity the GPU handler's
+// counters rest on: with Py = 1 every block of row K lives on K's diagonal
+// rank, each reduction tree is that rank alone, so the counter templates
+// equal the rank's own block counts per row (zero on other ranks' rows).
+func TestPendingIsLocalOnOneColumnGrids(t *testing.T) {
+	for _, l := range []grid.Layout{{Px: 1, Py: 1, Pz: 4}, {Px: 2, Py: 1, Pz: 2}, {Px: 4, Py: 1, Pz: 1}} {
+		p := newPlan(t, l, ctree.Binary)
+		for _, gp := range p.Grids {
+			for r2d, rd := range gp.Ranks {
+				for sw := range rd.Pending {
+					for slot, k := range gp.Sns {
+						if int(rd.Pending[sw][slot]) != rd.Local[sw][k] {
+							t.Fatalf("%+v grid %d rank %d sweep %d sn %d: pending %d, local blocks %d",
+								l, gp.Z, r2d, sw, k, rd.Pending[sw][slot], rd.Local[sw][k])
+						}
+					}
+				}
 			}
 		}
 	}

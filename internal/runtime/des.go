@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime/debug"
 
@@ -35,18 +34,67 @@ type event struct {
 	msg      Msg
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before is the delivery order: virtual time, ties broken by scheduling
+// sequence. seq is unique per run, so the order is strict and total and
+// any correct priority queue pops the same sequence.
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// eventQueue is a binary min-heap of events in delivery order. It is
+// typed, so push and pop move events by value without boxing them into
+// interfaces; sifts move a hole instead of swapping.
+type eventQueue []event
+
+// push adds ev to the queue.
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+// pop removes and returns the earliest event; the queue must not be empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the payload reference held beyond len
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
+}
 
 // Engine is the discrete-event backend. Events are delivered in global
 // virtual-time order with a deterministic sequence tie-break, so two runs of
@@ -57,7 +105,7 @@ type Engine struct {
 	handlers  []Handler
 	clocks    []float64
 	timers    []Timers
-	queue     eventHeap
+	queue     eventQueue
 	seq       int
 	delivered int
 	// MaxEvents guards against runaway handlers; 0 means the default.
@@ -136,17 +184,17 @@ func (e *Engine) Run(newHandler func(rank int) Handler) (*Result, error) {
 	e.faults = faultTally{}
 	failed, stalled := true, false
 	defer func() { publishRun("des", e.timers, e.tr, e.faults, failed, stalled) }()
-	ctxs := make([]*Ctx, n)
+	ctxs := make([]Ctx, n)
 	for r := 0; r < n; r++ {
 		e.handlers[r] = newHandler(r)
-		ctxs[r] = &Ctx{rank: r, b: e}
+		ctxs[r] = Ctx{rank: r, b: e}
 	}
 	for r := 0; r < n; r++ {
 		if t, ok := e.inj.CrashTime(r); ok && t <= 0 {
 			e.noteCrash(r, t)
 			continue
 		}
-		if err := e.step(r, func() { e.handlers[r].Init(ctxs[r]) }); err != nil {
+		if err := e.step(r, func() { e.handlers[r].Init(&ctxs[r]) }); err != nil {
 			return nil, err
 		}
 	}
@@ -158,7 +206,7 @@ func (e *Engine) Run(newHandler func(rank int) Handler) (*Result, error) {
 		if e.delivered++; e.delivered > maxEvents {
 			return nil, fmt.Errorf("runtime: event budget %d exhausted", maxEvents)
 		}
-		ev := heap.Pop(&e.queue).(event)
+		ev := e.queue.pop()
 		r := ev.msg.Dst
 		if e.crashed[r] {
 			continue // the payload is lost with the rank
@@ -209,7 +257,7 @@ func (e *Engine) Run(newHandler func(rank int) Handler) (*Result, error) {
 			e.timers[r].ByCat[ev.msg.Cat] += ev.recvOver
 			e.clocks[r] += ev.recvOver
 		}
-		if err := e.step(r, func() { e.handlers[r].OnMessage(ctxs[r], ev.msg) }); err != nil {
+		if err := e.step(r, func() { e.handlers[r].OnMessage(&ctxs[r], ev.msg) }); err != nil {
 			return nil, err
 		}
 	}
@@ -398,7 +446,7 @@ func (e *Engine) push(t float64, m Msg) { e.pushRecv(t, 0, m) }
 
 func (e *Engine) pushRecv(t, recvOver float64, m Msg) {
 	e.seq++
-	heap.Push(&e.queue, event{time: t, seq: e.seq, recvOver: recvOver, msg: m})
+	e.queue.push(event{time: t, seq: e.seq, recvOver: recvOver, msg: m})
 }
 
 func (e *Engine) compute(rank, tag int, seconds float64, f func()) {

@@ -48,6 +48,12 @@ func (c Category) String() string {
 // Msg is a point-to-point message. Data carries real payload (the handlers
 // do real numerics); Bytes is the modeled wire size used by the network
 // model. The sender must not retain or mutate Data after sending.
+//
+// Data stays an interface: a pointer stored in it costs no allocation, so
+// a sender that takes its payload records from storage it owns (the trsv
+// handlers use per-solve slabs, valid until the run quiesces) sends
+// without allocating, and a typed Msg would pull every algorithm's payload
+// types into this package. Boxing a non-pointer value does allocate.
 type Msg struct {
 	Src, Dst int
 	Tag      int

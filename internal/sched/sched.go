@@ -2,9 +2,9 @@
 // for every rank, the dependency DAG over its supernode tasks (diag_y,
 // diag_x, l_block, u_block) for both the L and the U sweep, topologically
 // layered into levels, together with the dense per-rank structures the
-// executor in internal/trsv runs on — slot numbering,
-// dependency-counter templates, precomputed broadcast fan-outs, and the
-// arena capacity that makes the per-task hot path allocation-free.
+// executor in internal/trsv runs on — slot numbering, precomputed
+// broadcast fan-outs, and the arena capacity that makes the per-task hot
+// path allocation-free.
 //
 // The schedule is derived once per plan and cached on it (Plan.
 // CachedSchedule, the same sync.Once pattern as BuildBaseline), so
@@ -62,11 +62,6 @@ type Grid struct {
 // Rank is one rank's precomputed schedule. Per-sweep templates are [2]
 // arrays indexed by dist.SweepL and dist.SweepU.
 type Rank struct {
-	// Pending holds the dense dependency-counter templates per slot (the
-	// slot form of RankData.Pending). Zero entries for slots this rank
-	// never reduces.
-	Pending [2][]int32
-
 	// BcastKids holds the precomputed 2D-rank fan-outs of this rank in the
 	// per-supernode broadcast trees (Tree.Children allocates on every
 	// call; the schedule pays that once per plan). Empty for slots whose
@@ -148,7 +143,6 @@ func buildGrid(p *dist.Plan, gp *dist.GridPlan, st *Stats) *Grid {
 
 func buildRank(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int, st *Stats) *Rank {
 	n := len(gp.Sns)
-	rd := gp.Ranks[r2d]
 	r := &Rank{}
 	kids := func(t *ctree.Tree) []int32 {
 		if !t.Contains(r2d) {
@@ -164,11 +158,9 @@ func buildRank(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int, st *Stats) *Ra
 		}
 		return out
 	}
-	for sw := range r.Pending {
-		r.Pending[sw] = make([]int32, n)
+	for sw := range r.BcastKids {
 		r.BcastKids[sw] = make([][]int32, n)
 		for s, k := range gp.Sns {
-			r.Pending[sw][s] = int32(rd.Pending[sw][k])
 			r.BcastKids[sw][s] = kids(gp.Bcast[sw][k])
 		}
 		_, levels, tasks := levelSweep(p, gp, g, r2d, sw)
@@ -282,11 +274,11 @@ func levelSweep(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d, sw int) (levelOf 
 // diagonal solutions y/x it produces, the partial sums it accumulates as
 // a reduction member, the gathered solution slices of the baseline
 // algorithm, the clones the sparse-allreduce phase sends (one replicated
-// set per Z level plus one working set), the broadcast receipts a sparse
-// wire form unpacks, and the lsum rows the baseline's inter-grid merge
-// delivers. Returned per rhs column; the matching panel-header count
-// comes second. The bound covers every algorithm, so it is a safe
-// overestimate for any one of them.
+// set per Z level plus one working set), every broadcast receipt (a
+// header even when it aliases the sender's panel), and the baseline's
+// cross-node lsum rows, gathered and merged. Returned per rhs column; the
+// matching panel-header count comes second. The bound covers every
+// algorithm, so it is a safe overestimate for any one of them.
 func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) (floats, panels int) {
 	zLevels := p.Map.L + 1
 	rd := gp.Ranks[r2d]
@@ -316,9 +308,12 @@ func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) (floats, panel
 		}
 		if gp.Reduce[dist.SweepL][k].Contains(r2d) {
 			add(1)
-		} else if gp.NodeOf[k] > 0 && k%p.Layout.Px == row {
-			// A shared-node row another grid's rank at my 2D position may
-			// hand over in the baseline's inter-grid lsum merge.
+		}
+		if gp.NodeOf[k] > 0 && k%p.Layout.Px == row {
+			// The baseline's cross-node lsum of a shared-node row: it
+			// takes the inter-grid merge another grid's rank at my 2D
+			// position hands over and ships at the row's stage, before
+			// the within-node partial sum above starts.
 			add(1)
 		}
 		if gp.Reduce[dist.SweepU][k].Contains(r2d) {

@@ -121,6 +121,35 @@ func TestSolveStalenessZeroOptsOut(t *testing.T) {
 	}
 }
 
+// TestSolveElasticOnlyConfigKeepsTunedPlan: on an autotuning server, a
+// request whose config names only its elastic group edits the handle's
+// tuned configuration; it must not fall back to the square default layout.
+func TestSolveElasticOnlyConfigKeepsTunedPlan(t *testing.T) {
+	_, _, ts := newHTTPServer(t, func(o *Options) { o.Ranks, o.Tune = 16, true })
+	info := uploadGenerated(t, ts.URL, "nlpkkt", "small")
+	solveURL := ts.URL + "/v1/matrices/" + info.Handle + "/solve"
+	b := make([]float64, info.N)
+	for i := range b {
+		b[i] = 1
+	}
+	var keys []string
+	for _, body := range []map[string]any{
+		{"b": b},
+		{"b": b, "config": map[string]any{"staleness": 0}},
+	} {
+		resp, data := postJSON(t, solveURL, body, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: %d: %s", body["config"], resp.StatusCode, data)
+		}
+		var sr solveResponse
+		json.Unmarshal(data, &sr)
+		keys = append(keys, sr.Config)
+	}
+	if keys[0] != keys[1] {
+		t.Fatalf(`{"staleness":0} ran %q, the tuned default is %q`, keys[1], keys[0])
+	}
+}
+
 // TestSolveElasticForcedRefinement serves through a backend with an
 // injected network straggler: the elastic request must come back verified
 // with the refinement stats populated, while the same server still answers

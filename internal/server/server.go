@@ -729,14 +729,22 @@ func faultPlan(wf *wireFault) *fault.Plan {
 	return p
 }
 
-// resolveConfig maps the optional wire config onto a validated core.Config,
-// falling back to the handle's default (fixed or autotuned) configuration.
+// resolveConfig maps the optional wire config onto a validated core.Config.
+// A config that names no plan field (algorithm, trees, machine, layout)
+// edits the handle's default (fixed or autotuned) configuration, so an
+// elastic-only request keeps the tuned plan; one that names any starts
+// from the server's base configuration.
 func (s *Server) resolveConfig(h *Handle, wc *wireConfig) (core.Config, error) {
 	if wc == nil {
 		return s.defaultConfig(h)
 	}
 	cfg := s.base
 	var err error
+	if !wc.namesPlan() {
+		if cfg, err = s.defaultConfig(h); err != nil {
+			return core.Config{}, err
+		}
+	}
 	if wc.Algorithm != "" {
 		if cfg.Algorithm, err = cliutil.ParseAlgorithm(wc.Algorithm); err != nil {
 			return core.Config{}, err
@@ -780,6 +788,12 @@ func (s *Server) resolveConfig(h *Handle, wc *wireConfig) (core.Config, error) {
 		return core.Config{}, err
 	}
 	return cfg, nil
+}
+
+// namesPlan reports whether the wire config names any plan field.
+func (wc *wireConfig) namesPlan() bool {
+	return wc.Algorithm != "" || wc.Trees != "" || wc.Machine != "" ||
+		wc.Px != 0 || wc.Py != 0 || wc.Pz != 0
 }
 
 // defaultConfig resolves (once per handle) the configuration solves use

@@ -24,10 +24,8 @@ type arHelper struct {
 	done     bool
 }
 
-func newARHelper(r *rankCore) *arHelper {
-	a := &arHelper{r: r, levels: r.p.Map.L}
-	a.trailing = trailingZeros(r.z, a.levels)
-	return a
+func newARHelper(r *rankCore) arHelper {
+	return arHelper{r: r, levels: r.p.Map.L, trailing: trailingZeros(r.z, r.p.Map.L)}
 }
 
 // begin starts the allreduce after the L phase; it returns true when the

@@ -34,12 +34,6 @@ type base3dRank struct {
 	remaining      [2][]int
 }
 
-// groupMsg is a y/x broadcast restricted to one row-node group.
-type groupMsg struct {
-	K, G int
-	W    wirePanel
-}
-
 func (h *base3dRank) Done() bool { return h.st.phase == 3 }
 
 func (h *base3dRank) base() *dist.Baseline { return h.gp.Base }
@@ -50,7 +44,7 @@ func (h *base3dRank) Init(ctx *runtime.Ctx) {
 	rd := bb.Ranks[h.r2d]
 	st := h.st
 	for sw := range st.dpend {
-		st.dpend[sw] = slotCounts(st.dpend[sw], h.gp.Sns, rd.Pending[sw])
+		st.dpend[sw] = append(st.dpend[sw][:0], rd.Pending[sw]...)
 		h.remaining[sw] = append([]int(nil), rd.Remaining[sw]...)
 	}
 
@@ -70,9 +64,7 @@ func (h *base3dRank) OnMessage(ctx *runtime.Ctx, m runtime.Msg) {
 func (h *base3dRank) accepts(m runtime.Msg) bool {
 	st := h.st
 	switch m.Tag {
-	case tagYBcast:
-		return st.phase == 0 && !h.lAwaitMerge && h.gp.NodeOf[m.Data.(*groupMsg).K] == h.lStage
-	case tagLReduce:
+	case tagYBcast, tagLReduce:
 		return st.phase == 0 && !h.lAwaitMerge && h.gp.NodeOf[m.Data.(*panelMsg).K] == h.lStage
 	case tagZGatherL:
 		return st.phase == 0 && h.lAwaitMerge && m.Data.(*vecBundle).Step == h.lStage
@@ -94,9 +86,7 @@ func (h *base3dRank) DeadOnArrival(m runtime.Msg) bool {
 		return true
 	}
 	switch m.Tag {
-	case tagYBcast:
-		return st.phase > 0 || (st.phase == 0 && h.gp.NodeOf[m.Data.(*groupMsg).K] < h.lStage)
-	case tagLReduce:
+	case tagYBcast, tagLReduce:
 		return st.phase > 0 || (st.phase == 0 && h.gp.NodeOf[m.Data.(*panelMsg).K] < h.lStage)
 	case tagZGatherL:
 		return st.phase > 0 || (st.phase == 0 && m.Data.(*vecBundle).Step < h.lStage)
@@ -115,14 +105,11 @@ func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 		// Every admitted message's row lies at or below stage s: the L
 		// gates admit only the current stage, and U traffic for the
 		// ancestors above s is charged to stage s (re-broadcasts).
-		sw := sweepOf(m.Tag)
+		sw, d := sweepOf(m.Tag), m.Data.(*panelMsg)
+		h.remaining[sw][min(h.gp.NodeOf[d.K], h.s)]--
 		if m.Tag == bcastTag[sw] {
-			d := m.Data.(*groupMsg)
-			h.remaining[sw][min(h.gp.NodeOf[d.K], h.s)]--
 			h.applyBlocks(ctx, sw, d.K, h.unpackPanel(&d.W), d.G, d.G)
 		} else {
-			d := m.Data.(*panelMsg)
-			h.remaining[sw][min(h.gp.NodeOf[d.K], h.s)]--
 			addWire(h.getSum(sw, d.K), &d.W)
 			h.contribution(ctx, sw, d.K, h.base().Reduce[sw][d.K])
 		}
@@ -179,18 +166,29 @@ func (h *base3dRank) applyBlocks(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, l
 
 // spread broadcasts a solved subvector of sweep sw down my grid's group
 // trees of the path nodes up to maxNode — the baseline's one broadcast per
-// row-node group, packed once and shared by every hop — and applies my
-// own blocks whose rows lie in those nodes.
+// row-node group, packed once and shared by every hop, one payload record
+// per group — and applies my own blocks whose rows lie in those nodes.
+// Only k's diagonal rank solves or receives x(k) in a bundle, and it is the
+// root of every group tree, so its fan-out is each tree's root children,
+// read from the member list without a per-send allocation.
 func (h *base3dRank) spread(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, maxNode int) {
-	w, bytes := h.packSend(v)
+	if h.p.DiagRank2D(k) != h.r2d {
+		panic(&fault.ProtocolError{Rank: h.rank, Phase: baselinePhase(h.st.phase),
+			Msg: fmt.Sprintf("spreading supernode %d off its diagonal rank", k)})
+	}
+	w := packPanel(v)
+	bytes := singleBytes(&w)
 	for _, gt := range h.base().BcastGroups[sw][k] {
-		if gt.Node > maxNode {
+		kids := gt.Tree.RootChildren()
+		if gt.Node > maxNode || len(kids) == 0 {
 			continue
 		}
-		for _, child := range gt.Tree.Children(h.r2d) {
+		d := h.st.msgs.next()
+		d.K, d.G, d.W = k, gt.Node, w
+		for _, child := range kids {
 			ctx.Send(runtime.Msg{
 				Dst: h.p.GlobalRank(h.z, child), Tag: bcastTag[sw], Cat: runtime.CatXY,
-				Data: &groupMsg{K: k, G: gt.Node, W: w}, Bytes: bytes,
+				Data: d, Bytes: bytes,
 			})
 		}
 	}
@@ -201,8 +199,8 @@ func (h *base3dRank) spread(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, maxNod
 // partition the path nodes, never replicate them.
 //
 // The baseline's counter templates are per-node-group and live on the
-// baseline plan, not the level schedule (Init copies them into slots), and
-// its broadcasts walk the plan's per-group trees.
+// baseline plan (Init copies them), and its broadcasts walk the plan's
+// per-group trees.
 func (h *base3dRank) keepB(int) bool { return true }
 
 // solve performs one diagonal solve of sweep sw plus the baseline's
@@ -252,11 +250,10 @@ func (h *base3dRank) sendGathers(ctx *runtime.Ctx) {
 		if h.col == diagCol || !containsCol(h.base().GatherCols[k], h.col) {
 			continue
 		}
-		s := h.getSum(sweepL, k)
-		w, bytes := h.packSend(s)
+		d, bytes := h.packSend(k, h.getSum(sweepL, k))
 		ctx.Send(runtime.Msg{
 			Dst: h.p.GlobalRank(h.z, h.p.DiagRank2D(k)), Tag: tagLReduce, Cat: runtime.CatXY,
-			Data: &panelMsg{K: k, W: w}, Bytes: bytes,
+			Data: d, Bytes: bytes,
 		})
 		st.sum[sweepL].set(k, nil)
 	}

@@ -23,9 +23,9 @@
 // messages — grouped in solveState and recycled through the rank's
 // schedule pool so that repeated solves reach a steady state with minimal
 // allocation. Every solve runs on the plan's level/DAG schedule
-// (internal/sched): dependency counters are slot-indexed copies of its
-// templates, working panels come from an arena it sizes, and ready queues
-// drain as level sweeps.
+// (internal/sched): dependency counters are copies of the plan's
+// slot-indexed templates, working panels come from an arena the schedule
+// sizes, and ready queues drain as level sweeps.
 package trsv
 
 import (
@@ -128,12 +128,16 @@ func TagName(tag int) string {
 }
 
 // panelMsg carries one supernode's panel in wire form: a solved subvector
-// (y or x) down a broadcast tree, or a partial sum up a reduction tree,
-// which the receiver accumulates into its own. The packed values are
+// (y or x) down a broadcast tree or as a GPU put, or a partial sum up a
+// reduction tree, which the receiver accumulates into its own. Records
+// come from the sender's per-solve storage (solveState.msgs); one record
+// is shared by every child of a broadcast. Record and packed values are
 // immutable after sending; receivers only read them.
 type panelMsg struct {
 	K int
-	W wirePanel
+	// G is a baseline broadcast's row-node group, Sw a GPU put's sweep.
+	G, Sw int
+	W     wirePanel
 }
 
 // vecBundle carries packed subvectors for many supernodes at once (the
@@ -213,11 +217,14 @@ const (
 	MarkUDone = "U_done"
 )
 
-// packSend packs a panel for a singleton message and returns the wire form
-// with its modeled message size (wire.go's one-entry-message model).
-func (c *rankCore) packSend(p *sparse.Panel) (wirePanel, int) {
-	w := packPanel(p)
-	return w, singleBytes(&w)
+// packSend packs supernode k's panel p into a payload record for a
+// singleton message and returns it with its modeled message size (wire.go's
+// one-entry-message model). The record comes from the solve's message
+// storage and stays valid until the state is released.
+func (c *rankCore) packSend(k int, p *sparse.Panel) (*panelMsg, int) {
+	m := c.st.msgs.next()
+	m.K, m.W = k, packPanel(p)
+	return m, singleBytes(&m.W)
 }
 
 // ---- execution layer ----
@@ -283,6 +290,12 @@ type solveState struct {
 	// Messages that arrived ahead of the phase that can process them.
 	deferred []runtime.Msg
 
+	// msgs holds the payload records this rank sends, tasks the GPU
+	// model's in-flight task records. Receivers read a record until the
+	// run quiesces, so both are reset only on release.
+	msgs  slab[panelMsg]
+	tasks slab[gpuTask]
+
 	// arena backs the solve's working panels.
 	arena arena
 	// pre holds diagonal solutions precomputed in parallel by a level
@@ -341,6 +354,8 @@ func (st *solveState) release() {
 	// stay pinned while the state waits in the pool.
 	clear(st.deferred[:cap(st.deferred)])
 	st.deferred = st.deferred[:0]
+	st.msgs.reset()
+	st.tasks.reset()
 	st.wave.reset()
 	st.b, st.x = nil, nil
 	st.nrhs, st.phase = 0, 0
@@ -419,14 +434,41 @@ func (c *rankCore) enqueue(sw, k int) {
 	st.ready[sw] = append(st.ready[sw], k)
 }
 
-// slotCounts refills dst with one counter per schedule slot, read from a
-// supernode-keyed template (absent keys count zero).
-func slotCounts(dst []int32, sns []int, tmpl map[int]int) []int32 {
-	dst = dst[:0]
-	for _, k := range sns {
-		dst = append(dst, int32(tmpl[k]))
+// slab is per-solve record storage. Records come from chunks that never
+// move, so a record's address stays valid until reset, and the chunks
+// (each twice the size of the one before) are kept for the next solve:
+// a steady-state solve takes its records without allocating.
+type slab[T any] struct {
+	chunks [][]T
+	c, i   int // the next record is chunks[c][i]
+}
+
+// slabFirst is the record count of a slab's first chunk.
+const slabFirst = 16
+
+// next returns a zeroed record.
+func (s *slab[T]) next() *T {
+	if s.c < len(s.chunks) && s.i == len(s.chunks[s.c]) {
+		s.c, s.i = s.c+1, 0
 	}
-	return dst
+	if s.c == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, slabFirst<<s.c))
+	}
+	r := &s.chunks[s.c][s.i]
+	s.i++
+	return r
+}
+
+// reset zeroes the records handed out, dropping their panel references,
+// and rewinds the slab.
+func (s *slab[T]) reset() {
+	for c := 0; c < s.c; c++ {
+		clear(s.chunks[c])
+	}
+	if s.c < len(s.chunks) {
+		clear(s.chunks[s.c][:s.i])
+	}
+	s.c, s.i = 0, 0
 }
 
 // arena is the bump allocator behind the solve's working panels
@@ -458,6 +500,20 @@ func (a *arena) reserve(floats, panels int) {
 	a.nd, a.np, a.spills = 0, 0, 0
 }
 
+// view returns a rows×cols panel header over data from the reservation,
+// or from the heap once the headers are exhausted: the aliasing form of a
+// received full-density panel.
+func (a *arena) view(rows, cols int, data []float64) *sparse.Panel {
+	if a.np >= cap(a.panels) {
+		a.spills++
+		return &sparse.Panel{Rows: rows, Cols: cols, Data: data}
+	}
+	p := &a.panels[a.np]
+	a.np++
+	p.Rows, p.Cols, p.Data = rows, cols, data
+	return p
+}
+
 // alloc returns a zeroed rows×cols panel from the reservation, or from the
 // heap once the reservation is exhausted.
 func (a *arena) alloc(rows, cols int) *sparse.Panel {
@@ -466,13 +522,10 @@ func (a *arena) alloc(rows, cols int) *sparse.Panel {
 		a.spills++
 		return sparse.NewPanel(rows, cols)
 	}
-	p := &a.panels[a.np]
-	a.np++
 	d := a.data[a.nd : a.nd+n : a.nd+n]
 	a.nd += n
 	clear(d)
-	p.Rows, p.Cols, p.Data = rows, cols, d
-	return p
+	return a.view(rows, cols, d)
 }
 
 // ---- shared rank scaffolding ----
@@ -897,10 +950,10 @@ func (c *rankCore) contribution(ctx *runtime.Ctx, sw, k int, tree *ctree.Tree) {
 		c.enqueue(sw, k)
 		return
 	}
-	w, bytes := c.packSend(c.getSum(sw, k))
+	d, bytes := c.packSend(k, c.getSum(sw, k))
 	ctx.Send(runtime.Msg{
 		Dst: c.p.GlobalRank(c.z, tree.Parent(c.r2d)), Tag: reduceTag[sw], Cat: runtime.CatXY,
-		Data: &panelMsg{K: k, W: w}, Bytes: bytes,
+		Data: d, Bytes: bytes,
 	})
 	st.sum[sw].set(k, nil) // ownership transferred
 }

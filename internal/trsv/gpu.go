@@ -41,7 +41,7 @@ var gpuTaskTag = [2]int{TagGPUTaskL, TagGPUTaskU}
 type gpuRank struct {
 	rankCore
 	gpu *machine.GPU
-	ar  *arHelper
+	ar  arHelper
 
 	// Task state: launchable tasks in FIFO order, free SM slots, and the
 	// open sweep's tasks not yet completed.
@@ -72,20 +72,6 @@ func (h *gpuRank) taskCount(sw int) int {
 		}
 	}
 	return n
-}
-
-// eachRow calls f with the row supernode of each of this rank's blocks in
-// column k of sweep sw, in block order.
-func (h *gpuRank) eachRow(sw, k int, f func(i int)) {
-	if sw == sweepL {
-		for _, blk := range h.colL[k] {
-			f(blk.I)
-		}
-		return
-	}
-	for _, ref := range h.colU[k] {
-		f(ref.I)
-	}
 }
 
 // flopsBytes returns the modeled volume of a task for column k of sweep
@@ -124,13 +110,14 @@ func (h *gpuRank) Init(ctx *runtime.Ctx) {
 	h.ar = newARHelper(&h.rankCore)
 	st := h.st
 	h.smFree = h.gpu.SMs
-	// With Py=1 every block of row K lives on rank K mod Px, so the
-	// dependency counters are purely local (no reduction phase — the
-	// reason the paper prefers Py=1 on GPUs): this rank's block counts per
-	// row, zero for rows of other process rows.
-	local := h.gp.Ranks[h.r2d].Local
+	// With Py=1 every block of row K lives on rank K mod Px, so each
+	// reduction tree is the diagonal rank alone and the plan's counter
+	// templates are purely local (no reduction phase — the reason the
+	// paper prefers Py=1 on GPUs): this rank's block counts per row, zero
+	// for rows of other process rows.
+	rd := h.gp.Ranks[h.r2d]
 	for sw := range st.dpend {
-		st.dpend[sw] = slotCounts(st.dpend[sw], h.gp.Sns, local[sw])
+		st.dpend[sw] = append(st.dpend[sw][:0], rd.Pending[sw]...)
 		if h.el != nil {
 			h.putSeen[sw].size(len(h.gp.Sns))
 			h.putForced[sw].size(len(h.gp.Sns))
@@ -182,11 +169,15 @@ func (h *gpuRank) forcePuts(ctx *runtime.Ctx, sw int) {
 		forced.set(s)
 		// The zero subvector feeds this rank's blocks of column k: every
 		// owned diagonal row those blocks contribute to is now stale.
-		h.eachRow(sw, k, func(i int) {
-			if h.p.DiagRank2D(i) == h.r2d {
-				h.markStale(sw, i)
+		if sw == sweepL {
+			for _, blk := range h.colL[k] {
+				h.markStaleOwned(sw, blk.I)
 			}
-		})
+		} else {
+			for _, ref := range h.colU[k] {
+				h.markStaleOwned(sw, ref.I)
+			}
+		}
 		h.readyTasks = append(h.readyTasks, gpuTask{k: k, sw: sw, put: h.newPanel(h.snWidth(k))})
 		added = true
 	}
@@ -200,7 +191,7 @@ func (h *gpuRank) accepts(m runtime.Msg) bool {
 	case tagGPUEvent:
 		return true
 	case tagGPUPut:
-		return h.st.phase == sweepPhase(m.Data.(*gpuPut).sw)
+		return h.st.phase == sweepPhase(m.Data.(*panelMsg).Sw)
 	case tagARReduce:
 		return h.st.phase == 1 && h.ar.acceptsReduce(m.Data.(*vecBundle).Step)
 	case tagARBcast:
@@ -220,7 +211,7 @@ func (h *gpuRank) DeadOnArrival(m runtime.Msg) bool {
 	}
 	switch m.Tag {
 	case tagGPUPut:
-		return st.phase > sweepPhase(m.Data.(*gpuPut).sw)
+		return st.phase > sweepPhase(m.Data.(*panelMsg).Sw)
 	case tagARReduce:
 		return st.phase > 1 || (st.phase == 1 && h.ar.deadReduce(m.Data.(*vecBundle).Step))
 	case tagARBcast:
@@ -229,31 +220,25 @@ func (h *gpuRank) DeadOnArrival(m runtime.Msg) bool {
 	return false
 }
 
-// gpuPut is a one-sided delivery of a solved subvector (the ready_y / flag
-// pair of Alg. 5), shipped in wire form like every other subvector message.
-type gpuPut struct {
-	K  int
-	W  wirePanel
-	sw int
-}
-
 func (h *gpuRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	switch m.Tag {
 	case tagGPUEvent:
-		h.onTaskDone(ctx, m.Data.(gpuTask))
+		h.onTaskDone(ctx, m.Data.(*gpuTask))
 	case tagGPUPut:
-		d := m.Data.(*gpuPut)
+		// A one-sided delivery of a solved subvector (the ready_y / flag
+		// pair of Alg. 5), shipped in wire form like every other subvector.
+		d := m.Data.(*panelMsg)
 		if h.el != nil {
 			s := h.slot(d.K)
-			if h.putForced[d.sw].has(s) {
+			if h.putForced[d.Sw].has(s) {
 				// A staleness deadline already synthesized this put as a
 				// zero panel and the task count charged it; drop the late
 				// real delivery.
 				return
 			}
-			h.putSeen[d.sw].set(s)
+			h.putSeen[d.Sw].set(s)
 		}
-		h.readyTasks = append(h.readyTasks, gpuTask{k: d.K, sw: d.sw, put: h.unpackPanel(&d.W)})
+		h.readyTasks = append(h.readyTasks, gpuTask{k: d.K, sw: d.Sw, put: h.unpackPanel(&d.W)})
 		h.startTasks(ctx)
 	case tagARReduce:
 		if h.ar.onReduce(ctx, m.Data.(*vecBundle)) {
@@ -274,12 +259,13 @@ func (h *gpuRank) forwardPuts(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, dela
 	if len(children) == 0 {
 		return
 	}
-	w, bytes := h.packSend(v)
+	d, bytes := h.packSend(k, v)
+	d.Sw = sw
 	for _, child := range children {
 		dst := h.p.GlobalRank(h.z, int(child))
 		ctx.SendAfter(delay+h.gpu.PutCost(h.rank, dst, bytes), runtime.Msg{
 			Dst: dst, Tag: tagGPUPut, Cat: runtime.CatXY,
-			Data: &gpuPut{K: k, W: w, sw: sw}, Bytes: bytes,
+			Data: d, Bytes: bytes,
 		})
 	}
 }
@@ -287,7 +273,7 @@ func (h *gpuRank) forwardPuts(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, dela
 // runTask performs task t's numeric work — the diagonal solve at a
 // diagonal task, then this rank's block products of the column — and
 // returns the column's solved subvector.
-func (h *gpuRank) runTask(t gpuTask) *sparse.Panel {
+func (h *gpuRank) runTask(t *gpuTask) *sparse.Panel {
 	v := t.put
 	if v == nil {
 		v, _ = h.solvePanel(t.sw, t.k, h.gp.OwnerGridOfSn(t.k) == h.z)
@@ -312,10 +298,12 @@ func (h *gpuRank) runTask(t gpuTask) *sparse.Panel {
 func (h *gpuRank) startTasks(ctx *runtime.Ctx) {
 	st := h.st
 	launched, start := 0, ctx.Now()
-	for h.smFree > 0 && len(h.readyTasks) > 0 {
+	for h.smFree > 0 && launched < len(h.readyTasks) {
+		// The task's completion event carries it as a record from the
+		// solve's storage, not boxed by value.
+		t := st.tasks.next()
+		*t = h.readyTasks[launched]
 		launched++
-		t := h.readyTasks[0]
-		h.readyTasks = h.readyTasks[1:]
 		h.smFree--
 		diag := t.put == nil
 		flops, bytes, diagFlops := h.flopsBytes(t.sw, t.k, diag)
@@ -331,22 +319,45 @@ func (h *gpuRank) startTasks(ctx *runtime.Ctx) {
 		ctx.After(h.gpu.TaskTime(flops, bytes), tagGPUEvent, t)
 	}
 	if launched > 0 {
+		// Slide the waiting tasks down instead of reslicing from the
+		// front, so the queue keeps its backing array.
+		h.readyTasks = append(h.readyTasks[:0], h.readyTasks[launched:]...)
 		st.counts.sweeps++
 		st.counts.sweepTasks += launched
 		ctx.Span(runtime.LevelSweepTag(launched), start, ctx.Now()-start)
 	}
 }
 
-func (h *gpuRank) onTaskDone(ctx *runtime.Ctx, t gpuTask) {
+func (h *gpuRank) onTaskDone(ctx *runtime.Ctx, t *gpuTask) {
 	h.smFree++
 	h.tasksLeft--
-	h.eachRow(t.sw, t.k, func(i int) {
-		if h.decPending(t.sw, i) == 0 && h.p.DiagRank2D(i) == h.r2d {
-			h.readyTasks = append(h.readyTasks, gpuTask{k: i, sw: t.sw})
+	if t.sw == sweepL {
+		for _, blk := range h.colL[t.k] {
+			h.contributed(t.sw, blk.I)
 		}
-	})
+	} else {
+		for _, ref := range h.colU[t.k] {
+			h.contributed(t.sw, ref.I)
+		}
+	}
 	h.startTasks(ctx)
 	h.maybeFinishPhase(ctx)
+}
+
+// contributed records one finished block product into row i of sweep sw,
+// queueing i's diagonal task when it was the last one and i is mine.
+func (h *gpuRank) contributed(sw, i int) {
+	if h.decPending(sw, i) == 0 && h.p.DiagRank2D(i) == h.r2d {
+		h.readyTasks = append(h.readyTasks, gpuTask{k: i, sw: sw})
+	}
+}
+
+// markStaleOwned marks row i of sweep sw stale when this rank owns its
+// diagonal.
+func (h *gpuRank) markStaleOwned(sw, i int) {
+	if h.p.DiagRank2D(i) == h.r2d {
+		h.markStale(sw, i)
+	}
 }
 
 // startSweep opens sweep sw: this rank's task budget, then every owned

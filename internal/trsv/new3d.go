@@ -23,7 +23,7 @@ type new3dRank struct {
 
 	// Allreduce state: ar is the paper's sparse allreduce (Alg. 2); when
 	// naive is set, nar runs the per-node strawman instead (ablation).
-	ar    *arHelper
+	ar    arHelper
 	nar   *naiveAR
 	naive bool
 }
@@ -32,12 +32,13 @@ func (h *new3dRank) Done() bool { return h.st.phase == 3 }
 
 func (h *new3dRank) Init(ctx *runtime.Ctx) {
 	st := h.st
-	// The schedule carries this rank's counter templates as flat
-	// slot-indexed slices; refill by copy.
+	// The plan carries this rank's counter templates as flat slot-indexed
+	// slices; refill by copy.
+	rd := h.gp.Ranks[h.r2d]
 	for sw := range st.dpend {
-		st.dpend[sw] = append(st.dpend[sw][:0], h.sr.Pending[sw]...)
+		st.dpend[sw] = append(st.dpend[sw][:0], rd.Pending[sw]...)
 	}
-	st.recvLeft = h.gp.Ranks[h.r2d].Recv
+	st.recvLeft = rd.Recv
 	h.ar = newARHelper(&h.rankCore)
 
 	// Kick off: diagonal supernodes with no pending contributions.
@@ -139,18 +140,18 @@ func (h *new3dRank) onSolved(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
 }
 
 // bcast forwards a solved subvector of sweep sw down the supernode's
-// broadcast tree, packing it once and reusing the wire form for every
-// child.
+// broadcast tree, packing it once into one payload record that every
+// child reads.
 func (h *new3dRank) bcast(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
 	children := h.bcastKids(sw, k)
 	if len(children) == 0 {
 		return
 	}
-	w, bytes := h.packSend(v)
+	d, bytes := h.packSend(k, v)
 	for _, child := range children {
 		ctx.Send(runtime.Msg{
 			Dst: h.p.GlobalRank(h.z, int(child)), Tag: bcastTag[sw], Cat: runtime.CatXY,
-			Data: &panelMsg{K: k, W: w}, Bytes: bytes,
+			Data: d, Bytes: bytes,
 		})
 	}
 }

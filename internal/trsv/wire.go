@@ -135,14 +135,14 @@ func rowNonZero(p *sparse.Panel, r, eff int) bool {
 }
 
 // unpackPanel reconstructs the full Rows×Cols panel from wire form. The
-// full-density dense case aliases Vals (zero copy — the receiver gets read
-// access to the sender's panel, exactly the pre-packing semantics); every
-// other representation scatters into a fresh zeroed arena panel.
-// Reconstruction is bit-exact: suppressed entries
+// full-density dense case aliases Vals through an arena header (zero copy —
+// the receiver gets read access to the sender's panel, exactly the
+// pre-packing semantics); every other representation scatters into a fresh
+// zeroed arena panel. Reconstruction is bit-exact: suppressed entries
 // were +0.0 by bit pattern, and a zeroed panel holds +0.0.
 func (c *rankCore) unpackPanel(w *wirePanel) *sparse.Panel {
 	if w.RowIdx == nil && w.EffCols == w.Cols {
-		return &sparse.Panel{Rows: w.Rows, Cols: w.Cols, Data: w.Vals}
+		return c.st.arena.view(w.Rows, w.Cols, w.Vals)
 	}
 	p := c.newPanelCols(w.Rows, w.Cols)
 	scatterWire(p, w)

@@ -177,10 +177,6 @@ func recountMsg(m runtime.Msg) (int, bool) {
 	switch d := m.Data.(type) {
 	case *panelMsg:
 		return wireEnvBytes + entry(&d.W), true
-	case *groupMsg:
-		return wireEnvBytes + entry(&d.W), true
-	case *gpuPut:
-		return wireEnvBytes + entry(&d.W), true
 	case *vecBundle:
 		n := wireEnvBytes
 		for i := range d.Ws {
@@ -265,14 +261,6 @@ func (db *denseWireBackend) densify(m runtime.Msg) runtime.Msg {
 	out := m
 	switch d := m.Data.(type) {
 	case *panelMsg:
-		c := *d
-		c.W = denseWire(&d.W)
-		out.Data = &c
-	case *groupMsg:
-		c := *d
-		c.W = denseWire(&d.W)
-		out.Data = &c
-	case *gpuPut:
 		c := *d
 		c.W = denseWire(&d.W)
 		out.Data = &c

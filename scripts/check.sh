@@ -69,6 +69,9 @@ go test -run '^$' -fuzz '^FuzzPackRoundTrip$' -fuzztime 10s ./internal/trsv
 echo "== block-kernel fuzz (bounded) =="
 go test -run '^$' -fuzz '^FuzzGemmKernels$' -fuzztime 10s ./internal/sparse
 
+echo "== simulator event-queue fuzz (bounded) =="
+go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/runtime
+
 echo "== solve-request config fuzz (bounded) =="
 go test -run '^$' -fuzz '^FuzzSolveConfigDecode$' -fuzztime 10s ./internal/server
 
