@@ -18,11 +18,12 @@ import (
 // field changes meaning; readers refuse to compare across schema versions
 // rather than silently comparing incompatible quantities.
 //
-// Schema 2: Bytes counts the packed sparse wire format (per-entry headers,
-// index+value payloads, trailing-zero-column suppression) instead of the
-// flat dense panel model of schema 1 — the two byte columns are not
-// comparable.
-const SummarySchema = 2
+// Schema 3: Bytes counts every panel dense (a 16 B envelope per message,
+// then a 16 B header and 8·Rows·Cols per panel). Schema 2 counted a
+// packed wire format that indexed sparse rows and dropped trailing zero
+// columns, and schema 1 a dense model with one header per bundle; none
+// of the three byte columns are comparable.
+const SummarySchema = 3
 
 // summaryRepeats is how many measured solves back each record. The
 // discrete-event backend is deterministic, so the median over repeats

@@ -27,7 +27,6 @@
 package sched
 
 import (
-	"math/bits"
 	"sync"
 
 	"sptrsv/internal/ctree"
@@ -272,16 +271,14 @@ func levelSweep(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d, sw int) (levelOf 
 
 // arenaSize bounds the panel storage one solve needs on this rank: the
 // diagonal solutions y/x it produces, the partial sums it accumulates as
-// a reduction member, the gathered solution slices of the baseline
-// algorithm, the clones the sparse-allreduce phase sends (one replicated
-// set per Z level plus one working set), every broadcast receipt (a
-// header even when it aliases the sender's panel), and the baseline's
-// cross-node lsum rows, gathered and merged. Returned per rhs column; the
-// matching panel-header count comes second. The bound covers every
+// a reduction member, the allreduce clones (one working set, plus one
+// per Z level that the naive allreduce sends), and the baseline's
+// cross-node lsum rows, gathered and merged. Received panels take no
+// storage: a receipt reads the sender's panel. Returned per rhs column;
+// the matching panel-header count comes second. The bound covers every
 // algorithm, so it is a safe overestimate for any one of them.
 func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) (floats, panels int) {
 	zLevels := p.Map.L + 1
-	rd := gp.Ranks[r2d]
 	row := r2d / p.Layout.Py
 	for s, k := range gp.Sns {
 		w := int(g.Width[s])
@@ -290,21 +287,8 @@ func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) (floats, panel
 			panels += n
 		}
 		if p.DiagRank2D(k) == r2d {
-			// y(K), x(K), the baseline's gathered x(K), and the
-			// allreduce clones of y(K).
-			add(3 + zLevels)
-		} else {
-			// y(K) and x(K) as received: once per broadcast tree this
-			// rank is in — the proposed algorithm's one, or one per path
-			// node holding rows of my blocks (the baseline's group trees).
-			var lNodes, uNodes uint64
-			for _, blk := range rd.ColL[k] {
-				lNodes |= 1 << gp.NodeOf[blk.I]
-			}
-			for _, ref := range rd.ColU[k] {
-				uNodes |= 1 << gp.NodeOf[ref.I]
-			}
-			add(bits.OnesCount64(lNodes) + bits.OnesCount64(uNodes))
+			// y(K), x(K), and the allreduce clones of y(K).
+			add(2 + zLevels)
 		}
 		if gp.Reduce[dist.SweepL][k].Contains(r2d) {
 			add(1)

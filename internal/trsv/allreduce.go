@@ -11,7 +11,7 @@ import (
 // reduce of partial y subvectors toward the smallest grid replicating each
 // node, then the mirrored pairwise broadcast. Each rank exchanges with the
 // rank holding its own 2D coordinates on the partner grid, so every rank
-// sends/receives O(log Pz) packed messages.
+// sends/receives O(log Pz) bundled messages.
 //
 // Shared by the CPU and GPU variants of the proposed algorithm; the
 // exchanges ride MPI (the paper implements SparseAllReduce with MPI even in
@@ -81,7 +81,7 @@ func (a *arHelper) onReduce(ctx *runtime.Ctx, b *vecBundle) bool {
 				panic(&fault.ProtocolError{Rank: r.rank, Phase: "allreduce",
 					Msg: fmt.Sprintf("allreduce merge for unsolved y(%d)", k)})
 			}
-			addWire(yk, &b.Ws[i])
+			yk.AddFrom(b.Ps[i])
 		}
 	})
 	a.step++
@@ -95,7 +95,7 @@ func (a *arHelper) onBcast(ctx *runtime.Ctx, b *vecBundle) bool {
 	r := a.r
 	r.st.counts.arBcast++
 	for i, k := range b.Ks {
-		r.st.sol[sweepL].set(k, r.unpackPanel(&b.Ws[i]))
+		r.st.sol[sweepL].set(k, b.Ps[i])
 	}
 	a.sendBcasts(ctx, a.trailing-1)
 	a.done = true
@@ -113,7 +113,7 @@ func (a *arHelper) advance(ctx *runtime.Ctx) {
 	}
 	if r.z != 0 {
 		partner := r.z - (1 << s)
-		b := a.bundle(s, a.levels-s-1, true)
+		b := a.bundle(s, a.levels-s-1)
 		ctx.Send(runtime.Msg{
 			Dst: r.p.GlobalRank(partner, r.r2d), Tag: tagARReduce, Cat: runtime.CatZ,
 			Data: b, Bytes: b.bytes(),
@@ -124,21 +124,17 @@ func (a *arHelper) advance(ctx *runtime.Ctx) {
 	a.done = true
 }
 
-// bundle packs this rank's owned y subvectors for nodes at tree level ≤
-// maxLevel. clone detaches the wire payload from the live panel (reduce
-// sends: the sender's own y(K) keeps accumulating partner contributions
-// while the bundle is in flight).
-func (a *arHelper) bundle(step, maxLevel int, clone bool) *vecBundle {
+// bundle collects this rank's owned y subvectors for nodes at tree level ≤
+// maxLevel. It sends the live panels: a rank sends its reduce bundle only
+// after its last reduce receipt and sends broadcasts only once y is
+// final, so no panel is written after it is sent.
+func (a *arHelper) bundle(step, maxLevel int) *vecBundle {
 	r := a.r
 	b := &vecBundle{Step: step}
 	for _, k := range r.myDiagSns {
 		if r.gp.Path[r.gp.NodeOf[k]].Level <= maxLevel {
-			v := r.st.sol[sweepL].get(k)
-			if clone {
-				v = r.clonePanel(v)
-			}
 			b.Ks = append(b.Ks, k)
-			b.Ws = append(b.Ws, packPanel(v))
+			b.Ps = append(b.Ps, r.st.sol[sweepL].get(k))
 		}
 	}
 	return b
@@ -174,7 +170,7 @@ func (a *arHelper) sendBcasts(ctx *runtime.Ctx, from int) {
 	r := a.r
 	for l := from; l >= 0; l-- {
 		partner := r.z + (1 << l)
-		b := a.bundle(l, a.levels-l-1, false)
+		b := a.bundle(l, a.levels-l-1)
 		ctx.Send(runtime.Msg{
 			Dst: r.p.GlobalRank(partner, r.r2d), Tag: tagARBcast, Cat: runtime.CatZ,
 			Data: b, Bytes: b.bytes(),
@@ -234,14 +230,15 @@ func (a *naiveAR) partner() int {
 	return a.r.z ^ (1 << a.step)
 }
 
-// bundle packs this rank's owned subvectors of the current node.
+// bundle collects clones of this rank's owned subvectors of the current
+// node (the live panels keep accumulating the partner's partials).
 func (a *naiveAR) bundle() *vecBundle {
 	r := a.r
 	b := &vecBundle{Step: a.node<<8 | a.step}
 	for _, k := range r.myDiagSns {
 		if r.gp.NodeOf[k] == a.node {
 			b.Ks = append(b.Ks, k)
-			b.Ws = append(b.Ws, packPanel(r.clonePanel(r.st.sol[sweepL].get(k))))
+			b.Ps = append(b.Ps, r.clonePanel(r.st.sol[sweepL].get(k)))
 		}
 	}
 	return b
@@ -273,7 +270,7 @@ func (a *naiveAR) onMsg(ctx *runtime.Ctx, m runtime.Msg) bool {
 	d := m.Data.(*vecBundle)
 	ctx.ComputeT(TagARMerge, 0, func() {
 		for i, k := range d.Ks {
-			addWire(r.st.sol[sweepL].get(k), &d.Ws[i])
+			r.st.sol[sweepL].get(k).AddFrom(d.Ps[i])
 		}
 	})
 	a.step++

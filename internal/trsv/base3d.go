@@ -108,9 +108,9 @@ func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 		sw, d := sweepOf(m.Tag), m.Data.(*panelMsg)
 		h.remaining[sw][min(h.gp.NodeOf[d.K], h.s)]--
 		if m.Tag == bcastTag[sw] {
-			h.applyBlocks(ctx, sw, d.K, h.unpackPanel(&d.W), d.G, d.G)
+			h.applyBlocks(ctx, sw, d.K, d.P, d.G, d.G)
 		} else {
-			addWire(h.getSum(sw, d.K), &d.W)
+			h.getSum(sw, d.K).AddFrom(d.P)
 			h.contribution(ctx, sw, d.K, h.base().Reduce[sw][d.K])
 		}
 		h.drainReady(ctx, h, sw)
@@ -122,7 +122,7 @@ func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	case tagZGatherL:
 		d := m.Data.(*vecBundle)
 		for i, k := range d.Ks {
-			addWire(h.getSum(sweepL, k), &d.Ws[i])
+			h.getSum(sweepL, k).AddFrom(d.Ps[i])
 		}
 		h.nextLStage(ctx)
 	case tagZBcastU:
@@ -130,7 +130,7 @@ func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 		st.phase = 2
 		h.uStage = h.s
 		for i, k := range d.Ks {
-			st.sol[sweepU].set(k, h.unpackPanel(&d.Ws[i]))
+			st.sol[sweepU].set(k, d.Ps[i])
 		}
 		for _, k := range d.Ks {
 			h.spread(ctx, sweepU, k, st.sol[sweepU].get(k), h.s)
@@ -166,7 +166,7 @@ func (h *base3dRank) applyBlocks(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, l
 
 // spread broadcasts a solved subvector of sweep sw down my grid's group
 // trees of the path nodes up to maxNode — the baseline's one broadcast per
-// row-node group, packed once and shared by every hop, one payload record
+// row-node group, sized once and shared by every hop, one payload record
 // per group — and applies my own blocks whose rows lie in those nodes.
 // Only k's diagonal rank solves or receives x(k) in a bundle, and it is the
 // root of every group tree, so its fan-out is each tree's root children,
@@ -176,15 +176,14 @@ func (h *base3dRank) spread(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, maxNod
 		panic(&fault.ProtocolError{Rank: h.rank, Phase: baselinePhase(h.st.phase),
 			Msg: fmt.Sprintf("spreading supernode %d off its diagonal rank", k)})
 	}
-	w := packPanel(v)
-	bytes := singleBytes(&w)
+	bytes := singleBytes(v)
 	for _, gt := range h.base().BcastGroups[sw][k] {
 		kids := gt.Tree.RootChildren()
 		if gt.Node > maxNode || len(kids) == 0 {
 			continue
 		}
 		d := h.st.msgs.next()
-		d.K, d.G, d.W = k, gt.Node, w
+		d.K, d.G, d.P = k, gt.Node, v
 		for _, child := range kids {
 			ctx.Send(runtime.Msg{
 				Dst: h.p.GlobalRank(h.z, child), Tag: bcastTag[sw], Cat: runtime.CatXY,
@@ -250,7 +249,7 @@ func (h *base3dRank) sendGathers(ctx *runtime.Ctx) {
 		if h.col == diagCol || !containsCol(h.base().GatherCols[k], h.col) {
 			continue
 		}
-		d, bytes := h.packSend(k, h.getSum(sweepL, k))
+		d, bytes := h.panelSend(k, h.getSum(sweepL, k))
 		ctx.Send(runtime.Msg{
 			Dst: h.p.GlobalRank(h.z, h.p.DiagRank2D(k)), Tag: tagLReduce, Cat: runtime.CatXY,
 			Data: d, Bytes: bytes,
@@ -300,7 +299,7 @@ func (h *base3dRank) finishL(ctx *runtime.Ctx) {
 	h.startU(ctx)
 }
 
-// leftoverBundle packs the leftover lsum rows of the unprocessed ancestor
+// leftoverBundle bundles the leftover lsum rows of the unprocessed ancestor
 // nodes (path nodes above s, which the partner grid continues) for the
 // inter-grid merge and drops every remaining lsum row. A strict run has
 // no leftover at or below s; after an elastic forced close a rank can
@@ -312,7 +311,7 @@ func (h *base3dRank) leftoverBundle() *vecBundle {
 	st.sum[sweepL].each(func(k int, s *sparse.Panel) {
 		if h.gp.NodeOf[k] > h.s {
 			b.Ks = append(b.Ks, k)
-			b.Ws = append(b.Ws, packPanel(s))
+			b.Ps = append(b.Ps, s)
 		}
 	})
 	st.sum[sweepL].clear() // ownership of the shipped panels moved into the bundle
@@ -345,7 +344,7 @@ func (h *base3dRank) advanceU(ctx *runtime.Ctx) {
 			st.sol[sweepU].each(func(k int, x *sparse.Panel) {
 				if h.gp.NodeOf[k] >= h.uStage {
 					b.Ks = append(b.Ks, k)
-					b.Ws = append(b.Ws, packPanel(x))
+					b.Ps = append(b.Ps, x)
 				}
 			})
 			ctx.Send(runtime.Msg{

@@ -127,34 +127,33 @@ func TagName(tag int) string {
 	return ""
 }
 
-// panelMsg carries one supernode's panel in wire form: a solved subvector
-// (y or x) down a broadcast tree or as a GPU put, or a partial sum up a
-// reduction tree, which the receiver accumulates into its own. Records
-// come from the sender's per-solve storage (solveState.msgs); one record
-// is shared by every child of a broadcast. Record and packed values are
-// immutable after sending; receivers only read them.
+// panelMsg carries one supernode's panel: a solved subvector (y or x)
+// down a broadcast tree or as a GPU put, or a partial sum up a reduction
+// tree, which the receiver accumulates into its own. Records come from the
+// sender's per-solve storage (solveState.msgs); one record is shared by
+// every child of a broadcast. Record and panel are immutable after
+// sending; receivers only read them.
 type panelMsg struct {
 	K int
 	// G is a baseline broadcast's row-node group, Sw a GPU put's sweep.
 	G, Sw int
-	W     wirePanel
+	P     *sparse.Panel
 }
 
-// vecBundle carries packed subvectors for many supernodes at once (the
-// bundled buffers of the sparse allreduce and the baseline Z exchanges).
+// vecBundle carries subvectors for many supernodes at once (the bundled
+// buffers of the sparse allreduce and the baseline Z exchanges).
 type vecBundle struct {
 	Step int
 	Ks   []int
-	Ws   []wirePanel
+	Ps   []*sparse.Panel
 }
 
-// bytes models the bundle's wire size: one message envelope plus the full
-// per-entry header and payload of every packed panel (see wire.go for the
-// byte model).
+// bytes models the bundle's wire size: one message envelope plus the
+// header and payload of every panel (see wire.go for the byte model).
 func (b *vecBundle) bytes() int {
 	n := wireEnvBytes
-	for i := range b.Ws {
-		n += b.Ws[i].wireBytes()
+	for _, p := range b.Ps {
+		n += panelBytes(p)
 	}
 	return n
 }
@@ -217,14 +216,14 @@ const (
 	MarkUDone = "U_done"
 )
 
-// packSend packs supernode k's panel p into a payload record for a
-// singleton message and returns it with its modeled message size (wire.go's
-// one-entry-message model). The record comes from the solve's message
-// storage and stays valid until the state is released.
-func (c *rankCore) packSend(k int, p *sparse.Panel) (*panelMsg, int) {
+// panelSend wraps supernode k's panel p in a payload record for a
+// singleton message and returns it with its modeled message size. The
+// record comes from the solve's message storage and stays valid until the
+// state is released.
+func (c *rankCore) panelSend(k int, p *sparse.Panel) (*panelMsg, int) {
 	m := c.st.msgs.next()
-	m.K, m.W = k, packPanel(p)
-	return m, singleBytes(&m.W)
+	m.K, m.P = k, p
+	return m, singleBytes(p)
 }
 
 // ---- execution layer ----
@@ -500,20 +499,6 @@ func (a *arena) reserve(floats, panels int) {
 	a.nd, a.np, a.spills = 0, 0, 0
 }
 
-// view returns a rows×cols panel header over data from the reservation,
-// or from the heap once the headers are exhausted: the aliasing form of a
-// received full-density panel.
-func (a *arena) view(rows, cols int, data []float64) *sparse.Panel {
-	if a.np >= cap(a.panels) {
-		a.spills++
-		return &sparse.Panel{Rows: rows, Cols: cols, Data: data}
-	}
-	p := &a.panels[a.np]
-	a.np++
-	p.Rows, p.Cols, p.Data = rows, cols, data
-	return p
-}
-
 // alloc returns a zeroed rows×cols panel from the reservation, or from the
 // heap once the reservation is exhausted.
 func (a *arena) alloc(rows, cols int) *sparse.Panel {
@@ -525,7 +510,10 @@ func (a *arena) alloc(rows, cols int) *sparse.Panel {
 	d := a.data[a.nd : a.nd+n : a.nd+n]
 	a.nd += n
 	clear(d)
-	return a.view(rows, cols, d)
+	p := &a.panels[a.np]
+	a.np++
+	p.Rows, p.Cols, p.Data = rows, cols, d
+	return p
 }
 
 // ---- shared rank scaffolding ----
@@ -950,7 +938,7 @@ func (c *rankCore) contribution(ctx *runtime.Ctx, sw, k int, tree *ctree.Tree) {
 		c.enqueue(sw, k)
 		return
 	}
-	d, bytes := c.packSend(k, c.getSum(sw, k))
+	d, bytes := c.panelSend(k, c.getSum(sw, k))
 	ctx.Send(runtime.Msg{
 		Dst: c.p.GlobalRank(c.z, tree.Parent(c.r2d)), Tag: reduceTag[sw], Cat: runtime.CatXY,
 		Data: d, Bytes: bytes,

@@ -62,7 +62,7 @@ func TestDrainDeferredZeroesVacatedTail(t *testing.T) {
 	c := &rankCore{st: &solveState{}}
 	panel := sparse.NewPanel(4, 1)
 	for tag := 1; tag <= 6; tag++ {
-		c.st.deferred = append(c.st.deferred, runtime.Msg{Tag: tag, Data: &panelMsg{K: tag, W: wirePanel{Rows: 4, Cols: 1, EffCols: 1, Vals: panel.Data}}})
+		c.st.deferred = append(c.st.deferred, runtime.Msg{Tag: tag, Data: &panelMsg{K: tag, P: panel}})
 	}
 	// Accept the even tags: three survivors compact to the front, three
 	// slots beyond len must be zeroed.
@@ -93,7 +93,7 @@ func TestReleaseClearsBackingArrays(t *testing.T) {
 	st.owner = &sync.Pool{}
 	panel := sparse.NewPanel(4, 1)
 	for i := 0; i < 4; i++ {
-		st.deferred = append(st.deferred, runtime.Msg{Tag: 1, Data: &panelMsg{K: i, W: wirePanel{Rows: 4, Cols: 1, EffCols: 1, Vals: panel.Data}}})
+		st.deferred = append(st.deferred, runtime.Msg{Tag: 1, Data: &panelMsg{K: i, P: panel}})
 	}
 	// Simulate a compaction reslice: the live prefix shrinks, stale
 	// elements remain in the backing array beyond len.

@@ -134,7 +134,8 @@ type elasticGolden struct {
 // solution hash, per-rank DES clocks, message and byte totals and
 // ElasticStats. They were captured before the two GPU handlers and the
 // L/U sweep twins of the executor were merged, which reproduces them bit
-// for bit.
+// for bit; only the byte totals were re-pinned, when messages stopped
+// packing their panels.
 func TestElasticMatchesGoldens(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "elastic_goldens.json"))
 	if err != nil {

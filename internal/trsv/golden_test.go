@@ -20,8 +20,9 @@ import (
 // scheduled one — solution bits, per-rank DES clocks, total messages and
 // bytes — on three matrices × six algorithm/layout cases. The scheduled
 // engine reproduced that engine bit for bit; these goldens keep it doing
-// so. The independent numerical
-// reference is the serial snode.Solve, checked alongside.
+// so. The byte totals were re-pinned once, when messages stopped packing
+// their panels (solutions and clocks did not move). The independent
+// numerical reference is the serial snode.Solve, checked alongside.
 
 const goldenFile = "engine_goldens.json"
 

@@ -226,7 +226,7 @@ func (h *gpuRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 		h.onTaskDone(ctx, m.Data.(*gpuTask))
 	case tagGPUPut:
 		// A one-sided delivery of a solved subvector (the ready_y / flag
-		// pair of Alg. 5), shipped in wire form like every other subvector.
+		// pair of Alg. 5); the task reads the sender's panel.
 		d := m.Data.(*panelMsg)
 		if h.el != nil {
 			s := h.slot(d.K)
@@ -238,7 +238,7 @@ func (h *gpuRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 			}
 			h.putSeen[d.Sw].set(s)
 		}
-		h.readyTasks = append(h.readyTasks, gpuTask{k: d.K, sw: d.Sw, put: h.unpackPanel(&d.W)})
+		h.readyTasks = append(h.readyTasks, gpuTask{k: d.K, sw: d.Sw, put: d.P})
 		h.startTasks(ctx)
 	case tagARReduce:
 		if h.ar.onReduce(ctx, m.Data.(*vecBundle)) {
@@ -259,7 +259,7 @@ func (h *gpuRank) forwardPuts(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, dela
 	if len(children) == 0 {
 		return
 	}
-	d, bytes := h.packSend(k, v)
+	d, bytes := h.panelSend(k, v)
 	d.Sw = sw
 	for _, child := range children {
 		dst := h.p.GlobalRank(h.z, int(child))

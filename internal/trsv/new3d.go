@@ -98,9 +98,9 @@ func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 		sw, d := sweepOf(m.Tag), m.Data.(*panelMsg)
 		h.st.recvLeft[sw]--
 		if m.Tag == bcastTag[sw] {
-			h.onSolved(ctx, sw, d.K, h.unpackPanel(&d.W))
+			h.onSolved(ctx, sw, d.K, d.P)
 		} else {
-			addWire(h.getSum(sw, d.K), &d.W)
+			h.getSum(sw, d.K).AddFrom(d.P)
 			h.contribution(ctx, sw, d.K, h.gp.Reduce[sw][d.K])
 		}
 		h.drainReady(ctx, h, sw)
@@ -140,14 +140,13 @@ func (h *new3dRank) onSolved(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
 }
 
 // bcast forwards a solved subvector of sweep sw down the supernode's
-// broadcast tree, packing it once into one payload record that every
-// child reads.
+// broadcast tree in one payload record that every child reads.
 func (h *new3dRank) bcast(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
 	children := h.bcastKids(sw, k)
 	if len(children) == 0 {
 		return
 	}
-	d, bytes := h.packSend(k, v)
+	d, bytes := h.panelSend(k, v)
 	for _, child := range children {
 		ctx.Send(runtime.Msg{
 			Dst: h.p.GlobalRank(h.z, int(child)), Tag: bcastTag[sw], Cat: runtime.CatXY,

@@ -58,13 +58,10 @@ echo "== go test -race -count=3 (level-sweep work-stealing stress, strict and fo
 go test -race -count=3 -run 'TestSchedConcurrentSolves|TestSchedPoolBitExact|TestEngineMatchesGoldens|TestElasticMatchesGoldens|TestGPUUnderMessageReordering' \
     ./internal/trsv ./internal/sched
 
-echo "== go test -race -count=2 (packed wire format + deferred-queue stress) =="
+echo "== go test -race -count=2 (wire byte model, sent-panel immutability + deferred-queue stress) =="
 go test -race -count=2 \
-    -run '^(TestPackPanelRoundTrip|TestAddWireMatchesDenseAdd|TestByteAccountingInvariant|TestPackedMatchesDenseOracle|TestZeroRunSuppressionGPU|TestDrainDeferredChains|TestDrainDeferredZeroesVacatedTail|FuzzPackRoundTrip)$' \
+    -run '^(TestByteAccountingInvariant|TestSentPanelsImmutable|TestDrainDeferredChains|TestDrainDeferredZeroesVacatedTail)$' \
     ./internal/trsv
-
-echo "== wire-format fuzz (bounded) =="
-go test -run '^$' -fuzz '^FuzzPackRoundTrip$' -fuzztime 10s ./internal/trsv
 
 echo "== block-kernel fuzz (bounded) =="
 go test -run '^$' -fuzz '^FuzzGemmKernels$' -fuzztime 10s ./internal/sparse

@@ -21,8 +21,8 @@
 // goroutine-per-rank pool (wall-clock benchmarks on the host). On both, a
 // solve executes as level sweeps over the plan's precomputed dependency
 // schedule (see DESIGN.md §11), and every inter-rank message carries
-// packed supernode segments, the one wire format (§13). Neither the sweep
-// nor the format has an option. Every simulated run performs the real
+// whole dense supernode segments, the sender's own panels (§13). Neither
+// the sweep nor the message format has an option. Every simulated run performs the real
 // numeric solve, so results are always verifiable against the serial
 // reference.
 //
