@@ -10,8 +10,7 @@
 // With -cache DIR the tuned choice is persisted: a second run with the
 // same matrix fingerprint, machine, rank budget, and nrhs class is served
 // from the cache with zero probe solves. Shared flags (internal/cliutil):
-// the matrix source, -machine, -nrhs, and the elastic group (-staleness S,
-// -refine-tol, -refine-max), stamped on the tuned config.
+// the matrix source, -machine and -nrhs.
 package main
 
 import (
@@ -25,7 +24,7 @@ import (
 
 var (
 	fs       = flag.NewFlagSet("tune", flag.ContinueOnError)
-	cf       = cliutil.NewConfigFlags().Bind(fs, cliutil.Matrix|cliutil.Machine|cliutil.Elastic|cliutil.NRHS)
+	cf       = cliutil.NewConfigFlags().Bind(fs, cliutil.Matrix|cliutil.Machine|cliutil.NRHS)
 	p        = fs.Int("p", 64, "rank budget: total number of ranks the configuration may use")
 	topk     = fs.Int("topk", 0, "candidates probed after the analytic pre-score (0 = default)")
 	workers  = fs.Int("workers", 0, "concurrent probe solves (0 = default)")
@@ -45,10 +44,7 @@ func run() error {
 		return err
 	}
 
-	opt := tune.Options{
-		NRHS: cf.NRHS, TopK: *topk, Workers: *workers,
-		Staleness: cfg.Staleness, RefineTol: cfg.RefineTol, RefineMax: cfg.RefineMax,
-	}
+	opt := tune.Options{NRHS: cf.NRHS, TopK: *topk, Workers: *workers}
 	if *cacheDir != "" {
 		if opt.Cache, err = tune.OpenCache(*cacheDir); err != nil {
 			return err
@@ -64,10 +60,6 @@ func run() error {
 		source = "served from cache, zero probe solves"
 	}
 	fmt.Printf("tuned for p=%d on %s, nrhs=%d (%s)\n", *p, cfg.Machine.Name, cf.NRHS, source)
-	if cfg.Staleness > 0 {
-		fmt.Printf("elastic solve (S=%d, refine-tol %g, refine-max %d) stamped on both configs\n",
-			cfg.Staleness, cfg.RefineTol, cfg.RefineMax)
-	}
 	fmt.Printf("chosen:  %-12s %dx%dx%d trees=%-6s  predicted makespan %.6g s\n",
 		res.Config.Algorithm, res.Config.Layout.Px, res.Config.Layout.Py, res.Config.Layout.Pz,
 		res.Config.Trees, res.Makespan)

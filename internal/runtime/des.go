@@ -140,9 +140,9 @@ func NewEngine(n int, net Network) *Engine {
 	}
 }
 
-// step runs one handler entry (Init or OnMessage) panic-safely: a panic in
-// the handler — or in the backend invariants it trips — surfaces as a typed
-// error from Run instead of crashing the process.
+// step runs one handler entry (Init, OnMessage, DeadOnArrival) panic-safely:
+// a panic in the handler — or in the backend invariants it trips —
+// surfaces as a typed error from Run instead of crashing the process.
 func (e *Engine) step(rank int, f func()) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -229,8 +229,12 @@ func (e *Engine) Run(newHandler func(rank int) Handler) (*Result, error) {
 			} else if dl, ok := e.handlers[r].(DeadLetterer); ok {
 				// A payload for a phase the rank forcibly closed is delivered
 				// (the deferral bookkeeping stays uniform) but charged no wait:
-				// the rank polls past it rather than blocking on it.
-				dead = dl.DeadOnArrival(ev.msg)
+				// the rank polls past it rather than blocking on it. The
+				// classification is handler code, so a protocol bug it trips
+				// (an unknown tag) fails the run like one in OnMessage.
+				if err := e.step(r, func() { dead = dl.DeadOnArrival(ev.msg) }); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if wait := ev.time - e.clocks[r]; !dead && wait > 0 {

@@ -89,7 +89,7 @@ func newCoalescer(s *Server, solver *core.Solver) *coalescer {
 		factor = 0 // negative disables the slow trigger
 	}
 	return &coalescer{s: s, solver: solver,
-		slowTrack: reqtrace.NewSlowTracker(s.opts.SlowWindow, factor)}
+		slowTrack: reqtrace.NewSlowTracker(slowWindow, factor)}
 }
 
 // add enqueues one admitted request, arming the max-wait timer on the
@@ -365,7 +365,7 @@ func (c *coalescer) maybeCapture(r *request, res result, outcome string, slowFlu
 	switch {
 	case outcome == "fault":
 		trigger = "fault"
-	case s.opts.RefineBlowup > 0 && res.refinePasses >= s.opts.RefineBlowup:
+	case res.refinePasses >= refineBlowup:
 		trigger = "refine"
 	case slowFlush:
 		trigger = "slow"

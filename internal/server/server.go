@@ -55,6 +55,22 @@ const maxBodyBytes = 256 << 20
 // (the paper's largest experiments use 2048 ranks; 4096 leaves headroom).
 const maxLayoutRanks = 4096
 
+// Debug and flight-recorder bounds.
+const (
+	// debugRequests bounds the request-record store behind
+	// GET /debug/requests.
+	debugRequests = 512
+	// flightEvents bounds the flight recorder's total retained runtime
+	// trace events across all flights.
+	flightEvents = 1 << 20
+	// slowWindow is the size of the rolling median behind the slow-flush
+	// flight trigger (Options.SlowFactor).
+	slowWindow = 64
+	// refineBlowup triggers a flight capture when an elastic solve needs
+	// this many refinement passes or more.
+	refineBlowup = 8
+)
+
 // Options configures a Server. The zero value serves with sane defaults:
 // DES backend, cori-haswell model, 4-rank default layout, 256-deep queue,
 // 16-wide batches flushed after 2ms, quotas disabled.
@@ -77,8 +93,6 @@ type Options struct {
 	RefineTol float64
 	// RefineMax caps elastic refinement passes (0 = core default).
 	RefineMax int
-	// Factor controls preprocessing of uploaded matrices.
-	Factor core.FactorOptions
 
 	// MaxQueue bounds admitted-but-not-solving requests; beyond it new
 	// requests shed with 429. 0 means 256.
@@ -107,24 +121,13 @@ type Options struct {
 	// (X-Trace requests and flight-recorder captures). 0 means the runtime
 	// default cap.
 	TraceCap int
-	// DebugRequests bounds the request-record store behind
-	// GET /debug/requests. 0 means 512.
-	DebugRequests int
 	// FlightCap bounds how many anomalous requests the flight recorder
 	// retains. 0 means 64; negative disables capture entirely.
 	FlightCap int
-	// FlightEvents additionally bounds the recorder's total retained runtime
-	// trace events across all flights. 0 means 1<<20.
-	FlightEvents int
 	// SlowFactor triggers a flight capture when a flush's solve time exceeds
 	// SlowFactor × the coalescer's rolling-median solve time. 0 means 8;
 	// negative disables the slow trigger.
 	SlowFactor float64
-	// SlowWindow is the rolling median's window size. 0 means 64.
-	SlowWindow int
-	// RefineBlowup triggers a flight capture when an elastic solve needs
-	// this many refinement passes or more. 0 means 8; negative disables.
-	RefineBlowup int
 	// Exemplars turns on OpenMetrics exemplar exposition on the registry:
 	// latency histogram buckets carry the request ID of a recent landing.
 	Exemplars bool
@@ -163,23 +166,11 @@ func (o Options) withDefaults() Options {
 	if o.Registry == nil {
 		o.Registry = metrics.Default()
 	}
-	if o.DebugRequests <= 0 {
-		o.DebugRequests = 512
-	}
 	if o.FlightCap == 0 {
 		o.FlightCap = 64
 	}
-	if o.FlightEvents <= 0 {
-		o.FlightEvents = 1 << 20
-	}
 	if o.SlowFactor == 0 {
 		o.SlowFactor = 8
-	}
-	if o.SlowWindow <= 0 {
-		o.SlowWindow = 64
-	}
-	if o.RefineBlowup == 0 {
-		o.RefineBlowup = 8
 	}
 	return o
 }
@@ -223,8 +214,8 @@ func New(opts Options) (*Server, error) {
 		clock:   opts.Clock,
 		metrics: newServerMetrics(opts.Registry),
 		handles: newHandleCache(opts.MaxHandles),
-		store:   reqtrace.NewStore(opts.DebugRequests),
-		flights: reqtrace.NewRecorder(opts.FlightCap, opts.FlightEvents),
+		store:   reqtrace.NewStore(debugRequests),
+		flights: reqtrace.NewRecorder(opts.FlightCap, flightEvents),
 	}
 	px, py := grid.Square2D(opts.Ranks)
 	s.base = core.Config{
@@ -401,7 +392,7 @@ func writeError(w http.ResponseWriter, code int, msg string, retryAfter time.Dur
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	now := s.clock.Now()
-	fopt := s.opts.Factor
+	var fopt core.FactorOptions
 
 	var (
 		a      *sparse.CSR

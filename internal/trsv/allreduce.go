@@ -1,6 +1,7 @@
 package trsv
 
 import (
+	"cmp"
 	"fmt"
 
 	"sptrsv/internal/fault"
@@ -48,24 +49,35 @@ func (a *arHelper) begin(ctx *runtime.Ctx) bool {
 	return a.done
 }
 
-// acceptsReduce reports whether a reduce bundle for the given step can be
-// processed now.
-func (a *arHelper) acceptsReduce(step int) bool {
-	return !a.done && step == a.step && a.step < min(a.trailing, a.levels)
+// gateReduce places a reduce bundle of the given step (algorithm.gate):
+// early before phase 1 or its step, processable at the step being
+// received, dead once the allreduce finished (possibly forced) or the step
+// passed — steps only advance.
+func (a *arHelper) gateReduce(step int) int {
+	switch ph := a.r.st.phase; {
+	case ph != 1:
+		return cmp.Compare(1, ph)
+	case a.done || step < a.step:
+		return -1
+	case step == a.step && a.step < min(a.trailing, a.levels):
+		return 0
+	}
+	return 1
 }
 
-// acceptsBcast reports whether the broadcast bundle can be processed now.
-func (a *arHelper) acceptsBcast() bool {
-	return !a.done && a.step >= min(a.trailing, a.levels)
+// gateBcast places the broadcast bundle: processable once every reduce
+// step is in, dead once the allreduce finished.
+func (a *arHelper) gateBcast() int {
+	switch ph := a.r.st.phase; {
+	case ph != 1:
+		return cmp.Compare(1, ph)
+	case a.done:
+		return -1
+	case a.step >= min(a.trailing, a.levels):
+		return 0
+	}
+	return 1
 }
-
-// deadReduce reports that a reduce bundle can never be accepted anymore:
-// the allreduce finished (possibly forced), or the bundle's step already
-// passed — steps only advance. Elastic dead-letter classification.
-func (a *arHelper) deadReduce(step int) bool { return a.done || step < a.step }
-
-// deadBcast mirrors deadReduce for broadcast bundles.
-func (a *arHelper) deadBcast() bool { return a.done }
 
 // onReduce accumulates a partner's partial subvectors; returns true when
 // the whole allreduce has finished for this rank.
@@ -112,12 +124,7 @@ func (a *arHelper) advance(ctx *runtime.Ctx) {
 		return // waiting for the next reduce bundle
 	}
 	if r.z != 0 {
-		partner := r.z - (1 << s)
-		b := a.bundle(s, a.levels-s-1)
-		ctx.Send(runtime.Msg{
-			Dst: r.p.GlobalRank(partner, r.r2d), Tag: tagARReduce, Cat: runtime.CatZ,
-			Data: b, Bytes: b.bytes(),
-		})
+		r.sendZ(ctx, r.z-(1<<s), tagARReduce, a.bundle(s, a.levels-s-1))
 		return // await tagARBcast
 	}
 	a.sendBcasts(ctx, a.levels-1)
@@ -169,12 +176,7 @@ func (a *arHelper) force(ctx *runtime.Ctx) {
 func (a *arHelper) sendBcasts(ctx *runtime.Ctx, from int) {
 	r := a.r
 	for l := from; l >= 0; l-- {
-		partner := r.z + (1 << l)
-		b := a.bundle(l, a.levels-l-1)
-		ctx.Send(runtime.Msg{
-			Dst: r.p.GlobalRank(partner, r.r2d), Tag: tagARBcast, Cat: runtime.CatZ,
-			Data: b, Bytes: b.bytes(),
-		})
+		r.sendZ(ctx, r.z+(1<<l), tagARBcast, a.bundle(l, a.levels-l-1))
 	}
 }
 
@@ -246,20 +248,16 @@ func (a *naiveAR) bundle() *vecBundle {
 
 // sendStep emits this rank's half of the current exchange.
 func (a *naiveAR) sendStep(ctx *runtime.Ctx) {
-	r := a.r
-	b := a.bundle()
-	ctx.Send(runtime.Msg{
-		Dst: r.p.GlobalRank(a.partner(), r.r2d), Tag: tagNaiveARUp, Cat: runtime.CatZ,
-		Data: b, Bytes: b.bytes(),
-	})
+	a.r.sendZ(ctx, a.partner(), tagNaiveARUp, a.bundle())
 }
 
-// accepts admits only the exchange for the current (node, step).
-func (a *naiveAR) accepts(m runtime.Msg) bool {
-	if a.done || m.Tag != tagNaiveARUp {
-		return false
+// gate admits only the exchange of the current (node, step); every other
+// bundle waits, never dead.
+func (a *naiveAR) gate(step int) int {
+	if !a.done && step == a.node<<8|a.step {
+		return 0
 	}
-	return m.Data.(*vecBundle).Step == a.node<<8|a.step
+	return 1
 }
 
 // onMsg combines the partner's partials and advances the schedule; returns

@@ -1,6 +1,7 @@
 package trsv
 
 import (
+	"cmp"
 	"fmt"
 
 	"sptrsv/internal/dist"
@@ -34,11 +35,11 @@ type base3dRank struct {
 	remaining      [2][]int
 }
 
-func (h *base3dRank) Done() bool { return h.st.phase == 3 }
-
 func (h *base3dRank) base() *dist.Baseline { return h.gp.Base }
 
-func (h *base3dRank) Init(ctx *runtime.Ctx) {
+// start implements algorithm: refill the per-node-group counter templates
+// and stage budgets, then kick off the leaf node.
+func (h *base3dRank) start(ctx *runtime.Ctx) {
 	bb := h.base()
 	h.s = bb.S
 	rd := bb.Ranks[h.r2d]
@@ -47,57 +48,44 @@ func (h *base3dRank) Init(ctx *runtime.Ctx) {
 		st.dpend[sw] = append(st.dpend[sw][:0], rd.Pending[sw]...)
 		h.remaining[sw] = append([]int(nil), rd.Remaining[sw]...)
 	}
-
-	// Kick off the leaf node.
 	h.enqueueStage(0)
 	h.drainReady(ctx, h, sweepL)
 	h.advanceL(ctx)
-	h.drainDeferred(ctx, h)
-	h.armElastic(ctx)
 }
 
-func (h *base3dRank) OnMessage(ctx *runtime.Ctx, m runtime.Msg) {
-	h.dispatch(ctx, m, h)
-	h.armElastic(ctx)
-}
-
-func (h *base3dRank) accepts(m runtime.Msg) bool {
-	st := h.st
+// gate implements algorithm: the phase, the L-stage cursor and the merge
+// wait only advance.
+func (h *base3dRank) gate(m runtime.Msg) int {
+	ph := h.st.phase
 	switch m.Tag {
 	case tagYBcast, tagLReduce:
-		return st.phase == 0 && !h.lAwaitMerge && h.gp.NodeOf[m.Data.(*panelMsg).K] == h.lStage
+		return h.gateL(h.gp.NodeOf[m.Data.(*panelMsg).K], false)
 	case tagZGatherL:
-		return st.phase == 0 && h.lAwaitMerge && m.Data.(*vecBundle).Step == h.lStage
+		return h.gateL(m.Data.(*vecBundle).Step, true)
 	case tagZBcastU:
-		return st.phase == 1
+		return cmp.Compare(1, ph)
 	case tagXBcast, tagUReduce:
-		return st.phase == 2
+		return cmp.Compare(2, ph)
 	}
-	panic(&fault.ProtocolError{Rank: h.rank, Tag: m.Tag, Phase: baselinePhase(h.st.phase),
-		Msg: fmt.Sprintf("baseline received unexpected tag %d from rank %d", m.Tag, m.Src)})
+	panic(h.unexpected(m, phaseName(ph, "Z-exchange")))
 }
 
-// DeadOnArrival implements runtime.DeadLetterer: the phase and the L-stage
-// cursor only advance, so traffic for an earlier phase or a completed
-// L-stage parks forever and must not charge wait time.
-func (h *base3dRank) DeadOnArrival(m runtime.Msg) bool {
-	st := h.st
-	if st == nil {
-		return true
+// gateL places L-phase traffic of node stage i: a tree message (merge
+// false), processable while the stage runs, or the inter-grid merge bundle
+// (merge true), processable while the stage awaits it.
+func (h *base3dRank) gateL(i int, merge bool) int {
+	switch ph := h.st.phase; {
+	case ph != 0:
+		return cmp.Compare(0, ph)
+	case i < h.lStage:
+		return -1
+	case i == h.lStage && h.lAwaitMerge == merge:
+		return 0
 	}
-	switch m.Tag {
-	case tagYBcast, tagLReduce:
-		return st.phase > 0 || (st.phase == 0 && h.gp.NodeOf[m.Data.(*panelMsg).K] < h.lStage)
-	case tagZGatherL:
-		return st.phase > 0 || (st.phase == 0 && m.Data.(*vecBundle).Step < h.lStage)
-	case tagZBcastU:
-		return st.phase > 1
-	case tagXBcast, tagUReduce:
-		return st.phase > 2
-	}
-	return false
+	return 1
 }
 
+// process implements algorithm.
 func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	st := h.st
 	switch m.Tag {
@@ -173,22 +161,18 @@ func (h *base3dRank) applyBlocks(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, l
 // read from the member list without a per-send allocation.
 func (h *base3dRank) spread(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, maxNode int) {
 	if h.p.DiagRank2D(k) != h.r2d {
-		panic(&fault.ProtocolError{Rank: h.rank, Phase: baselinePhase(h.st.phase),
+		panic(&fault.ProtocolError{Rank: h.rank, Phase: phaseName(h.st.phase, "Z-exchange"),
 			Msg: fmt.Sprintf("spreading supernode %d off its diagonal rank", k)})
 	}
-	bytes := singleBytes(v)
 	for _, gt := range h.base().BcastGroups[sw][k] {
 		kids := gt.Tree.RootChildren()
 		if gt.Node > maxNode || len(kids) == 0 {
 			continue
 		}
-		d := h.st.msgs.next()
-		d.K, d.G, d.P = k, gt.Node, v
+		d := h.record(k, v)
+		d.G = gt.Node
 		for _, child := range kids {
-			ctx.Send(runtime.Msg{
-				Dst: h.p.GlobalRank(h.z, child), Tag: bcastTag[sw], Cat: runtime.CatXY,
-				Data: d, Bytes: bytes,
-			})
+			h.sendXY(ctx, child, bcastTag[sw], d)
 		}
 	}
 	h.applyBlocks(ctx, sw, k, v, 0, maxNode)
@@ -198,7 +182,7 @@ func (h *base3dRank) spread(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, maxNod
 // partition the path nodes, never replicate them.
 //
 // The baseline's counter templates are per-node-group and live on the
-// baseline plan (Init copies them), and its broadcasts walk the plan's
+// baseline plan (start copies them), and its broadcasts walk the plan's
 // per-group trees.
 func (h *base3dRank) keepB(int) bool { return true }
 
@@ -249,11 +233,7 @@ func (h *base3dRank) sendGathers(ctx *runtime.Ctx) {
 		if h.col == diagCol || !containsCol(h.base().GatherCols[k], h.col) {
 			continue
 		}
-		d, bytes := h.panelSend(k, h.getSum(sweepL, k))
-		ctx.Send(runtime.Msg{
-			Dst: h.p.GlobalRank(h.z, h.p.DiagRank2D(k)), Tag: tagLReduce, Cat: runtime.CatXY,
-			Data: d, Bytes: bytes,
-		})
+		h.sendXY(ctx, h.p.DiagRank2D(k), tagLReduce, h.record(k, h.getSum(sweepL, k)))
 		st.sum[sweepL].set(k, nil)
 	}
 }
@@ -284,12 +264,7 @@ func (h *base3dRank) finishL(ctx *runtime.Ctx) {
 	ctx.Mark(MarkLDone)
 	st := h.st
 	if h.z != 0 {
-		partner := h.z - (1 << h.s)
-		b := h.leftoverBundle()
-		ctx.Send(runtime.Msg{
-			Dst: h.p.GlobalRank(partner, h.r2d), Tag: tagZGatherL, Cat: runtime.CatZ,
-			Data: b, Bytes: b.bytes(),
-		})
+		h.sendZ(ctx, h.z-(1<<h.s), tagZGatherL, h.leftoverBundle())
 		st.phase = 1 // await the U bundle
 		return
 	}
@@ -339,7 +314,6 @@ func (h *base3dRank) advanceU(ctx *runtime.Ctx) {
 	st := h.st
 	for st.phase == 2 && h.remaining[sweepU][h.uStage] == 0 && len(st.ready[sweepU]) == 0 {
 		if h.uStage >= 1 {
-			partner := h.z + (1 << (h.uStage - 1))
 			b := &vecBundle{Step: h.uStage}
 			st.sol[sweepU].each(func(k int, x *sparse.Panel) {
 				if h.gp.NodeOf[k] >= h.uStage {
@@ -347,10 +321,7 @@ func (h *base3dRank) advanceU(ctx *runtime.Ctx) {
 					b.Ps = append(b.Ps, x)
 				}
 			})
-			ctx.Send(runtime.Msg{
-				Dst: h.p.GlobalRank(partner, h.r2d), Tag: tagZBcastU, Cat: runtime.CatZ,
-				Data: b, Bytes: b.bytes(),
-			})
+			h.sendZ(ctx, h.z+(1<<(h.uStage-1)), tagZBcastU, b)
 			h.uStage--
 			continue
 		}
@@ -362,7 +333,7 @@ func (h *base3dRank) advanceU(ctx *runtime.Ctx) {
 
 // ---- elastic forcing ----
 
-// forceStale implements elasticForcer for the baseline's staged protocol.
+// forceStale implements algorithm for the baseline's staged protocol.
 // The baseline maps its phases onto the same three deadlines as the
 // proposed algorithm: phase 0 covers every L node stage including the
 // pairwise merges between them, phase 1 the inter-grid x bundle wait, and
@@ -373,7 +344,7 @@ func (h *base3dRank) forceStale(ctx *runtime.Ctx, phase int) {
 	}
 	// Consume messages a closure just made admissible before declaring the
 	// next phase's inputs missing.
-	h.drainDeferred(ctx, h)
+	h.drainDeferred(ctx)
 	if phase >= 1 && h.st.phase == 1 {
 		// The partner grid's x bundle never came: every x value from the
 		// unprocessed ancestor nodes reads as missing, so all of this
@@ -386,7 +357,7 @@ func (h *base3dRank) forceStale(ctx *runtime.Ctx, phase int) {
 		h.st.phase = 2
 		h.uStage = h.s
 		h.startU(ctx)
-		h.drainDeferred(ctx, h)
+		h.drainDeferred(ctx)
 	}
 	if phase >= 2 && h.st.phase == 2 {
 		h.forceU(ctx)
@@ -405,7 +376,7 @@ func (h *base3dRank) forceL(ctx *runtime.Ctx) {
 	for st.phase == 0 {
 		// A stage advance can make early-arrived (deferred) messages for
 		// the new stage admissible — real data beats synthesized zeros.
-		h.drainDeferred(ctx, h)
+		h.drainDeferred(ctx)
 		if st.phase != 0 {
 			return
 		}

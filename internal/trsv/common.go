@@ -216,16 +216,6 @@ const (
 	MarkUDone = "U_done"
 )
 
-// panelSend wraps supernode k's panel p in a payload record for a
-// singleton message and returns it with its modeled message size. The
-// record comes from the solve's message storage and stays valid until the
-// state is released.
-func (c *rankCore) panelSend(k int, p *sparse.Panel) (*panelMsg, int) {
-	m := c.st.msgs.next()
-	m.K, m.P = k, p
-	return m, singleBytes(p)
-}
-
 // ---- execution layer ----
 
 // Sweep indices of the per-sweep state: the forward (L) and the backward
@@ -259,7 +249,7 @@ func sweepPhase(sw int) int { return 2 * sw }
 
 // solveState is the per-solve mutable state every algorithm family shares;
 // the baseline's stage cursors and the GPU task queue live on their
-// handlers, which are built once per solve. States are recycled through
+// algorithms, which are built once per solve. States are recycled through
 // the rank's schedule pool — the slot tables, queues and arena keep their
 // backing arrays between solves, which is what makes repeated solves on
 // one Solver nearly allocation-free in steady state. A state is owned by
@@ -518,11 +508,25 @@ func (a *arena) alloc(rows, cols int) *sparse.Panel {
 
 // ---- shared rank scaffolding ----
 
-// rankOps is the per-algorithm surface the shared scaffolding drives:
-// message admission (phase gating) and processing.
-type rankOps interface {
-	accepts(m runtime.Msg) bool
+// algorithm is the dependency structure of one SpTRSV variant — who
+// waits for what and who talks to whom. rankCore is the shell every variant
+// shares around it: the runtime.Handler entry points, message deferral,
+// elastic deadline ticks and message construction.
+type algorithm interface {
+	// start seeds the rank's first sweep (the handler's Init).
+	start(ctx *runtime.Ctx)
+	// gate places message m against the rank's progress: negative when m
+	// belongs to progress already passed, so it can never be processed
+	// (dead on arrival); zero when it can be processed now; positive when
+	// it is early and waits in the deferral queue. Progress — phases,
+	// stages, reduction steps — only advances, so a negative answer is
+	// permanent. An unknown tag panics with a *fault.ProtocolError.
+	gate(m runtime.Msg) int
+	// process handles a message whose gate is zero.
 	process(ctx *runtime.Ctx, m runtime.Msg)
+	// forceStale closes, at an elastic staleness deadline, every phase up
+	// to and including phase that is still open, with stale inputs.
+	forceStale(ctx *runtime.Ctx, phase int)
 }
 
 // diagSolver is implemented by the CPU handlers that drive the shared
@@ -536,12 +540,16 @@ type diagSolver interface {
 	keepB(k int) bool
 }
 
-// rankCore holds one rank's read-only view of the plan — geometry, block
-// lists, communication trees — plus the per-solve execution state and the
-// state-machine scaffolding every algorithm shares: message deferral,
-// ready-queue draining, and reduction-tree row contributions. The plan side
-// is shared across concurrent solves and never written after NewSolver.
+// rankCore is the one runtime.Handler of the package: a rank's read-only
+// view of the plan — geometry, block lists, communication trees — plus the
+// per-solve execution state and the scaffolding every algorithm shares:
+// message gating and deferral, elastic ticks, message construction,
+// ready-queue draining and reduction-tree row contributions. alg supplies
+// the dependency structure. The plan side is shared across concurrent
+// solves and never written after NewSolver.
 type rankCore struct {
+	alg algorithm
+
 	p     *dist.Plan
 	model *machine.Model
 	gp    *dist.GridPlan
@@ -578,7 +586,10 @@ const defaultSweepChunk = 8
 // per-rank parallelism only pays on wide levels with idle cores.
 const maxSweepWorkers = 4
 
-func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *sparse.Panel, opts SolveOpts) {
+// init binds the shell to its algorithm and one rank of the plan and
+// acquires the solve's state; it returns the shell as the rank's handler.
+func (c *rankCore) init(alg algorithm, p *dist.Plan, model *machine.Model, rank int, b, x *sparse.Panel, opts SolveOpts) *rankCore {
+	c.alg = alg
 	c.p = p
 	c.model = model
 	c.rank = rank
@@ -623,6 +634,7 @@ func (c *rankCore) init(p *dist.Plan, model *machine.Model, rank int, b, x *spar
 	st.arena.reserve(c.sr.ArenaPerRHS*st.nrhs, c.sr.Panels)
 	st.size(c.sg)
 	c.st = st
+	return c
 }
 
 // slot maps a supernode to its schedule slot; -1 off-path.
@@ -637,35 +649,19 @@ func (c *rankCore) bcastKids(sw, k int) []int32 { return c.sr.BcastKids[sw][c.sl
 // after the backend run has fully completed, so no handler code can still
 // be touching the state.
 func (c *rankCore) releaseState() {
-	if c.st != nil {
-		c.st.release()
-		c.st = nil
-	}
+	c.st.release()
+	c.st = nil
 }
 
-// proposedPhase names the proposed algorithm's phases (shared by the GPU
-// variants) for diagnostics.
-func proposedPhase(p int) string {
+// phaseName names phase p of the three every algorithm runs, for
+// diagnostics; exchange names the inter-grid phase ("allreduce" for the
+// proposed algorithm and its GPU variants, "Z-exchange" for the baseline).
+func phaseName(p int, exchange string) string {
 	switch p {
 	case 0:
 		return "L-solve"
 	case 1:
-		return "allreduce"
-	case 2:
-		return "U-solve"
-	case 3:
-		return "done"
-	}
-	return fmt.Sprintf("phase-%d", p)
-}
-
-// baselinePhase names the baseline algorithm's phases for diagnostics.
-func baselinePhase(p int) string {
-	switch p {
-	case 0:
-		return "L-solve"
-	case 1:
-		return "Z-exchange"
+		return exchange
 	case 2:
 		return "U-solve"
 	case 3:
@@ -687,41 +683,67 @@ func (c *rankCore) WaitState() string {
 		st.phase, st.recvLeft, len(st.ready[sweepL]), len(st.ready[sweepU]), len(st.deferred))
 }
 
-// dispatch implements the deferral protocol shared by every handler:
-// process the message if the current phase admits it, otherwise buffer it;
-// then drain whatever buffered messages the processing unlocked.
+// Init implements runtime.Handler: the algorithm seeds its first sweep,
+// then the first phase's elastic deadline is armed.
+func (c *rankCore) Init(ctx *runtime.Ctx) {
+	c.alg.start(ctx)
+	c.armElastic(ctx)
+}
+
+// OnMessage implements runtime.Handler: dispatch the message, then arm
+// the deadline of whatever phase it opened.
+func (c *rankCore) OnMessage(ctx *runtime.Ctx, m runtime.Msg) {
+	c.dispatch(ctx, m)
+	c.armElastic(ctx)
+}
+
+// Done implements runtime.Handler: every algorithm ends in phase 3.
+func (c *rankCore) Done() bool { return c.st.phase == 3 }
+
+// DeadOnArrival implements runtime.DeadLetterer: a message whose gate is
+// negative parks forever, so it must not charge wait time.
+func (c *rankCore) DeadOnArrival(m runtime.Msg) bool { return c.alg.gate(m) < 0 }
+
+// unexpected is the protocol error of a message no gate knows.
+func (c *rankCore) unexpected(m runtime.Msg, phase string) *fault.ProtocolError {
+	return &fault.ProtocolError{Rank: c.rank, Tag: m.Tag, Phase: phase,
+		Msg: fmt.Sprintf("received unexpected tag %d from rank %d", m.Tag, m.Src)}
+}
+
+// dispatch implements the deferral protocol: process the message if its
+// gate admits it now, otherwise buffer it; then drain whatever buffered
+// messages the processing unlocked.
 //
-// Elastic-mode deadline ticks are intercepted before the admission check:
-// a live tick (its phase not yet closed) forces the phase with whatever
-// inputs are on hand, then re-offers the deferred messages the phase
-// transitions unlocked. Stale ticks are dropped (the DES engine already
-// filters them via TickLive; the pool delivers all timers).
-func (c *rankCore) dispatch(ctx *runtime.Ctx, m runtime.Msg, ops rankOps) {
+// Elastic-mode deadline ticks are intercepted before the gate: a live
+// tick (its phase not yet closed) forces the phase with whatever inputs
+// are on hand, then re-offers the deferred messages the phase transitions
+// unlocked. Stale ticks are dropped (the DES engine already filters them
+// via TickLive; the pool delivers all timers).
+func (c *rankCore) dispatch(ctx *runtime.Ctx, m runtime.Msg) {
 	if m.Tag == tagElastic {
 		ph, _ := m.Data.(int)
 		st := c.st
 		if c.el != nil && st.phase < 3 && st.phase <= ph {
 			st.counts.forcedTicks++
-			if f, ok := ops.(elasticForcer); ok {
-				f.forceStale(ctx, ph)
-				c.drainDeferred(ctx, ops)
-			}
+			c.alg.forceStale(ctx, ph)
+			c.drainDeferred(ctx)
 		}
 		return
 	}
-	if !ops.accepts(m) {
+	if c.alg.gate(m) != 0 {
 		c.st.deferred = append(c.st.deferred, m)
 		return
 	}
-	ops.process(ctx, m)
-	c.drainDeferred(ctx, ops)
+	c.alg.process(ctx, m)
+	c.drainDeferred(ctx)
 }
 
-// drainDeferred re-offers buffered messages until none is acceptable;
+// drainDeferred re-offers buffered messages until none is admitted now;
 // processing one message can unlock others (e.g. a phase transition).
+// Dead messages stay parked: their gate never reopens.
 //
 // Each round is a single in-place, order-preserving compaction pass:
-// acceptable messages are processed as the scan reaches them, the rest
+// admitted messages are processed as the scan reaches them, the rest
 // slide down to fill the gaps, and the vacated tail is zeroed so no stale
 // Msg (whose Data holds panels) lingers in the backing array beyond len.
 // A round that processed anything may have unlocked earlier survivors, so
@@ -730,14 +752,14 @@ func (c *rankCore) dispatch(ctx *runtime.Ctx, m runtime.Msg, ops rankOps) {
 //
 // dispatch is the only appender to st.deferred and process never calls
 // back into dispatch, so the slice does not grow mid-pass.
-func (c *rankCore) drainDeferred(ctx *runtime.Ctx, ops rankOps) {
+func (c *rankCore) drainDeferred(ctx *runtime.Ctx) {
 	for {
 		d := c.st.deferred
 		w := 0
 		for r := 0; r < len(d); r++ {
 			m := d[r]
-			if ops.accepts(m) {
-				ops.process(ctx, m)
+			if c.alg.gate(m) == 0 {
+				c.alg.process(ctx, m)
 				continue
 			}
 			d[w] = m
@@ -750,6 +772,28 @@ func (c *rankCore) drainDeferred(ctx *runtime.Ctx, ops rankOps) {
 			return
 		}
 	}
+}
+
+// record wraps supernode k's panel p in a payload record from the solve's
+// message storage; it stays valid until the state is released, and every
+// receiver of one broadcast reads the same record.
+func (c *rankCore) record(k int, p *sparse.Panel) *panelMsg {
+	m := c.st.msgs.next()
+	m.K, m.P = k, p
+	return m
+}
+
+// sendXY sends rec one intra-grid tree hop, to the rank at 2D position r2d
+// of this rank's grid, charged as a singleton message.
+func (c *rankCore) sendXY(ctx *runtime.Ctx, r2d, tag int, rec *panelMsg) {
+	ctx.Send(runtime.Msg{Dst: c.p.GlobalRank(c.z, r2d), Tag: tag, Cat: runtime.CatXY,
+		Data: rec, Bytes: singleBytes(rec.P)})
+}
+
+// sendZ sends bundle b to the rank at this rank's 2D position on grid z.
+func (c *rankCore) sendZ(ctx *runtime.Ctx, z, tag int, b *vecBundle) {
+	ctx.Send(runtime.Msg{Dst: c.p.GlobalRank(z, c.r2d), Tag: tag, Cat: runtime.CatZ,
+		Data: b, Bytes: b.bytes()})
 }
 
 // drainReady solves sweep sw's queued diagonal rows; solving one row can
@@ -907,7 +951,7 @@ func (c *rankCore) solvePanel(sw, k int, keep bool) (*sparse.Panel, float64) {
 // ---- dependency-counter accessors ----
 //
 // Counters are flat slot-indexed copies of the templates (filled in each
-// algorithm's Init); every counter key is an on-path supernode, so every
+// algorithm's start); every counter key is an on-path supernode, so every
 // key has a slot. Slots a rank never contributes to read zero.
 
 // decPending decrements row K's outstanding contribution count in sweep
@@ -930,7 +974,6 @@ func (c *rankCore) zeroPending(sw, k int) { c.st.dpend[sw][c.slot(k)] = 0 }
 // enqueue the diagonal solve at the tree root, forward the partial sum to
 // the parent elsewhere.
 func (c *rankCore) contribution(ctx *runtime.Ctx, sw, k int, tree *ctree.Tree) {
-	st := c.st
 	if c.decPending(sw, k) != 0 {
 		return
 	}
@@ -938,12 +981,8 @@ func (c *rankCore) contribution(ctx *runtime.Ctx, sw, k int, tree *ctree.Tree) {
 		c.enqueue(sw, k)
 		return
 	}
-	d, bytes := c.panelSend(k, c.getSum(sw, k))
-	ctx.Send(runtime.Msg{
-		Dst: c.p.GlobalRank(c.z, tree.Parent(c.r2d)), Tag: reduceTag[sw], Cat: runtime.CatXY,
-		Data: d, Bytes: bytes,
-	})
-	st.sum[sw].set(k, nil) // ownership transferred
+	c.sendXY(ctx, tree.Parent(c.r2d), reduceTag[sw], c.record(k, c.getSum(sw, k)))
+	c.st.sum[sw].set(k, nil) // ownership transferred
 }
 
 // ---- shared numeric kernels ----

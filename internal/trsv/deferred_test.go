@@ -8,15 +8,23 @@ import (
 	"sptrsv/internal/sparse"
 )
 
-// fakeOps is a scriptable rankOps: messages whose Tag is in the ready set
-// are accepted; processing a message can unlock further tags.
+// fakeOps is a scriptable algorithm: messages whose Tag is in the ready
+// set are processable now, the rest early; processing a message can unlock
+// further tags.
 type fakeOps struct {
 	ready     map[int]bool
 	unlocks   map[int][]int // tag → tags processing it makes acceptable
 	processed []int
 }
 
-func (f *fakeOps) accepts(m runtime.Msg) bool { return f.ready[m.Tag] }
+func (f *fakeOps) start(*runtime.Ctx)           {}
+func (f *fakeOps) forceStale(*runtime.Ctx, int) {}
+func (f *fakeOps) gate(m runtime.Msg) int {
+	if f.ready[m.Tag] {
+		return 0
+	}
+	return 1
+}
 func (f *fakeOps) process(_ *runtime.Ctx, m runtime.Msg) {
 	f.processed = append(f.processed, m.Tag)
 	for _, u := range f.unlocks[m.Tag] {
@@ -39,7 +47,8 @@ func TestDrainDeferredChains(t *testing.T) {
 		ready:   map[int]bool{1: true},
 		unlocks: map[int][]int{1: {2}, 2: {3}, 3: {4}, 4: {5}},
 	}
-	c.drainDeferred(nil, ops)
+	c.alg = ops
+	c.drainDeferred(nil)
 	if len(c.st.deferred) != 0 {
 		t.Fatalf("queue not drained: %d left", len(c.st.deferred))
 	}
@@ -67,7 +76,8 @@ func TestDrainDeferredZeroesVacatedTail(t *testing.T) {
 	// Accept the even tags: three survivors compact to the front, three
 	// slots beyond len must be zeroed.
 	ops := &fakeOps{ready: map[int]bool{2: true, 4: true, 6: true}}
-	c.drainDeferred(nil, ops)
+	c.alg = ops
+	c.drainDeferred(nil)
 	d := c.st.deferred
 	if len(d) != 3 {
 		t.Fatalf("want 3 survivors, got %d", len(d))
@@ -126,7 +136,8 @@ func BenchmarkDrainDeferred(b *testing.B) {
 		for w := 1; w < waves; w++ {
 			ops.unlocks[w] = []int{w + 1}
 		}
-		c.drainDeferred(nil, ops)
+		c.alg = ops
+		c.drainDeferred(nil)
 		if len(c.st.deferred) != 0 {
 			b.Fatal("not drained")
 		}

@@ -55,13 +55,6 @@ type elastic struct {
 	deadlines [3]float64
 }
 
-// elasticForcer is implemented by every algorithm handler: forceStale
-// closes every phase up to and including the tick's phase that is still
-// open, with stale inputs.
-type elasticForcer interface {
-	forceStale(ctx *runtime.Ctx, phase int)
-}
-
 // prepare computes the per-phase deadlines. The per-level quantum on the
 // DES backend is throughput-aware: a rank's cost for one dependency level
 // is its share of the level's supernodes, each paying fan-out send and
@@ -110,7 +103,7 @@ func (el *elastic) prepare(ctx *runtime.Ctx, c *rankCore) {
 }
 
 // armElastic arms the current phase's staleness-deadline tick, once per
-// phase. Handlers call it at the end of Init and of every OnMessage, so
+// phase. The shell calls it at the end of Init and of every OnMessage, so
 // each phase transition arms the next deadline exactly once; a no-op in
 // strict mode and once the solve is done. The tick is a self-addressed
 // timer (Ctx.After) carrying the phase index; the runtime exempts it from

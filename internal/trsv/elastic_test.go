@@ -2,6 +2,7 @@ package trsv
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -173,6 +174,110 @@ func TestElasticMatchesGoldens(t *testing.T) {
 		}
 		if got.Msgs != w.Msgs || got.Bytes != w.Bytes {
 			t.Errorf("%s: %d msgs / %d B, golden %d / %d", ec.name, got.Msgs, got.Bytes, w.Msgs, w.Bytes)
+		}
+	}
+}
+
+// deadLetterProbe decorates a rank's algorithm to check the dead-letter
+// contract of runtime.DeadLetterer: a message whose gate was negative once
+// — at the engine's arrival check or on any deferral pass — never reaches
+// process.
+type deadLetterProbe struct {
+	algorithm
+	dead   map[deadLetter]bool
+	broken int // dead messages processed anyway
+}
+
+// deadLetter identifies one delivery: payload records are per send, so
+// source, tag and record tell messages to one rank apart.
+type deadLetter struct {
+	src, tag int
+	data     any
+}
+
+func (p *deadLetterProbe) gate(m runtime.Msg) int {
+	g := p.algorithm.gate(m)
+	if g < 0 {
+		p.dead[deadLetter{m.Src, m.Tag, m.Data}] = true
+	}
+	return g
+}
+
+func (p *deadLetterProbe) process(ctx *runtime.Ctx, m runtime.Msg) {
+	if p.dead[deadLetter{m.Src, m.Tag, m.Data}] {
+		p.broken++
+	}
+	p.algorithm.process(ctx, m)
+}
+
+// TestElasticDeadLettersNeverProcessed runs the forced configurations of
+// elastic_goldens.json with every rank's gate observed: the DES skips the
+// wait charge of a dead-on-arrival message on the promise that its gate
+// never reopens, so no message classified dead may be processed later.
+func TestElasticDeadLettersNeverProcessed(t *testing.T) {
+	pl := buildPipeline(t, gen.S2D9pt(16, 16, 15), 3, 8)
+	b := randPanel(rand.New(rand.NewSource(13)), pl.m.N, 1)
+	for _, ec := range elasticCases() {
+		var probes []*deadLetterProbe
+		cs, err := runRanks(t, pl.plan(t, ec.l, ec.kind), ec.model, ec.algo,
+			SimBackend{Opts: runtime.Options{Faults: forcingPlan()}}, b, SolveOpts{Staleness: 4},
+			func(c *rankCore) {
+				p := &deadLetterProbe{algorithm: c.alg, dead: map[deadLetter]bool{}}
+				probes = append(probes, p)
+				c.alg = p
+			})
+		forced := 0
+		for _, c := range cs {
+			forced += c.st.counts.forcedTicks
+		}
+		releaseRanks(cs)
+		if err != nil {
+			t.Fatalf("%s: %v", ec.name, err)
+		}
+		if forced == 0 {
+			t.Fatalf("%s: nothing forced — the case is vacuous", ec.name)
+		}
+		dead := 0
+		for _, p := range probes {
+			dead += len(p.dead)
+			if p.broken > 0 {
+				t.Errorf("%s: %d dead-on-arrival messages were processed", ec.name, p.broken)
+			}
+		}
+		if dead == 0 {
+			t.Fatalf("%s: no message was dead on arrival — the case is vacuous", ec.name)
+		}
+		t.Logf("%s: %d forced ticks, %d dead letters", ec.name, forced, dead)
+	}
+}
+
+// unknownTagProbe decorates rank 0's algorithm to open with a message to
+// rank 1 whose tag no algorithm knows.
+type unknownTagProbe struct{ algorithm }
+
+func (u unknownTagProbe) start(ctx *runtime.Ctx) {
+	ctx.Send(runtime.Msg{Dst: 1, Tag: 999})
+	u.algorithm.start(ctx)
+}
+
+// TestFaultUnknownTagElasticDES: on an elastic run the DES classifies each
+// delivery through the receiver's gate before OnMessage sees it. A tag no
+// gate knows must fail the run with a typed protocol error there, not
+// crash the process.
+func TestFaultUnknownTagElasticDES(t *testing.T) {
+	pl := buildPipeline(t, gen.S2D9pt(16, 16, 15), 3, 8)
+	b := randPanel(rand.New(rand.NewSource(13)), pl.m.N, 1)
+	for _, ec := range elasticCases() {
+		cs, err := runRanks(t, pl.plan(t, ec.l, ec.kind), ec.model, ec.algo, SimBackend{}, b,
+			SolveOpts{Staleness: 4}, func(c *rankCore) {
+				if c.rank == 0 {
+					c.alg = unknownTagProbe{c.alg}
+				}
+			})
+		releaseRanks(cs)
+		var pe *fault.ProtocolError
+		if !errors.As(err, &pe) || pe.Rank != 1 || pe.Tag != 999 {
+			t.Fatalf("%s: got %v (%T), want a protocol error for tag 999 on rank 1", ec.name, err, err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package trsv
 
 import (
-	"fmt"
+	"cmp"
 
 	"sptrsv/internal/fault"
 	"sptrsv/internal/machine"
@@ -55,8 +55,6 @@ type gpuRank struct {
 	putSeen, putForced [2]slotBits
 }
 
-func (h *gpuRank) Done() bool { return h.st.phase == 3 }
-
 // inBcast reports whether this rank belongs to supernode k's broadcast
 // tree of sweep sw.
 func (h *gpuRank) inBcast(sw, k int) bool { return h.gp.Bcast[sw][k].Contains(h.r2d) }
@@ -102,7 +100,9 @@ func (h *gpuRank) flopsBytes(sw, k int, diag bool) (flops, bytes, diagFlops floa
 	return flops, bytes, diagFlops
 }
 
-func (h *gpuRank) Init(ctx *runtime.Ctx) {
+// start implements algorithm: load the local counter templates and open
+// the L sweep.
+func (h *gpuRank) start(ctx *runtime.Ctx) {
 	if !ctx.Virtual() {
 		panic(&fault.ProtocolError{Rank: h.rank, Phase: "init",
 			Msg: "GPU algorithms require the simulation backend (Engine)"})
@@ -124,15 +124,9 @@ func (h *gpuRank) Init(ctx *runtime.Ctx) {
 		}
 	}
 	h.startSweep(ctx, sweepL)
-	h.armElastic(ctx)
 }
 
-func (h *gpuRank) OnMessage(ctx *runtime.Ctx, m runtime.Msg) {
-	h.dispatch(ctx, m, h)
-	h.armElastic(ctx)
-}
-
-// forceStale implements elasticForcer. The handler's only cross-rank
+// forceStale implements algorithm. The handler's only cross-rank
 // dependencies are the one-sided puts and the allreduce: a forcing
 // deadline synthesizes a zero-valued put task for every expected put that
 // has not arrived (marking the owned rows it feeds stale), after which the
@@ -186,40 +180,24 @@ func (h *gpuRank) forcePuts(ctx *runtime.Ctx, sw int) {
 	}
 }
 
-func (h *gpuRank) accepts(m runtime.Msg) bool {
+// gate implements algorithm: one-sided puts belong to their sweep's phase
+// and allreduce bundles to their step of phase 1; GPU self-events are
+// always processable.
+func (h *gpuRank) gate(m runtime.Msg) int {
 	switch m.Tag {
 	case tagGPUEvent:
-		return true
+		return 0
 	case tagGPUPut:
-		return h.st.phase == sweepPhase(m.Data.(*panelMsg).Sw)
+		return cmp.Compare(sweepPhase(m.Data.(*panelMsg).Sw), h.st.phase)
 	case tagARReduce:
-		return h.st.phase == 1 && h.ar.acceptsReduce(m.Data.(*vecBundle).Step)
+		return h.ar.gateReduce(m.Data.(*vecBundle).Step)
 	case tagARBcast:
-		return h.st.phase == 1 && h.ar.acceptsBcast()
+		return h.ar.gateBcast()
 	}
-	panic(&fault.ProtocolError{Rank: h.rank, Tag: m.Tag, Phase: proposedPhase(h.st.phase),
-		Msg: fmt.Sprintf("gpu handler received unexpected tag %d from rank %d", m.Tag, m.Src)})
+	panic(h.unexpected(m, phaseName(h.st.phase, "allreduce")))
 }
 
-// DeadOnArrival implements runtime.DeadLetterer (see new3dRank): one-sided
-// puts for a forcibly closed sweep and allreduce bundles below the monotone
-// phase/step gate park forever. GPU self-events are always live.
-func (h *gpuRank) DeadOnArrival(m runtime.Msg) bool {
-	st := h.st
-	if st == nil {
-		return true
-	}
-	switch m.Tag {
-	case tagGPUPut:
-		return st.phase > sweepPhase(m.Data.(*panelMsg).Sw)
-	case tagARReduce:
-		return st.phase > 1 || (st.phase == 1 && h.ar.deadReduce(m.Data.(*vecBundle).Step))
-	case tagARBcast:
-		return st.phase > 1 || (st.phase == 1 && h.ar.deadBcast())
-	}
-	return false
-}
-
+// process implements algorithm.
 func (h *gpuRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	switch m.Tag {
 	case tagGPUEvent:
@@ -259,8 +237,9 @@ func (h *gpuRank) forwardPuts(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, dela
 	if len(children) == 0 {
 		return
 	}
-	d, bytes := h.panelSend(k, v)
+	d := h.record(k, v)
 	d.Sw = sw
+	bytes := singleBytes(v)
 	for _, child := range children {
 		dst := h.p.GlobalRank(h.z, int(child))
 		ctx.SendAfter(delay+h.gpu.PutCost(h.rank, dst, bytes), runtime.Msg{

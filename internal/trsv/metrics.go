@@ -55,18 +55,6 @@ func (a *solveCounts) accumulate(b solveCounts) {
 	a.forcedTicks += b.forcedTicks
 }
 
-// countsReporter exposes a handler's per-solve tallies; rankCore implements
-// it, so every algorithm reports through the same hook Solve already
-// uses for state release.
-type countsReporter interface{ solveCounts() solveCounts }
-
-func (c *rankCore) solveCounts() solveCounts {
-	if c.st == nil {
-		return solveCounts{}
-	}
-	return c.st.counts
-}
-
 // publishSolve records one solve's aggregate tallies under the algorithm
 // label.
 func publishSolve(algo Algorithm, total solveCounts, failed bool) {

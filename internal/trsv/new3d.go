@@ -1,9 +1,8 @@
 package trsv
 
 import (
-	"fmt"
+	"cmp"
 
-	"sptrsv/internal/fault"
 	"sptrsv/internal/runtime"
 	"sptrsv/internal/sparse"
 )
@@ -28,9 +27,9 @@ type new3dRank struct {
 	naive bool
 }
 
-func (h *new3dRank) Done() bool { return h.st.phase == 3 }
-
-func (h *new3dRank) Init(ctx *runtime.Ctx) {
+// start implements algorithm: refill the counter templates and kick off
+// the diagonal supernodes with no pending contributions.
+func (h *new3dRank) start(ctx *runtime.Ctx) {
 	st := h.st
 	// The plan carries this rank's counter templates as flat slot-indexed
 	// slices; refill by copy.
@@ -40,58 +39,33 @@ func (h *new3dRank) Init(ctx *runtime.Ctx) {
 	}
 	st.recvLeft = rd.Recv
 	h.ar = newARHelper(&h.rankCore)
-
-	// Kick off: diagonal supernodes with no pending contributions.
 	h.startSweep(ctx, sweepL)
-	h.armElastic(ctx)
 }
 
-func (h *new3dRank) OnMessage(ctx *runtime.Ctx, m runtime.Msg) {
-	h.dispatch(ctx, m, h)
-	h.armElastic(ctx)
-}
-
-// accepts reports whether the message can be processed in the current
-// phase; inter-grid and U messages arriving early are buffered.
-func (h *new3dRank) accepts(m runtime.Msg) bool {
+// gate implements algorithm. Tree traffic belongs to its sweep's phase and
+// allreduce bundles to their step of phase 1; naive-allreduce traffic is
+// conservatively never dead.
+func (h *new3dRank) gate(m runtime.Msg) int {
+	ph := h.st.phase
 	switch m.Tag {
 	case tagYBcast, tagLReduce:
-		return h.st.phase == 0
+		return cmp.Compare(0, ph)
 	case tagARReduce:
-		return h.st.phase == 1 && h.ar.acceptsReduce(m.Data.(*vecBundle).Step)
+		return h.ar.gateReduce(m.Data.(*vecBundle).Step)
 	case tagARBcast:
-		return h.st.phase == 1 && h.ar.acceptsBcast()
+		return h.ar.gateBcast()
 	case tagNaiveARUp:
-		return h.st.phase == 1 && h.nar != nil && h.nar.accepts(m)
+		if ph != 1 || h.nar == nil {
+			return 1
+		}
+		return h.nar.gate(m.Data.(*vecBundle).Step)
 	case tagXBcast, tagUReduce:
-		return h.st.phase == 2
+		return cmp.Compare(2, ph)
 	}
-	panic(&fault.ProtocolError{Rank: h.rank, Tag: m.Tag, Phase: proposedPhase(h.st.phase),
-		Msg: fmt.Sprintf("received unexpected tag %d from rank %d", m.Tag, m.Src)})
+	panic(h.unexpected(m, phaseName(ph, "allreduce")))
 }
 
-// DeadOnArrival implements runtime.DeadLetterer: accepts' gates are
-// monotone (the phase and the allreduce step only advance), so a message
-// that arrives below the current gate parks forever and must not charge
-// wait time. Naive-allreduce traffic is conservatively never dead.
-func (h *new3dRank) DeadOnArrival(m runtime.Msg) bool {
-	st := h.st
-	if st == nil {
-		return true
-	}
-	switch m.Tag {
-	case tagYBcast, tagLReduce:
-		return st.phase > 0
-	case tagARReduce:
-		return st.phase > 1 || (st.phase == 1 && h.ar.deadReduce(m.Data.(*vecBundle).Step))
-	case tagARBcast:
-		return st.phase > 1 || (st.phase == 1 && h.ar.deadBcast())
-	case tagXBcast, tagUReduce:
-		return st.phase > 2
-	}
-	return false
-}
-
+// process implements algorithm.
 func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 	switch m.Tag {
 	case tagYBcast, tagLReduce, tagXBcast, tagUReduce:
@@ -146,12 +120,9 @@ func (h *new3dRank) bcast(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
 	if len(children) == 0 {
 		return
 	}
-	d, bytes := h.panelSend(k, v)
+	d := h.record(k, v)
 	for _, child := range children {
-		ctx.Send(runtime.Msg{
-			Dst: h.p.GlobalRank(h.z, int(child)), Tag: bcastTag[sw], Cat: runtime.CatXY,
-			Data: d, Bytes: bytes,
-		})
+		h.sendXY(ctx, int(child), bcastTag[sw], d)
 	}
 }
 
@@ -212,7 +183,7 @@ func (h *new3dRank) finishAR(ctx *runtime.Ctx) {
 
 // ---- elastic forcing ----
 
-// forceStale implements elasticForcer: close every phase up to and
+// forceStale implements algorithm: close every phase up to and
 // including the tick's phase that is still open, proceeding with whatever
 // inputs are on hand. Each closure runs the normal phase-transition
 // machinery (so forced diagonal solves still broadcast, the allreduce
@@ -224,7 +195,7 @@ func (h *new3dRank) forceStale(ctx *runtime.Ctx, phase int) {
 	}
 	// Each closure can admit messages that arrived ahead of their phase;
 	// consume them before declaring the next phase's inputs missing.
-	h.drainDeferred(ctx, h)
+	h.drainDeferred(ctx)
 	if phase >= 1 && h.st.phase == 1 {
 		h.markStaleAR()
 		if h.naive {
@@ -233,7 +204,7 @@ func (h *new3dRank) forceStale(ctx *runtime.Ctx, phase int) {
 			h.ar.force(ctx)
 		}
 		h.finishAR(ctx)
-		h.drainDeferred(ctx, h)
+		h.drainDeferred(ctx)
 	}
 	if phase >= 2 && h.st.phase == 2 {
 		h.force(ctx, sweepU)

@@ -19,11 +19,11 @@ import (
 // by the grid's schedule slot, so a key off the grid's path is a protocol
 // bug, and every working panel comes from the arena the schedule sizes.
 
-// runRanks runs one solve the way SolveIntoOpts does, except that wrap may
-// replace each rank's handler (to observe its messages) and the handlers
-// come back with their states still held, for inspection; the caller
+// runRanks runs one solve the way Solve does, except that wrap may edit
+// each rank's shell before the run (to decorate its algorithm) and the
+// ranks come back with their states still held, for inspection; the caller
 // releases them with releaseRanks. The solution is not returned.
-func runRanks(t *testing.T, p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b *sparse.Panel, opts SolveOpts, wrap func(runtime.Handler) runtime.Handler) ([]runtime.Handler, error) {
+func runRanks(t *testing.T, p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b *sparse.Panel, opts SolveOpts, wrap func(*rankCore)) ([]*rankCore, error) {
 	t.Helper()
 	if opts.Staleness > 0 {
 		back = back.(Configurable).WithOptions(func(o *runtime.Options) { o.ElasticTag = tagElastic })
@@ -33,42 +33,44 @@ func runRanks(t *testing.T, p *dist.Plan, model *machine.Model, algo Algorithm, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := make([]runtime.Handler, p.Layout.Size())
+	cs := make([]*rankCore, p.Layout.Size())
 	_, err = back.Run(p.Layout.Size(), model.Net(), func(rank int) runtime.Handler {
-		h := factory(rank)
+		c := factory(rank)
 		if wrap != nil {
-			h = wrap(h)
+			wrap(c)
 		}
-		hs[rank] = h
-		return h
+		cs[rank] = c
+		return c
 	})
-	return hs, err
+	return cs, err
 }
 
-func releaseRanks(hs []runtime.Handler) {
-	for _, h := range hs {
-		if r, ok := h.(stateReleaser); ok {
-			r.releaseState()
+func releaseRanks(cs []*rankCore) {
+	for _, c := range cs {
+		if c != nil {
+			c.releaseState()
 		}
 	}
 }
 
-// zGatherProbe is a baseline rank that records every inter-grid lsum merge
-// key lying off its own grid's path before processing the message.
+// zGatherProbe decorates a baseline rank's algorithm, recording every
+// inter-grid lsum merge key lying off the rank's own grid's path before
+// the message is gated.
 type zGatherProbe struct {
-	*base3dRank
+	algorithm
+	c       *rankCore
 	offPath *[]int
 }
 
-func (h zGatherProbe) OnMessage(ctx *runtime.Ctx, m runtime.Msg) {
+func (h zGatherProbe) gate(m runtime.Msg) int {
 	if m.Tag == tagZGatherL {
 		for _, k := range m.Data.(*vecBundle).Ks {
-			if h.sg.SlotOf[k] < 0 {
+			if h.c.sg.SlotOf[k] < 0 {
 				*h.offPath = append(*h.offPath, k)
 			}
 		}
 	}
-	h.base3dRank.OnMessage(ctx, m)
+	return h.algorithm.gate(m)
 }
 
 // TestBaselineMergeShipsOnlyPartnerRows pins the baseline's inter-grid
@@ -86,12 +88,10 @@ func TestBaselineMergeShipsOnlyPartnerRows(t *testing.T) {
 		hs, err := runRanks(t, p, machine.CoriHaswell(), Baseline3D,
 			SimBackend{Opts: runtime.Options{Faults: plan}}, b,
 			SolveOpts{Staleness: 4},
-			func(h runtime.Handler) runtime.Handler {
-				return zGatherProbe{base3dRank: h.(*base3dRank), offPath: &off}
-			})
+			func(c *rankCore) { c.alg = zGatherProbe{algorithm: c.alg, c: c, offPath: &off} })
 		forced := 0
-		for _, h := range hs {
-			forced += h.(zGatherProbe).st.counts.forcedTicks
+		for _, c := range hs {
+			forced += c.st.counts.forcedTicks
 		}
 		releaseRanks(hs)
 		if err != nil {
@@ -116,16 +116,7 @@ func TestArenaCoversGoldenSolves(t *testing.T) {
 		t.Helper()
 		hs, err := runRanks(t, p, tc.model, tc.algo, back, b, opts, nil)
 		spills := 0
-		for _, h := range hs {
-			var c *rankCore
-			switch h := h.(type) {
-			case *new3dRank:
-				c = &h.rankCore
-			case *base3dRank:
-				c = &h.rankCore
-			case *gpuRank:
-				c = &h.rankCore
-			}
+		for _, c := range hs {
 			spills += c.st.arena.spills
 		}
 		releaseRanks(hs)

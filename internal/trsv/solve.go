@@ -89,29 +89,24 @@ type SolveOpts struct {
 	levelChunk int
 }
 
-// stateReleaser is implemented by every handler embedding rankCore; Solve
-// uses it to hand the per-solve state back to the pool after the run.
-type stateReleaser interface{ releaseState() }
-
 // handlerFactory checks that algo can run on the plan's layout and the
-// model, and returns the constructor of its per-rank handlers.
-func handlerFactory(algo Algorithm, p *dist.Plan, model *machine.Model, b, x *sparse.Panel, opts SolveOpts) (func(rank int) runtime.Handler, error) {
+// model, and returns the constructor of its per-rank handlers: the shell
+// around the algorithm's dependency structure.
+func handlerFactory(algo Algorithm, p *dist.Plan, model *machine.Model, b, x *sparse.Panel, opts SolveOpts) (func(rank int) *rankCore, error) {
 	switch algo {
 	case Proposed3D, Proposed3DNaiveAR:
 		naive := algo == Proposed3DNaiveAR
-		return func(rank int) runtime.Handler {
+		return func(rank int) *rankCore {
 			h := &new3dRank{naive: naive}
-			h.init(p, model, rank, b, x, opts)
-			return h
+			return h.init(h, p, model, rank, b, x, opts)
 		}, nil
 	case Baseline3D:
 		if err := p.BuildBaseline(); err != nil {
 			return nil, err
 		}
-		return func(rank int) runtime.Handler {
+		return func(rank int) *rankCore {
 			h := &base3dRank{}
-			h.init(p, model, rank, b, x, opts)
-			return h
+			return h.init(h, p, model, rank, b, x, opts)
 		}, nil
 	case GPUSingle, GPUMulti:
 		if algo == GPUSingle && (p.Layout.Px != 1 || p.Layout.Py != 1) {
@@ -123,10 +118,9 @@ func handlerFactory(algo Algorithm, p *dist.Plan, model *machine.Model, b, x *sp
 		if model.GPU == nil {
 			return nil, fmt.Errorf("trsv: model %s has no GPU parameters", model.Name)
 		}
-		return func(rank int) runtime.Handler {
+		return func(rank int) *rankCore {
 			h := &gpuRank{gpu: model.GPU}
-			h.init(p, model, rank, b, x, opts)
-			return h
+			return h.init(h, p, model, rank, b, x, opts)
 		}, nil
 	}
 	return nil, fmt.Errorf("trsv: unknown algorithm %v", algo)
@@ -167,25 +161,21 @@ func Solve(p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b, 
 		return nil, err
 	}
 
-	// Track the handlers so their pooled solve states can be released once
+	// Track the ranks so their pooled solve states can be released once
 	// the backend has fully quiesced (both backends only return after every
 	// rank has stopped executing).
-	handlers := make([]runtime.Handler, p.Layout.Size())
-	wrapped := func(rank int) runtime.Handler {
-		h := factory(rank)
-		handlers[rank] = h
-		return h
-	}
-	res, err := back.Run(p.Layout.Size(), model.Net(), wrapped)
+	ranks := make([]*rankCore, p.Layout.Size())
+	res, err := back.Run(p.Layout.Size(), model.Net(), func(rank int) runtime.Handler {
+		ranks[rank] = factory(rank)
+		return ranks[rank]
+	})
 	// Collect each rank's kernel tallies before the states go back to the
 	// pool (release zeroes them), then publish the solve once.
 	var total solveCounts
-	for _, h := range handlers {
-		if cr, ok := h.(countsReporter); ok {
-			total.accumulate(cr.solveCounts())
-		}
-		if r, ok := h.(stateReleaser); ok {
-			r.releaseState()
+	for _, c := range ranks {
+		if c != nil {
+			total.accumulate(c.st.counts)
+			c.releaseState()
 		}
 	}
 	publishSolve(algo, total, err != nil)

@@ -363,7 +363,7 @@ func TestAlgorithmsUnderMessageReordering(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := runtime.NewEngine(l.Size(), jitterNet{salt: salt}).Run(factory); err != nil {
+				if _, err := runtime.NewEngine(l.Size(), jitterNet{salt: salt}).Run(func(r int) runtime.Handler { return factory(r) }); err != nil {
 					t.Fatalf("%v %+v salt=%d: %v", algo, l, salt, err)
 				}
 				if d := x.MaxAbsDiff(want); d > 1e-8 {
@@ -394,7 +394,7 @@ func TestGPUUnderMessageReordering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := runtime.NewEngine(tc.l.Size(), jitterNet{salt: salt}).Run(factory); err != nil {
+			if _, err := runtime.NewEngine(tc.l.Size(), jitterNet{salt: salt}).Run(func(r int) runtime.Handler { return factory(r) }); err != nil {
 				t.Fatalf("%v salt=%d: %v", tc.algo, salt, err)
 			}
 			if d := x.MaxAbsDiff(want); d > 1e-8 {

@@ -68,14 +68,6 @@ func (h *tapHandler) Init(ctx *runtime.Ctx)                     { h.inner.Init(c
 func (h *tapHandler) Done() bool                                { return h.inner.Done() }
 func (h *tapHandler) OnMessage(ctx *runtime.Ctx, m runtime.Msg) { h.inner.OnMessage(ctx, h.tap(m)) }
 
-// releaseState forwards the pooled-state release through the wrapper so
-// wrapped solves still return their states.
-func (h *tapHandler) releaseState() {
-	if r, ok := h.inner.(stateReleaser); ok {
-		r.releaseState()
-	}
-}
-
 // recountBackend wraps a backend so every delivered message's Bytes field
 // is checked against an independent recount of its panels.
 type recountBackend struct {

@@ -48,14 +48,6 @@ type Options struct {
 	// Cache, when non-nil, is consulted before searching and updated
 	// after. A warm hit returns immediately with zero probe solves.
 	Cache *Cache
-	// Staleness, RefineTol, and RefineMax are stamped onto the returned
-	// configurations (chosen and default) so the caller deploys the tuned
-	// choice with the elastic group it will actually run. Probes stay
-	// strict: they run fault-free, where elastic execution is identical by
-	// construction, so the staleness bound cannot change the ranking.
-	Staleness int
-	RefineTol float64
-	RefineMax int
 }
 
 func (o Options) withDefaults() Options {
@@ -99,14 +91,6 @@ type Result struct {
 	Probed []Scored
 }
 
-// stamp applies the caller's elastic group to a tuned configuration.
-func (o Options) stamp(cfg core.Config) core.Config {
-	cfg.Staleness = o.Staleness
-	cfg.RefineTol = o.RefineTol
-	cfg.RefineMax = o.RefineMax
-	return cfg
-}
-
 // Run tunes sys for machine m and rank budget p.
 //
 // Run is deterministic: two runs on the same inputs (cold cache) probe
@@ -126,8 +110,8 @@ func Run(sys *core.System, m *machine.Model, p int, opt Options) (*Result, error
 				mTuneRuns.With(m.Name, "hit").Inc()
 				def := DefaultConfig(m, p)
 				return &Result{
-					Config: opt.stamp(cfg), Makespan: e.Makespan,
-					Default: opt.stamp(def), DefaultMakespan: e.Default,
+					Config: cfg, Makespan: e.Makespan,
+					Default: def, DefaultMakespan: e.Default,
 					FromCache: true,
 				}, nil
 			}
@@ -206,8 +190,8 @@ func Run(sys *core.System, m *machine.Model, p int, opt Options) (*Result, error
 	mTuneRuns.With(m.Name, "miss").Inc()
 	mTuneProbes.With(m.Name).Add(float64(len(scored)))
 	res := &Result{
-		Config: opt.stamp(scored[best].Config), Makespan: scored[best].Makespan,
-		Default: opt.stamp(def), DefaultMakespan: scored[defIdx].Makespan,
+		Config: scored[best].Config, Makespan: scored[best].Makespan,
+		Default: def, DefaultMakespan: scored[defIdx].Makespan,
 		Probes: len(scored), SpaceSize: len(space),
 	}
 	res.Probed = append(res.Probed, scored...)

@@ -34,7 +34,7 @@ go test -race -count=2 -run 'Trace|Parity|CriticalPath|ConcurrentTraced' \
 
 echo "== go test -race -count=2 (chaos / fault-injection stress) =="
 go test -race -count=2 -run 'Chaos|Fault|Stall|Straggl|Watchdog|Crash|Robust|NonFinite|PoolMeanFP|PoolComputeTime' \
-    ./internal/fault ./internal/runtime ./internal/core ./internal/sparse
+    ./internal/fault ./internal/runtime ./internal/core ./internal/sparse ./internal/trsv
 
 echo "== go test -count=2 (CLI flag surface + exit-code contract) =="
 go test -count=2 ./internal/cliutil
