@@ -164,6 +164,10 @@ func BenchmarkPoolSolve1x1x1(b *testing.B) { benchPoolSolve(b, 1, 1, 1, 1) }
 // workload: two ranks, one per grid, one right-hand side.
 func BenchmarkPoolSolve1x1x2(b *testing.B) { benchPoolSolve(b, 1, 1, 2, 1) }
 
+// BenchmarkPoolSolve1x1x2RHS16 is the shape of perfbench's pool-16rhs
+// workload: the same layout with 16 right-hand sides, kernel-bound.
+func BenchmarkPoolSolve1x1x2RHS16(b *testing.B) { benchPoolSolve(b, 1, 1, 2, 16) }
+
 func BenchmarkPoolSolve2x2x1(b *testing.B) { benchPoolSolve(b, 2, 2, 1, 1) }
 func BenchmarkPoolSolve2x2x4(b *testing.B) { benchPoolSolve(b, 2, 2, 4, 1) }
 func BenchmarkPoolSolveMulti(b *testing.B) { benchPoolSolve(b, 2, 2, 4, 8) }

@@ -46,11 +46,12 @@ func (k Kind) String() string {
 
 // Tree is a communication tree over a fixed participant set. The same
 // structure serves broadcasts (messages flow root→leaves) and reductions
-// (leaves→root); callers pick the direction.
+// (leaves→root); callers pick the direction. A tree spans one process row
+// or column, so its lookups scan the member list; only plan-time code
+// queries trees (the solve reads the plan's slot-indexed copies).
 type Tree struct {
 	kind  Kind
-	ranks []int       // participants; ranks[0] is the root
-	pos   map[int]int // rank → index in ranks
+	ranks []int // participants; ranks[0] is the root
 }
 
 // New builds a tree over the given participants rooted at root. The
@@ -62,29 +63,36 @@ func New(kind Kind, root int, members []int) (*Tree, error) {
 			kind = Binary
 		}
 	}
-	t := &Tree{kind: kind, ranks: make([]int, 0, len(members)), pos: make(map[int]int, len(members))}
+	t := &Tree{kind: kind, ranks: make([]int, 0, len(members))}
 	t.ranks = append(t.ranks, root)
-	for _, m := range members {
-		if m != root {
-			t.ranks = append(t.ranks, m)
-		}
-	}
 	foundRoot := false
 	for _, m := range members {
 		if m == root {
 			foundRoot = true
+			continue
 		}
+		if t.index(m) >= 0 {
+			return nil, fmt.Errorf("ctree: duplicate rank %d", m)
+		}
+		t.ranks = append(t.ranks, m)
 	}
 	if !foundRoot {
 		return nil, fmt.Errorf("ctree: root %d not among members %v", root, members)
 	}
-	for i, r := range t.ranks {
-		if _, dup := t.pos[r]; dup {
-			return nil, fmt.Errorf("ctree: duplicate rank %d", r)
-		}
-		t.pos[r] = i
+	if len(t.ranks) != len(members) {
+		return nil, fmt.Errorf("ctree: duplicate rank %d", root)
 	}
 	return t, nil
+}
+
+// index returns rank's position in the member list, or -1.
+func (t *Tree) index(rank int) int {
+	for i, r := range t.ranks {
+		if r == rank {
+			return i
+		}
+	}
+	return -1
 }
 
 // Root returns the root rank.
@@ -98,16 +106,13 @@ func (t *Tree) Members() []int { return t.ranks }
 func (t *Tree) Size() int { return len(t.ranks) }
 
 // Contains reports whether rank participates in the tree.
-func (t *Tree) Contains(rank int) bool {
-	_, ok := t.pos[rank]
-	return ok
-}
+func (t *Tree) Contains(rank int) bool { return t.index(rank) >= 0 }
 
 // Children returns the ranks a participant forwards to during a broadcast
 // (equivalently, the ranks it receives from during a reduction).
 func (t *Tree) Children(rank int) []int {
-	i, ok := t.pos[rank]
-	if !ok {
+	i := t.index(rank)
+	if i < 0 {
 		return nil
 	}
 	if t.kind == Flat {
@@ -140,8 +145,8 @@ func (t *Tree) RootChildren() []int {
 // Parent returns the rank a participant receives from during a broadcast
 // (sends to during a reduction), or -1 at the root.
 func (t *Tree) Parent(rank int) int {
-	i, ok := t.pos[rank]
-	if !ok || i == 0 {
+	i := t.index(rank)
+	if i <= 0 {
 		return -1
 	}
 	if t.kind == Flat {
@@ -152,8 +157,8 @@ func (t *Tree) Parent(rank int) int {
 
 // NumChildren returns len(Children(rank)) without allocating.
 func (t *Tree) NumChildren(rank int) int {
-	i, ok := t.pos[rank]
-	if !ok {
+	i := t.index(rank)
+	if i < 0 {
 		return 0
 	}
 	if t.kind == Flat {

@@ -14,15 +14,19 @@ import (
 type GroupTree struct {
 	Node int // path node index the tree's block rows/columns live in
 	Tree *ctree.Tree
+	// Kids is the root's fan-out (Tree.RootChildren), read by the solve.
+	Kids []int
 }
 
 // BaselineRankData holds one rank's precomputed baseline counters, by
 // sweep: expected receives per node stage 0..s, and per-row dependency
 // counts by slot — the row's index in GridPlan.Sns, the numbering of the
-// level schedule's slot tables. Handlers copy both.
+// level schedule's slot tables. Handlers copy both. Parent is the
+// baseline's reduction parent by slot, as in RankData.
 type BaselineRankData struct {
 	Remaining [2][]int
 	Pending   [2][]int32
+	Parent    [2][]int32
 }
 
 // Baseline holds the per-grid structures only the baseline algorithm uses.
@@ -134,7 +138,7 @@ func (p *Plan) buildBaselineGrid(gp *GridPlan) (*Baseline, error) {
 				if err != nil {
 					return nil, err
 				}
-				b.BcastGroups[sw][k] = append(b.BcastGroups[sw][k], GroupTree{Node: g, Tree: tr})
+				b.BcastGroups[sw][k] = append(b.BcastGroups[sw][k], GroupTree{Node: g, Tree: tr, Kids: tr.RootChildren()})
 			}
 		}
 
@@ -182,14 +186,30 @@ func (p *Plan) buildBaselineRankData(gp *GridPlan, b *Baseline) {
 	b.Ranks = make([]*BaselineRankData, l.GridSize())
 	n := len(gp.Sns)
 	for r := range b.Ranks {
-		b.Ranks[r] = &BaselineRankData{
+		rd := &BaselineRankData{
 			Remaining: [2][]int{make([]int, s+1), make([]int, s+1)},
 			Pending:   [2][]int32{make([]int32, n), make([]int32, n)},
+			Parent:    [2][]int32{make([]int32, n), make([]int32, n)},
 		}
+		for sw := range rd.Parent {
+			for i := range rd.Parent[sw] {
+				rd.Parent[sw][i] = -2
+			}
+		}
+		b.Ranks[r] = rd
+	}
+	localU := make([][]int32, l.GridSize())
+	for r, rd := range gp.Ranks {
+		localU[r] = rd.Targets(SweepU, n)
 	}
 	for slot, k := range gp.Sns {
 		ni := gp.NodeOf[k]
 		diag := p.DiagRank2D(k)
+		for sw, t := range b.Reduce {
+			for _, m := range t[k].Members() {
+				b.Ranks[m].Parent[sw][slot] = int32(t[k].Parent(m))
+			}
+		}
 		if ni <= s {
 			for _, gt := range b.BcastGroups[SweepL][k] {
 				for _, m := range gt.Tree.Members() {
@@ -236,7 +256,7 @@ func (p *Plan) buildBaselineRankData(gp *GridPlan, b *Baseline) {
 		tu := b.Reduce[SweepU][k]
 		for _, m := range tu.Members() {
 			rd := b.Ranks[m]
-			rd.Pending[SweepU][slot] = int32(gp.Ranks[m].Local[SweepU][k] + tu.NumChildren(m))
+			rd.Pending[SweepU][slot] = localU[m][slot] + int32(tu.NumChildren(m))
 			rd.Remaining[SweepU][ni] += tu.NumChildren(m)
 		}
 	}

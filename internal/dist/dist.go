@@ -20,12 +20,6 @@ import (
 	"sptrsv/internal/snode"
 )
 
-// UBlockRef pairs a U block with its owning supernode row.
-type UBlockRef struct {
-	I   int
-	Blk *snode.UBlock
-}
-
 // Sweep indices of every per-sweep [2] array of the plan and the schedule
 // built on it: the forward (L) and the backward (U) triangular solve.
 const (
@@ -33,23 +27,55 @@ const (
 	SweepU
 )
 
-// RankData holds one 2D-local rank's precomputed view of the grid:
-// which subvectors it owns, which blocks it applies per column, and how
-// many row contributions it owes. Built once per grid so that handler
-// initialization is O(per-rank work), not O(grid work).
+// Entry is one block in a rank's column list: the block's index B in the
+// packed store (snode.Store) and the slot of the row supernode whose
+// partial sum its product accumulates into.
+type Entry struct{ B, Slot int32 }
+
+// RankData holds one 2D-local rank's precomputed view of the grid: which
+// subvectors it owns, which blocks it applies per column, where its
+// partial sums go, and how many row contributions it owes. Every per-row
+// table is indexed by slot — the row's index in GridPlan.Sns, the
+// numbering of the executor's slot tables — and none is a map, so a solve
+// reads it by index. Built once per grid so that handler initialization is
+// O(per-rank work), not O(grid work).
 type RankData struct {
-	MyDiagSns []int                   // supernodes whose diagonal rank is this one, ascending
-	ColL      map[int][]*snode.LBlock // my L blocks by column supernode
-	ColU      map[int][]UBlockRef     // my U blocks by column supernode
-	Local     [2]map[int]int          // #my blocks per row supernode, by sweep
+	MyDiagSns []int // supernodes whose diagonal rank is this one, ascending
+
+	// ColPtr and Blocks list this rank's blocks by sweep in CSR form over
+	// the column slots: column slot s's blocks are
+	// Blocks[sw][ColPtr[sw][s]:ColPtr[sw][s+1]], in store order (by
+	// ascending row supernode), which fixes every partial sum's
+	// accumulation order.
+	ColPtr [2][]int32
+	Blocks [2][]Entry
+
+	// Parent is, by sweep and slot, the 2D rank this rank sends the row's
+	// partial sum to in the reduction tree: -1 where it is the root, -2
+	// where it is not a member.
+	Parent [2][]int32
 
 	// Initial dependency counters for the proposed algorithm, by sweep:
-	// expected contributions per row (local GEMVs plus reduction-tree
-	// children), by slot — the row's index in GridPlan.Sns, the numbering
-	// of the executor's slot tables — and total expected receives per
-	// phase.
+	// expected contributions per row slot (local block products plus
+	// reduction-tree children), and total expected receives per phase.
 	Pending [2][]int32
 	Recv    [2]int
+}
+
+// Col returns this rank's blocks of column slot s in sweep sw.
+func (rd *RankData) Col(sw int, s int32) []Entry {
+	ptr := rd.ColPtr[sw]
+	return rd.Blocks[sw][ptr[s]:ptr[s+1]]
+}
+
+// Targets counts this rank's blocks of sweep sw by row slot over a grid of
+// n slots: the local contributions each row's partial sum takes.
+func (rd *RankData) Targets(sw, n int) []int32 {
+	out := make([]int32, n)
+	for _, e := range rd.Blocks[sw] {
+		out[e.Slot]++
+	}
+	return out
 }
 
 // GridPlan is the per-grid view of the distributed factors.
@@ -58,9 +84,11 @@ type GridPlan struct {
 	Path []grid.PathNode
 
 	// Sns lists the supernodes on this grid's path in ascending global
-	// order. NodeOf maps a global supernode to its index in Path (-1 if
-	// off-path). OnPath is the indicator form.
+	// order; a supernode's index in it is its slot. SlotOf maps a global
+	// supernode to its slot (-1 if off-path), NodeOf to its index in Path
+	// (-1 if off-path). OnPath is the indicator form.
 	Sns    []int
+	SlotOf []int32
 	NodeOf []int
 	OnPath []bool
 
@@ -191,10 +219,12 @@ func (p *Plan) buildGrid(z int) (*GridPlan, error) {
 	gp := &GridPlan{
 		Z:      z,
 		Path:   p.Map.Path(z),
+		SlotOf: make([]int32, m.SnCount),
 		NodeOf: make([]int, m.SnCount),
 		OnPath: make([]bool, m.SnCount),
 	}
 	for i := range gp.NodeOf {
+		gp.SlotOf[i] = -1
 		gp.NodeOf[i] = -1
 	}
 	for ni, nd := range gp.Path {
@@ -206,6 +236,7 @@ func (p *Plan) buildGrid(z int) (*GridPlan, error) {
 			continue
 		}
 		for k := lo; k < hi; k++ {
+			gp.SlotOf[k] = int32(len(gp.Sns))
 			gp.Sns = append(gp.Sns, k)
 			gp.NodeOf[k] = ni
 			gp.OnPath[k] = true
@@ -235,55 +266,87 @@ func (p *Plan) buildGrid(z int) (*GridPlan, error) {
 	return gp, nil
 }
 
-// buildRankData distributes the grid's blocks over the 2D ranks in one
-// pass over the block structure.
+// buildRankData distributes the grid's blocks over the 2D ranks: two
+// passes over the packed store, one counting each rank's blocks per column
+// and row, one filling its column lists.
 func (p *Plan) buildRankData(gp *GridPlan) {
-	m := p.M
-	l := p.Layout
 	n := len(gp.Sns)
-	gp.Ranks = make([]*RankData, l.GridSize())
-	for r := range gp.Ranks {
-		gp.Ranks[r] = &RankData{
-			ColL:    map[int][]*snode.LBlock{},
-			ColU:    map[int][]UBlockRef{},
-			Local:   [2]map[int]int{{}, {}},
-			Pending: [2][]int32{make([]int32, n), make([]int32, n)},
+	ranks := make([]RankData, p.Layout.GridSize())
+	gp.Ranks = make([]*RankData, len(ranks))
+	for r := range ranks {
+		rd := &ranks[r]
+		gp.Ranks[r] = rd
+		for sw := range rd.ColPtr {
+			rd.ColPtr[sw] = make([]int32, n+1)
+			rd.Pending[sw] = make([]int32, n)
+			rd.Parent[sw] = make([]int32, n)
+			for s := range rd.Parent[sw] {
+				rd.Parent[sw][s] = -2
+			}
 		}
 	}
 	for _, k := range gp.Sns {
-		gp.Ranks[p.DiagRank2D(k)].MyDiagSns = append(gp.Ranks[p.DiagRank2D(k)].MyDiagSns, k)
-		for bi := range m.LBlocks[k] {
-			blk := &m.LBlocks[k][bi]
-			r := gp.Ranks[p.Rank2D(blk.I%l.Px, k%l.Py)]
-			r.ColL[k] = append(r.ColL[k], blk)
-			if blk.I != k {
-				r.Local[SweepL][blk.I]++
+		rd := gp.Ranks[p.DiagRank2D(k)]
+		rd.MyDiagSns = append(rd.MyDiagSns, k)
+	}
+	// Count: column sizes, and each row's local contributions.
+	p.gridBlocks(gp, func(sw, r2d int, s int32, e Entry) {
+		rd := gp.Ranks[r2d]
+		rd.ColPtr[sw][s+1]++
+		rd.Pending[sw][e.Slot]++
+	})
+	for _, rd := range gp.Ranks {
+		for sw, ptr := range rd.ColPtr {
+			for s := 0; s < n; s++ {
+				ptr[s+1] += ptr[s]
 			}
-		}
-		for bi := range m.UBlocks[k] {
-			blk := &m.UBlocks[k][bi]
-			if !gp.OnPath[blk.J] {
-				continue
-			}
-			r := gp.Ranks[p.Rank2D(k%l.Px, blk.J%l.Py)]
-			r.ColU[blk.J] = append(r.ColU[blk.J], UBlockRef{I: k, Blk: blk})
-			r.Local[SweepU][k]++
+			rd.Blocks[sw] = make([]Entry, 0, ptr[n])
 		}
 	}
-	// Dependency counters: one pass over tree members instead of one scan
-	// of every supernode per rank.
+	// Fill: columns arrive in slot order, so each rank's lists grow in
+	// CSR order.
+	p.gridBlocks(gp, func(sw, r2d int, _ int32, e Entry) {
+		rd := gp.Ranks[r2d]
+		rd.Blocks[sw] = append(rd.Blocks[sw], e)
+	})
+	// Dependency counters and parents: one pass over tree members instead
+	// of one scan of every supernode per rank.
 	for slot, k := range gp.Sns {
 		for sw := range gp.Reduce {
 			red, bc := gp.Reduce[sw][k], gp.Bcast[sw][k]
 			for _, m := range red.Members() {
 				rd := gp.Ranks[m]
-				rd.Pending[sw][slot] = int32(rd.Local[sw][k] + red.NumChildren(m))
+				rd.Pending[sw][slot] += int32(red.NumChildren(m))
 				rd.Recv[sw] += red.NumChildren(m)
+				rd.Parent[sw][slot] = int32(red.Parent(m))
 			}
 			for _, m := range bc.Members() {
 				if m != bc.Root() {
 					gp.Ranks[m].Recv[sw]++
 				}
+			}
+		}
+	}
+}
+
+// gridBlocks calls f for every block the grid applies, by sweep: column by
+// column in slot order and within a column in store order, with the 2D rank
+// owning block (I, K) — (I mod Px, K mod Py) — its column's slot, and its
+// store entry. Every L block of an on-path column has its row on the path;
+// U blocks with an off-path row belong to another grid.
+func (p *Plan) gridBlocks(gp *GridPlan, f func(sw, r2d int, s int32, e Entry)) {
+	st := &p.M.Store
+	l := p.Layout
+	for s, k := range gp.Sns {
+		lo, hi := st.LCol(k)
+		for b := lo; b < hi; b++ {
+			i := st.Row(b)
+			f(SweepL, p.Rank2D(i%l.Px, k%l.Py), int32(s), Entry{b, gp.SlotOf[i]})
+		}
+		lo, hi = st.UCol(k)
+		for b := lo; b < hi; b++ {
+			if i := st.Row(b); gp.OnPath[i] {
+				f(SweepU, p.Rank2D(i%l.Px, k%l.Py), int32(s), Entry{b, gp.SlotOf[i]})
 			}
 		}
 	}

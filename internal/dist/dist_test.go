@@ -117,19 +117,17 @@ func TestTreesCoverBlockOwners(t *testing.T) {
 func TestRankDataPartitionsBlocks(t *testing.T) {
 	p := newPlan(t, grid.Layout{Px: 2, Py: 3, Pz: 2}, ctree.Binary)
 	for _, gp := range p.Grids {
-		// Every grid block appears in exactly one rank's ColL.
+		// Every grid block appears in exactly one rank's L column lists.
 		total := 0
 		for _, rd := range gp.Ranks {
-			for _, blks := range rd.ColL {
-				total += len(blks)
-			}
+			total += len(rd.Blocks[SweepL])
 		}
 		want := 0
 		for _, k := range gp.Sns {
 			want += len(p.M.LBlocks[k])
 		}
 		if total != want {
-			t.Fatalf("grid %d: ColL holds %d blocks, want %d", gp.Z, total, want)
+			t.Fatalf("grid %d: L column lists hold %d blocks, want %d", gp.Z, total, want)
 		}
 		// MyDiagSns partitions the path supernodes.
 		seen := map[int]bool{}
@@ -177,10 +175,11 @@ func TestPendingIsLocalOnOneColumnGrids(t *testing.T) {
 		for _, gp := range p.Grids {
 			for r2d, rd := range gp.Ranks {
 				for sw := range rd.Pending {
+					local := rd.Targets(sw, len(gp.Sns))
 					for slot, k := range gp.Sns {
-						if int(rd.Pending[sw][slot]) != rd.Local[sw][k] {
+						if rd.Pending[sw][slot] != local[slot] {
 							t.Fatalf("%+v grid %d rank %d sweep %d sn %d: pending %d, local blocks %d",
-								l, gp.Z, r2d, sw, k, rd.Pending[sw][slot], rd.Local[sw][k])
+								l, gp.Z, r2d, sw, k, rd.Pending[sw][slot], local[slot])
 						}
 					}
 				}
@@ -212,10 +211,11 @@ func TestLocalCountsMatchRowListsOnOneRankGrids(t *testing.T) {
 			}
 			for _, gp := range p.Grids {
 				rd := gp.Ranks[0]
-				for _, k := range gp.Sns {
-					if rd.Local[SweepL][k] != len(gp.RowSns[k]) || rd.Local[SweepU][k] != len(gp.URowSns[k]) {
+				lo, up := rd.Targets(SweepL, len(gp.Sns)), rd.Targets(SweepU, len(gp.Sns))
+				for slot, k := range gp.Sns {
+					if int(lo[slot]) != len(gp.RowSns[k]) || int(up[slot]) != len(gp.URowSns[k]) {
 						t.Fatalf("%s Pz=%d grid %d sn %d: local L/U %d/%d, row lists %d/%d", mc.name, pz, gp.Z, k,
-							rd.Local[SweepL][k], rd.Local[SweepU][k], len(gp.RowSns[k]), len(gp.URowSns[k]))
+							lo[slot], up[slot], len(gp.RowSns[k]), len(gp.URowSns[k]))
 					}
 				}
 			}

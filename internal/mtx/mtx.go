@@ -136,6 +136,12 @@ func Read(r io.Reader) (*sparse.CSR, error) {
 	if read != nnz {
 		return nil, fmt.Errorf("mtx: expected %d entries, got %d", nnz, read)
 	}
+	// Fewer stored entries than rows leave some row empty. Rejecting that
+	// before assembly also keeps the row-pointer array, sized by the
+	// declared dimension, within the input's own size.
+	if b.Len() < rows {
+		return nil, fmt.Errorf("mtx: %dx%d matrix has %d stored entries, so some row is empty (structurally singular)", rows, cols, b.Len())
+	}
 	return b.ToCSR(), nil
 }
 

@@ -90,6 +90,8 @@ func TestReadErrors(t *testing.T) {
 		"entry junk":         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1 junk\n",
 		"zero index":         "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1\n",
 		"missing size":       "%%MatrixMarket matrix coordinate real general\n% only comments\n",
+		"empty row":          "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1\n2 2 1\n",
+		"huge dimension":     "%%MatrixMarket matrix coordinate real general\n9223372036854775807 9223372036854775807 0\n",
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
@@ -152,4 +154,26 @@ func TestFileRoundTrip(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzRead feeds arbitrary bytes to the reader: every input must either
+// parse into a square matrix whose indices lie inside it, or return an
+// error — never panic, and never size storage by a declared dimension the
+// input's entries do not back. The seed corpus is in
+// testdata/fuzz/FuzzRead.
+func FuzzRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := Read(strings.NewReader(string(data)))
+		if err != nil {
+			return
+		}
+		if a.N <= 0 || len(a.RowPtr) != a.N+1 || a.RowPtr[a.N] != a.NNZ() {
+			t.Fatalf("parsed a malformed %d-row matrix with %d entries", a.N, a.NNZ())
+		}
+		for _, c := range a.ColInd {
+			if c < 0 || c >= a.N {
+				t.Fatalf("column %d outside a %d-column matrix", c, a.N)
+			}
+		}
+	})
 }

@@ -29,7 +29,6 @@ package sched
 import (
 	"sync"
 
-	"sptrsv/internal/ctree"
 	"sptrsv/internal/dist"
 )
 
@@ -61,11 +60,15 @@ type Grid struct {
 // Rank is one rank's precomputed schedule. Per-sweep templates are [2]
 // arrays indexed by dist.SweepL and dist.SweepU.
 type Rank struct {
-	// BcastKids holds the precomputed 2D-rank fan-outs of this rank in the
-	// per-supernode broadcast trees (Tree.Children allocates on every
-	// call; the schedule pays that once per plan). Empty for slots whose
-	// tree this rank is not part of.
-	BcastKids [2][][]int32
+	// KidPtr and Kids hold this rank's 2D-rank fan-outs in the
+	// per-supernode broadcast trees in CSR form over the slots: slot s's
+	// children in sweep sw are Kids[sw][KidPtr[sw][s]:KidPtr[sw][s+1]], in
+	// tree-walk order; empty for slots whose tree this rank is not part
+	// of. The solve reads these instead of querying the trees.
+	KidPtr, Kids [2][]int32
+	// member marks, by sweep, the slots whose broadcast tree this rank
+	// belongs to (a bit set; see InBcast).
+	member [2][]uint64
 
 	// ArenaPerRHS is the panel storage the scheduled executor needs per
 	// right-hand-side column for one solve (float64 count), and Panels
@@ -79,6 +82,17 @@ type Rank struct {
 	// schedule so its lifetime is tied to the plan's.
 	Pool sync.Pool
 }
+
+// BcastKids returns this rank's children in slot s's broadcast tree of
+// sweep sw.
+func (r *Rank) BcastKids(sw int, s int32) []int32 {
+	ptr := r.KidPtr[sw]
+	return r.Kids[sw][ptr[s]:ptr[s+1]]
+}
+
+// InBcast reports whether this rank belongs to slot s's broadcast tree of
+// sweep sw.
+func (r *Rank) InBcast(sw int, s int32) bool { return r.member[sw][s>>6]&(1<<(s&63)) != 0 }
 
 // Schedule is the full level/DAG schedule of one plan.
 type Schedule struct {
@@ -121,15 +135,11 @@ func buildGrid(p *dist.Plan, gp *dist.GridPlan, st *Stats) *Grid {
 	m := p.M
 	n := len(gp.Sns)
 	g := &Grid{
-		SlotOf: make([]int32, m.SnCount),
+		SlotOf: gp.SlotOf,
 		Sns:    gp.Sns,
 		Width:  make([]int32, n),
 	}
-	for i := range g.SlotOf {
-		g.SlotOf[i] = -1
-	}
 	for s, k := range gp.Sns {
-		g.SlotOf[k] = int32(s)
 		g.Width[s] = int32(m.SnWidth(k))
 	}
 	g.LDepth, g.UDepth = gridDepths(gp, g)
@@ -143,25 +153,20 @@ func buildGrid(p *dist.Plan, gp *dist.GridPlan, st *Stats) *Grid {
 func buildRank(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int, st *Stats) *Rank {
 	n := len(gp.Sns)
 	r := &Rank{}
-	kids := func(t *ctree.Tree) []int32 {
-		if !t.Contains(r2d) {
-			return nil
-		}
-		c := t.Children(r2d)
-		if len(c) == 0 {
-			return nil
-		}
-		out := make([]int32, len(c))
-		for i, v := range c {
-			out[i] = int32(v)
-		}
-		return out
-	}
-	for sw := range r.BcastKids {
-		r.BcastKids[sw] = make([][]int32, n)
+	for sw := range r.KidPtr {
+		ptr := make([]int32, n+1)
+		member := make([]uint64, (n+63)/64)
+		var kids []int32
 		for s, k := range gp.Sns {
-			r.BcastKids[sw][s] = kids(gp.Bcast[sw][k])
+			if t := gp.Bcast[sw][k]; t.Contains(r2d) {
+				member[s>>6] |= 1 << (s & 63)
+				for _, c := range t.Children(r2d) {
+					kids = append(kids, int32(c))
+				}
+			}
+			ptr[s+1] = int32(len(kids))
 		}
+		r.KidPtr[sw], r.Kids[sw], r.member[sw] = ptr, append([]int32(nil), kids...), member
 		_, levels, tasks := levelSweep(p, gp, g, r2d, sw)
 		st.Tasks += tasks
 		st.MaxLevels = max(st.MaxLevels, levels)
@@ -237,21 +242,10 @@ func levelSweep(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d, sw int) (levelOf 
 			tasks++
 			maxLevel = max(maxLevel, contrib[s])
 		}
-		apply := func(target int) {
+		for _, e := range rd.Col(sw, int32(s)) {
 			tasks++
 			maxLevel = max(maxLevel, blkLvl)
-			if t := g.SlotOf[target]; t >= 0 && blkLvl+1 > contrib[t] {
-				contrib[t] = blkLvl + 1
-			}
-		}
-		if sw == dist.SweepL {
-			for _, blk := range rd.ColL[k] {
-				apply(blk.I)
-			}
-		} else {
-			for _, ref := range rd.ColU[k] {
-				apply(ref.I)
-			}
+			contrib[e.Slot] = max(contrib[e.Slot], blkLvl+1)
 		}
 	}
 	if sw == dist.SweepL {
@@ -280,6 +274,7 @@ func levelSweep(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d, sw int) (levelOf 
 func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) (floats, panels int) {
 	zLevels := p.Map.L + 1
 	row := r2d / p.Layout.Py
+	rd := gp.Ranks[r2d]
 	for s, k := range gp.Sns {
 		w := int(g.Width[s])
 		add := func(n int) {
@@ -290,7 +285,7 @@ func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) (floats, panel
 			// y(K), x(K), and the allreduce clones of y(K).
 			add(2 + zLevels)
 		}
-		if gp.Reduce[dist.SweepL][k].Contains(r2d) {
+		if rd.Parent[dist.SweepL][s] != -2 {
 			add(1)
 		}
 		if gp.NodeOf[k] > 0 && k%p.Layout.Px == row {
@@ -300,7 +295,7 @@ func arenaSize(p *dist.Plan, gp *dist.GridPlan, g *Grid, r2d int) (floats, panel
 			// the within-node partial sum above starts.
 			add(1)
 		}
-		if gp.Reduce[dist.SweepU][k].Contains(r2d) {
+		if rd.Parent[dist.SweepU][s] != -2 {
 			add(1)
 		}
 	}

@@ -37,10 +37,9 @@ func buildPlan(t *testing.T, l grid.Layout, kind ctree.Kind) *dist.Plan {
 	return p
 }
 
-// TestScheduleMatchesPlan checks every dense template against the plan
-// structure it compresses: slot numbering, widths and broadcast fan-outs
-// must agree entry by entry with the map/tree forms they are derived
-// from, and every diagonal task must be layered.
+// TestScheduleMatchesPlan checks the dense templates against the plan
+// structure they compress: slot numbering and widths must agree entry by
+// entry with the plan, and every diagonal task must be layered.
 func TestScheduleMatchesPlan(t *testing.T) {
 	for _, tc := range []struct {
 		l    grid.Layout
@@ -70,23 +69,7 @@ func TestScheduleMatchesPlan(t *testing.T) {
 			}
 			for r2d, r := range g.Ranks {
 				rd := gp.Ranks[r2d]
-				for sw := range r.BcastKids {
-					for slot, k := range gp.Sns {
-						wantKids := gp.Bcast[sw][k].Children(r2d)
-						if !gp.Bcast[sw][k].Contains(r2d) {
-							wantKids = nil
-						}
-						if len(r.BcastKids[sw][slot]) != len(wantKids) {
-							t.Fatalf("grid %d rank %d sweep %d sn %d: %d kids, want %d",
-								z, r2d, sw, k, len(r.BcastKids[sw][slot]), len(wantKids))
-						}
-						for i, c := range wantKids {
-							if int(r.BcastKids[sw][slot][i]) != c {
-								t.Fatalf("grid %d rank %d sweep %d sn %d: kid %d is %d, want %d",
-									z, r2d, sw, k, i, r.BcastKids[sw][slot][i], c)
-							}
-						}
-					}
+				for sw := range r.KidPtr {
 					// Every diagonal slot must be layered into some level.
 					levelOf, levels, _ := levelSweep(p, gp, g, r2d, sw)
 					for _, k := range rd.MyDiagSns {
@@ -119,14 +102,81 @@ func TestLevelMonotonicity(t *testing.T) {
 			levelOf, _, _ := levelSweep(p, gp, g, r2d, dist.SweepL)
 			for _, k := range rd.MyDiagSns {
 				ks := g.SlotOf[k]
-				for _, blk := range rd.ColL[k] {
-					ts := g.SlotOf[blk.I]
-					if ts < 0 || p.DiagRank2D(blk.I) != r2d {
+				for _, e := range rd.Col(dist.SweepL, ks) {
+					i := g.Sns[e.Slot]
+					if p.DiagRank2D(i) != r2d {
 						continue
 					}
-					if levelOf[ts] <= levelOf[ks] {
+					if levelOf[e.Slot] <= levelOf[ks] {
 						t.Fatalf("grid %d rank %d: diag %d (level %d) feeds diag %d (level %d)",
-							z, r2d, k, levelOf[ks], blk.I, levelOf[ts])
+							z, r2d, k, levelOf[ks], i, levelOf[e.Slot])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSlotLinksMatchTrees checks the slot-indexed tree links the solve
+// reads against the trees they are derived from, for every member of
+// every tree: the schedule's broadcast fan-outs and memberships, the
+// plan's reduction parents, and the baseline's (-1 at the root, -2 off the
+// tree).
+func TestSlotLinksMatchTrees(t *testing.T) {
+	for _, tc := range []struct {
+		l    grid.Layout
+		kind ctree.Kind
+	}{
+		{grid.Layout{Px: 2, Py: 2, Pz: 4}, ctree.Binary},
+		{grid.Layout{Px: 4, Py: 4, Pz: 2}, ctree.Binary},
+		{grid.Layout{Px: 4, Py: 4, Pz: 1}, ctree.Flat},
+		{grid.Layout{Px: 2, Py: 3, Pz: 1}, ctree.Flat},
+		{grid.Layout{Px: 4, Py: 1, Pz: 2}, ctree.Binary},
+	} {
+		p := buildPlan(t, tc.l, tc.kind)
+		s, err := Of(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.BuildBaseline(); err != nil {
+			t.Fatal(err)
+		}
+		parent := func(tr *ctree.Tree, r2d int) int32 {
+			if !tr.Contains(r2d) {
+				return -2
+			}
+			return int32(tr.Parent(r2d))
+		}
+		for z, g := range s.Grids {
+			gp := p.Grids[z]
+			for r2d, r := range g.Ranks {
+				for sw := range r.KidPtr {
+					for slot, k := range gp.Sns {
+						s32 := int32(slot)
+						bc := gp.Bcast[sw][k]
+						if r.InBcast(sw, s32) != bc.Contains(r2d) {
+							t.Fatalf("%+v grid %d rank %d sweep %d sn %d: membership %v, tree says %v",
+								tc.l, z, r2d, sw, k, r.InBcast(sw, s32), bc.Contains(r2d))
+						}
+						got, want := r.BcastKids(sw, s32), bc.Children(r2d)
+						if len(got) != len(want) {
+							t.Fatalf("%+v grid %d rank %d sweep %d sn %d: %d kids, want %d",
+								tc.l, z, r2d, sw, k, len(got), len(want))
+						}
+						for i, c := range want {
+							if int(got[i]) != c {
+								t.Fatalf("%+v grid %d rank %d sweep %d sn %d: kid %d is %d, want %d",
+									tc.l, z, r2d, sw, k, i, got[i], c)
+							}
+						}
+						if got, want := gp.Ranks[r2d].Parent[sw][slot], parent(gp.Reduce[sw][k], r2d); got != want {
+							t.Fatalf("%+v grid %d rank %d sweep %d sn %d: parent %d, want %d",
+								tc.l, z, r2d, sw, k, got, want)
+						}
+						if got, want := gp.Base.Ranks[r2d].Parent[sw][slot], parent(gp.Base.Reduce[sw][k], r2d); got != want {
+							t.Fatalf("%+v grid %d rank %d sweep %d sn %d: baseline parent %d, want %d",
+								tc.l, z, r2d, sw, k, got, want)
+						}
 					}
 				}
 			}

@@ -43,6 +43,7 @@ func (h *base3dRank) start(ctx *runtime.Ctx) {
 	bb := h.base()
 	h.s = bb.S
 	rd := bb.Ranks[h.r2d]
+	h.parent = rd.Parent
 	st := h.st
 	for sw := range st.dpend {
 		st.dpend[sw] = append(st.dpend[sw][:0], rd.Pending[sw]...)
@@ -99,7 +100,7 @@ func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 			h.applyBlocks(ctx, sw, d.K, d.P, d.G, d.G)
 		} else {
 			h.getSum(sw, d.K).AddFrom(d.P)
-			h.contribution(ctx, sw, d.K, h.base().Reduce[sw][d.K])
+			h.contribution(ctx, sw, h.slot(d.K))
 		}
 		h.drainReady(ctx, h, sw)
 		if sw == sweepL {
@@ -132,22 +133,12 @@ func (h *base3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 // row, but only the L rows inside K's own node — cross-node lsum rows wait
 // for the pre-gather.
 func (h *base3dRank) applyBlocks(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, lo, hi int) {
-	red := h.base().Reduce[sw]
-	if sw == sweepL {
-		for _, blk := range h.colL[k] {
-			if g := h.gp.NodeOf[blk.I]; g >= lo && g <= hi {
-				ctx.ComputeT(TagApplyL, h.applyLBlock(blk, k, v), nil)
-				if g == h.gp.NodeOf[k] {
-					h.contribution(ctx, sw, blk.I, red[blk.I])
-				}
+	for _, e := range h.rd.Col(sw, h.slot(k)) {
+		if g := h.gp.NodeOf[h.sg.Sns[e.Slot]]; g >= lo && g <= hi {
+			ctx.ComputeT(applyTag[sw], h.applyBlock(sw, e, k, v), nil)
+			if sw == sweepU || g == h.gp.NodeOf[k] {
+				h.contribution(ctx, sw, e.Slot)
 			}
-		}
-		return
-	}
-	for _, ref := range h.colU[k] {
-		if g := h.gp.NodeOf[ref.I]; g >= lo && g <= hi {
-			ctx.ComputeT(TagApplyU, h.applyUBlock(ref, k, v), nil)
-			h.contribution(ctx, sw, ref.I, red[ref.I])
 		}
 	}
 }
@@ -165,13 +156,12 @@ func (h *base3dRank) spread(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, maxNod
 			Msg: fmt.Sprintf("spreading supernode %d off its diagonal rank", k)})
 	}
 	for _, gt := range h.base().BcastGroups[sw][k] {
-		kids := gt.Tree.RootChildren()
-		if gt.Node > maxNode || len(kids) == 0 {
+		if gt.Node > maxNode || len(gt.Kids) == 0 {
 			continue
 		}
 		d := h.record(k, v)
 		d.G = gt.Node
-		for _, child := range kids {
+		for _, child := range gt.Kids {
 			h.sendXY(ctx, child, bcastTag[sw], d)
 		}
 	}

@@ -34,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sptrsv/internal/ctree"
 	"sptrsv/internal/dist"
 	"sptrsv/internal/fault"
 	"sptrsv/internal/machine"
@@ -232,6 +231,7 @@ var (
 	bcastTag  = [2]int{tagYBcast, tagXBcast}
 	reduceTag = [2]int{tagLReduce, tagUReduce}
 	diagTag   = [2]int{TagDiagSolveL, TagDiagSolveU}
+	applyTag  = [2]int{TagApplyL, TagApplyU}
 	doneMark  = [2]string{MarkLDone, MarkUDone}
 )
 
@@ -556,16 +556,24 @@ type rankCore struct {
 
 	rank, z, row, col, r2d int
 
-	// Precomputed read-only views shared with the plan.
-	colL      map[int][]*snode.LBlock  // my blocks in column K (L)
-	colU      map[int][]dist.UBlockRef // my blocks in column K (U): U(I, K)
-	myDiagSns []int                    // supernodes whose diagonal rank is me
+	// Precomputed read-only views shared with the plan: the packed block
+	// store, my blocks by column slot, and by sweep and slot the rank my
+	// partial sums go to in the algorithm's reduction trees (-1 at the
+	// root).
+	store     *snode.Store
+	rd        *dist.RankData
+	parent    [2][]int32
+	myDiagSns []int // supernodes whose diagonal rank is me
 
 	// This rank's slice of the plan's level/DAG schedule and the
 	// work-stealing chunk size for pool-backend level sweeps.
 	sg    *sched.Grid
 	sr    *sched.Rank
 	chunk int
+
+	// virtual is set on the DES backend, the only one that charges modeled
+	// compute seconds.
+	virtual bool
 
 	// el is the elastic-mode configuration (nil on strict solves): the
 	// staleness bound and the lazily computed per-phase deadlines. See
@@ -600,10 +608,10 @@ func (c *rankCore) init(alg algorithm, p *dist.Plan, model *machine.Model, rank 
 	c.col = c.r2d % p.Layout.Py
 	c.gp = p.Grids[c.z]
 
-	rd := c.gp.Ranks[c.r2d]
-	c.colL = rd.ColL
-	c.colU = rd.ColU
-	c.myDiagSns = rd.MyDiagSns
+	c.store = &p.M.Store
+	c.rd = c.gp.Ranks[c.r2d]
+	c.parent = c.rd.Parent
+	c.myDiagSns = c.rd.MyDiagSns
 
 	s, err := sched.Of(p)
 	if err != nil {
@@ -641,9 +649,8 @@ func (c *rankCore) init(alg algorithm, p *dist.Plan, model *machine.Model, rank 
 func (c *rankCore) slot(k int) int32 { return c.sg.SlotOf[k] }
 
 // bcastKids returns this rank's children in supernode k's broadcast tree
-// of sweep sw, precomputed by the schedule (the ranks in tree-walk order,
-// without materializing a slice per call); empty off the tree.
-func (c *rankCore) bcastKids(sw, k int) []int32 { return c.sr.BcastKids[sw][c.slot(k)] }
+// of sweep sw, precomputed by the schedule; empty off the tree.
+func (c *rankCore) bcastKids(sw, k int) []int32 { return c.sr.BcastKids(sw, c.slot(k)) }
 
 // releaseState returns the per-solve state to the pool. Solve calls it
 // after the backend run has fully completed, so no handler code can still
@@ -686,6 +693,7 @@ func (c *rankCore) WaitState() string {
 // Init implements runtime.Handler: the algorithm seeds its first sweep,
 // then the first phase's elastic deadline is armed.
 func (c *rankCore) Init(ctx *runtime.Ctx) {
+	c.virtual = ctx.Virtual()
 	c.alg.start(ctx)
 	c.armElastic(ctx)
 }
@@ -711,8 +719,9 @@ func (c *rankCore) unexpected(m runtime.Msg, phase string) *fault.ProtocolError 
 }
 
 // dispatch implements the deferral protocol: process the message if its
-// gate admits it now, otherwise buffer it; then drain whatever buffered
-// messages the processing unlocked.
+// gate admits it now, drop it if its gate is negative (it can never be
+// processed), otherwise buffer it; then drain whatever buffered messages
+// the processing unlocked.
 //
 // Elastic-mode deadline ticks are intercepted before the gate: a live
 // tick (its phase not yet closed) forces the phase with whatever inputs
@@ -730,8 +739,10 @@ func (c *rankCore) dispatch(ctx *runtime.Ctx, m runtime.Msg) {
 		}
 		return
 	}
-	if c.alg.gate(m) != 0 {
-		c.st.deferred = append(c.st.deferred, m)
+	if g := c.alg.gate(m); g != 0 {
+		if g > 0 {
+			c.st.deferred = append(c.st.deferred, m)
+		}
 		return
 	}
 	c.alg.process(ctx, m)
@@ -740,12 +751,14 @@ func (c *rankCore) dispatch(ctx *runtime.Ctx, m runtime.Msg) {
 
 // drainDeferred re-offers buffered messages until none is admitted now;
 // processing one message can unlock others (e.g. a phase transition).
-// Dead messages stay parked: their gate never reopens.
+// A message whose gate has turned negative is dropped: progress passed it
+// and its gate never reopens.
 //
 // Each round is a single in-place, order-preserving compaction pass:
-// admitted messages are processed as the scan reaches them, the rest
-// slide down to fill the gaps, and the vacated tail is zeroed so no stale
-// Msg (whose Data holds panels) lingers in the backing array beyond len.
+// admitted messages are processed as the scan reaches them, dead ones are
+// dropped, the rest slide down to fill the gaps, and the vacated tail is
+// zeroed so no stale Msg (whose Data holds panels) lingers in the backing
+// array beyond len.
 // A round that processed anything may have unlocked earlier survivors, so
 // rounds repeat until one processes nothing — O(rounds·n) instead of the
 // restart-from-zero scan's O(n²) per unlocked message.
@@ -758,12 +771,13 @@ func (c *rankCore) drainDeferred(ctx *runtime.Ctx) {
 		w := 0
 		for r := 0; r < len(d); r++ {
 			m := d[r]
-			if c.alg.gate(m) == 0 {
+			switch g := c.alg.gate(m); {
+			case g == 0:
 				c.alg.process(ctx, m)
-				continue
+			case g > 0:
+				d[w] = m
+				w++
 			}
-			d[w] = m
-			w++
 		}
 		progressed := w < len(d)
 		clear(d[w:len(d)])
@@ -847,7 +861,7 @@ func (c *rankCore) drainReady(ctx *runtime.Ctx, s diagSolver, sw int) {
 // order is untouched.
 func (c *rankCore) precomputeWave(ctx *runtime.Ctx, s diagSolver, sw int, wave []int) {
 	chunk := c.chunk
-	if ctx.Virtual() || len(wave) < 2*chunk || goruntime.GOMAXPROCS(0) < 2 {
+	if c.virtual || len(wave) < 2*chunk || goruntime.GOMAXPROCS(0) < 2 {
 		return
 	}
 	// Destinations come from the arena, allocated here on the handler
@@ -945,7 +959,7 @@ func (c *rankCore) solvePanel(sw, k int, keep bool) (*sparse.Panel, float64) {
 	if sw == sweepU && c.gp.OwnerGridOfSn(k) == c.z {
 		c.writeX(k, v)
 	}
-	return v, c.model.GemmTime(w, w, st.nrhs)
+	return v, c.gemmTime(w, w)
 }
 
 // ---- dependency-counter accessors ----
@@ -968,21 +982,24 @@ func (c *rankCore) pendingOf(sw, k int) int { return int(c.st.dpend[sw][c.slot(k
 // zeroPending clears row K's outstanding contribution count in sweep sw.
 func (c *rankCore) zeroPending(sw, k int) { c.st.dpend[sw][c.slot(k)] = 0 }
 
-// contribution records one partial-sum contribution for row K of sweep sw
-// (a local block product or a reduction-tree child message) under the
-// given reduction tree and fires the follow-up when the row completes:
-// enqueue the diagonal solve at the tree root, forward the partial sum to
-// the parent elsewhere.
-func (c *rankCore) contribution(ctx *runtime.Ctx, sw, k int, tree *ctree.Tree) {
-	if c.decPending(sw, k) != 0 {
+// contribution records one partial-sum contribution for the row in slot
+// s of sweep sw (a local block product or a reduction-tree child message)
+// and fires the follow-up when the row completes: enqueue the diagonal
+// solve at the reduction tree's root, forward the partial sum to the
+// parent elsewhere.
+func (c *rankCore) contribution(ctx *runtime.Ctx, sw int, s int32) {
+	d := &c.st.dpend[sw][s]
+	if *d--; *d != 0 {
 		return
 	}
-	if tree.Root() == c.r2d {
+	k := c.sg.Sns[s]
+	parent := c.parent[sw][s]
+	if parent == -1 {
 		c.enqueue(sw, k)
 		return
 	}
-	c.sendXY(ctx, tree.Parent(c.r2d), reduceTag[sw], c.record(k, c.getSum(sw, k)))
-	c.st.sum[sw].set(k, nil) // ownership transferred
+	c.sendXY(ctx, int(parent), reduceTag[sw], c.record(k, c.sumAt(sw, s)))
+	c.st.sum[sw].v[s] = nil // ownership transferred
 }
 
 // ---- shared numeric kernels ----
@@ -1009,37 +1026,42 @@ func (c *rankCore) clonePanel(p *sparse.Panel) *sparse.Panel {
 
 // getSum returns (allocating if needed) the partial-sum accumulator of
 // row k in sweep sw: lsum(k) or usum(k).
-func (c *rankCore) getSum(sw, k int) *sparse.Panel {
-	s := c.st.sum[sw].get(k)
-	if s == nil {
-		s = c.newPanel(c.snWidth(k))
-		c.st.sum[sw].set(k, s)
+func (c *rankCore) getSum(sw, k int) *sparse.Panel { return c.sumAt(sw, c.slot(k)) }
+
+// sumAt is getSum by slot.
+func (c *rankCore) sumAt(sw int, s int32) *sparse.Panel {
+	v := &c.st.sum[sw].v[s]
+	if *v == nil {
+		*v = c.newPanel(int(c.sg.Width[s]))
 	}
-	return s
+	return *v
 }
 
-// applyLBlock accumulates L(I,K)·y(K) into lsum(I) through the fused
-// scatter kernel, returning the modeled FP seconds of the operation.
-//
-// The two sweeps' blocks differ in type (an L block's rows scatter into
-// lsum(I), a U block's columns gather from x(K)), so handlers walk a
-// column with one typed loop per sweep. A shared block iterator — by
-// closure, by a block view with per-block dispatch, or by a per-block
-// helper call — cost 4–10% of pool-1rhs solve latency: the blocks are
-// small and a solve applies thousands of them.
-func (c *rankCore) applyLBlock(blk *snode.LBlock, k int, yk *sparse.Panel) float64 {
-	c.st.counts.blocks[sweepL]++
-	sparse.GemmScatter(blk.Val, yk, blk.Rows, c.p.M.SnBegin[blk.I], c.getSum(sweepL, blk.I), false)
-	return c.model.GemmTime(len(blk.Rows), c.snWidth(k), c.st.nrhs)
+// applyBlock accumulates the product of one of my blocks of column k in
+// sweep sw into its row's partial sum: L(I,K)·y(K) scattered into lsum(I),
+// or U(I,K)·x(K) gathered in place from x(K) into usum(I). It returns the
+// modeled FP seconds of the operation. The block and its row come from the
+// packed store and the slot tables by index.
+func (c *rankCore) applyBlock(sw int, e dist.Entry, k int, v *sparse.Panel) float64 {
+	c.st.counts.blocks[sw]++
+	a := &c.store.Panels[e.B]
+	idx := c.store.Index(e.B)
+	if sw == sweepL {
+		sparse.GemmScatter(a, v, idx, c.p.M.SnBegin[c.sg.Sns[e.Slot]], c.sumAt(sw, e.Slot), false)
+	} else {
+		sparse.GemmGather(a, v, idx, c.p.M.SnBegin[k], c.sumAt(sw, e.Slot), false)
+	}
+	return c.gemmTime(a.Rows, a.Cols)
 }
 
-// applyUBlock accumulates U(I,K)·x(K) into usum(I), gathering the block's
-// columns from x(K) in place, and returns the modeled FP seconds.
-func (c *rankCore) applyUBlock(ref dist.UBlockRef, k int, xk *sparse.Panel) float64 {
-	c.st.counts.blocks[sweepU]++
-	blk := ref.Blk
-	sparse.GemmGather(blk.Val, xk, blk.Cols, c.p.M.SnBegin[k], c.getSum(sweepU, ref.I), false)
-	return c.model.GemmTime(blk.Val.Rows, len(blk.Cols), c.st.nrhs)
+// gemmTime returns the modeled seconds of an m×k block product over the
+// solve's right-hand sides. Only the DES charges compute time, so the pool
+// skips the model.
+func (c *rankCore) gemmTime(m, k int) float64 {
+	if !c.virtual {
+		return 0
+	}
+	return c.model.GemmTime(m, k, c.st.nrhs)
 }
 
 // diagSolve is the diagonal-solve kernel of both sweeps, shared by the

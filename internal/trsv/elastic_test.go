@@ -210,21 +210,42 @@ func (p *deadLetterProbe) process(ctx *runtime.Ctx, m runtime.Msg) {
 	p.algorithm.process(ctx, m)
 }
 
+// deferralAudit runs a rank's shell and, after every dispatch, counts the
+// deferred messages whose gate is negative: a dead letter must be dropped
+// at the gate, not parked.
+type deferralAudit struct {
+	*rankCore
+	gate   func(runtime.Msg) int // the undecorated gate
+	parked *int
+}
+
+func (a deferralAudit) OnMessage(ctx *runtime.Ctx, m runtime.Msg) {
+	a.rankCore.OnMessage(ctx, m)
+	for _, d := range a.st.deferred {
+		if a.gate(d) < 0 {
+			*a.parked++
+		}
+	}
+}
+
 // TestElasticDeadLettersNeverProcessed runs the forced configurations of
 // elastic_goldens.json with every rank's gate observed: the DES skips the
 // wait charge of a dead-on-arrival message on the promise that its gate
-// never reopens, so no message classified dead may be processed later.
+// never reopens, so no message classified dead may be processed later, and
+// none may wait in the deferral queue after a dispatch.
 func TestElasticDeadLettersNeverProcessed(t *testing.T) {
 	pl := buildPipeline(t, gen.S2D9pt(16, 16, 15), 3, 8)
 	b := randPanel(rand.New(rand.NewSource(13)), pl.m.N, 1)
 	for _, ec := range elasticCases() {
 		var probes []*deadLetterProbe
+		parked := 0
 		cs, err := runRanks(t, pl.plan(t, ec.l, ec.kind), ec.model, ec.algo,
 			SimBackend{Opts: runtime.Options{Faults: forcingPlan()}}, b, SolveOpts{Staleness: 4},
-			func(c *rankCore) {
+			func(c *rankCore) runtime.Handler {
 				p := &deadLetterProbe{algorithm: c.alg, dead: map[deadLetter]bool{}}
 				probes = append(probes, p)
 				c.alg = p
+				return deferralAudit{rankCore: c, gate: p.algorithm.gate, parked: &parked}
 			})
 		forced := 0
 		for _, c := range cs {
@@ -246,6 +267,9 @@ func TestElasticDeadLettersNeverProcessed(t *testing.T) {
 		}
 		if dead == 0 {
 			t.Fatalf("%s: no message was dead on arrival — the case is vacuous", ec.name)
+		}
+		if parked > 0 {
+			t.Errorf("%s: dead letters left in the deferral queue %d times after a dispatch", ec.name, parked)
 		}
 		t.Logf("%s: %d forced ticks, %d dead letters", ec.name, forced, dead)
 	}
@@ -269,10 +293,11 @@ func TestFaultUnknownTagElasticDES(t *testing.T) {
 	b := randPanel(rand.New(rand.NewSource(13)), pl.m.N, 1)
 	for _, ec := range elasticCases() {
 		cs, err := runRanks(t, pl.plan(t, ec.l, ec.kind), ec.model, ec.algo, SimBackend{}, b,
-			SolveOpts{Staleness: 4}, func(c *rankCore) {
+			SolveOpts{Staleness: 4}, func(c *rankCore) runtime.Handler {
 				if c.rank == 0 {
 					c.alg = unknownTagProbe{c.alg}
 				}
+				return nil
 			})
 		releaseRanks(cs)
 		var pe *fault.ProtocolError

@@ -57,7 +57,7 @@ type gpuRank struct {
 
 // inBcast reports whether this rank belongs to supernode k's broadcast
 // tree of sweep sw.
-func (h *gpuRank) inBcast(sw, k int) bool { return h.gp.Bcast[sw][k].Contains(h.r2d) }
+func (h *gpuRank) inBcast(sw, k int) bool { return h.sr.InBcast(sw, h.slot(k)) }
 
 // taskCount returns the number of tasks this rank executes in sweep sw:
 // one per owned diagonal plus one per broadcast-tree membership (the
@@ -83,17 +83,9 @@ func (h *gpuRank) flopsBytes(sw, k int, diag bool) (flops, bytes, diagFlops floa
 		flops += diagFlops
 		bytes += 8 * (w*w + 2*w*n)
 	}
-	if sw == sweepL {
-		for _, blk := range h.colL[k] {
-			rows := float64(len(blk.Rows))
-			flops += 2 * rows * w * n
-			bytes += 8 * (rows*w + w*n + 2*rows*n)
-		}
-		return flops, bytes, diagFlops
-	}
-	for _, ref := range h.colU[k] {
-		rows := float64(ref.Blk.Val.Rows)
-		cols := float64(len(ref.Blk.Cols))
+	for _, e := range h.rd.Col(sw, h.slot(k)) {
+		a := &h.store.Panels[e.B]
+		rows, cols := float64(a.Rows), float64(a.Cols)
 		flops += 2 * rows * cols * n
 		bytes += 8 * (rows*cols + cols*n + 2*rows*n)
 	}
@@ -163,14 +155,8 @@ func (h *gpuRank) forcePuts(ctx *runtime.Ctx, sw int) {
 		forced.set(s)
 		// The zero subvector feeds this rank's blocks of column k: every
 		// owned diagonal row those blocks contribute to is now stale.
-		if sw == sweepL {
-			for _, blk := range h.colL[k] {
-				h.markStaleOwned(sw, blk.I)
-			}
-		} else {
-			for _, ref := range h.colU[k] {
-				h.markStaleOwned(sw, ref.I)
-			}
+		for _, e := range h.rd.Col(sw, s) {
+			h.markStaleOwned(sw, h.sg.Sns[e.Slot])
 		}
 		h.readyTasks = append(h.readyTasks, gpuTask{k: k, sw: sw, put: h.newPanel(h.snWidth(k))})
 		added = true
@@ -257,14 +243,8 @@ func (h *gpuRank) runTask(t *gpuTask) *sparse.Panel {
 	if v == nil {
 		v, _ = h.solvePanel(t.sw, t.k, h.gp.OwnerGridOfSn(t.k) == h.z)
 	}
-	if t.sw == sweepL {
-		for _, blk := range h.colL[t.k] {
-			h.applyLBlock(blk, t.k, v)
-		}
-	} else {
-		for _, ref := range h.colU[t.k] {
-			h.applyUBlock(ref, t.k, v)
-		}
+	for _, e := range h.rd.Col(t.sw, h.slot(t.k)) {
+		h.applyBlock(t.sw, e, t.k, v)
 	}
 	return v
 }
@@ -310,14 +290,8 @@ func (h *gpuRank) startTasks(ctx *runtime.Ctx) {
 func (h *gpuRank) onTaskDone(ctx *runtime.Ctx, t *gpuTask) {
 	h.smFree++
 	h.tasksLeft--
-	if t.sw == sweepL {
-		for _, blk := range h.colL[t.k] {
-			h.contributed(t.sw, blk.I)
-		}
-	} else {
-		for _, ref := range h.colU[t.k] {
-			h.contributed(t.sw, ref.I)
-		}
+	for _, e := range h.rd.Col(t.sw, h.slot(t.k)) {
+		h.contributed(t.sw, h.sg.Sns[e.Slot])
 	}
 	h.startTasks(ctx)
 	h.maybeFinishPhase(ctx)

@@ -75,7 +75,7 @@ func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 			h.onSolved(ctx, sw, d.K, d.P)
 		} else {
 			h.getSum(sw, d.K).AddFrom(d.P)
-			h.contribution(ctx, sw, d.K, h.gp.Reduce[sw][d.K])
+			h.contribution(ctx, sw, h.slot(d.K))
 		}
 		h.drainReady(ctx, h, sw)
 		h.maybeFinish(ctx, sw)
@@ -99,17 +99,9 @@ func (h *new3dRank) process(ctx *runtime.Ctx, m runtime.Msg) {
 // blocks.
 func (h *new3dRank) onSolved(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
 	h.bcast(ctx, sw, k, v)
-	red := h.gp.Reduce[sw]
-	if sw == sweepL {
-		for _, blk := range h.colL[k] {
-			ctx.ComputeT(TagApplyL, h.applyLBlock(blk, k, v), nil)
-			h.contribution(ctx, sw, blk.I, red[blk.I])
-		}
-		return
-	}
-	for _, ref := range h.colU[k] {
-		ctx.ComputeT(TagApplyU, h.applyUBlock(ref, k, v), nil)
-		h.contribution(ctx, sw, ref.I, red[ref.I])
+	for _, e := range h.rd.Col(sw, h.slot(k)) {
+		ctx.ComputeT(applyTag[sw], h.applyBlock(sw, e, k, v), nil)
+		h.contribution(ctx, sw, e.Slot)
 	}
 }
 

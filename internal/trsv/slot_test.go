@@ -20,10 +20,11 @@ import (
 // bug, and every working panel comes from the arena the schedule sizes.
 
 // runRanks runs one solve the way Solve does, except that wrap may edit
-// each rank's shell before the run (to decorate its algorithm) and the
-// ranks come back with their states still held, for inspection; the caller
-// releases them with releaseRanks. The solution is not returned.
-func runRanks(t *testing.T, p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b *sparse.Panel, opts SolveOpts, wrap func(*rankCore)) ([]*rankCore, error) {
+// each rank's shell before the run (to decorate its algorithm) and return
+// the handler to run in its place (nil runs the shell), and the ranks come
+// back with their states still held, for inspection; the caller releases
+// them with releaseRanks. The solution is not returned.
+func runRanks(t *testing.T, p *dist.Plan, model *machine.Model, algo Algorithm, back Backend, b *sparse.Panel, opts SolveOpts, wrap func(*rankCore) runtime.Handler) ([]*rankCore, error) {
 	t.Helper()
 	if opts.Staleness > 0 {
 		back = back.(Configurable).WithOptions(func(o *runtime.Options) { o.ElasticTag = tagElastic })
@@ -36,10 +37,12 @@ func runRanks(t *testing.T, p *dist.Plan, model *machine.Model, algo Algorithm, 
 	cs := make([]*rankCore, p.Layout.Size())
 	_, err = back.Run(p.Layout.Size(), model.Net(), func(rank int) runtime.Handler {
 		c := factory(rank)
-		if wrap != nil {
-			wrap(c)
-		}
 		cs[rank] = c
+		if wrap != nil {
+			if h := wrap(c); h != nil {
+				return h
+			}
+		}
 		return c
 	})
 	return cs, err
@@ -88,7 +91,10 @@ func TestBaselineMergeShipsOnlyPartnerRows(t *testing.T) {
 		hs, err := runRanks(t, p, machine.CoriHaswell(), Baseline3D,
 			SimBackend{Opts: runtime.Options{Faults: plan}}, b,
 			SolveOpts{Staleness: 4},
-			func(c *rankCore) { c.alg = zGatherProbe{algorithm: c.alg, c: c, offPath: &off} })
+			func(c *rankCore) runtime.Handler {
+				c.alg = zGatherProbe{algorithm: c.alg, c: c, offPath: &off}
+				return nil
+			})
 		forced := 0
 		for _, c := range hs {
 			forced += c.st.counts.forcedTicks

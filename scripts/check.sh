@@ -54,8 +54,8 @@ echo "== go test -race -count=2 (concurrent solves scraping /metrics) =="
 go test -race -count=2 -run 'Metrics|OpenMetrics|Histogram' \
     ./internal/metrics ./internal/core
 
-echo "== go test -race -count=3 (level-sweep work-stealing stress, strict and forced-elastic goldens, GPU reordering) =="
-go test -race -count=3 -run 'TestSchedConcurrentSolves|TestSchedPoolBitExact|TestEngineMatchesGoldens|TestElasticMatchesGoldens|TestGPUUnderMessageReordering' \
+echo "== go test -race -count=3 (level-sweep work-stealing stress, strict and forced-elastic goldens, GPU reordering, block store) =="
+go test -race -count=3 -run 'TestSchedConcurrentSolves|TestSchedPoolBitExact|TestEngineMatchesGoldens|TestElasticMatchesGoldens|TestGPUUnderMessageReordering|TestRankBlockStoreCoversPlan|TestSlotLinksMatchTrees' \
     ./internal/trsv ./internal/sched
 
 echo "== go test -race -count=2 (wire byte model, sent-panel immutability + deferred-queue stress) =="
@@ -68,6 +68,9 @@ go test -run '^$' -fuzz '^FuzzGemmKernels$' -fuzztime 10s ./internal/sparse
 
 echo "== simulator event-queue fuzz (bounded) =="
 go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/runtime
+
+echo "== Matrix Market reader fuzz (bounded) =="
+go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/mtx
 
 echo "== solve-request config fuzz (bounded) =="
 go test -run '^$' -fuzz '^FuzzSolveConfigDecode$' -fuzztime 10s ./internal/server
