@@ -155,8 +155,8 @@ type SweepStats struct {
 	Sweeps, Tasks int
 	// Seconds is the total time covered by sweep spans over all ranks.
 	Seconds float64
-	// MaxTasks is the widest single sweep — the available intra-rank
-	// parallelism the pool backend's work-stealing can exploit.
+	// MaxTasks is the widest single sweep: the most diagonal solves one
+	// rank found ready at once.
 	MaxTasks int
 }
 

@@ -168,18 +168,11 @@ func (h *base3dRank) spread(ctx *runtime.Ctx, sw, k int, v *sparse.Panel, maxNod
 	h.applyBlocks(ctx, sw, k, v, 0, maxNode)
 }
 
-// keepB implements diagSolver: the baseline always keeps b(K) — its grids
-// partition the path nodes, never replicate them.
-//
-// The baseline's counter templates are per-node-group and live on the
-// baseline plan (start copies them), and its broadcasts walk the plan's
-// per-group trees.
-func (h *base3dRank) keepB(int) bool { return true }
-
 // solve performs one diagonal solve of sweep sw plus the baseline's
 // per-row-node-group broadcasts and block applications (diagSolver, driven
-// by the shared drain). A solved L row drops its lsum, which the
-// inter-grid merge must not ship.
+// by the shared drain). Every grid keeps b(K): the baseline's grids
+// partition the path nodes, never replicate them. A solved L row drops its
+// lsum, which the inter-grid merge must not ship.
 func (h *base3dRank) solve(ctx *runtime.Ctx, sw, k int) {
 	v, secs := h.solvePanel(sw, k, true)
 	ctx.ComputeT(diagTag[sw], secs, nil)

@@ -30,9 +30,7 @@ package trsv
 
 import (
 	"fmt"
-	goruntime "runtime"
 	"sync"
-	"sync/atomic"
 
 	"sptrsv/internal/dist"
 	"sptrsv/internal/fault"
@@ -287,11 +285,6 @@ type solveState struct {
 
 	// arena backs the solve's working panels.
 	arena arena
-	// pre holds diagonal solutions precomputed in parallel by a level
-	// sweep on the pool backend, consumed by the serial send pass; wave is
-	// the precompute's work description, reused across waves.
-	pre  [2]slotTable
-	wave waveJob
 	// owner is the per-rank schedule pool this state returns to on release
 	// (the arena capacity is plan-specific).
 	owner *sync.Pool
@@ -303,7 +296,7 @@ type solveState struct {
 	elArmed [3]bool
 	stale   [2]slotBits
 
-	// rhsBuf is the serial diagonal solve's right-hand-side scratch.
+	// rhsBuf is the diagonal solve's right-hand-side scratch.
 	rhsBuf []float64
 
 	// counts tallies kernel and exchange activity for the metrics registry;
@@ -318,7 +311,6 @@ func (st *solveState) size(sg *sched.Grid) {
 	for sw := range st.sum {
 		st.sum[sw].size(sg)
 		st.sol[sw].size(sg)
-		st.pre[sw].size(sg)
 		st.queued[sw].size(len(sg.Sns))
 		st.stale[sw].size(len(sg.Sns))
 	}
@@ -331,7 +323,6 @@ func (st *solveState) release() {
 	for sw := range st.sum {
 		st.sum[sw].clear()
 		st.sol[sw].clear()
-		st.pre[sw].clear()
 		clear(st.queued[sw])
 		st.dpend[sw] = st.dpend[sw][:0]
 		st.ready[sw] = st.ready[sw][:0]
@@ -345,7 +336,6 @@ func (st *solveState) release() {
 	st.deferred = st.deferred[:0]
 	st.msgs.reset()
 	st.tasks.reset()
-	st.wave.reset()
 	st.b, st.x = nil, nil
 	st.nrhs, st.phase = 0, 0
 	st.recvLeft = [2]int{}
@@ -531,13 +521,9 @@ type algorithm interface {
 
 // diagSolver is implemented by the CPU handlers that drive the shared
 // ready-queue drain: solve performs one diagonal solve of sweep sw plus
-// its follow-up broadcasts and block applications. keepB reports the
-// algorithm's RHS rule for supernode K (the proposed algorithm zeroes
-// b(K) on grids that do not own K's node; the baseline always keeps it),
-// which the parallel level-sweep precompute passes to the shared kernel.
+// its follow-up broadcasts and block applications.
 type diagSolver interface {
 	solve(ctx *runtime.Ctx, sw, k int)
-	keepB(k int) bool
 }
 
 // rankCore is the one runtime.Handler of the package: a rank's read-only
@@ -565,11 +551,9 @@ type rankCore struct {
 	parent    [2][]int32
 	myDiagSns []int // supernodes whose diagonal rank is me
 
-	// This rank's slice of the plan's level/DAG schedule and the
-	// work-stealing chunk size for pool-backend level sweeps.
-	sg    *sched.Grid
-	sr    *sched.Rank
-	chunk int
+	// This rank's slice of the plan's level/DAG schedule.
+	sg *sched.Grid
+	sr *sched.Rank
 
 	// virtual is set on the DES backend, the only one that charges modeled
 	// compute seconds.
@@ -584,15 +568,6 @@ type rankCore struct {
 	// the pool by releaseState once the run has quiesced.
 	st *solveState
 }
-
-// defaultSweepChunk is the work-stealing chunk size of pool-backend level
-// sweeps: sweeps narrower than two chunks run serially.
-const defaultSweepChunk = 8
-
-// maxSweepWorkers caps the workers of one rank's level sweep, the handler
-// goroutine included — the pool already runs one goroutine per rank, so
-// per-rank parallelism only pays on wide levels with idle cores.
-const maxSweepWorkers = 4
 
 // init binds the shell to its algorithm and one rank of the plan and
 // acquires the solve's state; it returns the shell as the rank's handler.
@@ -622,10 +597,6 @@ func (c *rankCore) init(alg algorithm, p *dist.Plan, model *machine.Model, rank 
 	}
 	c.sg = s.Grids[c.z]
 	c.sr = c.sg.Ranks[c.r2d]
-	c.chunk = opts.levelChunk
-	if c.chunk <= 0 {
-		c.chunk = defaultSweepChunk
-	}
 	if opts.Staleness > 0 {
 		c.el = &elastic{staleness: opts.Staleness}
 	}
@@ -816,13 +787,11 @@ func (c *rankCore) sendZ(ctx *runtime.Ctx, z, tag int, b *vecBundle) {
 // The queue is consumed in level sweeps: everything ready now is one wave
 // (a level of the dynamic wavefront — the static schedule's levels refined
 // by actual message arrivals), tasks a wave unlocks form the next. Tasks
-// run in FIFO queue order — a wave is a grouping of that order, not a
-// reordering — which is what keeps send order, DES clocks, and floating-
-// point accumulation deterministic. Each wave is recorded as one trace
-// span (Ctx.Span, no time charge; untraced runs skip the clock reads that
-// would feed it), and on the pool backend a wide wave's independent
-// diagonal solves are precomputed on worker goroutines before the serial
-// send pass.
+// run one at a time on the rank's goroutine, in FIFO queue order — a wave
+// is a grouping of that order, not a reordering — which is what keeps send
+// order, DES clocks, and floating-point accumulation deterministic. Each
+// wave is recorded as one trace span (Ctx.Span, no time charge; untraced
+// runs skip the clock reads that would feed it).
 func (c *rankCore) drainReady(ctx *runtime.Ctx, s diagSolver, sw int) {
 	st := c.st
 	q := &st.ready[sw]
@@ -833,7 +802,6 @@ func (c *rankCore) drainReady(ctx *runtime.Ctx, s diagSolver, sw int) {
 		if traced {
 			start = ctx.Now()
 		}
-		c.precomputeWave(ctx, s, sw, (*q)[:n])
 		for i := 0; i < n; i++ {
 			s.solve(ctx, sw, (*q)[i])
 		}
@@ -848,112 +816,18 @@ func (c *rankCore) drainReady(ctx *runtime.Ctx, s diagSolver, sw int) {
 	}
 }
 
-// precomputeWave runs a wave's diagonal solves on worker goroutines,
-// chunked work-stealing style (workers grab fixed-size chunks off a shared
-// counter). Pool backend only: the DES backend's clock charges are serial
-// by construction, and there the sweep is pure bookkeeping anyway. Safe
-// because every supernode in the wave has all its contributions in (its
-// pending counter hit zero), the inputs (b, diagonal inverses, accumulated
-// partial sums) are no longer written, and each task writes only its own
-// result slot. The workers call the serial path's kernel, diagSolve, so
-// the solution stays bit-exact regardless of worker interleaving. The
-// serial pass that follows consumes the results in wave order, so message
-// order is untouched.
-func (c *rankCore) precomputeWave(ctx *runtime.Ctx, s diagSolver, sw int, wave []int) {
-	chunk := c.chunk
-	if c.virtual || len(wave) < 2*chunk || goruntime.GOMAXPROCS(0) < 2 {
-		return
-	}
-	// Destinations come from the arena, allocated here on the handler
-	// goroutine (bump allocation is single-threaded); each is the panel
-	// the serial diagonal solve would otherwise have taken.
-	j := &c.st.wave
-	j.s, j.keys, j.sw = s, wave, sw
-	j.out = j.out[:0]
-	for _, k := range wave {
-		j.out = append(j.out, c.newPanel(c.snWidth(k)))
-	}
-	j.chunks = (len(wave) + chunk - 1) / chunk
-	j.next.Store(0)
-	// The handler goroutine is one of the workers: it would only wait
-	// otherwise.
-	workers := min(goruntime.GOMAXPROCS(0), j.chunks, maxSweepWorkers)
-	j.wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go c.waveWorker(&j.buf[w], &j.wg)
-	}
-	c.waveWorker(&j.buf[0], nil)
-	j.wg.Wait()
-	for i, k := range wave {
-		if j.out[i] != nil {
-			c.st.pre[sw].set(k, j.out[i])
-		}
-	}
-}
-
-// waveJob describes the wave being precomputed to its workers. It lives on
-// the solve state, so launching a wave allocates nothing beyond the
-// goroutines themselves.
-type waveJob struct {
-	s      diagSolver
-	keys   []int
-	out    []*sparse.Panel // per key: the zeroed destination; nil if unsolvable
-	sw     int
-	chunks int
-	next   atomic.Int32 // next chunk to claim
-	wg     sync.WaitGroup
-	buf    [maxSweepWorkers][]float64 // per-worker rhs scratch
-}
-
-// reset drops the job's references, keeping its storage.
-func (j *waveJob) reset() {
-	clear(j.out[:cap(j.out)])
-	j.out = j.out[:0]
-	j.s, j.keys = nil, nil
-}
-
-// waveWorker claims chunks of the current wave until none is left, writing
-// each task's result into its destination panel; a spawned worker then
-// marks wg done. The kernel tallies are left to the consuming solvePanel,
-// so counters stay single-writer.
-func (c *rankCore) waveWorker(buf *[]float64, wg *sync.WaitGroup) {
-	if wg != nil {
-		defer wg.Done()
-	}
-	j := &c.st.wave
-	for {
-		ci := int(j.next.Add(1)) - 1
-		if ci >= j.chunks {
-			return
-		}
-		hi := min((ci+1)*c.chunk, len(j.keys))
-		for i := ci * c.chunk; i < hi; i++ {
-			k := j.keys[i]
-			if !c.diagSolve(j.sw, k, j.s.keepB(k), j.out[i], buf) {
-				j.out[i] = nil
-			}
-		}
-	}
-}
-
 // solvePanel produces and stores row k's solution in sweep sw, y(K) or
 // x(K) (the owning grid also writes x(K) to the output), and returns it
-// with the modeled seconds of its diagonal solve: from the wave precompute
-// when one is stashed (same kernel, already run), else through the kernel
-// now. keep is the L sweep's RHS rule (diagSolver.keepB).
+// with the modeled seconds of its diagonal solve. keep is the L sweep's
+// RHS rule (see diagSolve).
 func (c *rankCore) solvePanel(sw, k int, keep bool) (*sparse.Panel, float64) {
 	st := c.st
 	st.counts.diag[sw]++
 	w := c.snWidth(k)
-	v := st.pre[sw].get(k)
-	if v != nil {
-		st.pre[sw].set(k, nil)
-	} else {
-		v = c.newPanel(w)
-		if !c.diagSolve(sw, k, keep, v, &st.rhsBuf) {
-			panic(&fault.ProtocolError{Rank: c.rank, Phase: "U-solve",
-				Msg: fmt.Sprintf("solving x(%d) without y(%d)", k, k)})
-		}
+	v := c.newPanel(w)
+	if !c.diagSolve(sw, k, keep, v) {
+		panic(&fault.ProtocolError{Rank: c.rank, Phase: "U-solve",
+			Msg: fmt.Sprintf("solving x(%d) without y(%d)", k, k)})
 	}
 	st.sol[sw].set(k, v)
 	if sw == sweepU && c.gp.OwnerGridOfSn(k) == c.z {
@@ -1064,20 +938,20 @@ func (c *rankCore) gemmTime(m, k int) float64 {
 	return c.model.GemmTime(m, k, c.st.nrhs)
 }
 
-// diagSolve is the diagonal-solve kernel of both sweeps, shared by the
-// serial path and the wave workers: it writes inv(L(K,K))·(rhs − lsum(K))
-// into the zeroed panel dst in the L sweep, where rhs is b(K) when keep
-// holds and zero otherwise (the proposed algorithm's zeroing rule, Alg. 1
-// lines 4–10), and inv(U(K,K))·(y(K) − usum(K)) in the U sweep. buf is the
-// caller's right-hand-side scratch. It reports false, writing nothing,
-// when the U sweep finds no y(K).
-func (c *rankCore) diagSolve(sw, k int, keep bool, dst *sparse.Panel, buf *[]float64) bool {
+// diagSolve is the diagonal-solve kernel of both sweeps: it writes
+// inv(L(K,K))·(rhs − lsum(K)) into the zeroed panel dst in the L sweep,
+// where rhs is b(K) when keep holds and zero otherwise (the proposed
+// algorithm zeroes b(K) on grids that do not own K's node, Alg. 1 lines
+// 4–10; the baseline always keeps it), and inv(U(K,K))·(y(K) − usum(K))
+// in the U sweep. The right-hand side is staged in the state's rhsBuf. It
+// reports false, writing nothing, when the U sweep finds no y(K).
+func (c *rankCore) diagSolve(sw, k int, keep bool, dst *sparse.Panel) bool {
 	st := c.st
 	w, n := c.snWidth(k), st.nrhs
-	if cap(*buf) < w*n {
-		*buf = make([]float64, w*n)
+	if cap(st.rhsBuf) < w*n {
+		st.rhsBuf = make([]float64, w*n)
 	}
-	rhs := sparse.Panel{Rows: w, Cols: n, Data: (*buf)[:w*n]}
+	rhs := sparse.Panel{Rows: w, Cols: n, Data: st.rhsBuf[:w*n]}
 	switch {
 	case sw == sweepU:
 		yk := st.sol[sweepL].get(k)

@@ -118,14 +118,11 @@ func (h *new3dRank) bcast(ctx *runtime.Ctx, sw, k int, v *sparse.Panel) {
 	}
 }
 
-// keepB implements diagSolver: the proposed algorithm keeps b(K) only on
-// the grid that owns K's path node (Alg. 1 lines 4–10).
-func (h *new3dRank) keepB(k int) bool { return h.gp.OwnerGridOfSn(k) == h.z }
-
 // solve performs one diagonal solve of sweep sw and its follow-ups
-// (diagSolver, driven by the shared ready-queue drain).
+// (diagSolver, driven by the shared ready-queue drain). Only the grid that
+// owns K's path node keeps b(K) (Alg. 1 lines 4–10).
 func (h *new3dRank) solve(ctx *runtime.Ctx, sw, k int) {
-	v, secs := h.solvePanel(sw, k, h.keepB(k))
+	v, secs := h.solvePanel(sw, k, h.gp.OwnerGridOfSn(k) == h.z)
 	ctx.ComputeT(diagTag[sw], secs, nil)
 	h.onSolved(ctx, sw, k, v)
 }

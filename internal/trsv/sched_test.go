@@ -15,8 +15,8 @@ import (
 	"sptrsv/internal/sparse"
 )
 
-// Level-scheduled execution: the engine's determinism under parallel
-// sweeps, its trace annotations, concurrent use of one schedule, and the
+// Level-scheduled execution: the pool's agreement with the DES, its trace
+// annotations, concurrent use of one schedule, and the
 // schedule itself. The bit-exact bar against frozen results lives in
 // golden_test.go.
 
@@ -65,22 +65,17 @@ func solveMode(t *testing.T, pl *pipeline, tc schedCase, b *sparse.Panel, back B
 	return x, res
 }
 
-// TestSchedPoolBitExact checks on the real-goroutine backend that the
-// parallel precompute of level sweeps changes no bit: levelChunk=1 (every
-// wave of two or more tasks is precomputed on workers) must match a chunk
-// wide enough that no wave is. Bitwise comparison is only well-defined
-// where floating-point accumulation order cannot depend on message
-// delivery order — on the pool that order is wall-clock-dependent, and
-// sums of three or more terms then differ in the last bits — so the
-// bitwise legs run on layouts whose sums have at most two terms: one rank
-// (pure local cascade, the widest waves and heaviest precompute use) and
-// one rank per grid on two grids, where the proposed algorithm's grid 1
-// solves with b(K) zeroed for the nodes it does not own and the baseline
-// merges partial sums pairwise. (The zeroed rows lie in the top
-// separators, whose supernodes form a dependency chain, so they reach the
-// shared kernel in waves of one, through the serial path; the engine
-// goldens pin that branch bit for bit.) The multi-rank legs are held to
-// the serial-reference tolerance.
+// TestSchedPoolBitExact checks that the real-goroutine backend computes
+// the DES solution bit for bit: both run each rank's tasks one at a time
+// in FIFO order through the same kernels, so only message delivery order
+// differs. Bitwise comparison is only well-defined where floating-point
+// accumulation order cannot depend on that order — on the pool it is
+// wall-clock-dependent, and sums of three or more terms then differ in the
+// last bits — so the bitwise legs run on layouts whose sums have at most
+// two terms: one rank (pure local cascade) and one rank per grid on two
+// grids, where the proposed algorithm's grid 1 solves with b(K) zeroed for
+// the nodes it does not own and the baseline merges partial sums pairwise.
+// The multi-rank legs are held to the serial-reference tolerance.
 func TestSchedPoolBitExact(t *testing.T) {
 	pl := buildPipeline(t, gen.S2D9pt(18, 18, 33), 2, 8)
 	back := PoolBackend{Pool: runtime.Pool{Timeout: 30 * time.Second}}
@@ -93,12 +88,12 @@ func TestSchedPoolBitExact(t *testing.T) {
 		{"proposed-1x1x2", Proposed3D, grid.Layout{Px: 1, Py: 1, Pz: 2}, ctree.Binary, cori, 2},
 		{"baseline-1x1x2", Baseline3D, grid.Layout{Px: 1, Py: 1, Pz: 2}, ctree.Flat, cori, 2},
 	} {
-		xw, _ := solveMode(t, pl, tc, b, back, SolveOpts{levelChunk: pl.m.SnCount})
+		xd, _ := solveMode(t, pl, tc, b, SimBackend{}, SolveOpts{})
 		for trial := 0; trial < 3; trial++ {
-			xs, _ := solveMode(t, pl, tc, b, back, SolveOpts{levelChunk: 1})
-			for i, v := range xw.Data {
-				if xs.Data[i] != v {
-					t.Fatalf("%s trial %d: parallel-precompute solution differs from serial sweeps at %d", tc.name, trial, i)
+			xp, _ := solveMode(t, pl, tc, b, back, SolveOpts{})
+			for i, v := range xd.Data {
+				if xp.Data[i] != v {
+					t.Fatalf("%s trial %d: pool solution differs from the DES solution at %d", tc.name, trial, i)
 				}
 			}
 		}
@@ -110,7 +105,7 @@ func TestSchedPoolBitExact(t *testing.T) {
 		}
 		bb := randPanel(rng, pl.m.N, tc.nrhs)
 		ww := pl.m.Solve(bb)
-		x, _ := solveMode(t, pl, tc, bb, back, SolveOpts{levelChunk: 1})
+		x, _ := solveMode(t, pl, tc, bb, back, SolveOpts{})
 		if d := x.MaxAbsDiff(ww); d > 1e-8 {
 			t.Fatalf("%s: pool diff %g", tc.name, d)
 		}
@@ -149,9 +144,9 @@ func TestSchedSweepSpansTraced(t *testing.T) {
 }
 
 // TestSchedConcurrentSolves runs many scheduled solves of one plan
-// concurrently (the -race work-stealing stress of scripts/check.sh): the
-// schedule is shared immutable state, per-solve states come from the
-// plan's pool, and level sweeps spawn workers — none of which may race.
+// concurrently on both backends (a -race stress of scripts/check.sh): the
+// plan and schedule are shared immutable state and per-solve states come
+// from the plan's pool, so no two solves may race.
 func TestSchedConcurrentSolves(t *testing.T) {
 	pl := buildPipeline(t, gen.S2D9pt(16, 16, 35), 2, 8)
 	model := machine.CoriHaswell()
@@ -167,13 +162,11 @@ func TestSchedConcurrentSolves(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			back := Backend(SimBackend{})
-			var opts SolveOpts
 			if i%2 == 1 {
 				back = PoolBackend{Pool: runtime.Pool{Timeout: 30 * time.Second}}
-				opts.levelChunk = 1
 			}
 			x := sparse.NewPanel(b.Rows, b.Cols)
-			_, err := Solve(p, model, Proposed3D, back, b, x, opts)
+			_, err := Solve(p, model, Proposed3D, back, b, x, SolveOpts{})
 			errs[i] = err
 			if err == nil {
 				diffs[i] = x.MaxAbsDiff(want)

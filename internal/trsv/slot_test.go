@@ -114,9 +114,9 @@ func TestBaselineMergeShipsOnlyPartnerRows(t *testing.T) {
 
 // TestArenaCoversGoldenSolves checks the schedule's arena bound on every
 // golden configuration: no working panel of a solve falls back to the
-// heap. The DES leg covers the engine goldens; the pool leg forces the
-// parallel wave precompute (chunk 1), whose destinations come from the
-// same reservation.
+// heap. The DES leg covers the engine goldens; the pool leg covers the
+// property-test layouts plus one rank and one rank per grid on the
+// real-goroutine backend.
 func TestArenaCoversGoldenSolves(t *testing.T) {
 	check := func(name string, p *dist.Plan, tc schedCase, back Backend, b *sparse.Panel, opts SolveOpts) {
 		t.Helper()
@@ -147,6 +147,6 @@ func TestArenaCoversGoldenSolves(t *testing.T) {
 			continue // simulation-only
 		}
 		b := randPanel(rand.New(rand.NewSource(300)), pl.m.N, tc.nrhs)
-		check("pool/"+tc.name, pl.plan(t, tc.l, tc.kind), tc, pool, b, SolveOpts{levelChunk: 1})
+		check("pool/"+tc.name, pl.plan(t, tc.l, tc.kind), tc, pool, b, SolveOpts{})
 	}
 }

@@ -82,11 +82,6 @@ type SolveOpts struct {
 	Staleness int
 	// Elastic, when non-nil, receives the run's stale-consumption stats.
 	Elastic *ElasticStats
-
-	// levelChunk overrides the work-stealing chunk size of pool-backend
-	// level sweeps (tasks claimed per steal); 0 means defaultSweepChunk.
-	// Only in-package tests set it.
-	levelChunk int
 }
 
 // handlerFactory checks that algo can run on the plan's layout and the

@@ -54,7 +54,7 @@ echo "== go test -race -count=2 (concurrent solves scraping /metrics) =="
 go test -race -count=2 -run 'Metrics|OpenMetrics|Histogram' \
     ./internal/metrics ./internal/core
 
-echo "== go test -race -count=3 (level-sweep work-stealing stress, strict and forced-elastic goldens, GPU reordering, block store) =="
+echo "== go test -race -count=3 (concurrent solves sharing one plan, pool vs DES bits, strict and forced-elastic goldens, GPU reordering, block store) =="
 go test -race -count=3 -run 'TestSchedConcurrentSolves|TestSchedPoolBitExact|TestEngineMatchesGoldens|TestElasticMatchesGoldens|TestGPUUnderMessageReordering|TestRankBlockStoreCoversPlan|TestSlotLinksMatchTrees' \
     ./internal/trsv ./internal/sched
 
@@ -71,6 +71,12 @@ go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/runtime
 
 echo "== Matrix Market reader fuzz (bounded) =="
 go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/mtx
+
+echo "== tuned-config cache loader fuzz (bounded) =="
+go test -run '^$' -fuzz '^FuzzOpenCache$' -fuzztime 10s ./internal/tune
+
+echo "== X-Request-ID echo fuzz (bounded) =="
+go test -run '^$' -fuzz '^FuzzRequestID$' -fuzztime 10s ./internal/server
 
 echo "== solve-request config fuzz (bounded) =="
 go test -run '^$' -fuzz '^FuzzSolveConfigDecode$' -fuzztime 10s ./internal/server
