@@ -131,16 +131,19 @@ func BenchmarkSerialSolve(b *testing.B) {
 }
 
 // benchPoolSolve measures real parallel wall-clock solves on the goroutine
-// backend with the given layout.
+// backend with the given layout and binary trees.
 func benchPoolSolve(b *testing.B, px, py, pz, nrhs int) {
-	sys := benchSystem(b)
-	solver, err := sptrsv.NewSolver(sys, sptrsv.Config{
-		Layout:    sptrsv.Layout{Px: px, Py: py, Pz: pz},
-		Algorithm: sptrsv.Proposed3D,
-		Trees:     sptrsv.BinaryTrees,
-		Machine:   sptrsv.CoriHaswell(),
-		Backend:   sptrsv.GoroutinePool(),
-	})
+	runPoolSolve(b, benchSystem(b), sptrsv.Config{
+		Layout: sptrsv.Layout{Px: px, Py: py, Pz: pz},
+		Trees:  sptrsv.BinaryTrees,
+	}, nrhs)
+}
+
+// runPoolSolve solves with the proposed algorithm on the goroutine backend
+// for the layout and trees of cfg, reporting solves/s and messages per solve.
+func runPoolSolve(b *testing.B, sys *sptrsv.System, cfg sptrsv.Config, nrhs int) {
+	cfg.Algorithm, cfg.Machine, cfg.Backend = sptrsv.Proposed3D, sptrsv.CoriHaswell(), sptrsv.GoroutinePool()
+	solver, err := sptrsv.NewSolver(sys, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -148,14 +151,18 @@ func benchPoolSolve(b *testing.B, px, py, pz, nrhs int) {
 	for i := range rhs.Data {
 		rhs.Data[i] = 1
 	}
+	msgs := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := solver.Solve(rhs); err != nil {
+		_, rep, err := solver.Solve(rhs)
+		if err != nil {
 			b.Fatal(err)
 		}
+		msgs = rep.Raw.TotalMsgs()
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "solves/s")
+	b.ReportMetric(float64(msgs), "msgs/solve")
 }
 
 func BenchmarkPoolSolve1x1x1(b *testing.B) { benchPoolSolve(b, 1, 1, 1, 1) }
@@ -167,6 +174,21 @@ func BenchmarkPoolSolve1x1x2(b *testing.B) { benchPoolSolve(b, 1, 1, 2, 1) }
 // BenchmarkPoolSolve1x1x2RHS16 is the shape of perfbench's pool-16rhs
 // workload: the same layout with 16 right-hand sides, kernel-bound.
 func BenchmarkPoolSolve1x1x2RHS16(b *testing.B) { benchPoolSolve(b, 1, 1, 2, 16) }
+
+// BenchmarkPoolSolve2x1x1 is the solve shape of the solve service's 2-rank
+// default (perfbench's service-mixed workload): grid.Square2D(2) = 2×1×1 with
+// flat trees, one right-hand side, on a system factored with the server's
+// default tree depth. Every message it sends is intra-grid.
+func BenchmarkPoolSolve2x1x1(b *testing.B) {
+	sys, err := sptrsv.Factorize(sptrsv.S2D9pt(64, 64, 1), sptrsv.FactorOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	runPoolSolve(b, sys, sptrsv.Config{
+		Layout: sptrsv.Layout{Px: 2, Py: 1, Pz: 1},
+		Trees:  sptrsv.FlatTrees,
+	}, 1)
+}
 
 func BenchmarkPoolSolve2x2x1(b *testing.B) { benchPoolSolve(b, 2, 2, 1, 1) }
 func BenchmarkPoolSolve2x2x4(b *testing.B) { benchPoolSolve(b, 2, 2, 4, 1) }

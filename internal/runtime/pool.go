@@ -23,6 +23,12 @@ import (
 // are directly comparable: ByCat[c] answers "how long did ranks sit waiting
 // for category-c traffic", not "what was the rank doing before it blocked".
 //
+// Wait-count rule: Timers.Waits counts the receives that blocked, as the
+// Engine counts the deliveries that found the rank idle. A rank takes its
+// whole inbox in one lock acquisition and works through that batch before
+// it receives again, so it can block at most once per batch; messages that
+// were already queued end no wait and add nothing to Waits or WaitSeconds.
+//
 // Compute-time attribution rule: ByCat[CatFP] is derived once per rank, when
 // the rank exits (on every exit path, failed runs included), as the rank's
 // clock minus its WaitSeconds minus its ByCat[CatFault]: everything the rank
@@ -31,8 +37,14 @@ import (
 // calling Compute with a nil closure, so a per-call bracket measures nothing
 // and costs two clock reads per task. Only a traced run brackets each
 // Compute, to record its EvCompute span; the derivation is the same either
-// way. Untraced and fault-free, a rank reads the clock at start, at exit and
-// around each blocking receive, never per task.
+// way.
+//
+// Clock-read rule: untraced and fault-free, a rank reads the clock at start,
+// at exit and around a receive that actually blocks — one pair per batch at
+// most, none when its inbox is already non-empty — never per task or per
+// message. Only a run that needs a per-message time reads the clock once
+// per message: a traced run (the EvRecv stamp), a rank with a planned crash
+// time, and a straggler (factor > 1, which times each activation).
 //
 // A Pool value holds only configuration; every Run builds its own state, so
 // concurrent Run calls on one Pool are independent.
@@ -47,22 +59,43 @@ type Pool struct {
 	Opts Options
 }
 
+// inbox is one rank's unbounded FIFO. Senders append to queue under mu;
+// the receiving rank takes the whole queue in one lock acquisition (take)
+// and leaves its drained batch, cleared, as the next queue, so two buffers
+// alternate and stop growing once they fit the largest batch.
 type inbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond
 	queue  []Msg
 	closed bool
+
+	// batch is the receiver's current batch and next its first unconsumed
+	// message; only the receiving rank's goroutine touches them while the
+	// run is live. Every slot of queue and batch past its length is zero,
+	// so a cleared buffer pins no Msg.Data.
+	batch []Msg
+	next  int
+	// bufs is the recycled pair the buffers came from; retire hands them
+	// back through it.
+	bufs *msgBufs
 }
 
-func newInbox() *inbox {
-	b := &inbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+// msgBufs is an inbox's buffer pair. Buffers are recycled across runs, not
+// inboxes: a delayed send or elastic tick can still put into an inbox after
+// its run ended, and must find it closed rather than reopened by a later run.
+type msgBufs struct{ queue, batch []Msg }
+
+var inboxBufs = sync.Pool{New: func() any { return new(msgBufs) }}
+
+func (b *inbox) init() {
+	b.cond.L = &b.mu
+	b.bufs = inboxBufs.Get().(*msgBufs)
+	b.queue, b.batch = b.bufs.queue, b.bufs.batch
 }
 
-// put enqueues m; once the inbox is closed (the run aborted) messages are
-// dropped, so late senders — including injected-delay timers firing after
-// an abort — cannot resurrect a dead run.
+// put enqueues m; once the inbox is closed (the run aborted or ended)
+// messages are dropped, so late senders — including injected-delay timers
+// firing after an abort — cannot resurrect a dead run.
 func (b *inbox) put(m Msg) {
 	b.mu.Lock()
 	if b.closed {
@@ -74,20 +107,36 @@ func (b *inbox) put(m Msg) {
 	b.cond.Signal()
 }
 
-// get blocks until a message arrives or the inbox is closed; after a close
-// the remaining queue still drains, so ranks finish cleanly when they can.
-func (b *inbox) get() (Msg, bool) {
+// take replaces the drained batch with every queued message, in one lock
+// acquisition. When the queue is empty it blocks until a message arrives or
+// the inbox is closed, publishing the instant it started blocking in
+// blocked (for the stall watchdog) and returning it as t0; t0 is zero when
+// it did not block. After a close the remaining queue still drains, so
+// ranks finish cleanly when they can; ok is false once nothing is left.
+func (b *inbox) take(blocked *atomic.Int64) (t0 time.Time, ok bool) {
+	clear(b.batch)
+	spare := b.batch[:0]
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	for len(b.queue) == 0 && !b.closed {
-		b.cond.Wait()
+	if len(b.queue) == 0 && !b.closed {
+		t0 = time.Now()
+		blocked.Store(t0.UnixNano())
+		for len(b.queue) == 0 && !b.closed {
+			b.cond.Wait()
+		}
+		blocked.Store(0)
 	}
-	if len(b.queue) == 0 {
-		return Msg{}, false
-	}
-	m := b.queue[0]
-	b.queue = b.queue[1:]
-	return m, true
+	b.batch, b.queue = b.queue, spare
+	b.mu.Unlock()
+	b.next = 0
+	return t0, len(b.batch) > 0
+}
+
+// pop returns the next message of the current batch; the caller checks
+// that one is left.
+func (b *inbox) pop() Msg {
+	m := b.batch[b.next]
+	b.next++
+	return m
 }
 
 func (b *inbox) close() {
@@ -97,10 +146,28 @@ func (b *inbox) close() {
 	b.cond.Broadcast()
 }
 
+// pending counts the messages the receiver never consumed: those still
+// queued and those left in its last batch. The batch part is read only
+// after the receiving goroutine has exited.
 func (b *inbox) pending() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.queue)
+	return len(b.queue) + len(b.batch) - b.next
+}
+
+// retire closes the inbox for good and returns its buffers, cleared, to
+// the pool. It runs after every rank goroutine of the run has exited.
+func (b *inbox) retire() {
+	b.mu.Lock()
+	b.closed = true
+	q := b.queue
+	b.queue = nil
+	b.mu.Unlock()
+	clear(q)
+	clear(b.batch)
+	b.bufs.queue, b.bufs.batch = q[:0], b.batch[:0]
+	inboxBufs.Put(b.bufs)
+	b.batch, b.next, b.bufs = nil, 0, nil
 }
 
 // stallReport is one rank's account of being stuck: either the watchdog's
@@ -116,7 +183,7 @@ type stallReport struct {
 
 type poolShared struct {
 	start   time.Time
-	inboxes []*inbox
+	inboxes []inbox
 	timers  []Timers
 	clocks  []float64
 	// tr is nil unless tracing: each rank goroutine writes only its own
@@ -188,8 +255,8 @@ func (s *poolShared) failure() error {
 // drain, new ones are dropped.
 func (s *poolShared) abort() {
 	s.aborted.Store(true)
-	for _, b := range s.inboxes {
-		b.close()
+	for i := range s.inboxes {
+		s.inboxes[i].close()
 	}
 }
 
@@ -326,7 +393,7 @@ func (p *poolCtx) inject(src int, m Msg) bool {
 				MsgID: m.id, Start: now, Arrive: d, Key: "delay",
 			})
 		}
-		dst := p.s.inboxes[m.Dst]
+		dst := &p.s.inboxes[m.Dst]
 		time.AfterFunc(time.Duration(d*float64(time.Second)), func() { dst.put(m) })
 		return true
 	}
@@ -345,7 +412,7 @@ func (p *poolCtx) after(src int, delay float64, tag int, data any) {
 			Msg: "Ctx.After requires the simulation backend (Engine)"})
 	}
 	m := Msg{Src: src, Dst: src, Tag: tag, Cat: CatFP, Data: data}
-	dst := p.s.inboxes[src]
+	dst := &p.s.inboxes[src]
 	if delay <= 0 {
 		dst.put(m)
 		return
@@ -458,7 +525,7 @@ func (p *Pool) Run(n int, newHandler func(rank int) Handler) (*Result, error) {
 	}
 	s := &poolShared{
 		start:        time.Now(),
-		inboxes:      make([]*inbox, n),
+		inboxes:      make([]inbox, n),
 		timers:       make([]Timers, n),
 		clocks:       make([]float64, n),
 		tr:           newTracer(n, p.Opts),
@@ -468,8 +535,13 @@ func (p *Pool) Run(n int, newHandler func(rank int) Handler) (*Result, error) {
 		rankDone:     make([]atomic.Bool, n),
 	}
 	for i := range s.inboxes {
-		s.inboxes[i] = newInbox()
+		s.inboxes[i].init()
 	}
+	defer func() {
+		for i := range s.inboxes {
+			s.inboxes[i].retire()
+		}
+	}()
 	// Published once the run settles; every return path below is reached
 	// only after all rank goroutines have exited, so the timers are quiet.
 	failed, stalled := true, false
@@ -503,52 +575,69 @@ func (p *Pool) Run(n int, newHandler func(rank int) Handler) (*Result, error) {
 			a0 := time.Now() // start of the current Init or OnMessage
 			h.Init(ctx)
 			s.straggle(rank, fac, a0)
+			// perMsg marks a rank that needs each message's receipt time: a
+			// trace stamps it, a planned crash is checked against it, and a
+			// straggler times the activation it starts. Otherwise the clock
+			// is read only around a receive that blocks.
+			perMsg := s.tr != nil || hasCrash || fac > 1
+			in := &s.inboxes[rank]
 			for !h.Done() {
-				t0 := time.Now()
-				s.blockedSince[rank].Store(t0.UnixNano())
-				m, ok := s.inboxes[rank].get()
-				s.blockedSince[rank].Store(0)
-				if !ok {
-					end = t0.Sub(s.start).Seconds()
-					if s.aborted.Load() {
-						done, total := progressOf(h)
-						s.noteStall(stallReport{
-							rank: rank, waited: time.Since(t0), state: waitState(h),
-							done: done, total: total,
-						})
-					} else {
-						s.fail(&fault.ProtocolError{Rank: rank,
-							Msg: "inbox closed while expecting messages"})
+				var t0 time.Time // start of a receive that blocked; zero if none did
+				if in.next == len(in.batch) {
+					var ok bool
+					if t0, ok = in.take(&s.blockedSince[rank]); !ok {
+						if t0.IsZero() {
+							t0 = time.Now()
+						}
+						end = t0.Sub(s.start).Seconds()
+						if s.aborted.Load() {
+							done, total := progressOf(h)
+							s.noteStall(stallReport{
+								rank: rank, waited: time.Since(t0), state: waitState(h),
+								done: done, total: total,
+							})
+						} else {
+							s.fail(&fault.ProtocolError{Rank: rank,
+								Msg: "inbox closed while expecting messages"})
+						}
+						return
 					}
-					return
 				}
-				a0 = time.Now()
-				if hasCrash && a0.Sub(s.start).Seconds() >= crashT {
-					end = t0.Sub(s.start).Seconds()
+				m := in.pop()
+				var now time.Time // receipt of m; zero when nothing needs it
+				if perMsg || !t0.IsZero() {
+					now = time.Now()
+				}
+				if hasCrash && now.Sub(s.start).Seconds() >= crashT {
+					end = now.Sub(s.start).Seconds()
+					if !t0.IsZero() {
+						end = t0.Sub(s.start).Seconds()
+					}
 					s.noteCrash(rank, crashT)
 					return
 				}
-				wait := a0.Sub(t0).Seconds()
-				s.timers[rank].ByCat[m.Cat] += wait
-				s.timers[rank].Waits++
-				s.timers[rank].WaitSeconds += wait
-				if s.tr != nil {
-					st := t0.Sub(s.start).Seconds()
-					if wait > 0 {
+				if !t0.IsZero() {
+					wait := now.Sub(t0).Seconds()
+					s.timers[rank].ByCat[m.Cat] += wait
+					s.timers[rank].Waits++
+					s.timers[rank].WaitSeconds += wait
+					if s.tr != nil && wait > 0 {
 						s.tr.add(rank, Event{
 							Kind: EvWait, Cat: m.Cat, Tag: m.Tag,
 							Peer: m.Src, Bytes: m.Bytes, MsgID: m.id,
-							Start: st, Dur: wait, Arrive: m.at,
+							Start: t0.Sub(s.start).Seconds(), Dur: wait, Arrive: m.at,
 						})
 					}
+				}
+				if s.tr != nil {
 					s.tr.add(rank, Event{
 						Kind: EvRecv, Cat: m.Cat, Tag: m.Tag,
 						Peer: m.Src, Bytes: m.Bytes, MsgID: m.id,
-						Start: st + wait, Arrive: m.at,
+						Start: now.Sub(s.start).Seconds(), Arrive: m.at,
 					})
 				}
 				h.OnMessage(ctx, m)
-				s.straggle(rank, fac, a0)
+				s.straggle(rank, fac, now)
 			}
 			s.rankDone[rank].Store(true)
 			end = time.Since(s.start).Seconds()
@@ -596,8 +685,8 @@ func (p *Pool) Run(n int, newHandler func(rank int) Handler) (*Result, error) {
 	// injection: drops strand peers' messages, and an elastic forced phase
 	// closure strands both late traffic and in-flight deadline ticks.
 	if !s.inj.Active() && s.elasticTag == 0 {
-		for r, b := range s.inboxes {
-			if pend := b.pending(); pend != 0 {
+		for r := range s.inboxes {
+			if pend := s.inboxes[r].pending(); pend != 0 {
 				return nil, fmt.Errorf("runtime: %d stray messages for finished rank %d", pend, r)
 			}
 		}

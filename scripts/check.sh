@@ -36,6 +36,10 @@ echo "== go test -race -count=2 (chaos / fault-injection stress) =="
 go test -race -count=2 -run 'Chaos|Fault|Stall|Straggl|Watchdog|Crash|Robust|NonFinite|PoolMeanFP|PoolComputeTime' \
     ./internal/fault ./internal/runtime ./internal/core ./internal/sparse ./internal/trsv
 
+echo "== go test -race -count=5 (pool inbox: batched receive, recycled buffers, wait and time attribution) =="
+go test -race -count=5 -run '^(TestInbox.*|TestPoolWait.*|TestPoolComputeTime.*|TestPoolStray.*)$' \
+    ./internal/runtime
+
 echo "== go test -count=2 (CLI flag surface + exit-code contract) =="
 go test -count=2 ./internal/cliutil
 
