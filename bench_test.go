@@ -175,10 +175,11 @@ func BenchmarkPoolSolve1x1x2(b *testing.B) { benchPoolSolve(b, 1, 1, 2, 1) }
 // workload: the same layout with 16 right-hand sides, kernel-bound.
 func BenchmarkPoolSolve1x1x2RHS16(b *testing.B) { benchPoolSolve(b, 1, 1, 2, 16) }
 
-// BenchmarkPoolSolve2x1x1 is the solve shape of the solve service's 2-rank
-// default (perfbench's service-mixed workload): grid.Square2D(2) = 2×1×1 with
-// flat trees, one right-hand side, on a system factored with the server's
-// default tree depth. Every message it sends is intra-grid.
+// BenchmarkPoolSolve2x1x1 is the 2D intra-grid path: one 2×1 grid with flat
+// trees, one right-hand side, on a system factored with the server's default
+// tree depth. Every message it sends is intra-grid. No perfbench workload
+// runs this path (the service lays out its 2-rank budget as 1×1×2), so this
+// benchmark is its only gate.
 func BenchmarkPoolSolve2x1x1(b *testing.B) {
 	sys, err := sptrsv.Factorize(sptrsv.S2D9pt(64, 64, 1), sptrsv.FactorOptions{})
 	if err != nil {

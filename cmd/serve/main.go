@@ -49,7 +49,7 @@ func main() {
 	cf := cliutil.NewConfigFlags().Bind(fs, cliutil.Machine|cliutil.Backend|cliutil.Elastic|cliutil.TraceCap)
 	var opts server.Options
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	fs.IntVar(&opts.Ranks, "ranks", 4, "rank budget of the default process layout")
+	fs.IntVar(&opts.Ranks, "ranks", 4, "rank budget; the default layout is Pz replicated square 2D grids, Pz the largest power of two dividing it that the separator tree can feed")
 	fs.IntVar(&opts.MaxQueue, "max-queue", 256, "bounded admission queue depth (beyond it requests shed with 429)")
 	fs.IntVar(&opts.MaxBatch, "max-batch", 16, "coalescer flush width (requests per multi-RHS panel solve)")
 	fs.DurationVar(&opts.MaxWait, "max-wait", 2*time.Millisecond, "coalescer flush deadline after the first request of a batch")

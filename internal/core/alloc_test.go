@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	goruntime "runtime"
 	"testing"
 
@@ -51,6 +52,25 @@ func TestPoolSolveAllocsBounded(t *testing.T) {
 	const bound = 100
 	if n := testing.AllocsPerRun(20, solve); n > bound {
 		t.Fatalf("pool solve allocates %.0f times, bound %d", n, bound)
+	}
+}
+
+// TestFingerprintFormattedOnce pins that labelling a solve's metrics with
+// the matrix fingerprint allocates nothing: Factorize formats it once.
+func TestFingerprintFormattedOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under the race detector (see raceEnabled)")
+	}
+	sys, err := Factorize(gen.S2D9pt(8, 8, 1), FactorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("n=%d nnzlu=%d sn=%d depth=%d", sys.A.N, sys.NNZFactors(), sys.SN.SnCount, sys.Tree.Depth)
+	if got := sys.Fingerprint(); got != want {
+		t.Fatalf("Fingerprint() = %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = sys.Fingerprint() }); n != 0 {
+		t.Fatalf("Fingerprint allocates %.0f times per call", n)
 	}
 }
 

@@ -44,6 +44,8 @@ type System struct {
 	S     *symbolic.Structure
 	F     *factor.Factors
 	SN    *snode.Matrix
+
+	fingerprint string // see Fingerprint; formatted once by Factorize
 }
 
 // Factorize orders, analyzes, and LU-factors a (which must have symmetric
@@ -71,7 +73,10 @@ func Factorize(a *sparse.CSR, opt FactorOptions) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: supernodal packaging: %w", err)
 	}
-	return &System{A: a, APerm: ap, Perm: tree.Perm, Tree: tree, S: s, F: f, SN: sn}, nil
+	sys := &System{A: a, APerm: ap, Perm: tree.Perm, Tree: tree, S: s, F: f, SN: sn}
+	sys.fingerprint = fmt.Sprintf("n=%d nnzlu=%d sn=%d depth=%d",
+		a.N, sys.NNZFactors(), sn.SnCount, tree.Depth)
+	return sys, nil
 }
 
 // NNZFactors returns nnz(L)+nnz(U) counting the diagonal once, the

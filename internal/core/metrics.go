@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"sptrsv/internal/metrics"
 	"sptrsv/internal/trsv"
 )
@@ -32,11 +30,10 @@ var (
 
 // Fingerprint identifies the factored matrix for metric labels and bench
 // records: dimension, factor fill, supernode count, and recorded tree
-// depth — the same structural identity the tuner's cache key uses.
-func (s *System) Fingerprint() string {
-	return fmt.Sprintf("n=%d nnzlu=%d sn=%d depth=%d",
-		s.A.N, s.NNZFactors(), s.SN.SnCount, s.Tree.Depth)
-}
+// depth — the same structural identity the tuner's cache key uses. It is
+// formatted once per System, so labelling a solve's metrics allocates
+// nothing.
+func (s *System) Fingerprint() string { return s.fingerprint }
 
 // backendName names the configured backend for the backend label.
 func backendName(b trsv.Backend) string {

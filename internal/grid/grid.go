@@ -76,6 +76,21 @@ func Square2D(p int) (px, py int) {
 	return p / px, px
 }
 
+// ForBudget lays out a budget of p ranks the paper's way: Pz is the largest
+// power of two that divides p and does not exceed leaves (the separator
+// tree's leaf count, the most grids it can feed), and the remaining p/Pz
+// ranks form the Square2D grid. Each replicated grid trades the
+// per-supernode intra-grid broadcasts for one sparse allreduce, which is
+// the cheaper side whenever the solve is latency-bound.
+func ForBudget(p, leaves int) Layout {
+	pz := 1
+	for p%(2*pz) == 0 && 2*pz <= leaves {
+		pz *= 2
+	}
+	px, py := Square2D(p / pz)
+	return Layout{Px: px, Py: py, Pz: pz}
+}
+
 // PathNode describes one elimination-tree node on a grid's leaf-to-root
 // path. Columns refer to the ND-permuted matrix.
 type PathNode struct {

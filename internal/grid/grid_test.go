@@ -52,6 +52,37 @@ func TestSquare2D(t *testing.T) {
 	}
 }
 
+func TestForBudget(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
+		for _, leaves := range []int{1, 2, 4, 64} {
+			l := ForBudget(p, leaves)
+			if err := l.Validate(); err != nil || l.Size() != p {
+				t.Fatalf("ForBudget(%d, %d) = %+v: size %d, %v", p, leaves, l, l.Size(), err)
+			}
+			if p%l.Pz != 0 || l.Pz > leaves {
+				t.Fatalf("ForBudget(%d, %d): Pz=%d must divide P and not exceed the leaves", p, leaves, l.Pz)
+			}
+			if p%(2*l.Pz) == 0 && 2*l.Pz <= leaves {
+				t.Fatalf("ForBudget(%d, %d): Pz=%d is not maximal", p, leaves, l.Pz)
+			}
+			if l.Px < l.Py {
+				t.Fatalf("ForBudget(%d, %d) = %+v: Px < Py", p, leaves, l)
+			}
+		}
+	}
+	for _, c := range []struct {
+		p, leaves int
+		want      Layout
+	}{
+		{2, 64, Layout{1, 1, 2}}, {4, 2, Layout{2, 1, 2}}, {12, 64, Layout{3, 1, 4}},
+		{16, 4, Layout{2, 2, 4}}, {3, 64, Layout{3, 1, 1}}, {8, 1, Layout{4, 2, 1}},
+	} {
+		if got := ForBudget(c.p, c.leaves); got != c.want {
+			t.Fatalf("ForBudget(%d, %d) = %+v, want %+v", c.p, c.leaves, got, c.want)
+		}
+	}
+}
+
 func TestBlockCyclicOwners(t *testing.T) {
 	l := Layout{Px: 2, Py: 3, Pz: 2}
 	if l.OwnerRow(5) != 1 || l.OwnerCol(5) != 2 {

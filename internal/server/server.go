@@ -72,13 +72,15 @@ const (
 )
 
 // Options configures a Server. The zero value serves with sane defaults:
-// DES backend, cori-haswell model, 4-rank default layout, 256-deep queue,
+// DES backend, cori-haswell model, a 4-rank budget, 256-deep queue,
 // 16-wide batches flushed after 2ms, quotas disabled.
 type Options struct {
 	// Machine is the default machine model (cori-haswell when nil).
 	Machine *machine.Model
 	// Ranks is the rank budget of the default (or autotuned) layout; 0
-	// means 4.
+	// means 4. Each handle spreads it the paper's way (grid.ForBudget): as
+	// many replicated 2D grids as the budget's power-of-two factor and the
+	// handle's separator tree allow, the rest as one square 2D grid.
 	Ranks int
 	// Backend runs the solves: nil means the deterministic DES simulator;
 	// set trsv.PoolBackend for wall-clock goroutine execution.
@@ -179,7 +181,7 @@ func (o Options) withDefaults() Options {
 // http.Server, and call Shutdown to drain.
 type Server struct {
 	opts      Options
-	base      core.Config // every solve's configuration starts from it
+	base      core.Config // every solve's configuration starts from it; baseFor adds the layout
 	clock     Clock
 	metrics   *serverMetrics
 	admit     *admitter
@@ -217,10 +219,8 @@ func New(opts Options) (*Server, error) {
 		store:   reqtrace.NewStore(debugRequests),
 		flights: reqtrace.NewRecorder(opts.FlightCap, flightEvents),
 	}
-	px, py := grid.Square2D(opts.Ranks)
 	s.base = core.Config{
-		Layout: grid.Layout{Px: px, Py: py, Pz: 1}, Algorithm: trsv.Proposed3D,
-		Machine: opts.Machine, Backend: opts.Backend,
+		Algorithm: trsv.Proposed3D, Machine: opts.Machine, Backend: opts.Backend,
 		Staleness: opts.Staleness, RefineTol: opts.RefineTol, RefineMax: opts.RefineMax,
 	}
 	s.start = s.clock.Now()
@@ -724,12 +724,13 @@ func faultPlan(wf *wireFault) *fault.Plan {
 // A config that names no plan field (algorithm, trees, machine, layout)
 // edits the handle's default (fixed or autotuned) configuration, so an
 // elastic-only request keeps the tuned plan; one that names any starts
-// from the server's base configuration.
+// from the handle's base configuration (baseFor), so a request naming only
+// trees or a machine keeps the paper's layout of the rank budget.
 func (s *Server) resolveConfig(h *Handle, wc *wireConfig) (core.Config, error) {
 	if wc == nil {
 		return s.defaultConfig(h)
 	}
-	cfg := s.base
+	cfg := s.baseFor(h)
 	var err error
 	if !wc.namesPlan() {
 		if cfg, err = s.defaultConfig(h); err != nil {
@@ -787,14 +788,23 @@ func (wc *wireConfig) namesPlan() bool {
 		wc.Px != 0 || wc.Py != 0 || wc.Pz != 0
 }
 
+// baseFor is the base configuration on handle h: the server's base with
+// the rank budget laid out over the handle's separator tree.
+func (s *Server) baseFor(h *Handle) core.Config {
+	cfg := s.base
+	cfg.Layout = grid.ForBudget(s.opts.Ranks, h.sys.Tree.NumLeaves())
+	return cfg
+}
+
 // defaultConfig resolves (once per handle) the configuration solves use
-// when the request names none: the fixed paper default, or the autotuned
-// choice when Options.Tune is set — with the tuned-config cache making the
-// search a once-per-fingerprint cost.
+// when the request names none: the paper's layout of the rank budget
+// (baseFor), or the autotuned choice when Options.Tune is set — with the
+// tuned-config cache making the search a once-per-fingerprint cost.
 func (s *Server) defaultConfig(h *Handle) (core.Config, error) {
 	v, _ := s.defaults.LoadOrStore(h.ID, &defaultSlot{})
 	slot := v.(*defaultSlot)
 	slot.once.Do(func() {
+		slot.cfg = s.baseFor(h)
 		if s.opts.Tune {
 			res, err := tune.Run(h.sys, s.opts.Machine, s.opts.Ranks,
 				tune.Options{Cache: s.tuneCache})
@@ -802,11 +812,9 @@ func (s *Server) defaultConfig(h *Handle) (core.Config, error) {
 				slot.err = err
 				return
 			}
-			slot.cfg = s.base
 			slot.cfg.Layout, slot.cfg.Algorithm, slot.cfg.Trees = res.Config.Layout, res.Config.Algorithm, res.Config.Trees
 			return
 		}
-		slot.cfg = s.base
 		slot.err = core.ValidateConfig(h.sys, slot.cfg)
 	})
 	return slot.cfg, slot.err

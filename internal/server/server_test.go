@@ -304,9 +304,8 @@ func TestSolveRoundtripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Factorize: %v", err)
 	}
-	px, py := grid.Square2D(4)
 	solver, err := core.NewSolver(sys, core.Config{
-		Layout:    grid.Layout{Px: px, Py: py, Pz: 1},
+		Layout:    grid.ForBudget(4, sys.Tree.NumLeaves()),
 		Algorithm: trsv.Proposed3D,
 		Machine:   machine.CoriHaswell(),
 	})
@@ -326,6 +325,43 @@ func TestSolveRoundtripBitIdentical(t *testing.T) {
 	for i := range wc {
 		if sr.X[i] != wc[i] {
 			t.Fatalf("x[%d] = %v over HTTP, %v direct", i, sr.X[i], wc[i])
+		}
+	}
+}
+
+// TestDefaultLayoutCapsPzAtLeaves pins the per-handle leaf cap of the
+// default layout: on a 2-leaf handle a 4-rank budget becomes 2×1×2, for a
+// config-less solve and for one that names only its trees, where an
+// uncapped 1×1×4 would be a 400.
+func TestDefaultLayoutCapsPzAtLeaves(t *testing.T) {
+	_, _, ts := newHTTPServer(t, nil)
+	resp, data := postJSONRaw(t, ts.URL+"/v1/matrices",
+		`{"generate":{"name":"s2d9pt","scale":"small"},"options":{"tree_depth":1}}`, "application/json")
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: %d: %s", resp.StatusCode, data)
+	}
+	var info matrixInfo
+	if err := json.Unmarshal(data, &info); err != nil {
+		t.Fatalf("upload response: %v", err)
+	}
+	b := make([]float64, info.N)
+	for i := range b {
+		b[i] = 1
+	}
+	for _, body := range []map[string]any{
+		{"b": b},
+		{"b": b, "config": map[string]any{"trees": "binary"}},
+	} {
+		resp, data := postJSON(t, ts.URL+"/v1/matrices/"+info.Handle+"/solve", body, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve with config %v: %d: %s", body["config"], resp.StatusCode, data)
+		}
+		var sr solveResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !strings.Contains(sr.Config, "|2x1x2|") {
+			t.Fatalf("solve with config %v ran %q, want the 2x1x2 layout", body["config"], sr.Config)
 		}
 	}
 }

@@ -56,10 +56,11 @@ func Space(sys *core.System, m *machine.Model, p int) []core.Config {
 	return out
 }
 
-// DefaultConfig is the fixed configuration a caller without the tuner
-// would reasonably pick: the proposed algorithm on the most square 2D grid
-// with no replication and auto trees. Run always probes it, so the tuned
-// choice can never be slower than this default.
+// DefaultConfig is the 2D reference point the tuner reports against: the
+// proposed algorithm on the most square 2D grid with no replication and
+// auto trees. Run always probes it, so the tuned choice can never be
+// slower than it. It is not what the solve service picks without the
+// tuner; that is grid.ForBudget's replicated layout.
 func DefaultConfig(m *machine.Model, p int) core.Config {
 	px, py := grid.Square2D(p)
 	return core.Config{

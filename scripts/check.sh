@@ -85,9 +85,9 @@ go test -run '^$' -fuzz '^FuzzRequestID$' -fuzztime 10s ./internal/server
 echo "== solve-request config fuzz (bounded) =="
 go test -run '^$' -fuzz '^FuzzSolveConfigDecode$' -fuzztime 10s ./internal/server
 
-echo "== go test -race -count=2 (solve service stress: clients x scrapes x cache churn) =="
-go test -race -count=2 -run 'TestServerStressRace|TestCoalesce|TestQueueFull' \
-    ./internal/server ./internal/server/loadgen
+echo "== go test -race -count=2 (solve service stress: clients x scrapes x cache churn; default layout rule) =="
+go test -race -count=2 -run 'TestServerStressRace|TestCoalesce|TestQueueFull|TestForBudget|TestDefaultLayoutCapsPzAtLeaves' \
+    ./internal/server ./internal/server/loadgen ./internal/grid
 
 echo "== go test -race -count=2 (request tracing / flight recorder / exemplars) =="
 go test -race -count=2 ./internal/reqtrace
