@@ -29,10 +29,29 @@ import (
 // FactorOptions controls preprocessing.
 type FactorOptions struct {
 	// TreeDepth is the number of recorded nested-dissection levels; the
-	// resulting System supports Pz up to 2^TreeDepth. 0 means 6 (Pz ≤ 64).
+	// resulting System supports Pz up to 2^TreeDepth. 0 means 6 (Pz ≤ 64);
+	// anything outside 0..20 is an error.
 	TreeDepth int
-	// MaxSupernode caps supernode width; 0 means the symbolic default.
+	// MaxSupernode caps supernode width; ≤ 0 means the symbolic default
+	// (symbolic.DefaultMaxSupernode).
 	MaxSupernode int
+}
+
+// Resolve returns the options Factorize runs with: TreeDepth 0 becomes 6
+// and MaxSupernode ≤ 0 becomes symbolic.DefaultMaxSupernode, so two option
+// sets that resolve alike factor alike. A TreeDepth outside 0..20 is an
+// error.
+func (o FactorOptions) Resolve() (FactorOptions, error) {
+	if o.TreeDepth < 0 || o.TreeDepth > 20 {
+		return o, fmt.Errorf("core: tree depth %d outside 0..20", o.TreeDepth)
+	}
+	if o.TreeDepth == 0 {
+		o.TreeDepth = 6
+	}
+	if o.MaxSupernode <= 0 {
+		o.MaxSupernode = symbolic.DefaultMaxSupernode
+	}
+	return o, nil
 }
 
 // System holds a factored matrix ready to be distributed and solved.
@@ -52,11 +71,11 @@ type System struct {
 // nonzero pattern and admit LU without pivoting, e.g. be diagonally
 // dominant), returning a reusable System.
 func Factorize(a *sparse.CSR, opt FactorOptions) (*System, error) {
-	depth := opt.TreeDepth
-	if depth == 0 {
-		depth = 6
+	opt, err := opt.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	tree := order.NestedDissection(a, depth)
+	tree := order.NestedDissection(a, opt.TreeDepth)
 	ap := a.Permute(tree.Perm)
 	s, err := symbolic.Analyze(ap, symbolic.Options{
 		MaxSupernode: opt.MaxSupernode,

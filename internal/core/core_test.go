@@ -31,6 +31,24 @@ func TestFactorizeBasics(t *testing.T) {
 	}
 }
 
+// TestFactorOptionsResolve: options that resolve alike factor alike, and
+// an out-of-range tree depth is an error from Factorize, not a panic.
+func TestFactorOptionsResolve(t *testing.T) {
+	def, err := FactorOptions{}.Resolve()
+	if err != nil || def != (FactorOptions{TreeDepth: 6, MaxSupernode: 48}) {
+		t.Fatalf("zero options resolve to %+v, %v", def, err)
+	}
+	if got, _ := (FactorOptions{TreeDepth: 6, MaxSupernode: -1}).Resolve(); got != def {
+		t.Fatalf("explicit defaults resolve to %+v, want %+v", got, def)
+	}
+	a := gen.S2D9pt(8, 8, 1)
+	for _, depth := range []int{-1, 21} {
+		if _, err := Factorize(a, FactorOptions{TreeDepth: depth}); err == nil {
+			t.Fatalf("tree depth %d factorized", depth)
+		}
+	}
+}
+
 func TestSolveOriginalOrdering(t *testing.T) {
 	sys := testSystem(t)
 	rng := rand.New(rand.NewSource(7))

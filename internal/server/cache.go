@@ -14,28 +14,32 @@ import (
 	"sptrsv/internal/sparse"
 )
 
-// handleShards is the shard count of the handle cache. Shards cut lock
-// contention between concurrent uploads, solves, and scrapes; the count is
-// a power of two so the shard index is a mask.
-const handleShards = 16
-
 // Handle is one uploaded (or generated) factored matrix: the upload-once
-// half of the upload-once/solve-many API. It owns the factored System and
-// a per-configuration cache of built solvers — plan, cached level
-// schedule, and coalescer — so every symbolic and scheduling cost is paid
-// once per (matrix fingerprint × machine × grid × algorithm) and then
-// shared by every request that names the handle.
+// half of the upload-once/solve-many API. It owns everything keyed by the
+// matrix — the factored System, its default configuration, and a
+// per-configuration cache of built solvers (plan, cached level schedule,
+// and coalescer) — so every symbolic and scheduling cost is paid once per
+// (matrix fingerprint × machine × grid × algorithm), shared by every
+// request that names the handle, and dropped with it.
 type Handle struct {
-	ID          string // "m-" + content-hash digest; stable across uploads
+	ID          string // HandleID of the content hash and resolved factor options
 	Fingerprint string // core fingerprint: n, nnz(LU), supernodes, depth
 	Name        string // matrix name for generated analogs, "upload" else
 	N, NNZ      int
 
-	sys *core.System
+	sys     *core.System
+	lastUse time.Time // guarded by the owning handleCache's mu
 
-	mu      sync.Mutex
-	slots   map[string]*solverSlot
-	lastUse time.Time
+	// def is the configuration solves use when they name none, resolved
+	// once by Server.defaultConfig.
+	def struct {
+		once sync.Once
+		cfg  core.Config
+		err  error
+	}
+
+	mu    sync.Mutex
+	slots map[string]*solverSlot
 }
 
 // solverSlot is the build-once cell for one configuration of a handle.
@@ -61,13 +65,6 @@ func (h *Handle) Configs() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// touch refreshes the handle's LRU clock.
-func (h *Handle) touch(now time.Time) {
-	h.mu.Lock()
-	h.lastUse = now
-	h.mu.Unlock()
 }
 
 // maxSlotsPerHandle bounds the per-handle solver-slot map. Each slot holds
@@ -117,11 +114,11 @@ func (h *Handle) evictSlotLocked() *coalescer {
 }
 
 // ContentHash digests a matrix's full content — dimension, nonzero
-// pattern, and numeric values — into a hex SHA-256. This, not the
-// structural fingerprint, is what identifies a handle: two matrices with
-// the same sparsity aggregates (or even the same pattern) but different
-// values must not alias, or a solve against one would silently return the
-// other's solution. The lossy core fingerprint stays the key of the
+// pattern, and numeric values — into a hex SHA-256. This (with the factor
+// options, see HandleID), not the structural fingerprint, is what
+// identifies a handle: two matrices with the same sparsity aggregates (or
+// even the same pattern) but different values must not alias, or a solve
+// against one would silently return the other's solution. The lossy core fingerprint stays the key of the
 // plan/tune caches, where only structure matters.
 func ContentHash(a *sparse.CSR) string {
 	d := sha256.New()
@@ -144,143 +141,85 @@ func ContentHash(a *sparse.CSR) string {
 }
 
 // HandleID derives the public handle identifier from a matrix content
-// hash: a short digest, so the same matrix uploaded twice (by anyone)
-// lands on the same handle without the server storing the matrix bytes.
-func HandleID(contentHash string) string {
-	sum := sha256.Sum256([]byte(contentHash))
+// hash and the factor options it is factored with, already resolved
+// (core.FactorOptions.Resolve): a short digest, so the same matrix
+// uploaded twice (by anyone) with options that factor alike lands on one
+// handle, any other option set gets its own, and the server never stores
+// the matrix bytes.
+func HandleID(contentHash string, opt core.FactorOptions) string {
+	sum := sha256.Sum256(fmt.Appendf(nil, "%s|depth=%d|maxsn=%d", contentHash, opt.TreeDepth, opt.MaxSupernode))
 	return "m-" + hex.EncodeToString(sum[:])[:12]
 }
 
-// handleCache is the sharded, bounded handle store. Lookups touch only one
-// shard; the LRU eviction scan (rare: only on insert beyond capacity)
-// walks all shards.
+// handleCache is the bounded handle store: one mutex over one map, with
+// least-recently-used eviction beyond max handles.
 type handleCache struct {
-	max    int
-	shards [handleShards]struct {
-		sync.Mutex
-		handles map[string]*Handle
-	}
-
-	mu    sync.Mutex // guards count across insert/evict/remove
-	count int
+	max     int
+	mu      sync.Mutex
+	handles map[string]*Handle
 }
 
 func newHandleCache(max int) *handleCache {
 	if max < 1 {
 		max = 1
 	}
-	c := &handleCache{max: max}
-	for i := range c.shards {
-		c.shards[i].handles = map[string]*Handle{}
-	}
-	return c
-}
-
-// shardOf picks the shard for an id (FNV-1a over the id bytes).
-func (c *handleCache) shardOf(id string) *struct {
-	sync.Mutex
-	handles map[string]*Handle
-} {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * 16777619
-	}
-	return &c.shards[h&(handleShards-1)]
+	return &handleCache{max: max, handles: map[string]*Handle{}}
 }
 
 // get looks up a handle, refreshing its LRU position.
 func (c *handleCache) get(id string, now time.Time) (*Handle, bool) {
-	sh := c.shardOf(id)
-	sh.Lock()
-	h, ok := sh.handles[id]
-	sh.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h, ok := c.handles[id]
 	if ok {
-		h.touch(now)
+		h.lastUse = now
 	}
 	return h, ok
 }
 
-// put inserts a factored system, deduplicating by content hash: a
-// re-upload of a matrix the cache already holds (same pattern AND same
-// values) returns the existing handle with reused=true and costs nothing
-// beyond the factorization the caller already did. Inserting beyond
-// capacity evicts the least-recently-used handle (evicted reports how
-// many, for the metrics).
-func (c *handleCache) put(sys *core.System, name string, now time.Time) (h *Handle, reused bool, evicted int) {
-	id := HandleID(ContentHash(sys.A))
-	sh := c.shardOf(id)
-	sh.Lock()
-	if h, ok := sh.handles[id]; ok {
-		sh.Unlock()
-		h.touch(now)
-		return h, true, 0
+// add inserts a factored system under id (its HandleID). If the store
+// already holds id — a concurrent upload of the same content and options
+// won the race — it returns that handle with reused=true. Inserting beyond
+// capacity evicts the least-recently-used handle, whose pending batches
+// are drained once the lock is released.
+func (c *handleCache) add(id string, sys *core.System, name string, now time.Time) (h *Handle, reused, evicted bool) {
+	c.mu.Lock()
+	if h, ok := c.handles[id]; ok {
+		h.lastUse = now
+		c.mu.Unlock()
+		return h, true, false
 	}
 	h = &Handle{
 		ID: id, Fingerprint: sys.Fingerprint(), Name: name,
 		N: sys.A.N, NNZ: sys.A.NNZ(),
 		sys: sys, slots: map[string]*solverSlot{}, lastUse: now,
 	}
-	sh.handles[id] = h
-	sh.Unlock()
-
-	c.mu.Lock()
-	c.count++
-	over := c.count - c.max
-	c.mu.Unlock()
-	for ; over > 0; over-- {
-		if !c.evictLRU(id) {
-			break
-		}
-		evicted++
-	}
-	return h, false, evicted
-}
-
-// evictLRU removes the least-recently-used handle, never the one named
-// keep (the insert that triggered the eviction).
-func (c *handleCache) evictLRU(keep string) bool {
+	c.handles[id] = h
 	var victim *Handle
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.Lock()
-		for _, h := range sh.handles {
-			if h.ID == keep {
-				continue
-			}
-			h.mu.Lock()
-			use := h.lastUse
-			h.mu.Unlock()
-			if victim == nil || use.Before(victimUse(victim)) {
-				victim = h
+	if len(c.handles) > c.max {
+		for _, o := range c.handles {
+			if o != h && (victim == nil || o.lastUse.Before(victim.lastUse)) {
+				victim = o
 			}
 		}
-		sh.Unlock()
+		delete(c.handles, victim.ID)
 	}
-	if victim == nil {
-		return false
+	c.mu.Unlock()
+	if victim != nil {
+		victim.drainAll()
 	}
-	return c.remove(victim.ID)
-}
-
-func victimUse(h *Handle) time.Time {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lastUse
+	return h, false, victim != nil
 }
 
 // remove deletes a handle by id. In-flight solves holding the handle
-// finish normally — removal unlinks it from the cache and flushes its
+// finish normally — removal unlinks it from the store and flushes its
 // pending batches, which Shutdown's drain pass could no longer reach.
 func (c *handleCache) remove(id string) bool {
-	sh := c.shardOf(id)
-	sh.Lock()
-	h, ok := sh.handles[id]
-	delete(sh.handles, id)
-	sh.Unlock()
+	c.mu.Lock()
+	h, ok := c.handles[id]
+	delete(c.handles, id)
+	c.mu.Unlock()
 	if ok {
-		c.mu.Lock()
-		c.count--
-		c.mu.Unlock()
 		h.drainAll()
 	}
 	return ok
@@ -288,15 +227,12 @@ func (c *handleCache) remove(id string) bool {
 
 // list snapshots all handles, sorted by ID for a stable exposition.
 func (c *handleCache) list() []*Handle {
-	var hs []*Handle
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.Lock()
-		for _, h := range sh.handles {
-			hs = append(hs, h)
-		}
-		sh.Unlock()
+	c.mu.Lock()
+	hs := make([]*Handle, 0, len(c.handles))
+	for _, h := range c.handles {
+		hs = append(hs, h)
 	}
+	c.mu.Unlock()
 	sort.Slice(hs, func(i, j int) bool { return hs[i].ID < hs[j].ID })
 	return hs
 }
@@ -305,7 +241,7 @@ func (c *handleCache) list() []*Handle {
 func (c *handleCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.count
+	return len(c.handles)
 }
 
 // configKey names one solver configuration the way the cache is keyed:

@@ -52,7 +52,7 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		solvers: r.Counter("sptrsv_server_solver_cache",
 			"Solver/plan cache lookups per solve request: hit reuses a built plan+schedule, miss pays the symbolic cost once, evicted counts LRU displacements from a handle's bounded slot map.", "outcome"),
 		uploads: r.Counter("sptrsv_server_handle_uploads",
-			"Matrix uploads: new (factored and cached), reused (identical matrix content already held), evicted (LRU handle displaced by a new upload).", "outcome"),
+			"Matrix uploads: new (factored and cached), reused (a handle with the same matrix content and the same resolved factor options already held; no factorization), evicted (LRU handle displaced by a new upload).", "outcome"),
 		flights: r.Counter("sptrsv_server_flight_captures",
 			"Flight-recorder captures by trigger: slow (latency blew past the rolling median), fault (solve failed), refine (refinement-pass blowup), request (client armed tracing with X-Trace).", "trigger"),
 	}

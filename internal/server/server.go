@@ -6,8 +6,8 @@
 //
 // The request path is: admission (quota → bounded queue, shedding with
 // 429 + Retry-After) → per-(handle, config) coalescer (flush on max-batch
-// or max-wait) → one SolveBatch per flush over a sharded plan+solver cache
-// keyed by matrix fingerprint × machine × grid × algorithm. All timing —
+// or max-wait) → one SolveBatch per flush over a per-handle plan+solver
+// cache keyed by machine × grid × algorithm. All timing —
 // queue waits, coalescing deadlines, quota refills — goes through an
 // injected Clock, so every queueing decision is testable without sleeps.
 //
@@ -30,7 +30,6 @@ import (
 	"math"
 	"mime"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,7 +115,7 @@ type Options struct {
 	// probe search; the tuned-config cache makes it once per fingerprint).
 	Tune bool
 	// TuneCacheDir persists tuned configs across processes when Tune is
-	// set ("" keeps the cache in-memory only).
+	// set ("" keeps the cache in memory only).
 	TuneCacheDir string
 
 	// TraceCap bounds the per-rank runtime trace ring of traced solves
@@ -193,16 +192,6 @@ type Server struct {
 	flights *reqtrace.Recorder // anomalous-request captures (/debug/flights)
 	reqSeq  atomic.Uint64      // server-assigned request ID sequence
 	start   time.Time          // serving start (statusz uptime)
-
-	genIDs   sync.Map // generate-key → handle id (skip refactorization)
-	defaults sync.Map // handle id → *defaultSlot
-}
-
-// defaultSlot resolves a handle's default configuration once.
-type defaultSlot struct {
-	once sync.Once
-	cfg  core.Config
-	err  error
 }
 
 // New builds a Server.
@@ -225,7 +214,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.start = s.clock.Now()
 	s.admit = newAdmitter(opts.MaxQueue, NewQuotaSet(opts.QuotaRate, opts.QuotaBurst), s.clock, s.metrics)
-	if opts.Tune && opts.TuneCacheDir != "" {
+	if opts.Tune {
 		c, err := tune.OpenCache(opts.TuneCacheDir)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
@@ -392,12 +381,10 @@ func writeError(w http.ResponseWriter, code int, msg string, retryAfter time.Dur
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	now := s.clock.Now()
-	var fopt core.FactorOptions
-
 	var (
-		a      *sparse.CSR
-		name   string
-		genKey string
+		fopt core.FactorOptions
+		a    *sparse.CSR
+		name string
 	)
 	// Clients commonly send parameters ("application/json; charset=utf-8");
 	// dispatch on the media type alone, not the raw header.
@@ -432,14 +419,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		genKey = fmt.Sprintf("%s|%s|%d|%d", req.Generate.Name, scale, fopt.TreeDepth, fopt.MaxSupernode)
-		if id, ok := s.genIDs.Load(genKey); ok {
-			if h, ok := s.handles.get(id.(string), now); ok {
-				s.metrics.uploads.With("reused").Inc()
-				writeJSON(w, http.StatusOK, s.matrixInfo(h, true))
-				return
-			}
-		}
 		m := gen.Named(req.Generate.Name, scale)
 		a, name = m.A, m.Name
 	} else {
@@ -450,28 +429,32 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		}
 		a, name = raw.SymmetrizePattern(), "upload"
 	}
-
-	sys, err := core.Factorize(a, fopt)
+	fopt, err := fopt.Resolve()
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "factorize: "+err.Error(), 0)
+		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	h, reused, evicted := s.handles.put(sys, name, now)
-	if genKey != "" {
-		s.genIDs.Store(genKey, h.ID)
+
+	// The identity lookup comes before the factorization, so a re-upload
+	// costs a parse (or a generation) and a hash, never a factorization.
+	id := HandleID(ContentHash(a), fopt)
+	h, reused := s.handles.get(id, now)
+	if !reused {
+		sys, err := core.Factorize(a, fopt)
+		if err != nil {
+			writeError(w, http.StatusUnprocessableEntity, "factorize: "+err.Error(), 0)
+			return
+		}
+		var evicted bool
+		if h, reused, evicted = s.handles.add(id, sys, name, now); evicted {
+			s.metrics.uploads.With("evicted").Inc()
+		}
 	}
+	code, outcome := http.StatusCreated, "new"
 	if reused {
-		s.metrics.uploads.With("reused").Inc()
-	} else {
-		s.metrics.uploads.With("new").Inc()
+		code, outcome = http.StatusOK, "reused"
 	}
-	for i := 0; i < evicted; i++ {
-		s.metrics.uploads.With("evicted").Inc()
-	}
-	code := http.StatusCreated
-	if reused {
-		code = http.StatusOK
-	}
+	s.metrics.uploads.With(outcome).Inc()
 	writeJSON(w, code, s.matrixInfo(h, reused))
 }
 
@@ -796,28 +779,28 @@ func (s *Server) baseFor(h *Handle) core.Config {
 	return cfg
 }
 
-// defaultConfig resolves (once per handle) the configuration solves use
-// when the request names none: the paper's layout of the rank budget
-// (baseFor), or the autotuned choice when Options.Tune is set — with the
-// tuned-config cache making the search a once-per-fingerprint cost.
+// defaultConfig resolves (once per handle, on the handle, so it dies with
+// it) the configuration solves use when the request names none: the
+// paper's layout of the rank budget (baseFor), or the autotuned choice
+// when Options.Tune is set — with the tuned-config cache making the search
+// a once-per-fingerprint cost that outlives the handle.
 func (s *Server) defaultConfig(h *Handle) (core.Config, error) {
-	v, _ := s.defaults.LoadOrStore(h.ID, &defaultSlot{})
-	slot := v.(*defaultSlot)
-	slot.once.Do(func() {
-		slot.cfg = s.baseFor(h)
+	d := &h.def
+	d.once.Do(func() {
+		d.cfg = s.baseFor(h)
 		if s.opts.Tune {
 			res, err := tune.Run(h.sys, s.opts.Machine, s.opts.Ranks,
 				tune.Options{Cache: s.tuneCache})
 			if err != nil {
-				slot.err = err
+				d.err = err
 				return
 			}
-			slot.cfg.Layout, slot.cfg.Algorithm, slot.cfg.Trees = res.Config.Layout, res.Config.Algorithm, res.Config.Trees
+			d.cfg.Layout, d.cfg.Algorithm, d.cfg.Trees = res.Config.Layout, res.Config.Algorithm, res.Config.Trees
 			return
 		}
-		slot.err = core.ValidateConfig(h.sys, slot.cfg)
+		d.err = core.ValidateConfig(h.sys, d.cfg)
 	})
-	return slot.cfg, slot.err
+	return d.cfg, d.err
 }
 
 // solverFor returns the handle's built solver slot for cfg, building the

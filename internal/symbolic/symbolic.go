@@ -39,9 +39,13 @@ func (s *Structure) FillNNZ() int { return len(s.RowInd) }
 // SnCols returns the number of columns in supernode K.
 func (s *Structure) SnCols(k int) int { return s.SnBegin[k+1] - s.SnBegin[k] }
 
+// DefaultMaxSupernode is the supernode width cap Analyze applies when
+// Options.MaxSupernode is ≤ 0.
+const DefaultMaxSupernode = 48
+
 // Options controls the supernode partition.
 type Options struct {
-	MaxSupernode int   // cap on supernode width; ≤0 means 48
+	MaxSupernode int   // cap on supernode width; ≤0 means DefaultMaxSupernode
 	Boundaries   []int // column indices that must start a new supernode
 }
 
@@ -51,7 +55,7 @@ func Analyze(a *sparse.CSR, opt Options) (*Structure, error) {
 	n := a.N
 	maxSn := opt.MaxSupernode
 	if maxSn <= 0 {
-		maxSn = 48
+		maxSn = DefaultMaxSupernode
 	}
 	s := &Structure{N: n, Parent: make([]int, n)}
 

@@ -87,12 +87,12 @@ type cacheFile struct {
 	Entries map[string]Entry `json:"entries"`
 }
 
-// Cache is a persistent tuned-config store: one JSON file under a
-// caller-chosen directory, loaded once at Open and guarded by an RWMutex
-// so concurrent AutoConfig calls can share one Cache. Puts write through
-// to disk atomically (temp file + rename).
+// Cache is a tuned-config store: one JSON file under a caller-chosen
+// directory (or none, in memory only), loaded once at Open and guarded by
+// an RWMutex so concurrent AutoConfig calls can share one Cache. Puts write
+// through to disk atomically (temp file + rename).
 type Cache struct {
-	path string
+	path string // "" keeps the cache in memory only
 	mu   sync.RWMutex
 	file cacheFile
 }
@@ -101,15 +101,17 @@ type Cache struct {
 // directory if needed. A missing file is an empty cache; a corrupted file
 // or one written by a different schema version is also treated as empty —
 // a cache must never be able to break tuning — and is replaced on the
-// next Put.
+// next Put. An empty dir opens an empty in-memory cache whose Puts write
+// no file.
 func OpenCache(dir string) (*Cache, error) {
+	c := &Cache{file: cacheFile{Version: CacheSchemaVersion, Entries: map[string]Entry{}}}
+	if dir == "" {
+		return c, nil
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tune: cache dir: %w", err)
 	}
-	c := &Cache{
-		path: filepath.Join(dir, cacheFileName),
-		file: cacheFile{Version: CacheSchemaVersion, Entries: map[string]Entry{}},
-	}
+	c.path = filepath.Join(dir, cacheFileName)
 	raw, err := os.ReadFile(c.path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -140,11 +142,15 @@ func (c *Cache) Len() int {
 	return len(c.file.Entries)
 }
 
-// Put stores the entry under key and persists the whole cache atomically.
+// Put stores the entry under key and persists the whole cache atomically
+// (in-memory caches skip the write).
 func (c *Cache) Put(key string, e Entry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.file.Entries[key] = e
+	if c.path == "" {
+		return nil
+	}
 	raw, err := json.MarshalIndent(&c.file, "", "  ")
 	if err != nil {
 		return fmt.Errorf("tune: cache encode: %w", err)

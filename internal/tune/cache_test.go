@@ -110,6 +110,24 @@ func TestCacheStaleVersionIgnored(t *testing.T) {
 	}
 }
 
+// TestCacheInMemory: an empty directory opens a working cache that keeps
+// its entries in memory and writes no file.
+func TestCacheInMemory(t *testing.T) {
+	c, err := OpenCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("k", testEntry()); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := c.Get("k"); !ok || e != testEntry() || c.Len() != 1 {
+		t.Fatalf("in-memory cache lost its entry: %+v ok=%v len=%d", e, ok, c.Len())
+	}
+	if _, err := os.Stat(cacheFileName); !os.IsNotExist(err) {
+		t.Fatalf("in-memory Put wrote %s (stat: %v)", cacheFileName, err)
+	}
+}
+
 func TestCacheConcurrentAccess(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {

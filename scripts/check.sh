@@ -89,6 +89,10 @@ echo "== go test -race -count=2 (solve service stress: clients x scrapes x cache
 go test -race -count=2 -run 'TestServerStressRace|TestCoalesce|TestQueueFull|TestForBudget|TestDefaultLayoutCapsPzAtLeaves' \
     ./internal/server ./internal/server/loadgen ./internal/grid
 
+echo "== go test -race -count=3 (handle store: one lock, identity = content + factor options, per-handle default) =="
+go test -race -count=3 -run '^(TestPutDistinguishesValuesWithSamePattern|TestUploadGenerateDedupAndInspect|TestHandleLRUEvictionAndDelete|TestHandleIdentityIncludesFactorOptions|TestReuploadSkipsFactorization|TestStaleDefaultDiesWithHandle|TestHandleLRUVictimIsLeastRecentlyUsed|TestUploadRejectsOutOfRangeTreeDepth|TestTuneCacheOutlivesHandle|TestServerStressRace)$' \
+    ./internal/server
+
 echo "== go test -race -count=2 (request tracing / flight recorder / exemplars) =="
 go test -race -count=2 ./internal/reqtrace
 go test -race -count=2 \

@@ -161,7 +161,8 @@ type (
 
 // OpenTuneCache loads or initializes a persistent tuned-config cache under
 // dir. Pass it via TuneOptions.Cache to make repeated Tune calls for the
-// same matrix × machine × rank budget skip the search entirely.
+// same matrix × machine × rank budget skip the search entirely. An empty
+// dir keeps the cache in memory only.
 func OpenTuneCache(dir string) (*TuneCache, error) { return tune.OpenCache(dir) }
 
 // Tune runs the autotuner with explicit options and returns the full
