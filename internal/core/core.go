@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -30,40 +31,47 @@ import (
 type FactorOptions struct {
 	// TreeDepth is the number of recorded nested-dissection levels; the
 	// resulting System supports Pz up to 2^TreeDepth. 0 means 6 (Pz ≤ 64);
-	// anything outside 0..20 is an error.
+	// anything outside 0..20 is an error. Factorize records at most
+	// ⌈log2 n⌉ levels: deeper ones hold no vertex and change no factor.
 	TreeDepth int
 	// MaxSupernode caps supernode width; ≤ 0 means the symbolic default
 	// (symbolic.DefaultMaxSupernode).
 	MaxSupernode int
 }
 
-// Resolve returns the options Factorize runs with: TreeDepth 0 becomes 6
-// and MaxSupernode ≤ 0 becomes symbolic.DefaultMaxSupernode, so two option
-// sets that resolve alike factor alike. A TreeDepth outside 0..20 is an
-// error.
-func (o FactorOptions) Resolve() (FactorOptions, error) {
+// Resolve returns the options Factorize runs with on an n×n matrix:
+// TreeDepth 0 becomes 6 and is then capped at ⌈log2 n⌉, and MaxSupernode
+// ≤ 0 becomes symbolic.DefaultMaxSupernode, so two option sets that
+// resolve alike factor alike. A TreeDepth outside 0..20 is an error.
+//
+// The cap changes no factor: split hands each half at most ⌈len/2⌉
+// vertices, so every vertex set recorded at level ⌈log2 n⌉ holds at most
+// one vertex, and deeper levels would add only empty tree nodes.
+func (o FactorOptions) Resolve(n int) (FactorOptions, error) {
 	if o.TreeDepth < 0 || o.TreeDepth > 20 {
 		return o, fmt.Errorf("core: tree depth %d outside 0..20", o.TreeDepth)
 	}
 	if o.TreeDepth == 0 {
 		o.TreeDepth = 6
 	}
+	o.TreeDepth = min(o.TreeDepth, bits.Len(uint(max(n-1, 0))))
 	if o.MaxSupernode <= 0 {
 		o.MaxSupernode = symbolic.DefaultMaxSupernode
 	}
 	return o, nil
 }
 
-// System holds a factored matrix ready to be distributed and solved.
+// System holds a factored matrix ready to be distributed and solved: only
+// what solving and planning read. The column-form factors and the
+// symbolic fill pattern live only while Factorize packs them into SN.
 type System struct {
 	A     *sparse.CSR // original matrix
 	APerm *sparse.CSR // nested-dissection permuted matrix
 	Perm  []int       // old index → new index
 	Tree  *order.Tree
-	S     *symbolic.Structure
-	F     *factor.Factors
 	SN    *snode.Matrix
 
+	nnzLU       int    // see NNZFactors; counted once by Factorize
 	fingerprint string // see Fingerprint; formatted once by Factorize
 }
 
@@ -71,10 +79,15 @@ type System struct {
 // nonzero pattern and admit LU without pivoting, e.g. be diagonally
 // dominant), returning a reusable System.
 func Factorize(a *sparse.CSR, opt FactorOptions) (*System, error) {
-	opt, err := opt.Resolve()
+	opt, err := opt.Resolve(a.N)
 	if err != nil {
 		return nil, err
 	}
+	return factorize(a, opt)
+}
+
+// factorize runs the pipeline with options already resolved.
+func factorize(a *sparse.CSR, opt FactorOptions) (*System, error) {
 	tree := order.NestedDissection(a, opt.TreeDepth)
 	ap := a.Permute(tree.Perm)
 	s, err := symbolic.Analyze(ap, symbolic.Options{
@@ -92,15 +105,15 @@ func Factorize(a *sparse.CSR, opt FactorOptions) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: supernodal packaging: %w", err)
 	}
-	sys := &System{A: a, APerm: ap, Perm: tree.Perm, Tree: tree, S: s, F: f, SN: sn}
+	sys := &System{A: a, APerm: ap, Perm: tree.Perm, Tree: tree, SN: sn, nnzLU: 2*s.FillNNZ() - s.N}
 	sys.fingerprint = fmt.Sprintf("n=%d nnzlu=%d sn=%d depth=%d",
-		a.N, sys.NNZFactors(), sn.SnCount, tree.Depth)
+		a.N, sys.nnzLU, sn.SnCount, tree.Depth)
 	return sys, nil
 }
 
 // NNZFactors returns nnz(L)+nnz(U) counting the diagonal once, the
 // quantity the paper's Table 1 reports.
-func (s *System) NNZFactors() int { return 2*s.S.FillNNZ() - s.S.N }
+func (s *System) NNZFactors() int { return s.nnzLU }
 
 // Config selects how a Solver runs.
 type Config struct {
@@ -189,8 +202,8 @@ func ValidateConfig(sys *System, cfg Config) error {
 		return err
 	}
 	if max := sys.Tree.NumLeaves(); cfg.Layout.Pz > max {
-		return fmt.Errorf("core: Pz=%d exceeds the separator tree's capacity 2^%d (refactorize with a larger FactorOptions.TreeDepth)",
-			cfg.Layout.Pz, sys.Tree.Depth)
+		return fmt.Errorf("core: Pz=%d exceeds the separator tree's capacity 2^%d (refactorize with a larger FactorOptions.TreeDepth, which n=%d caps at ⌈log2 n⌉)",
+			cfg.Layout.Pz, sys.Tree.Depth, sys.A.N)
 	}
 	switch cfg.Algorithm {
 	case trsv.Proposed3D, trsv.Baseline3D, trsv.Proposed3DNaiveAR:

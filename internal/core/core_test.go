@@ -31,15 +31,32 @@ func TestFactorizeBasics(t *testing.T) {
 	}
 }
 
-// TestFactorOptionsResolve: options that resolve alike factor alike, and
-// an out-of-range tree depth is an error from Factorize, not a panic.
+// TestFactorOptionsResolve: options that resolve alike factor alike, the
+// tree depth is capped at ⌈log2 n⌉ after defaulting, resolving twice
+// changes nothing, and an out-of-range tree depth is an error from
+// Factorize, not a panic.
 func TestFactorOptionsResolve(t *testing.T) {
-	def, err := FactorOptions{}.Resolve()
+	def, err := FactorOptions{}.Resolve(4096)
 	if err != nil || def != (FactorOptions{TreeDepth: 6, MaxSupernode: 48}) {
 		t.Fatalf("zero options resolve to %+v, %v", def, err)
 	}
-	if got, _ := (FactorOptions{TreeDepth: 6, MaxSupernode: -1}).Resolve(); got != def {
+	if got, _ := (FactorOptions{TreeDepth: 6, MaxSupernode: -1}).Resolve(4096); got != def {
 		t.Fatalf("explicit defaults resolve to %+v, want %+v", got, def)
+	}
+	for _, c := range []struct{ n, depth, want int }{
+		{1, 0, 0}, {1, 20, 0},
+		{2, 20, 1}, {3, 20, 2}, {4, 20, 2}, {5, 20, 3},
+		{32, 0, 5}, {33, 0, 6}, {36, 3, 3}, {36, 20, 6},
+		{1024, 0, 6}, {1024, 20, 10}, {4096, 20, 12},
+		{1 << 20, 20, 20}, {1<<20 + 1, 20, 20},
+	} {
+		got, err := FactorOptions{TreeDepth: c.depth}.Resolve(c.n)
+		if err != nil || got.TreeDepth != c.want {
+			t.Fatalf("n=%d depth=%d: resolved %+v, %v; want depth %d", c.n, c.depth, got, err, c.want)
+		}
+		if again, err := got.Resolve(c.n); err != nil || again != got {
+			t.Fatalf("n=%d depth=%d: resolving %+v again gives %+v, %v", c.n, c.depth, got, again, err)
+		}
 	}
 	a := gen.S2D9pt(8, 8, 1)
 	for _, depth := range []int{-1, 21} {

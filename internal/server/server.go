@@ -429,7 +429,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		}
 		a, name = raw.SymmetrizePattern(), "upload"
 	}
-	fopt, err := fopt.Resolve()
+	fopt, err := fopt.Resolve(a.N)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return

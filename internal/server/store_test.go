@@ -18,7 +18,7 @@ import (
 // its content and recorded tree depth (the supernode cap a System does
 // not record counts as the default).
 func (c *handleCache) put(sys *core.System, name string, now time.Time) (*Handle, bool, bool) {
-	opt, _ := core.FactorOptions{TreeDepth: sys.Tree.Depth}.Resolve() // a factored depth is in range
+	opt, _ := core.FactorOptions{TreeDepth: sys.Tree.Depth}.Resolve(sys.A.N) // a factored depth is in range
 	return c.add(HandleID(ContentHash(sys.A), opt), sys, name, now)
 }
 
@@ -71,7 +71,9 @@ const (
 
 // TestHandleIdentityIncludesFactorOptions: the same content under factor
 // options that resolve differently gets two handles, in either upload
-// order; options that resolve alike share one.
+// order; options that resolve alike share one, including a tree depth past
+// what the matrix can split (s2d9pt small is 32×32, so depth 20 resolves
+// to ⌈log2 1024⌉ = 10).
 func TestHandleIdentityIncludesFactorOptions(t *testing.T) {
 	for _, order := range [][2]string{{smallDefault, smallDepth1}, {smallDepth1, smallDefault}} {
 		s, _, ts := newHTTPServer(t, nil)
@@ -98,6 +100,16 @@ func TestHandleIdentityIncludesFactorOptions(t *testing.T) {
 	}
 	if s.Handles() != 1 {
 		t.Fatalf("handle count = %d, want 1", s.Handles())
+	}
+
+	capped := uploadRaw(t, ts.URL, `{"generate":{"name":"s2d9pt","scale":"small"},"options":{"tree_depth":10}}`, http.StatusCreated)
+	deep := uploadRaw(t, ts.URL, `{"generate":{"name":"s2d9pt","scale":"small"},"options":{"tree_depth":20}}`, http.StatusOK)
+	if deep.Handle != capped.Handle || !deep.Reused || !strings.HasSuffix(deep.Fingerprint, "depth=10") {
+		t.Fatalf("depth 20: handle %s reused=%v fingerprint %q, want %s reused at depth=10",
+			deep.Handle, deep.Reused, deep.Fingerprint, capped.Handle)
+	}
+	if s.Handles() != 2 {
+		t.Fatalf("handle count = %d, want 2", s.Handles())
 	}
 }
 
@@ -126,7 +138,7 @@ func TestReuploadSkipsFactorization(t *testing.T) {
 	if _, err := core.Factorize(uploaded, core.FactorOptions{}); err == nil {
 		t.Fatal("test premise broken: the all-zero matrix factorizes")
 	}
-	opt, _ := core.FactorOptions{}.Resolve()
+	opt, _ := core.FactorOptions{}.Resolve(uploaded.N)
 	h, _, _ := s.handles.add(HandleID(ContentHash(uploaded), opt), held, "held", fc.Now())
 
 	resp, data := postJSONRaw(t, ts.URL+"/v1/matrices", body.String(), "text/plain")

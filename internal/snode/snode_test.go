@@ -13,7 +13,7 @@ import (
 	"sptrsv/internal/symbolic"
 )
 
-func build(t *testing.T, a *sparse.CSR, opt symbolic.Options) (*factor.Factors, *Matrix) {
+func build(t *testing.T, a *sparse.CSR, opt symbolic.Options) *Matrix {
 	t.Helper()
 	s, err := symbolic.Analyze(a, opt)
 	if err != nil {
@@ -27,7 +27,7 @@ func build(t *testing.T, a *sparse.CSR, opt symbolic.Options) (*factor.Factors, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f, m
+	return m
 }
 
 func randomPanel(rng *rand.Rand, rows, cols int) *sparse.Panel {
@@ -40,7 +40,7 @@ func randomPanel(rng *rand.Rand, rows, cols int) *sparse.Panel {
 
 func TestBlockStructureInvariants(t *testing.T) {
 	a := gen.S2D9pt(16, 16, 1)
-	_, m := build(t, a, symbolic.Options{MaxSupernode: 6})
+	m := build(t, a, symbolic.Options{MaxSupernode: 6})
 	for k := 0; k < m.SnCount; k++ {
 		prevI := k
 		for _, blk := range m.LBlocks[k] {
@@ -76,7 +76,7 @@ func TestBlockStructureInvariants(t *testing.T) {
 func TestUBlocksMirrorLBlocks(t *testing.T) {
 	// Pattern symmetry: U(K,J) columns == L(J,K) rows.
 	a := gen.S2D9pt(14, 14, 2)
-	_, m := build(t, a, symbolic.Options{MaxSupernode: 8})
+	m := build(t, a, symbolic.Options{MaxSupernode: 8})
 	for k := 0; k < m.SnCount; k++ {
 		for _, ub := range m.UBlocks[k] {
 			var lb *LBlock
@@ -100,33 +100,6 @@ func TestUBlocksMirrorLBlocks(t *testing.T) {
 	}
 }
 
-func TestSolveMatchesScalarReference(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(80)
-		a := gen.RandomDD(rng, n, 0.12)
-		s, err := symbolic.Analyze(a, symbolic.Options{MaxSupernode: 1 + rng.Intn(10)})
-		if err != nil {
-			return false
-		}
-		f, err := factor.Factorize(a, s)
-		if err != nil {
-			return false
-		}
-		m, err := Build(f)
-		if err != nil {
-			return false
-		}
-		b := randomPanel(rng, n, 1+rng.Intn(3))
-		want := f.SolveSerial(b)
-		got := m.Solve(b)
-		return got.MaxAbsDiff(want) < 1e-8
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSolveSuiteResiduals(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, mat := range gen.Suite(gen.Small) {
@@ -142,25 +115,9 @@ func TestSolveSuiteResiduals(t *testing.T) {
 	}
 }
 
-func TestSolveLThenUSeparately(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	a := gen.RandomDD(rng, 70, 0.1)
-	f, m := build(t, a, symbolic.Options{MaxSupernode: 5})
-	b := randomPanel(rng, a.N, 2)
-	y := m.SolveL(b)
-	// L·y must equal b.
-	if r := sparse.ResidualInf(f.LowerCSR(), y, b); r > 1e-9 {
-		t.Fatalf("L-solve residual %g", r)
-	}
-	x := m.SolveU(y)
-	if r := sparse.ResidualInf(f.UpperCSR(), x, y); r > 1e-9 {
-		t.Fatalf("U-solve residual %g", r)
-	}
-}
-
 func TestDiagInversesShape(t *testing.T) {
 	a := gen.S2D9pt(10, 10, 3)
-	_, m := build(t, a, symbolic.Options{MaxSupernode: 7})
+	m := build(t, a, symbolic.Options{MaxSupernode: 7})
 	for k := 0; k < m.SnCount; k++ {
 		w := m.SnWidth(k)
 		if m.LDiagInv[k].Rows != w || m.LDiagInv[k].Cols != w {
@@ -341,7 +298,7 @@ func ndSystem(t *testing.T, a *sparse.CSR, depth int) (*sparse.CSR, *Matrix) {
 		bounds = append(bounds, nd.Begin, nd.End, nd.SubBegin)
 	}
 	ap := a.Permute(tr.Perm)
-	_, m := build(t, ap, symbolic.Options{Boundaries: bounds})
+	m := build(t, ap, symbolic.Options{Boundaries: bounds})
 	return ap, m
 }
 

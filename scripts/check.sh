@@ -89,9 +89,14 @@ echo "== go test -race -count=2 (solve service stress: clients x scrapes x cache
 go test -race -count=2 -run 'TestServerStressRace|TestCoalesce|TestQueueFull|TestForBudget|TestDefaultLayoutCapsPzAtLeaves' \
     ./internal/server ./internal/server/loadgen ./internal/grid
 
-echo "== go test -race -count=3 (handle store: one lock, identity = content + factor options, per-handle default) =="
+echo "== go test -race -count=3 (handle store: one lock, identity = content + resolved factor options, depth capped at log2 n, per-handle default) =="
 go test -race -count=3 -run '^(TestPutDistinguishesValuesWithSamePattern|TestUploadGenerateDedupAndInspect|TestHandleLRUEvictionAndDelete|TestHandleIdentityIncludesFactorOptions|TestReuploadSkipsFactorization|TestStaleDefaultDiesWithHandle|TestHandleLRUVictimIsLeastRecentlyUsed|TestUploadRejectsOutOfRangeTreeDepth|TestTuneCacheOutlivesHandle|TestServerStressRace)$' \
     ./internal/server
+go test -race -count=3 -run '^(TestFactorOptionsResolve|TestDepthCapKeepsFactorBitIdentical)$' \
+    ./internal/core
+
+echo "== go test -count=20 (a System's retained heap pinned to its block store) =="
+go test -count=20 -run '^TestSystemHeapPinnedToBlockStore$' ./internal/core
 
 echo "== go test -race -count=2 (request tracing / flight recorder / exemplars) =="
 go test -race -count=2 ./internal/reqtrace
